@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -74,7 +73,7 @@ func main() {
 		metrsOut = flag.String("metrics-out", "", "write the campaign's merged metrics to this file in Prometheus text format")
 		fleetWrk = flag.String("fleet-workers", "", "comma-separated `xdse serve` worker addresses (host:port,...): shard evaluation batches across them; results stay bit-identical to a local run under any worker failure")
 		fleetHI  = flag.Duration("fleet-health-interval", 0, "fleet worker health-probe cadence (0 = 1s default)")
-		fleetHA  = flag.Duration("fleet-hedge-after", 0, "hedge a straggling shard dispatch to the next ring candidate after this long (0 = LeaseTTL/2 default, negative disables)")
+		fleetHA  = flag.Duration("fleet-hedge-after", 0, "hedge a straggling shard dispatch to the next ring candidate after this long (0 = 2.5s, negative disables)")
 		fleetBK  = flag.Int("fleet-breaker", 0, "consecutive transient faults that open a worker's circuit breaker (0 = 3 default)")
 		fleetCh  = flag.String("fleet-chaos", "", "coordinator-side deterministic chaos spec (e.g. \"drop@3,storm@0-4=503,partition@2-6=host:port\"); see internal/fleet.ParseChaosSpec")
 	)
@@ -170,7 +169,9 @@ func main() {
 
 	// Distributed execution: shard evaluation batches across a worker fleet.
 	// The coordinator is a pure cache warmer (see internal/fleet), so every
-	// experiment below produces bit-identical results with or without it.
+	// experiment below produces bit-identical results with or without it. A
+	// restarted coordinator resumes from -cache-dir: points whose layer
+	// records the store already holds are never dispatched again.
 	var fleetCoord *fleet.Coordinator
 	if *fleetWrk != "" {
 		var addrs []string
@@ -192,14 +193,6 @@ func main() {
 			Warnf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "xdse: "+format+"\n", args...)
 			},
-		}
-		if *ckptDir != "" {
-			// The shard journal rides in the campaign checkpoint directory:
-			// one -checkpoint flag makes both the evaluation trace and the
-			// coordinator's shard state crash-durable, and one -resume
-			// replays both.
-			fleetOpts.JournalDir = filepath.Join(*ckptDir, "fleet")
-			fleetOpts.Resume = *resume
 		}
 		c, err := fleet.New(addrs, fleetOpts)
 		if err != nil {

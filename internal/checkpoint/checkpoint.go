@@ -74,10 +74,9 @@ func parseF(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // FrameLine renders payload as one journal line under this package's CRC
 // discipline: eight lowercase hex digits of the payload's CRC32 (IEEE), a
-// space, the payload, and a trailing newline. Other subsystems that journal
-// through a checkpoint directory (the fleet coordinator's shard log) frame
-// their lines with this so every journal in the tree shares one torn-write
-// detection story.
+// space, the payload, and a trailing newline. The persistent evaluation
+// cache (internal/evalcache) frames its records with this too, so every
+// journal in the tree shares one torn-write detection story.
 func FrameLine(payload []byte) []byte {
 	return []byte(fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload))
 }
@@ -94,11 +93,12 @@ func UnframeLine(text string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: bad CRC field: %w", err)
 	}
-	payload := text[9:]
-	if got := crc32.ChecksumIEEE([]byte(payload)); got != uint32(want) {
+	// One copy serves both the checksum and the caller.
+	payload := []byte(text[9:])
+	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
 		return nil, fmt.Errorf("checkpoint: CRC mismatch (want %08x, got %08x)", want, got)
 	}
-	return []byte(payload), nil
+	return payload, nil
 }
 
 // encode renders a Record as one CRC'd journal line (newline included).

@@ -812,7 +812,7 @@ func (e *Evaluator) retryingEvaluate(ctx context.Context, pt arch.Point, ord int
 			return r
 		}
 		e.cRetries.Inc()
-		if d := e.cfg.Retry.delayBefore(attempt + 1); d > 0 {
+		if d := e.cfg.Retry.DelayBefore(attempt + 1); d > 0 {
 			t := time.NewTimer(d)
 			select {
 			case <-t.C:
@@ -1100,9 +1100,6 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 			ent := fromPersist(pe)
 			e.mu.Lock()
 			e.storeLayer(key, ent)
-			if ent.found {
-				e.storeWarm(key.shape, warmEntry{mapping: ent.mapping, perf: ent.perf})
-			}
 			delete(e.lflights, key)
 			e.mu.Unlock()
 			e.cPHits.Inc()
@@ -1141,9 +1138,6 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 
 	e.mu.Lock()
 	e.storeLayer(key, ent)
-	if ent.found {
-		e.storeWarm(key.shape, warmEntry{mapping: ent.mapping, perf: ent.perf})
-	}
 	delete(e.lflights, key)
 	e.mu.Unlock()
 	e.cCostCalls.Add(int64(ent.costCalls))
@@ -1215,8 +1209,12 @@ func fromPersist(pe evalcache.Entry) layerEntry {
 }
 
 // storeLayer inserts a search outcome into the bounded layer cache (FIFO,
-// 8x the design-memo cap). Caller holds e.mu.
+// 8x the design-memo cap) and, when the search found a mapping, makes it the
+// shape's warm-start incumbent. Caller holds e.mu.
 func (e *Evaluator) storeLayer(key layerCacheKey, ent layerEntry) {
+	if ent.found {
+		e.storeWarm(key.shape, warmEntry{mapping: ent.mapping, perf: ent.perf})
+	}
 	if _, ok := e.lcache[key]; !ok {
 		e.lorder = append(e.lorder, key)
 	}

@@ -110,9 +110,6 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 			continue
 		}
 		e.storeLayer(key, ent)
-		if ent.found {
-			e.storeWarm(key.shape, warmEntry{mapping: ent.mapping, perf: ent.perf})
-		}
 		e.mu.Unlock()
 		if e.store != nil {
 			e.store.Put(rec.Key, rec.Entry)
@@ -122,29 +119,46 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 	return n
 }
 
-// InstallFromStore re-installs records by content address from the attached
-// persistent store — the fleet coordinator's resume path. A resumed
-// coordinator knows from its shard journal *which* record IDs a completed
-// shard produced; the records themselves live in the evalcache, so this
-// fetches each by ID and installs it through InstallRecords (inheriting its
-// full round-trip validation). Returns the count newly installed and the
-// count the store no longer holds; an ID that resolves but is already cached
-// locally counts toward neither. With no store attached everything is
-// missing — callers then simply re-dispatch, trading speed, never
-// correctness.
-func (e *Evaluator) InstallFromStore(ids []string) (installed, missing int) {
-	if e.store == nil {
-		return 0, len(ids)
+// Prefill reports whether pt's evaluation can run entirely from local layer
+// records: every layer key RecordsFor would export is either in the layer
+// cache or in the attached persistent store. Store hits are installed into
+// the layer cache exactly as layerResult's store probe installs them, and
+// counted as persist hits. It stops at the first layer neither holds, so a
+// point that needs a search costs one key derivation. This is the fleet
+// coordinator's local-first filter: a coordinator restarted over the same
+// store finds everything it already evaluated here and dispatches none of it.
+func (e *Evaluator) Prefill(pt arch.Point) bool {
+	if e.cfg.DisableLayerCache {
+		return false
 	}
-	for _, id := range ids {
-		rec, ok := e.store.GetByID(id)
-		if !ok {
-			missing++
-			continue
+	d, err := e.cfg.Space.Decode(pt)
+	if err != nil {
+		return false
+	}
+	sub := perf.MappingSubKey(d)
+	for _, mdl := range e.cfg.Models {
+		for i := range mdl.Layers {
+			key := e.layerKeyFor(mdl.Layers[i], sub, int64(i))
+			e.mu.Lock()
+			_, ok := e.lcache[key]
+			e.mu.Unlock()
+			if ok {
+				continue
+			}
+			if e.store == nil {
+				return false
+			}
+			pe, ok := e.store.Get(e.persistKey(key))
+			if !ok {
+				return false
+			}
+			e.mu.Lock()
+			e.storeLayer(key, fromPersist(pe))
+			e.mu.Unlock()
+			e.cPHits.Inc()
 		}
-		installed += e.InstallRecords([]evalcache.Record{rec})
 	}
-	return installed, missing
+	return true
 }
 
 // layerKeyFor builds the in-memory layer-cache key for one layer of a model

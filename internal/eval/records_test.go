@@ -89,56 +89,57 @@ func TestRecordsRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestInstallFromStore is the coordinator resume contract: given only the
-// record IDs a shard journal names, a fresh evaluator over the same
-// persistent cache re-installs exactly those records and then evaluates the
-// point bit-identically without re-running a single layer search; IDs the
-// store no longer holds are reported missing, never fatal.
-func TestInstallFromStore(t *testing.T) {
+// TestPrefill is the coordinator's local-first contract: a fresh evaluator
+// over a persistent store reports a point answerable only once every layer
+// record RecordsFor exports is in the store, and then evaluates it
+// bit-identically without running a single layer search.
+func TestPrefill(t *testing.T) {
 	s := spaceWithDummyParam(3)
 	pt := campaignPoints(s, 1)[0]
-	cacheDir := t.TempDir()
 	cfg := cacheTestConfig(s, PrunedMappings)
-	cfg.CacheDir = cacheDir
+	cfg.CacheDir = t.TempDir()
 
-	worker := New(cfg)
+	worker := New(cacheTestConfig(s, PrunedMappings))
 	want := worker.Evaluate(pt)
 	recs := worker.RecordsFor(pt)
-	if len(recs) == 0 {
-		t.Fatal("no records exported")
+	if len(recs) < 2 {
+		t.Fatalf("%d records exported, want at least 2", len(recs))
 	}
-	ids := make([]string, 0, len(recs))
-	for _, rec := range recs {
-		ids = append(ids, rec.Key.ID())
+	if New(cfg).Prefill(pt) {
+		t.Fatal("Prefill true over an empty store")
 	}
 
-	resumed := New(cfg)
-	installed, missing := resumed.InstallFromStore(ids)
-	if installed != len(ids) || missing != 0 {
-		t.Fatalf("InstallFromStore = %d installed, %d missing; want %d, 0", installed, missing, len(ids))
+	// Every layer but one in the store: still not answerable locally.
+	if n := New(cfg).InstallRecords(recs[:len(recs)-1]); n != len(recs)-1 {
+		t.Fatalf("installed %d of %d records", n, len(recs)-1)
 	}
-	// Re-installing already-cached IDs counts toward neither bucket.
-	if in, miss := resumed.InstallFromStore(ids); in != 0 || miss != 0 {
-		t.Fatalf("re-install = %d installed, %d missing; want 0, 0", in, miss)
+	if New(cfg).Prefill(pt) {
+		t.Fatal("Prefill true with one layer record missing from the store")
 	}
-	got := resumed.Evaluate(pt)
+
+	New(cfg).InstallRecords(recs[len(recs)-1:])
+	coord := New(cfg)
+	if !coord.Prefill(pt) {
+		t.Fatal("Prefill false with every layer record in the store")
+	}
+	if st := coord.Stats(); st.PersistHits != len(recs) {
+		t.Fatalf("Prefill counted %d persist hits, want %d", st.PersistHits, len(recs))
+	}
+	// The second call answers from the layer cache alone.
+	if !coord.Prefill(pt) {
+		t.Fatal("Prefill false on its own installed records")
+	}
+	got := coord.Evaluate(pt)
 	if err := resultsEquivalent(want, got); err != nil {
-		t.Fatalf("resumed evaluation differs: %v", err)
+		t.Fatalf("prefilled evaluation differs: %v", err)
 	}
-	if st := resumed.Stats(); st.LayerMisses != 0 {
-		t.Fatalf("resumed evaluator re-ran %d layer searches", st.LayerMisses)
-	}
-
-	// Unknown IDs are missing, known ones still install alongside them.
-	fresh := New(cfg)
-	if in, miss := fresh.InstallFromStore(append([]string{"no-such-id"}, ids...)); in != len(ids) || miss != 1 {
-		t.Fatalf("mixed install = %d installed, %d missing; want %d, 1", in, miss, len(ids))
+	if st := coord.Stats(); st.LayerMisses != 0 || st.PersistHits != len(recs) {
+		t.Fatalf("prefilled evaluator: %d layer searches, %d persist hits; want 0, %d", st.LayerMisses, st.PersistHits, len(recs))
 	}
 
-	// No store attached: everything is missing — the caller re-dispatches.
-	noStore := New(cacheTestConfig(s, PrunedMappings))
-	if in, miss := noStore.InstallFromStore(ids); in != 0 || miss != len(ids) {
-		t.Fatalf("storeless install = %d installed, %d missing; want 0, %d", in, miss, len(ids))
+	// No store attached: nothing beyond the layer cache is local.
+	if New(cacheTestConfig(s, PrunedMappings)).Prefill(pt) {
+		t.Fatal("storeless evaluator claims a point it never evaluated")
 	}
 }
 

@@ -76,9 +76,10 @@ func (p RetryPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
-// delayBefore returns the deterministic backoff applied before the given
-// retry (1-based: delayBefore(1) precedes the second attempt).
-func (p RetryPolicy) delayBefore(retry int) time.Duration {
+// DelayBefore returns the deterministic backoff applied before the given
+// retry (1-based: DelayBefore(1) precedes the second attempt). The fleet
+// coordinator spaces a shard's dispatch attempts with the same schedule.
+func (p RetryPolicy) DelayBefore(retry int) time.Duration {
 	d := p.Backoff
 	if d <= 0 {
 		return 0

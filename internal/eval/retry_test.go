@@ -30,12 +30,12 @@ func TestRetryPolicyBackoffDeterministic(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 8, Backoff: 10 * time.Millisecond, BackoffCap: 50 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 50, 50}
 	for i, w := range want {
-		if got := p.delayBefore(i + 1); got != w*time.Millisecond {
-			t.Errorf("delayBefore(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+		if got := p.DelayBefore(i + 1); got != w*time.Millisecond {
+			t.Errorf("DelayBefore(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
-	if got := (RetryPolicy{}).delayBefore(3); got != 0 {
-		t.Errorf("zero-policy delayBefore = %v, want 0", got)
+	if got := (RetryPolicy{}).DelayBefore(3); got != 0 {
+		t.Errorf("zero-policy DelayBefore = %v, want 0", got)
 	}
 	if got := (RetryPolicy{}).attempts(); got != 1 {
 		t.Errorf("zero-policy attempts = %d, want 1", got)

@@ -16,7 +16,8 @@
 // replaying outdated costs.
 //
 // Durability follows the checkpoint journal discipline: records are
-// CRC-guarded JSONL lines with floats in bit-exact hex form, appended under
+// CRC-guarded JSONL lines (framed by checkpoint.FrameLine, so both journals
+// share one torn-write check) with floats in bit-exact hex form, appended under
 // an advisory cross-process file lock with a write-then-fsync cadence.
 // Loading tolerates torn tails and corrupt lines — a record that fails its
 // CRC degrades to a cache miss (counted, then physically compacted away),
@@ -28,7 +29,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"xdse/internal/checkpoint"
 	"xdse/internal/mapping"
 	"xdse/internal/obs"
 	"xdse/internal/perf"
@@ -638,7 +639,7 @@ func encode(key Key, ent Entry, version string, at int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []byte(fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(data), data)), nil
+	return checkpoint.FrameLine(data), nil
 }
 
 // decode parses one line (without its newline), verifying the CRC before
@@ -648,19 +649,12 @@ func decode(text string) (Key, Entry, string, int64, error) {
 	fail := func(err error) (Key, Entry, string, int64, error) {
 		return Key{}, Entry{}, "", 0, err
 	}
-	if len(text) < 9 || text[8] != ' ' {
-		return fail(fmt.Errorf("malformed line %q", truncateForErr(text)))
-	}
-	want, err := strconv.ParseUint(text[:8], 16, 32)
+	payload, err := checkpoint.UnframeLine(text)
 	if err != nil {
-		return fail(fmt.Errorf("bad CRC field: %w", err))
-	}
-	payload := text[9:]
-	if got := crc32.ChecksumIEEE([]byte(payload)); got != uint32(want) {
-		return fail(fmt.Errorf("CRC mismatch (want %08x, got %08x)", want, got))
+		return fail(err)
 	}
 	var w wireRecord
-	if err := json.Unmarshal([]byte(payload), &w); err != nil {
+	if err := json.Unmarshal(payload, &w); err != nil {
 		return fail(fmt.Errorf("bad JSON: %w", err))
 	}
 	key := Key{Shape: w.Shape, Sub: w.Sub, Mode: w.Mode, Trials: w.Budget, Salt: w.Salt}
@@ -742,12 +736,4 @@ func decode(text string) (Key, Entry, string, int64, error) {
 	}
 	copy(b.VirtNeeded[:], virt)
 	return key, ent, w.V, w.At, nil
-}
-
-// truncateForErr bounds corrupt-line excerpts embedded in error messages.
-func truncateForErr(s string) string {
-	if len(s) > 40 {
-		return s[:40] + "…"
-	}
-	return s
 }

@@ -99,16 +99,16 @@ type Config struct {
 	// every run (the serve daemon injects its own); CacheDir is ignored.
 	Cache *evalcache.Store
 	// Fleet, when non-nil, shards every run's evaluation batches across a
-	// pool of xdse serve workers (see internal/fleet): each batch's fresh
-	// points are dispatched under leases and the returned content-addressed
-	// layer records are installed before local evaluation. The hook is
-	// result neutral — traces and fingerprints are bit-identical with or
-	// without a fleet, under any worker failure, hedged duplicate, open
-	// circuit breaker, injected chaos fault, or coordinator crash-resume
-	// (give the coordinator a JournalDir inside CheckpointDir and set its
-	// Resume alongside this Config's) — so attaching one changes only
-	// wall-clock time. The caller owns the coordinator's lifecycle
-	// (fleet.New / Close).
+	// pool of xdse serve workers (see internal/fleet): each batch's points
+	// that need a layer search are dispatched, and the returned
+	// content-addressed layer records are installed before local
+	// evaluation. The hook is result neutral — traces and fingerprints are
+	// bit-identical with or without a fleet, under any worker failure,
+	// hedged duplicate, open circuit breaker, injected chaos fault, or
+	// coordinator crash-resume (points whose records CacheDir's store
+	// already holds are answered locally, so a restarted coordinator has
+	// nothing to re-dispatch) — so attaching one changes only wall-clock
+	// time. The caller owns the coordinator's lifecycle (fleet.New / Close).
 	Fleet *fleet.Coordinator
 }
 

@@ -122,6 +122,28 @@ func TestBreakerHalfOpenSingleTrial(t *testing.T) {
 	}
 }
 
+// TestBreakerReleaseFreesHalfOpenTrial: a half-open trial that ends without
+// an outcome (a lost hedge race, a 429 shed) hands its slot back — the
+// breaker stays half-open and admits the next trial instead of wedging.
+func TestBreakerReleaseFreesHalfOpenTrial(t *testing.T) {
+	p, reg := breakerTestPool()
+	w := p.workers[0]
+	for i := 0; i < 3; i++ {
+		p.breakerResult(w, true)
+	}
+	p.breakerProbeHealthy(w)
+	if !p.breakerAdmit(w) {
+		t.Fatal("half-open breaker refused the trial dispatch")
+	}
+	p.breakerRelease(w)
+	if got := reg.Gauge(`fleet_breaker_state{worker="a:1"}`).Value(); got != float64(breakerHalfOpen) {
+		t.Fatalf("released trial moved the breaker to %v, want half-open", got)
+	}
+	if !p.breakerAdmit(w) {
+		t.Fatal("released trial slot not handed to the next dispatch")
+	}
+}
+
 // TestPickSkipsOpenBreaker: an open breaker makes pick shed to the next ring
 // candidate exactly as an unhealthy worker would, while pickable answers the
 // "anywhere to shed to?" question without consuming half-open trial slots.

@@ -157,8 +157,8 @@ func (ci *ChaosInjector) count(kind string) {
 // admit decides the pre-flight fate of the dispatch with ordinal ord to
 // worker: a nil error proceeds (after any injected delay, which admit
 // sleeps itself bounded by done), a non-nil error is the injected fault,
-// already shaped for classify (429/5xx statuses and drops/partitions are
-// transient; other statuses permanent).
+// shaped exactly like its real counterpart: 5xx statuses and
+// drops/partitions are transient, 429 is a shed, other statuses permanent.
 func (ci *ChaosInjector) admit(done <-chan struct{}, ord int, worker string) error {
 	if ci == nil {
 		return nil
@@ -185,10 +185,14 @@ func (ci *ChaosInjector) admit(done <-chan struct{}, ord int, worker string) err
 	}
 	if st, ok := ci.p.StatusAt[ord]; ok {
 		ci.count("status")
-		if st == http.StatusTooManyRequests || st >= 500 {
-			return fmt.Errorf("chaos: injected status %d (ordinal %d)", st, ord)
+		err := fmt.Errorf("chaos: injected status %d (ordinal %d)", st, ord)
+		if st == http.StatusTooManyRequests {
+			return &shedError{err}
 		}
-		return &permanentError{fmt.Errorf("chaos: injected status %d (ordinal %d)", st, ord)}
+		if st >= 500 {
+			return err
+		}
+		return &permanentError{err}
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
 // Chaos and crash-resume end-to-end tests: campaigns under deterministic
 // fault injection, breaker-opening worker brownouts, and a coordinator killed
-// mid-campaign and resumed from its shard journal must all produce traces —
-// and CSV artifacts — bit-identical to a fault-free single-node reference.
+// mid-campaign and resumed over its checkpoint and persistent cache must all
+// produce traces — and CSV artifacts — bit-identical to a fault-free
+// single-node reference.
 package fleet_test
 
 import (
@@ -146,34 +147,28 @@ func TestBreakerOpensMidCampaignBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeSkipsCompletedShards is the deterministic resume unit of the
-// crash story: campaign one journals every shard completion; a second
-// coordinator resuming over the same journal and persistent cache answers
-// every point from re-installed records — zero /eval dispatches — and the
-// trace still matches.
-func TestResumeSkipsCompletedShards(t *testing.T) {
+// TestRestartedCoordinatorAnswersFromStore is the deterministic resume unit
+// of the crash story: campaign one merges every shard's records into its
+// persistent cache; a second coordinator over the same cache directory finds
+// every point's layer records local — zero /eval dispatches — and the trace
+// still matches.
+func TestRestartedCoordinatorAnswersFromStore(t *testing.T) {
 	tech, _ := exp.TechniqueByName("ExplainableDSE-Codesign")
 	model := workload.ByName("ResNet18")
-	cacheDir, journalDir := t.TempDir(), t.TempDir()
+	cacheDir := t.TempDir()
 
 	ref := exp.RunOne(context.Background(), testConfig(), tech, model, testBudget)
 	if ref.Err != "" {
 		t.Fatalf("reference run failed: %s", ref.Err)
 	}
 
-	runFleet := func(resume bool) (*fleet.Coordinator, exp.Run, int64) {
+	runFleet := func() (*fleet.Coordinator, exp.Run, int64) {
 		var evals atomic.Int64
 		ts := startWorkerWith(t, func(w http.ResponseWriter, r *http.Request) bool {
 			evals.Add(1)
 			return false
 		})
-		// Calm timings: a load-induced lease expiry or an unprobed worker at
-		// first pick would silently evaluate a shard locally — unjournaled —
-		// and break the zero-dispatch assertion below.
-		opts := calmOptions()
-		opts.JournalDir = journalDir
-		opts.Resume = resume
-		c, err := fleet.New([]string{ts.Listener.Addr().String()}, opts)
+		c, err := fleet.New([]string{ts.Listener.Addr().String()}, calmOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,29 +181,26 @@ func TestResumeSkipsCompletedShards(t *testing.T) {
 		return c, run, evals.Load()
 	}
 
-	_, first, evals1 := runFleet(false)
+	_, first, evals1 := runFleet()
 	if first.Err != "" {
 		t.Fatalf("first fleet run failed: %s", first.Err)
 	}
 	if evals1 == 0 {
-		t.Fatal("first run dispatched nothing — journal empty, resume untestable")
+		t.Fatal("first run dispatched nothing — the restart proves nothing")
 	}
 
-	c2, second, evals2 := runFleet(true)
+	c2, second, evals2 := runFleet()
 	if second.Err != "" {
-		t.Fatalf("resumed fleet run failed: %s", second.Err)
+		t.Fatalf("restarted fleet run failed: %s", second.Err)
 	}
 	if second.Trace.Fingerprint() != ref.Trace.Fingerprint() {
-		t.Fatal("resumed campaign fingerprint differs from single-node reference")
+		t.Fatal("restarted campaign fingerprint differs from single-node reference")
 	}
 	if evals2 != 0 {
-		t.Fatalf("resumed run dispatched %d shards; journal + store should have answered all", evals2)
+		t.Fatalf("restarted run dispatched %d shards; the store should have answered all", evals2)
 	}
-	if n := c2.Metrics().Counter("fleet_resume_points_skipped_total").Value(); n == 0 {
-		t.Fatal("fleet_resume_points_skipped_total = 0 on a full resume")
-	}
-	if n := c2.Metrics().Counter("fleet_resume_records_installed_total").Value(); n == 0 {
-		t.Fatal("fleet_resume_records_installed_total = 0 on a full resume")
+	if n := c2.Metrics().Counter("fleet_points_local_total").Value(); n == 0 {
+		t.Fatal("fleet_points_local_total = 0 on a fully warm restart")
 	}
 }
 
@@ -217,7 +209,7 @@ func TestResumeSkipsCompletedShards(t *testing.T) {
 // is "killed" mid-campaign (run context cancelled at a fixed evaluation
 // ordinal — the in-process stand-in for kill -9, exercising the same torn
 // journal tails) and a fresh coordinator resumes from the campaign checkpoint
-// plus the shard journal. The final trace fingerprint AND the CSV artifact
+// plus the persistent cache. The final trace fingerprint AND the CSV artifact
 // must be byte-identical to a fault-free single-node reference.
 func TestKillCoordinatorMidCampaignBitIdentical(t *testing.T) {
 	model := workload.ByName("ResNet18")
@@ -237,15 +229,12 @@ func TestKillCoordinatorMidCampaignBitIdentical(t *testing.T) {
 			refCSV := readCSV(t, refCfg.CSVDir, m.tech)
 
 			ckptDir := t.TempDir()
-			journalDir := filepath.Join(ckptDir, "fleet")
 			cacheDir := t.TempDir()
-			newCoord := func(resume bool) *fleet.Coordinator {
+			newCoord := func() *fleet.Coordinator {
 				ts1, _ := startWorker(t)
 				ts2, _ := startWorker(t)
 				opts := fleetOptions()
 				opts.Chaos = testChaos()
-				opts.JournalDir = journalDir
-				opts.Resume = resume
 				c, err := fleet.New([]string{ts1.Listener.Addr().String(), ts2.Listener.Addr().String()}, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -257,7 +246,7 @@ func TestKillCoordinatorMidCampaignBitIdentical(t *testing.T) {
 			// Phase 1: kill the campaign at a fixed unique-evaluation ordinal.
 			ctx, cancel := context.WithCancel(context.Background())
 			kcfg := testConfig()
-			kcfg.Fleet = newCoord(false)
+			kcfg.Fleet = newCoord()
 			kcfg.CheckpointDir = ckptDir
 			kcfg.CacheDir = cacheDir
 			kcfg.Faults = &eval.FaultPolicy{OnEvaluation: func(ord int) {
@@ -273,7 +262,7 @@ func TestKillCoordinatorMidCampaignBitIdentical(t *testing.T) {
 
 			// Phase 2: fresh coordinator, resumed campaign, chaos still on.
 			rcfg := testConfig()
-			rcfg.Fleet = newCoord(true)
+			rcfg.Fleet = newCoord()
 			rcfg.CheckpointDir = ckptDir
 			rcfg.CacheDir = cacheDir
 			rcfg.Resume = true

@@ -83,6 +83,16 @@ func TestParseChaosSpecErrors(t *testing.T) {
 	}
 }
 
+// TestChaosInjected429IsShed: an injected 429 takes the same backpressure
+// path as a real one.
+func TestChaosInjected429IsShed(t *testing.T) {
+	ci := (&ChaosPolicy{StatusAt: map[int]int{0: 429}}).NewInjector("", obs.NewRegistry())
+	var shed *shedError
+	if err := ci.admit(nil, ci.next(), "w"); !errors.As(err, &shed) {
+		t.Fatalf("injected 429 = %v, want a *shedError", err)
+	}
+}
+
 // TestChaosAdmitDeterministicClassification pins the ordinal addressing and
 // the fault classification: drops/partitions/429/5xx are transient, other
 // injected statuses permanent — and a replay over the same policy injects
@@ -110,7 +120,7 @@ func TestChaosAdmitDeterministicClassification(t *testing.T) {
 		check(1, "w1", eval.ClassTransient) // drop
 		check(2, "w1", eval.ClassTransient) // 503
 		check(3, "w1", eval.ClassPermanent) // 404
-		check(4, "w1", eval.ClassTransient) // 429
+		check(4, "w1", eval.ClassTransient) // 429, retried as backpressure
 		check(5, "w1", eval.ClassNone)      // partition names w9, not w1
 		check(6, "w9", eval.ClassTransient) // partition window hits w9
 		check(7, "w9", eval.ClassNone)      // window over
@@ -298,9 +308,9 @@ func TestParseRetryAfter(t *testing.T) {
 }
 
 // TestRetryDelayHonorsRetryAfterCapped: the worker's hint overrides the
-// deterministic schedule but can never exceed BackoffCap.
+// deterministic schedule but can never exceed Retry.BackoffCap.
 func TestRetryDelayHonorsRetryAfterCapped(t *testing.T) {
-	c := &Coordinator{opts: Options{Backoff: 4 * time.Millisecond, BackoffCap: 32 * time.Millisecond}.withDefaults()}
+	c := &Coordinator{opts: Options{Retry: eval.RetryPolicy{Backoff: 4 * time.Millisecond, BackoffCap: 32 * time.Millisecond}}.withDefaults()}
 	base := errors.New("worker w: status 429")
 	if got := c.retryDelay(1, base); got != 4*time.Millisecond {
 		t.Fatalf("no hint: delay = %v, want the schedule's 4ms", got)

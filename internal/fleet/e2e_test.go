@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"xdse/internal/eval"
 	"xdse/internal/exp"
 	"xdse/internal/fleet"
 	"xdse/internal/serve"
@@ -76,26 +77,24 @@ var modes = []struct{ tech string }{
 // seconds-scale run.
 func fleetOptions() fleet.Options {
 	return fleet.Options{
-		LeaseTTL:       400 * time.Millisecond,
 		MaxShardHold:   10 * time.Second,
 		HealthInterval: 25 * time.Millisecond,
 		ShardPoints:    2,
-		Backoff:        2 * time.Millisecond,
-		BackoffCap:     20 * time.Millisecond,
+		Retry:          eval.RetryPolicy{Backoff: 2 * time.Millisecond, BackoffCap: 20 * time.Millisecond},
+		HedgeAfter:     200 * time.Millisecond,
 		Warnf:          func(string, ...any) {},
 	}
 }
 
-// calmOptions returns fleetOptions with generous leases and hedging off, for
-// tests whose assertions (exact dispatch or fault counts) must not be
-// perturbed by load-induced lease expiry or hedge races — e.g. under the
-// race detector with the whole package running.
+// calmOptions returns fleetOptions with a generous attempt deadline and
+// hedging off, for tests whose assertions (exact dispatch or fault counts)
+// must not be perturbed by load-induced timeouts or hedge races — e.g. under
+// the race detector with the whole package running.
 func calmOptions() fleet.Options {
 	o := fleetOptions()
-	o.LeaseTTL = time.Minute
 	o.MaxShardHold = 10 * time.Minute
 	o.HedgeAfter = -1
-	o.MaxAttempts = 32
+	o.Retry.MaxAttempts = 32
 	return o
 }
 
@@ -117,7 +116,7 @@ func waitHealthy(t *testing.T, c *fleet.Coordinator, n int) {
 // every mapper mode, a campaign over two workers — one of which dies
 // abruptly mid-campaign, mid-request — completes with a trace fingerprint
 // bit-identical to the single-node reference, and the death is visible as
-// expired leases.
+// a stolen (re-dispatched) shard.
 func TestKillWorkerMidCampaignBitIdentical(t *testing.T) {
 	model := workload.ByName("ResNet18")
 	for _, m := range modes {
@@ -136,7 +135,7 @@ func TestKillWorkerMidCampaignBitIdentical(t *testing.T) {
 			// whichever worker receives it, kills that worker — the request
 			// is dropped mid-flight and so is everything after it, probes
 			// included. This guarantees the campaign loses a worker that
-			// was actively holding a lease, wherever the ring sent the
+			// was actively serving a shard, wherever the ring sent the
 			// shards.
 			var mu sync.Mutex
 			evals := 0
@@ -189,8 +188,8 @@ func TestKillWorkerMidCampaignBitIdentical(t *testing.T) {
 			if !dead.Load() {
 				t.Fatal("kill switch never tripped — the campaign did not exercise worker death")
 			}
-			if n := c.Metrics().Counter("fleet_leases_expired_total").Value(); n == 0 {
-				t.Fatal("worker died mid-flight but no lease expired")
+			if n := c.Metrics().Counter("fleet_leases_stolen_total").Value(); n == 0 {
+				t.Fatal("worker died mid-flight but no shard was stolen")
 			}
 		})
 	}
@@ -260,8 +259,8 @@ func TestVersionSkewQuarantine(t *testing.T) {
 }
 
 // TestTwoCoordinatorsShareWorkerPool: two coordinators driving different
-// campaigns over the same single worker must not interfere — distinct lease
-// tokens, shared evaluator-side caches, both bit-identical.
+// campaigns over the same single worker must not interfere — shared
+// evaluator-side caches, both bit-identical.
 func TestTwoCoordinatorsShareWorkerPool(t *testing.T) {
 	model := workload.ByName("ResNet18")
 	techA, _ := exp.TechniqueByName("GridSearch-FixDF")

@@ -8,18 +8,24 @@
 // (hence Trace.Fingerprint) is untouched by any fleet failure mode.
 //
 // Robustness model:
+//   - Prepare is local-first: a point whose every layer record the local
+//     evaluator already holds (layer cache or persistent store) is never
+//     dispatched, so a coordinator restarted over the same cache directory
+//     resumes without re-dispatching what it already merged.
 //   - Shards are assigned by consistent hash of the design/workload cache
 //     key, so repeat points land on the worker already holding their records.
-//   - Every dispatch holds a coordinator-side lease with heartbeat renewal
-//     (renewed while the health monitor sees the worker ready); a lease that
-//     ends without a completed result — worker killed mid-flight, hang past
-//     its TTL, or transport failure — counts as expired and the shard is
-//     re-dispatched to the next worker on the ring (work stealing).
+//   - Every dispatch attempt runs under a MaxShardHold deadline, and one
+//     still unanswered after HedgeAfter is hedged to the next ring worker
+//     (first result wins). A failed attempt — worker killed mid-flight, hung
+//     past its deadline, or transport failure — re-dispatches the shard to
+//     the next worker on the ring (work stealing). Late and duplicate results
+//     need no gate: installing a content-addressed record twice is a no-op.
 //   - Faults are classified with eval.ErrClass semantics: connection
-//     refused/timeouts/5xx/429 are transient (capped deterministic backoff,
+//     refused/timeouts/5xx are transient (capped deterministic backoff,
 //     retry elsewhere); 4xx and model-version skew are permanent (surfaced
 //     in the campaign report, never retried). Version skew additionally
-//     quarantines the worker.
+//     quarantines the worker. A 429 is backpressure, not a fault: it is
+//     retried like a transient but never charged to the worker's breaker.
 //   - With zero reachable workers the coordinator degrades to pure local
 //     execution and keeps probing; workers rejoin transparently.
 package fleet
@@ -32,11 +38,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xdse/internal/arch"
@@ -49,46 +53,31 @@ import (
 // Options tunes a Coordinator. The zero value is usable; defaults suit a
 // LAN fleet of a few workers.
 type Options struct {
-	// LeaseTTL is the heartbeat window: a lease not renewed within it
-	// expires and its shard is stolen. Default 5s.
-	LeaseTTL time.Duration
-	// MaxShardHold is the absolute ceiling on one lease regardless of
-	// renewals — the straggler bound. Default 2m.
+	// MaxShardHold bounds one dispatch attempt: its request runs under a
+	// context deadline this far out, so a hung worker costs at most this
+	// long before the shard moves on — the straggler bound. Default 2m.
 	MaxShardHold time.Duration
 	// HealthInterval is the membership probe cadence. Default 1s.
 	HealthInterval time.Duration
 	// ShardPoints caps design points per dispatched shard. Default 8.
 	ShardPoints int
-	// MaxAttempts bounds dispatch attempts per shard before falling back
-	// to local evaluation. Default eval.DefaultRetry().MaxAttempts.
-	MaxAttempts int
-	// Backoff and BackoffCap shape the deterministic (jitter-free)
-	// exponential delay between a shard's dispatch attempts, mirroring
-	// eval.RetryPolicy. Defaults 50ms / 2s.
-	Backoff    time.Duration
-	BackoffCap time.Duration
+	// Retry bounds a shard's dispatch attempts (MaxAttempts) before it falls
+	// back to local evaluation, and spaces them with the deterministic
+	// backoff of eval.RetryPolicy.DelayBefore. Zero fields default to 3
+	// attempts, 50ms and a 2s cap.
+	Retry eval.RetryPolicy
 	// BreakerThreshold is the consecutive classified-transient fault count
 	// that opens a worker's circuit breaker (dispatch shed until a readyz
 	// probe earns a half-open trial). Default 3.
 	BreakerThreshold int
 	// HedgeAfter is the straggler threshold: a dispatch attempt still
 	// unanswered after this long gets one hedge to the next ring candidate,
-	// and the first complete result wins (the loser's lease is revoked, so
-	// its late result is discarded by the complete() gate). 0 selects the
-	// default LeaseTTL/2; negative disables hedging.
+	// and the first result wins (the loser is cancelled and ignored). 0
+	// selects the 2.5s default; negative disables hedging.
 	HedgeAfter time.Duration
 	// Chaos, when non-nil (and non-empty), deterministically injects faults
 	// into the coordinator's dispatch path — see ChaosPolicy.
 	Chaos *ChaosPolicy
-	// JournalDir, when set, journals shard grants/steals/completions into
-	// <JournalDir>/fleet.jsonl under checkpoint's CRC'd-JSONL discipline,
-	// making the coordinator's shard state crash-durable. Campaign runners
-	// point it at the campaign checkpoint directory.
-	JournalDir string
-	// Resume replays JournalDir's journal instead of truncating it: points
-	// covered by journaled shard completions are re-installed from the
-	// evaluator's persistent store and skipped from dispatch.
-	Resume bool
 	// ModelVersion is the cost-model version workers must match. Default
 	// perf.ModelVersion(); tests override it to exercise quarantine.
 	ModelVersion string
@@ -100,16 +89,13 @@ type Options struct {
 	Warnf func(format string, args ...any)
 }
 
+// defaultHedgeAfter is the straggler threshold HedgeAfter 0 selects.
+const defaultHedgeAfter = 2500 * time.Millisecond
+
 // withDefaults resolves zero fields to their documented defaults.
 func (o Options) withDefaults() Options {
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 5 * time.Second
-	}
 	if o.MaxShardHold <= 0 {
 		o.MaxShardHold = 2 * time.Minute
-	}
-	if o.MaxShardHold < o.LeaseTTL {
-		o.MaxShardHold = o.LeaseTTL
 	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
@@ -117,20 +103,20 @@ func (o Options) withDefaults() Options {
 	if o.ShardPoints <= 0 {
 		o.ShardPoints = 8
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = eval.DefaultRetry().MaxAttempts
+	if o.Retry.MaxAttempts <= 0 {
+		o.Retry.MaxAttempts = 3
 	}
-	if o.Backoff <= 0 {
-		o.Backoff = 50 * time.Millisecond
+	if o.Retry.Backoff <= 0 {
+		o.Retry.Backoff = 50 * time.Millisecond
 	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 2 * time.Second
+	if o.Retry.BackoffCap <= 0 {
+		o.Retry.BackoffCap = 2 * time.Second
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
 	}
 	if o.HedgeAfter == 0 {
-		o.HedgeAfter = o.LeaseTTL / 2
+		o.HedgeAfter = defaultHedgeAfter
 	}
 	if o.HedgeAfter < 0 {
 		o.HedgeAfter = 0 // disabled
@@ -148,38 +134,29 @@ const maxEvalRespBytes = 64 << 20
 // cannot grow coordinator memory without bound.
 const maxFaults = 64
 
-// coordSeq distinguishes coordinators within one process so lease tokens
-// never collide even when two coordinators share a worker pool.
-var coordSeq atomic.Int64
-
 // Coordinator shards campaign evaluation batches across a worker pool. It
 // plugs into a run as a search.Problem.Prepare hook (see Prepare): purely a
 // cache warmer, so every fleet failure mode degrades to local computation.
 type Coordinator struct {
-	opts    Options
-	reg     *obs.Registry
-	pool    *pool
-	leases  *leaseTable
-	client  *http.Client
-	now     func() time.Time
-	chaos   *ChaosInjector
-	journal *shardLog
+	opts   Options
+	reg    *obs.Registry
+	pool   *pool
+	client *http.Client
+	chaos  *ChaosInjector
 
-	cShards     *obs.Counter // shards dispatched remotely (first attempts)
-	cStolen     *obs.Counter // re-dispatches after an expired lease
-	cRetries    *obs.Counter // transient-fault retry sleeps taken
-	cLate       *obs.Counter // results discarded because their lease was revoked
-	cPermanent  *obs.Counter // permanent faults recorded
-	cLocal      *obs.Counter // shards that fell back to local evaluation
-	cInstalled  *obs.Counter // records installed into the local evaluator
-	cPoints     *obs.Counter // points offered for remote preparation
-	cDegraded   *obs.Counter // transitions into degraded (no-worker) mode
-	gDegraded   *obs.Gauge   // 1 while degraded to pure local execution
-	cHedges     *obs.Counter // hedge dispatches launched
-	cHedgeWins  *obs.Counter // hedges whose result won the race
-	cShedFast   *obs.Counter // backoff sleeps skipped because a breaker opened
-	cResumePts  *obs.Counter // points answered from the shard journal on resume
-	cResumeRecs *obs.Counter // records re-installed from the store on resume
+	cShards    *obs.Counter // shards dispatched remotely (first attempts)
+	cStolen    *obs.Counter // re-dispatches after a failed attempt
+	cRetries   *obs.Counter // transient-fault retry sleeps taken
+	cPermanent *obs.Counter // permanent faults recorded
+	cLocal     *obs.Counter // shards that fell back to local evaluation
+	cInstalled *obs.Counter // records installed into the local evaluator
+	cPoints    *obs.Counter // unmemoized points offered to Prepare
+	cLocalPts  *obs.Counter // offered points answered by local records alone
+	cDegraded  *obs.Counter // transitions into degraded (no-worker) mode
+	gDegraded  *obs.Gauge   // 1 while degraded to pure local execution
+	cHedges    *obs.Counter // hedge dispatches launched
+	cHedgeWins *obs.Counter // hedges whose result won the race
+	cShedFast  *obs.Counter // backoff sleeps skipped because a breaker opened
 
 	mu            sync.Mutex
 	degraded      bool
@@ -204,50 +181,34 @@ func New(workers []string, opts Options) (*Coordinator, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	now := time.Now
 	client := &http.Client{}
 	c := &Coordinator{
-		opts:        opts,
-		reg:         reg,
-		client:      client,
-		now:         now,
-		chaos:       opts.Chaos.NewInjector("", reg),
-		cShards:     reg.Counter("fleet_shards_dispatched_total"),
-		cStolen:     reg.Counter("fleet_leases_stolen_total"),
-		cRetries:    reg.Counter("fleet_retries_total"),
-		cLate:       reg.Counter("fleet_late_results_discarded_total"),
-		cPermanent:  reg.Counter("fleet_permanent_faults_total"),
-		cLocal:      reg.Counter("fleet_shards_local_total"),
-		cInstalled:  reg.Counter("fleet_records_installed_total"),
-		cPoints:     reg.Counter("fleet_points_offered_total"),
-		cDegraded:   reg.Counter("fleet_degraded_transitions_total"),
-		gDegraded:   reg.Gauge("fleet_degraded"),
-		cHedges:     reg.Counter("fleet_hedges_total"),
-		cHedgeWins:  reg.Counter("fleet_hedge_wins_total"),
-		cShedFast:   reg.Counter("fleet_breaker_sheds_total"),
-		cResumePts:  reg.Counter("fleet_resume_points_skipped_total"),
-		cResumeRecs: reg.Counter("fleet_resume_records_installed_total"),
+		opts:       opts,
+		reg:        reg,
+		client:     client,
+		chaos:      opts.Chaos.NewInjector("", reg),
+		cShards:    reg.Counter("fleet_shards_dispatched_total"),
+		cStolen:    reg.Counter("fleet_leases_stolen_total"),
+		cRetries:   reg.Counter("fleet_retries_total"),
+		cPermanent: reg.Counter("fleet_permanent_faults_total"),
+		cLocal:     reg.Counter("fleet_shards_local_total"),
+		cInstalled: reg.Counter("fleet_records_installed_total"),
+		cPoints:    reg.Counter("fleet_points_offered_total"),
+		cLocalPts:  reg.Counter("fleet_points_local_total"),
+		cDegraded:  reg.Counter("fleet_degraded_transitions_total"),
+		gDegraded:  reg.Gauge("fleet_degraded"),
+		cHedges:    reg.Counter("fleet_hedges_total"),
+		cHedgeWins: reg.Counter("fleet_hedge_wins_total"),
+		cShedFast:  reg.Counter("fleet_breaker_sheds_total"),
 	}
-	if opts.JournalDir != "" {
-		j, err := openShardLog(opts.JournalDir, opts.Resume, opts.Warnf)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: open shard journal: %w", err)
-		}
-		c.journal = j
-	}
-	c.leases = newLeaseTable(fmt.Sprintf("%d-%d", os.Getpid(), coordSeq.Add(1)), func() time.Time { return c.now() }, reg)
 	c.pool = newPool(workers, opts.ModelVersion, opts.HealthInterval, opts.BreakerThreshold, client, reg, opts.Warnf)
 	c.pool.start()
 	return c, nil
 }
 
-// Close stops the health monitor and closes the shard journal. In-flight
-// Prepare calls should have finished (the campaign runner calls Close after
-// RunCampaign returns).
-func (c *Coordinator) Close() {
-	c.pool.close()
-	c.journal.close()
-}
+// Close stops the health monitor. In-flight Prepare calls should have
+// finished (the campaign runner calls Close after RunCampaign returns).
+func (c *Coordinator) Close() { c.pool.close() }
 
 // Metrics returns the registry holding the fleet_* instruments, for merging
 // into a campaign's metrics output.
@@ -314,11 +275,12 @@ func (c *Coordinator) setDegraded(on bool) {
 }
 
 // Prepare returns a search.Problem.Prepare hook that warms ev's layer cache
-// from the fleet before each batch: it shards the batch's not-yet-memoized
-// points by consistent hash, dispatches each shard under a lease, and
-// installs the returned content-addressed records. The hook is result
-// neutral — the batch's evaluations run locally afterwards and are
-// bit-identical whether the hook did everything, something, or nothing.
+// from the fleet before each batch: it drops the batch's points ev can
+// already answer (memoized, or every layer record local — eval.Prefill),
+// shards the rest by consistent hash, dispatches each shard, and installs
+// the returned content-addressed records. The hook is result neutral — the
+// batch's evaluations run locally afterwards and are bit-identical whether
+// the hook did everything, something, or nothing.
 func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Context, []arch.Point) {
 	cfg := ev.Config()
 	base := EvalRequest{
@@ -338,17 +300,15 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 				continue
 			}
 			seen[k] = true
+			c.cPoints.Inc()
+			if ev.Prefill(pt) {
+				c.cLocalPts.Inc()
+				continue
+			}
 			fresh = append(fresh, pt)
 		}
 		if len(fresh) == 0 {
 			return
-		}
-		c.cPoints.Add(int64(len(fresh)))
-		if c.opts.Resume {
-			fresh = c.replayCompleted(ev, fresh)
-			if len(fresh) == 0 {
-				return
-			}
 		}
 		shards := c.shard(model, fresh)
 		if len(shards) == 0 {
@@ -376,46 +336,12 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 					isp.Points = n
 					isp.End()
 					c.cInstalled.Add(int64(n))
-					ids := make([]string, 0, len(recs))
-					for _, rec := range recs {
-						ids = append(ids, rec.Key.ID())
-					}
-					c.journal.done(sh, ids)
 				}
 				dsp.End()
 			}(sh)
 		}
 		wg.Wait()
 	}
-}
-
-// replayCompleted is the resume fast path: points whose shard the journal
-// records as done are answered by re-installing that shard's records from
-// the evaluator's persistent store — no re-dispatch, no recomputation. A
-// point whose records the store no longer holds (GC'd, different cache dir,
-// no store at all) falls through to normal dispatch: resume is an
-// optimization riding on the merge-by-construction contract, never a
-// correctness dependency. Returns the points still needing dispatch.
-func (c *Coordinator) replayCompleted(ev *eval.Evaluator, pts []arch.Point) []arch.Point {
-	if c.journal == nil {
-		return pts
-	}
-	rest := pts[:0:0]
-	for _, pt := range pts {
-		ids, ok := c.journal.completedFor(pt.Key())
-		if !ok {
-			rest = append(rest, pt)
-			continue
-		}
-		installed, missing := ev.InstallFromStore(ids)
-		if missing > 0 {
-			rest = append(rest, pt)
-			continue
-		}
-		c.cResumePts.Inc()
-		c.cResumeRecs.Add(int64(installed))
-	}
-	return rest
 }
 
 // shard is one dispatchable unit: a slice of point keys with a ring-derived
@@ -479,35 +405,16 @@ func classify(err error) eval.ErrClass {
 	return eval.ClassTransient
 }
 
-// delayBefore mirrors eval.RetryPolicy's deterministic exponential backoff:
-// no jitter, so retry schedules are reproducible in tests and traces.
-func (c *Coordinator) delayBefore(retry int) time.Duration {
-	d := c.opts.Backoff
-	for i := 1; i < retry; i++ {
-		d *= 2
-		if d >= c.opts.BackoffCap {
-			return c.opts.BackoffCap
-		}
-	}
-	if d > c.opts.BackoffCap {
-		d = c.opts.BackoffCap
-	}
-	return d
-}
-
-// runShard drives one shard to completion: dispatch under a lease (hedged
-// when the attempt straggles), steal to the next ring worker on expiry or
-// transient fault (with capped backoff, shortened by a worker's Retry-After
-// hint and skipped entirely when the fault opened the worker's breaker and
-// another candidate is ready), record permanent faults, and fall back to
-// local evaluation when attempts run out or no worker remains. Returns the
-// records to install (nil means the coordinator computes the shard's layers
-// itself).
+// runShard drives one shard to completion: dispatch (hedged when the attempt
+// straggles), steal to the next ring worker on a transient fault or shed
+// (with capped backoff, shortened by a worker's Retry-After hint and skipped
+// entirely when the fault opened the worker's breaker and another candidate
+// is ready), record permanent faults, and fall back to local evaluation when
+// attempts run out or no worker remains. Returns the records to install (nil
+// means the coordinator computes the shard's layers itself).
 func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) []evalcache.Record {
 	c.cShards.Inc()
 	tried := make(map[int]bool)
-	prevExpired := false
-	prevWorker := ""
 	for attempt := 1; ; attempt++ {
 		if ctx.Err() != nil {
 			return nil
@@ -525,14 +432,11 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 			c.cLocal.Inc()
 			return nil
 		}
-		if prevExpired {
+		if attempt > 1 {
 			c.cStolen.Inc()
-			c.journal.steal(sh, prevWorker, w.id, attempt)
 			if c.opts.Warnf != nil {
 				c.opts.Warnf("fleet: shard %s stolen to worker %s (attempt %d)", sh.key, w.id, attempt)
 			}
-		} else {
-			c.journal.grant(sh, w.id, attempt)
 		}
 		recs, faultW, err, opened := c.dispatchHedged(ctx, base, sh, w, idx, tried)
 		switch classify(err) {
@@ -544,9 +448,7 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 			return nil
 		}
 		// Transient: steal to another worker after a deterministic delay.
-		prevExpired = true
-		prevWorker = faultW.id
-		if attempt >= c.opts.MaxAttempts {
+		if attempt >= c.opts.Retry.MaxAttempts {
 			c.cLocal.Inc()
 			return nil
 		}
@@ -571,13 +473,10 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 // capped at the schedule's ceiling so a worker advertising a huge hold-off
 // cannot stall a shard past the campaign's own bound.
 func (c *Coordinator) retryDelay(attempt int, err error) time.Duration {
-	d := c.delayBefore(attempt)
+	d := c.opts.Retry.DelayBefore(attempt)
 	var ra *retryAfterError
 	if errors.As(err, &ra) && ra.hint > 0 {
-		d = ra.hint
-		if d > c.opts.BackoffCap {
-			d = c.opts.BackoffCap
-		}
+		d = min(ra.hint, c.opts.Retry.BackoffCap)
 	}
 	return d
 }
@@ -588,25 +487,26 @@ type attemptResult struct {
 	err   error
 	w     *worker
 	idx   int
-	l     *lease
 	hedge bool
 }
 
 // dispatchHedged performs one logical dispatch attempt of sh on w, hedging
 // to the next ring candidate if the attempt is still unanswered after the
-// HedgeAfter threshold. The first complete result wins; the loser's lease is
-// revoked immediately (so a result it still produces is refused by the
-// complete() gate — the records were never installed, nothing double-merges)
-// and its context cancelled to free the connection. Hedging is safe by the
-// same argument as work stealing: workers return only content-addressed
-// records, so duplicated work can never change the merge, only waste a
-// worker's time — which is exactly the trade a straggler rescue wants.
+// HedgeAfter threshold. The first complete result wins; the loser's context
+// is cancelled to free the connection, and whatever it still returns is
+// ignored. Hedging is safe by the same argument as work stealing: workers
+// return only content-addressed records, so duplicated work can never change
+// the merge, only waste a worker's time — which is exactly the trade a
+// straggler rescue wants.
 //
 // Returns the winning records, the worker to blame for the returned error
 // (nil error: the winner), and whether a breaker opened during this attempt
-// (the caller's shed-fast signal). Fault accounting per attempted worker —
-// per-worker fault counters, breaker feedback, tried-set marking — happens
-// here, because only this function knows which workers actually dispatched.
+// (the caller's shed-fast signal). Accounting per attempted worker — fault
+// or shed counters, breaker feedback, tried-set marking — happens here,
+// because only this function knows which workers actually dispatched. A 429
+// shed is backpressure: the worker is marked tried and counted in
+// fleet_worker_shed_total, but is charged no fault and its breaker hears
+// nothing.
 func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh shard, w *worker, idx int, tried map[int]bool) ([]evalcache.Record, *worker, error, bool) {
 	tr, dispatchSC, _ := obs.SpanFromContext(ctx)
 
@@ -616,12 +516,11 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 
-	run := func(actx context.Context, aw *worker, aidx int, l *lease, hedge bool) {
-		recs, err := c.dispatch(actx, base, sh, aw, l)
-		results <- attemptResult{recs: recs, err: err, w: aw, idx: aidx, l: l, hedge: hedge}
+	run := func(actx context.Context, aw *worker, aidx int, hedge bool) {
+		recs, err := c.dispatch(actx, base, sh, aw)
+		results <- attemptResult{recs: recs, err: err, w: aw, idx: aidx, hedge: hedge}
 	}
-	primaryLease := c.leases.grant(w.id, c.opts.LeaseTTL, c.opts.MaxShardHold)
-	go run(pctx, w, idx, primaryLease, false)
+	go run(pctx, w, idx, false)
 	inflight := 1
 
 	var hedgeTimer *time.Timer
@@ -659,9 +558,7 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 			hsp = tr.StartChild(dispatchSC, obs.SpanHedge, sh.key)
 			hsp.Worker = hw.id
 			hsp.Points = len(sh.points)
-			c.journal.grant(sh, hw.id, 0)
-			hedgeLease := c.leases.grant(hw.id, c.opts.LeaseTTL, c.opts.MaxShardHold)
-			go run(obs.ContextWithSpan(hctx, tr, hsp.Context()), hw, hidx, hedgeLease, true)
+			go run(obs.ContextWithSpan(hctx, tr, hsp.Context()), hw, hidx, true)
 			inflight++
 
 		case res := <-results:
@@ -672,22 +569,28 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 				}
 				hsp.End()
 			}
+			var shed *shedError
 			switch {
 			case haveWinner:
-				// The race is decided; this is the cancelled/refused loser.
-				// Say nothing to the breaker and count no fault: the loser
-				// lost to our own revocation, not to its own health.
+				// The race is decided; this is the cancelled loser. Count no
+				// fault and hand back any half-open trial slot it held: it
+				// lost to our own cancellation, not to its own health.
+				c.pool.breakerRelease(res.w)
 			case res.err == nil:
 				winner, haveWinner = res, true
 				c.pool.breakerResult(res.w, false)
-				// Decide the race for the other attempt, if any: revoke its
-				// lease first (the complete() gate now refuses its result),
-				// then cancel its request to free the connection.
+				// Decide the race for the other attempt, if any.
 				if res.hedge {
-					c.leases.revoke(primaryLease)
 					pcancel()
 				} else {
 					hcancel()
+				}
+			case errors.As(res.err, &shed):
+				c.workerCounter("fleet_worker_shed_total", res.w.id).Inc()
+				c.pool.breakerRelease(res.w)
+				tried[res.idx] = true
+				if transientErr == nil {
+					transientErr, transientW = res.err, res.w
 				}
 			default:
 				c.workerCounter("fleet_worker_faults_total", res.w.id).Inc()
@@ -744,15 +647,11 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// dispatch performs one leased attempt of sh on w: start the renew/expiry
-// watcher on the caller-granted lease, POST the shard, and gate the result
-// on lease completion. Any path that ends without complete() revokes the
-// lease (counting it expired); a lease revoked elsewhere — expiry, or a
-// hedge race decided against this attempt — makes complete() refuse, and the
-// late result is discarded. Errors are classified by classify.
-func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, w *worker, l *lease) (recs []evalcache.Record, err error) {
+// dispatch performs one attempt of sh on w under a MaxShardHold deadline:
+// a worker that has not answered by then has its request cancelled, and the
+// attempt fails as a transient fault. Errors are classified by classify.
+func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, w *worker) (recs []evalcache.Record, err error) {
 	req := base
-	req.Lease = l.token
 	req.Points = sh.points
 
 	// One rpc span per attempt, nested under the shard's dispatch span
@@ -770,38 +669,19 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 		rpc.End()
 	}()
 
-	reqCtx, cancel := context.WithCancel(ctx)
+	actx, cancel := context.WithTimeout(ctx, c.opts.MaxShardHold)
 	defer cancel()
-	watchDone := make(chan struct{})
-	stopWatch := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		c.watchLease(l, w, cancel, stopWatch)
-	}()
-
-	resp, err := c.postEval(reqCtx, w, req, rpc.Context())
-	close(stopWatch)
-	<-watchDone
+	resp, err := c.postEval(actx, w, req, rpc.Context())
 	if err != nil {
-		// The lease ended without a completed result — whether the worker
-		// died mid-flight, timed out, or the watcher already expired it.
-		c.leases.revoke(l)
 		return nil, err
-	}
-	if !c.leases.complete(l) {
-		// Late result: the lease expired (and the shard was or will be
-		// re-dispatched) before this response landed. Discard it — the
-		// records were never installed, so nothing was double-merged.
-		c.cLate.Inc()
-		return nil, fmt.Errorf("worker %s: result after lease %s expired; discarded", w.id, l.token)
 	}
 	if resp.ModelVersion != c.opts.ModelVersion {
 		c.pool.quarantine(w, fmt.Sprintf("response model version %q, want %q", resp.ModelVersion, c.opts.ModelVersion))
 		return nil, &permanentError{fmt.Errorf("worker %s: response model version %q, want %q", w.id, resp.ModelVersion, c.opts.ModelVersion)}
 	}
 	// The result is accepted: merge the worker-side spans into the local
-	// trace. Spans of discarded (late, errored, skewed) results never merge,
-	// mirroring the record-install rule.
+	// trace. Spans of discarded (timed-out, errored, skewed) results never
+	// merge, mirroring the record-install rule.
 	for _, sev := range resp.Spans {
 		tr.Forward(sev)
 	}
@@ -817,37 +697,9 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 	return recs, nil
 }
 
-// watchLease renews l while the pool believes w healthy (the heartbeat) and
-// revokes it — cancelling the in-flight request — once it expires. Runs
-// until stop closes or the lease expires.
-func (c *Coordinator) watchLease(l *lease, w *worker, cancel context.CancelFunc, stop <-chan struct{}) {
-	tick := c.opts.LeaseTTL / 3
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			now := c.now()
-			if l.expired(now) {
-				c.leases.revoke(l)
-				cancel()
-				return
-			}
-			if w.healthy() {
-				l.renew(now, c.opts.LeaseTTL)
-			}
-		}
-	}
-}
-
 // retryAfterError decorates a transient status fault with the worker's own
-// Retry-After hint, which runShard folds into its backoff (capped at the
-// deterministic schedule's ceiling).
+// Retry-After hint, which runShard folds into its backoff (capped at
+// Retry.BackoffCap).
 type retryAfterError struct {
 	err  error
 	hint time.Duration
@@ -858,6 +710,18 @@ func (e *retryAfterError) Error() string { return e.err.Error() }
 
 // Unwrap exposes the underlying fault.
 func (e *retryAfterError) Unwrap() error { return e.err }
+
+// shedError is a worker's 429: it is shedding load. That is backpressure,
+// not a fault — the shard is retried elsewhere with the usual backoff (and
+// the worker's Retry-After hint, when one is wrapped), but dispatchHedged
+// charges the worker no fault and feeds its breaker nothing.
+type shedError struct{ err error }
+
+// Error implements error.
+func (e *shedError) Error() string { return e.err.Error() }
+
+// Unwrap exposes the underlying fault (possibly a *retryAfterError).
+func (e *shedError) Unwrap() error { return e.err }
 
 // parseRetryAfter reads a Retry-After header as delay seconds. HTTP-date
 // values (the other legal form) are ignored — honoring them would couple the
@@ -876,8 +740,8 @@ func parseRetryAfter(h string) time.Duration {
 
 // postEval performs the HTTP round trip for one shard and classifies the
 // response status: 200 decodes, 412 quarantines (permanent), other 4xx are
-// permanent, 429/5xx/transport errors are transient (carrying the worker's
-// Retry-After hint when present). A non-zero span context rides the
+// permanent, 5xx/transport errors are transient, and 429 is a *shedError
+// (both carrying the worker's Retry-After hint when present). A non-zero span context rides the
 // obs.TraceHeader so the worker links its spans under ours. A configured
 // chaos injector intercepts here — the RPC boundary — consuming one ordinal
 // per call: drops, partitions, delays, and injected statuses act before the
@@ -887,10 +751,7 @@ func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, 
 	if c.chaos != nil {
 		ord = c.chaos.next()
 		if err := c.chaos.admit(ctx.Done(), ord, w.id); err != nil {
-			var pe *permanentError
-			if errors.As(err, &pe) {
-				return nil, &permanentError{fmt.Errorf("worker %s: %w", w.id, err)}
-			}
+			// Wrapping keeps the injected fault's class visible to errors.As.
 			return nil, fmt.Errorf("worker %s: %w", w.id, err)
 		}
 	}
@@ -927,7 +788,10 @@ func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, 
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
 		err := fmt.Errorf("worker %s: status %d", w.id, resp.StatusCode)
 		if hint := parseRetryAfter(resp.Header.Get("Retry-After")); hint > 0 {
-			return nil, &retryAfterError{err: err, hint: hint}
+			err = &retryAfterError{err: err, hint: hint}
+		}
+		if resp.StatusCode == http.StatusTooManyRequests {
+			err = &shedError{err}
 		}
 		return nil, err
 	default:

@@ -2,14 +2,16 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"xdse/internal/eval"
 )
 
 // fakeWorker mounts a minimal fleet worker: a /readyz that passes the
@@ -34,17 +36,29 @@ func okEval(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, `{"model_version":"v-test","records":[],"evaluated":1}`)
 }
 
-// hedgeTestOptions: long leases (expiry out of the picture), fast probes,
-// hedging tuned per test.
+// hedgeTestOptions: a long attempt deadline (out of the picture unless a
+// test shortens it), fast probes, hedging tuned per test.
 func hedgeTestOptions() Options {
 	return Options{
-		LeaseTTL:       time.Minute,
 		MaxShardHold:   time.Hour,
 		HealthInterval: 10 * time.Millisecond,
 		ModelVersion:   "v-test",
-		Backoff:        time.Millisecond,
-		BackoffCap:     2 * time.Millisecond,
+		Retry:          eval.RetryPolicy{Backoff: time.Millisecond, BackoffCap: 2 * time.Millisecond},
 		Warnf:          func(string, ...any) {},
+	}
+}
+
+// keyOwnedBy returns a shard key the ring assigns to the worker at addr, so
+// a test's first dispatch is guaranteed to hit it.
+func keyOwnedBy(c *Coordinator, addr string) string {
+	idx := 0
+	if c.pool.workers[1].id == addr {
+		idx = 1
+	}
+	for i := 0; ; i++ {
+		if k := fmt.Sprintf("m|p%d", i); c.pool.owner(k) == idx {
+			return k
+		}
 	}
 }
 
@@ -52,8 +66,8 @@ var testBase = EvalRequest{Protocol: ProtocolVersion, ModelVersion: "v-test", Mo
 
 // TestHedgeRescuesStraggler: the first dispatch anywhere blocks; after
 // HedgeAfter the coordinator launches one hedge to the other worker, whose
-// prompt answer wins, and the straggler's lease is revoked so its eventual
-// answer can never merge.
+// prompt answer wins, and the straggler is cancelled so its eventual answer
+// can never merge.
 func TestHedgeRescuesStraggler(t *testing.T) {
 	var first atomic.Bool
 	handler := func(w http.ResponseWriter, r *http.Request) {
@@ -88,15 +102,13 @@ func TestHedgeRescuesStraggler(t *testing.T) {
 	if got := m.Counter("fleet_shards_local_total").Value(); got != 0 {
 		t.Fatalf("shard fell back local despite a winning hedge (local=%d)", got)
 	}
-	// Exactly one lease completed (the winner); the loser's was revoked.
-	if got := m.Counter("fleet_leases_completed_total").Value(); got != 1 {
-		t.Fatalf("fleet_leases_completed_total = %d, want 1", got)
+	// The loser lost to our own cancellation, not to its own health: no
+	// worker fault may be charged, so both breakers stay closed.
+	for _, w := range c.pool.workers {
+		if got := c.workerCounter("fleet_worker_faults_total", w.id).Value(); got != 0 {
+			t.Fatalf("hedge race charged worker %s %d faults", w.id, got)
+		}
 	}
-	if got := m.Counter("fleet_leases_expired_total").Value(); got != 1 {
-		t.Fatalf("fleet_leases_expired_total = %d, want 1 (the revoked loser)", got)
-	}
-	// The loser lost to our own revocation, not to its own health: no worker
-	// fault may be charged, so both breakers stay closed.
 	if got := m.Counter("fleet_breaker_opens_total").Value(); got != 0 {
 		t.Fatalf("hedge race opened a breaker (opens=%d)", got)
 	}
@@ -124,49 +136,110 @@ func TestHedgeNoCandidateFallsThrough(t *testing.T) {
 	if got := m.Counter("fleet_hedges_total").Value(); got != 0 {
 		t.Fatalf("fleet_hedges_total = %d, want 0 (no candidate)", got)
 	}
-	if got := m.Counter("fleet_leases_completed_total").Value(); got != 1 {
-		t.Fatalf("fleet_leases_completed_total = %d, want 1", got)
-	}
 	if got := m.Counter("fleet_shards_local_total").Value(); got != 0 {
 		t.Fatalf("shard fell back local (local=%d)", got)
 	}
 }
 
-// TestDispatchLateResultDiscarded: a worker whose lease is revoked mid-flight
-// — here by the test, in production by expiry or a lost hedge race — has its
-// perfectly valid response refused by the complete() gate and discarded.
+// TestDispatchLateResultDiscarded: a worker that answers only after the
+// attempt's MaxShardHold deadline has its perfectly valid response
+// discarded — the attempt fails as a transient timeout with no records.
 func TestDispatchLateResultDiscarded(t *testing.T) {
-	arrived := make(chan struct{})
 	release := make(chan struct{})
 	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		close(arrived)
+		io.Copy(io.Discard, r.Body)
 		<-release
 		okEval(w, r)
 	})
-	c, err := New([]string{ts.Listener.Addr().String()}, hedgeTestOptions())
+	opts := hedgeTestOptions()
+	opts.MaxShardHold = 50 * time.Millisecond
+	c, err := New([]string{ts.Listener.Addr().String()}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	l := c.leases.grant(c.pool.workers[0].id, time.Minute, time.Hour)
-	go func() {
-		<-arrived
-		c.leases.revoke(l)
-		close(release)
-	}()
-	recs, err := c.dispatch(context.Background(), testBase, shard{key: "m|p1", points: []string{"p1"}}, c.pool.workers[0], l)
-	if err == nil || !strings.Contains(err.Error(), "discarded") {
-		t.Fatalf("dispatch err = %v, want a late-result discard", err)
+	recs, err := c.dispatch(context.Background(), testBase, shard{key: "m|p1", points: []string{"p1"}}, c.pool.workers[0])
+	close(release) // the worker answers now, after the deadline
+	if !errors.Is(err, context.DeadlineExceeded) || classify(err) != eval.ClassTransient {
+		t.Fatalf("dispatch err = %v, want a transient deadline fault", err)
 	}
 	if recs != nil {
-		t.Fatal("discarded result still returned records")
+		t.Fatal("timed-out attempt still returned records")
 	}
-	if got := c.Metrics().Counter("fleet_late_results_discarded_total").Value(); got != 1 {
-		t.Fatalf("fleet_late_results_discarded_total = %d, want 1", got)
+}
+
+// TestHungWorkerBoundedByMaxShardHold: a worker that accepts /eval and never
+// answers costs each attempt at most MaxShardHold; runShard then falls back
+// to local evaluation instead of waiting on it.
+func TestHungWorkerBoundedByMaxShardHold(t *testing.T) {
+	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done() // hang until the coordinator gives up
+	})
+	opts := hedgeTestOptions()
+	opts.MaxShardHold = 50 * time.Millisecond
+	opts.HedgeAfter = -1
+	opts.Retry.MaxAttempts = 2
+	c, err := New([]string{ts.Listener.Addr().String()}, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := c.Metrics().Counter("fleet_leases_completed_total").Value(); got != 0 {
-		t.Fatalf("revoked lease completed anyway (completed=%d)", got)
+	defer c.Close()
+
+	start := time.Now()
+	recs := c.runShard(context.Background(), testBase, shard{key: "m|p1", points: []string{"p1"}})
+	elapsed := time.Since(start)
+	if recs != nil {
+		t.Fatal("hung worker produced records")
+	}
+	// Two attempts at 50ms plus a 1ms backoff; the slack absorbs the race
+	// detector and a loaded host, not another attempt's worth of hanging.
+	if elapsed < 2*opts.MaxShardHold || elapsed > 5*time.Second {
+		t.Fatalf("runShard took %v, want about 2×%v", elapsed, opts.MaxShardHold)
+	}
+	if got := c.Metrics().Counter("fleet_shards_local_total").Value(); got != 1 {
+		t.Fatalf("fleet_shards_local_total = %d, want 1 (local fallback)", got)
+	}
+}
+
+// TestShedIsBackpressureNotFault: a worker answering 429 is shedding load.
+// The shard moves to the next ring candidate, but the shedder is charged no
+// fault and its breaker — at threshold 1, so any fault would open it —
+// stays closed.
+func TestShedIsBackpressureNotFault(t *testing.T) {
+	shedder := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "saturated", http.StatusTooManyRequests)
+	})
+	good := fakeWorker(t, okEval)
+	opts := hedgeTestOptions()
+	opts.HedgeAfter = -1
+	opts.BreakerThreshold = 1
+	shedAddr := shedder.Listener.Addr().String()
+	c, err := New([]string{shedAddr, good.Listener.Addr().String()}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	c.runShard(context.Background(), testBase, shard{key: keyOwnedBy(c, shedAddr), points: []string{"p"}})
+
+	m := c.Metrics()
+	if got := c.workerCounter("fleet_worker_shed_total", shedAddr).Value(); got != 1 {
+		t.Fatalf("fleet_worker_shed_total = %d, want 1", got)
+	}
+	if got := c.workerCounter("fleet_worker_faults_total", shedAddr).Value(); got != 0 {
+		t.Fatalf("429 charged %d worker faults, want 0", got)
+	}
+	if got := m.Counter("fleet_breaker_opens_total").Value(); got != 0 {
+		t.Fatalf("429 opened a breaker (opens=%d)", got)
+	}
+	if got := m.Counter("fleet_leases_stolen_total").Value(); got != 1 {
+		t.Fatalf("fleet_leases_stolen_total = %d, want 1 (re-dispatch to the good worker)", got)
+	}
+	if got := m.Counter("fleet_shards_local_total").Value(); got != 0 {
+		t.Fatalf("shard fell back local (local=%d)", got)
 	}
 }
 
@@ -181,28 +254,15 @@ func TestBreakerShedSkipsBackoff(t *testing.T) {
 	opts := hedgeTestOptions()
 	opts.HedgeAfter = -1 // isolate the breaker path
 	opts.BreakerThreshold = 1
-	opts.Backoff = time.Hour // a taken backoff would hang the test loudly
-	opts.BackoffCap = time.Hour
+	// A taken backoff would hang the test loudly.
+	opts.Retry = eval.RetryPolicy{Backoff: time.Hour, BackoffCap: time.Hour}
 	badAddr, goodAddr := bad.Listener.Addr().String(), good.Listener.Addr().String()
 	c, err := New([]string{badAddr, goodAddr}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	// Find a shard key the ring assigns to the bad worker, so the first
-	// dispatch is guaranteed to hit it.
-	badIdx := 0
-	if c.pool.workers[1].id == badAddr {
-		badIdx = 1
-	}
-	key := ""
-	for i := 0; key == ""; i++ {
-		k := fmt.Sprintf("m|p%d", i)
-		if c.pool.owner(k) == badIdx {
-			key = k
-		}
-	}
+	key := keyOwnedBy(c, badAddr)
 
 	done := make(chan struct{})
 	go func() {
@@ -222,8 +282,8 @@ func TestBreakerShedSkipsBackoff(t *testing.T) {
 	if got := m.Counter("fleet_breaker_sheds_total").Value(); got != 1 {
 		t.Fatalf("fleet_breaker_sheds_total = %d, want 1", got)
 	}
-	if got := m.Counter("fleet_leases_completed_total").Value(); got != 1 {
-		t.Fatalf("fleet_leases_completed_total = %d, want 1 (the good worker)", got)
+	if got := m.Counter("fleet_leases_stolen_total").Value(); got != 1 {
+		t.Fatalf("fleet_leases_stolen_total = %d, want 1 (re-dispatch to the good worker)", got)
 	}
 	if got := m.Counter("fleet_shards_local_total").Value(); got != 0 {
 		t.Fatalf("shard fell back local (local=%d)", got)

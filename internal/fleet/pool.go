@@ -225,9 +225,7 @@ type readyzBody struct {
 }
 
 // probe performs one readiness + model-version handshake against w and
-// transitions its state. The probe doubles as the lease heartbeat source:
-// the lease watcher only renews leases on workers the monitor currently
-// believes healthy.
+// transitions its state.
 func (p *pool) probe(w *worker) {
 	to := p.interval * 2
 	if to < 250*time.Millisecond {
@@ -284,7 +282,7 @@ func (p *pool) breakerProbeHealthy(w *worker) {
 
 // breakerAdmit reports whether w's breaker passes a dispatch right now,
 // consuming the single half-open trial slot when it takes it. Callers must
-// follow every admitted dispatch with breakerResult.
+// follow every admitted dispatch with breakerResult or breakerRelease.
 func (p *pool) breakerAdmit(w *worker) bool {
 	w.br.mu.Lock()
 	defer w.br.mu.Unlock()
@@ -339,6 +337,15 @@ func (p *pool) breakerResult(w *worker, transientFault bool) bool {
 		}
 	}
 	return opened
+}
+
+// breakerRelease returns w's half-open trial slot without an outcome: the
+// admitted dispatch said nothing about w's dispatch path (it lost a hedge
+// race, or w shed it with 429), so the next admitted dispatch is the trial.
+func (p *pool) breakerRelease(w *worker) {
+	w.br.mu.Lock()
+	w.br.probing = false
+	w.br.mu.Unlock()
 }
 
 // breakerLines renders the non-closed breakers for the campaign fault

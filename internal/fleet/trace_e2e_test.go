@@ -146,7 +146,7 @@ func TestWorkerFaultAttribution(t *testing.T) {
 	addr1 := ts1.Listener.Addr().String()
 	addr2 := ts2.Listener.Addr().String()
 
-	// Calm timings: under load a lease expiry or a hedge race could charge
+	// Calm timings: under load an attempt timeout or a hedge race could charge
 	// a fault to the healthy worker and break the zero-fault assertion.
 	c, err := fleet.New([]string{addr1, addr2}, calmOptions())
 	if err != nil {

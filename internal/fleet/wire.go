@@ -5,23 +5,20 @@ import "xdse/internal/obs"
 // ProtocolVersion stamps every fleet request. A worker that receives a
 // request with a protocol it does not speak rejects it with 400 (permanent),
 // so a mixed-version fleet fails loudly at dispatch instead of silently
-// mis-evaluating shards. Bump it when the request/response shape, the lease
-// semantics, or the record wire format changes incompatibly (see
-// docs/EXTENDING.md).
-const ProtocolVersion = 1
+// mis-evaluating shards. Bump it when the request/response shape or the
+// record wire format changes incompatibly (see docs/EXTENDING.md). Version 2
+// dropped version 1's lease token: workers reject unknown fields, so a
+// version-1 worker would refuse every version-2 request anyway.
+const ProtocolVersion = 2
 
-// EvalRequest is the body of POST /eval — one leased shard of a campaign
-// batch. The worker evaluates every point under the given configuration and
-// returns the content-addressed layer records it computed; the coordinator
-// installs them and replays the design evaluations locally, which is what
-// keeps merged campaigns bit-identical to single-node runs.
+// EvalRequest is the body of POST /eval — one shard of a campaign batch.
+// The worker evaluates every point under the given configuration and returns
+// the content-addressed layer records it computed; the coordinator installs
+// them and replays the design evaluations locally, which is what keeps
+// merged campaigns bit-identical to single-node runs.
 type EvalRequest struct {
 	// Protocol is the fleet protocol version (ProtocolVersion).
 	Protocol int `json:"protocol"`
-	// Lease is the coordinator-issued lease token for this shard; it names
-	// the grant in logs and metrics on both sides. Lease enforcement —
-	// renewal, expiry, late-result discard — is coordinator-side.
-	Lease string `json:"lease"`
 	// ModelVersion is the coordinator's perf.ModelVersion; a worker whose
 	// own version differs refuses the shard with 412 (version skew is a
 	// permanent, quarantining fault).

@@ -138,8 +138,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		pts = append(pts, pt)
 	}
 
-	// Non-blocking admission: saturation sheds with a back-off hint instead
-	// of queueing shards whose leases would expire while waiting.
+	// Non-blocking admission: saturation sheds with 429 and a back-off hint
+	// instead of queueing shards whose coordinators would hedge or time them
+	// out while they wait. The coordinator treats the 429 as backpressure and
+	// tries the next ring worker.
 	select {
 	case s.evalSem <- struct{}{}:
 		s.gEvalInflight.Set(float64(len(s.evalSem)))
@@ -175,9 +177,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	evCtx := obs.ContextWithSpan(r.Context(), tr, parent)
 	evaluated := 0
 	for _, pt := range pts {
-		// The request context carries the lease: a coordinator that revokes
-		// (or dies) cancels it, and the worker stops mid-shard instead of
-		// burning cycles on a result nobody will accept.
+		// The request context carries the coordinator's attempt: one that
+		// times out, loses a hedge race, or dies cancels it, and the worker
+		// stops mid-shard instead of burning cycles on a result nobody will
+		// accept.
 		if evCtx.Err() != nil {
 			break
 		}

@@ -25,7 +25,6 @@ func evalReq(n int) fleet.EvalRequest {
 	}
 	return fleet.EvalRequest{
 		Protocol:     fleet.ProtocolVersion,
-		Lease:        "test-lease-1",
 		ModelVersion: perf.ModelVersion(),
 		Model:        "ResNet18",
 		Mode:         eval.PrunedMappings.String(),

@@ -28,7 +28,7 @@ import (
 //	GET  /jobs             — list all jobs
 //	GET  /jobs/{id}        — one job's status and result
 //	POST /jobs/{id}/cancel — cancel a queued or running job
-//	POST /eval             — evaluate one leased fleet shard and return its
+//	POST /eval             — evaluate one fleet shard and return its
 //	                         content-addressed records; 412 on model-version
 //	                         skew, 429 + Retry-After when saturated
 //	GET  /cache/{id}       — one persistent-cache record by content address,

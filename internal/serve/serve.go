@@ -83,8 +83,8 @@ type Options struct {
 	// job drive. Production deployments leave it nil.
 	Faults func(id string, spec JobSpec) *eval.FaultPolicy
 	// EvalConcurrent bounds concurrently served fleet shards (POST /eval);
-	// requests beyond it are shed with 429 + Retry-After so coordinator
-	// leases fail fast instead of expiring in a queue (default 2).
+	// requests beyond it are shed with 429 + Retry-After so a coordinator
+	// tries another worker instead of waiting in a queue (default 2).
 	EvalConcurrent int
 	// Chaos, when non-nil (and non-empty), deterministically injects
 	// faults into this worker's POST /eval surface — dropped connections,
@@ -456,29 +456,31 @@ func (s *Server) runJob(j *Job) {
 	if run.Resumed > 0 {
 		s.cResumedRuns.Inc()
 	}
+	// Count before publishing the terminal status: a client that sees the
+	// job finish must also see it in /metrics.
 	cause := context.Cause(ctx)
 	switch {
 	case panicked != "":
+		s.cFailed.Inc()
 		j.finish(StatusFailed, panicked, nil)
-		s.cFailed.Inc()
 	case run.Interrupted && errors.Is(cause, errDraining):
+		s.cInterrupted.Inc()
 		j.finish(StatusInterrupted, "drained; resumable from checkpoint", nil)
-		s.cInterrupted.Inc()
 	case run.Interrupted && errors.Is(cause, errCancelled):
-		j.finish(StatusCancelled, "cancelled by client", nil)
 		s.cCancelled.Inc()
+		j.finish(StatusCancelled, "cancelled by client", nil)
 	case run.Interrupted && errors.Is(cause, errDeadline):
-		j.finish(StatusDeadline, fmt.Sprintf("deadline %v exceeded", j.Spec.deadline(s.opts.DefaultDeadline)), nil)
 		s.cDeadlineCount.Inc()
+		j.finish(StatusDeadline, fmt.Sprintf("deadline %v exceeded", j.Spec.deadline(s.opts.DefaultDeadline)), nil)
 	case run.Interrupted:
-		j.finish(StatusInterrupted, "interrupted; resumable from checkpoint", nil)
 		s.cInterrupted.Inc()
+		j.finish(StatusInterrupted, "interrupted; resumable from checkpoint", nil)
 	case run.Err != "":
-		j.finish(StatusFailed, run.Err, nil)
 		s.cFailed.Inc()
+		j.finish(StatusFailed, run.Err, nil)
 	default:
-		j.finish(StatusDone, "", resultOf(run))
 		s.cCompleted.Inc()
+		j.finish(StatusDone, "", resultOf(run))
 	}
 }
 
