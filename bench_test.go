@@ -321,7 +321,7 @@ func BenchmarkPerfEvaluate(b *testing.B) {
 	m := mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		perf.Evaluate(d, l, m)
+		perf.NewContext(d, l).Evaluate(m)
 	}
 }
 
@@ -339,14 +339,15 @@ func BenchmarkMappingSearch(b *testing.B) {
 	l := workload.ResNet18().Layers[1]
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cfg := mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 300, BaseValid: perf.ValidFn(d, l)}
-			mapping.EnumeratePruned(l, cfg, perf.CostFn(d, l))
+			ctx := perf.NewContext(d, l)
+			cfg := mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 300, BaseValid: ctx.Valid()}
+			mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
 		}
 	})
 	b.Run("random", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
-			mapping.RandomSearch(l, 300, rng, perf.CostFn(d, l))
+			mapping.RandomSearch(l, 300, rng, perf.NewContext(d, l).EvaluateCycles)
 		}
 	})
 }

@@ -297,7 +297,7 @@ func TestLayerEnergyMJRealLayers(t *testing.T) {
 	}
 	for _, l := range layers {
 		m := mappingFor(t, d, l)
-		b := perf.Evaluate(d, l, m)
+		b := perf.NewContext(d, l).Evaluate(m)
 		if !b.Valid {
 			t.Fatalf("%s: mapping invalid: %s", l.Name, b.Incompat)
 		}
@@ -322,10 +322,11 @@ func TestLayerEnergyMJRealLayers(t *testing.T) {
 // mappingFor finds any valid mapping of l on d via the pruned enumerator.
 func mappingFor(t *testing.T, d arch.Design, l workload.Layer) mapping.Mapping {
 	t.Helper()
+	ctx := perf.NewContext(d, l)
 	res := mapping.EnumeratePruned(l, mapping.GenConfig{
 		PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(),
-		MinN: 10, MaxN: 200, BaseValid: perf.ValidFn(d, l),
-	}, perf.CostFn(d, l))
+		MinN: 10, MaxN: 200, BaseValid: ctx.Valid(),
+	}, ctx.EvaluateCycles)
 	if !res.Found {
 		t.Fatalf("%s: no valid mapping on test design", l.Name)
 	}
@@ -358,6 +359,37 @@ func TestTierSplitStats(t *testing.T) {
 		if st.FullEvals*10 > st.CostCalls {
 			t.Errorf("%v: FullEvals %d vs CostCalls %d — Tier 2 is not a small fraction of the work",
 				mode, st.FullEvals, st.CostCalls)
+		}
+	}
+}
+
+// TestIncumbentProbeAllocatesNothingExtra pins the warm-start probe's cost:
+// a pruned search handed an incumbent allocates no more than the same search
+// without one, since the incumbent reaches the enumerator as is and its
+// probe is one more Tier-1 call.
+func TestIncumbentProbeAllocatesNothingExtra(t *testing.T) {
+	e := newEval(PrunedMappings)
+	space := e.Config().Space
+	pt := compatiblePoint(space)
+	d, err := space.Decode(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	larger := pt.Clone()
+	larger[arch.PPEs]++
+	dl, err := space.Decode(larger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range workload.ResNet18().Layers[:4] {
+		inc := e.searchLayer(dl, l, int64(i), nil)
+		if !inc.found {
+			t.Fatalf("%s: no mapping on the larger design", l.Name)
+		}
+		cold := testing.AllocsPerRun(5, func() { e.searchLayer(d, l, int64(i), nil) })
+		warm := testing.AllocsPerRun(5, func() { e.searchLayer(d, l, int64(i), &inc.mapping) })
+		if warm > cold {
+			t.Errorf("%s: search with an incumbent allocates %.0f times, without one %.0f", l.Name, warm, cold)
 		}
 	}
 }

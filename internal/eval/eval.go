@@ -277,33 +277,27 @@ type Result struct {
 // misses on the same point are deduplicated singleflight-style, so a batch
 // of workers racing to the same key computes it exactly once.
 type Evaluator struct {
-	cfg      Config
-	emodel   energy.Model
-	cacheCap int // resolved design-memo bound (0 = unbounded)
+	cfg    Config
+	emodel energy.Model
 
-	mu      sync.Mutex
-	cache   map[string]*Result
+	mu sync.Mutex
+	// cache is the design memo, bounded at the resolved Config.CacheCap.
+	cache   fifoMap[string, *Result]
 	flights map[string]*flight
 	// seen records every design key ever evaluated and is never evicted,
 	// so unique-design budget accounting stays exact under eviction.
-	seen  map[string]bool
-	order []string // FIFO eviction order of cache keys
-	head  int      // first live index of order
+	seen map[string]bool
 
 	// Layer-grain mapping cache: completed searches keyed by (layer shape,
 	// mapping-relevant design sub-key), in-flight searches deduplicated
 	// singleflight-style, and a per-shape warm-start index of the best
-	// mapping last found for the shape under any sub-key. The warm index
-	// is FIFO-bounded like the layer cache (a long-running daemon streams
+	// mapping last found for the shape under any sub-key. Both maps are
+	// bounded at 8x the design-memo cap (a long-running daemon streams
 	// arbitrary layer shapes through one process; an unbounded index is a
 	// slow leak).
-	lcache   map[layerCacheKey]layerEntry
+	lcache   fifoMap[layerCacheKey, layerEntry]
 	lflights map[layerCacheKey]*layerFlight
-	lorder   []layerCacheKey
-	lhead    int
-	warm     map[string]warmEntry
-	worder   []string
-	whead    int
+	warm     fifoMap[string, mapping.Mapping]
 
 	// store is the second-level persistent cache (nil when disabled);
 	// ownStore reports it was opened by this evaluator from Config.CacheDir
@@ -375,17 +369,6 @@ type layerEntry struct {
 	lbPruned     int
 	warmFallback bool
 	found        bool
-}
-
-// warmEntry is one record of the per-shape warm-start index: the best
-// mapping last found for the shape under any design sub-key, plus its full
-// breakdown on that design. The breakdown seeds the incremental warm-start
-// probe (perf.EvalContext.DeltaEvaluate): probing the incumbent on a new
-// design then recomputes only the factors downstream of the changed design
-// parameters instead of the whole cost tree.
-type warmEntry struct {
-	mapping mapping.Mapping
-	perf    perf.Breakdown
 }
 
 // layerFlight is one in-progress layer search other goroutines can wait on.
@@ -521,15 +504,11 @@ func New(cfg Config) *Evaluator {
 			store, ownStore = s, true
 		}
 	}
-	return &Evaluator{
+	e := &Evaluator{
 		cfg:      cfg,
-		cacheCap: capn,
-		cache:    make(map[string]*Result),
 		flights:  make(map[string]*flight),
 		seen:     make(map[string]bool),
-		lcache:   make(map[layerCacheKey]layerEntry),
 		lflights: make(map[layerCacheKey]*layerFlight),
-		warm:     make(map[string]warmEntry),
 		store:    store,
 		ownStore: ownStore,
 
@@ -561,6 +540,10 @@ func New(cfg Config) *Evaluator {
 		hDesign:     reg.Histogram("eval_design_seconds", obs.DurationBuckets()),
 		hLayer:      reg.Histogram("eval_layer_search_seconds", obs.DurationBuckets()),
 	}
+	e.cache = newFIFOMap[string, *Result](capn, e.cEvictions)
+	e.lcache = newFIFOMap[layerCacheKey, layerEntry](8*capn, e.cLEvictions)
+	e.warm = newFIFOMap[string, mapping.Mapping](8*capn, e.cWarmEvict)
+	return e
 }
 
 // Metrics returns the evaluator's private metrics registry: the counters
@@ -682,7 +665,7 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, pt arch.Point) *Result {
 	}
 	key := pt.Key()
 	e.mu.Lock()
-	if r, ok := e.cache[key]; ok {
+	if r, ok := e.cache.get(key); ok {
 		e.cHits.Inc()
 		e.mu.Unlock()
 		return r
@@ -727,7 +710,7 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, pt arch.Point) *Result {
 		close(f.done)
 		return r
 	}
-	e.storeDesign(key, r)
+	e.cache.put(key, r)
 	if e.seen[key] {
 		e.cRecomputes.Inc()
 	} else {
@@ -896,26 +879,6 @@ func (e *Evaluator) runEvaluate(ctx context.Context, pt arch.Point, ord, attempt
 	return e.evaluate(ctx, pt)
 }
 
-// storeDesign inserts a result into the bounded design memo, evicting the
-// oldest entries FIFO when the cap is exceeded. Caller holds e.mu.
-func (e *Evaluator) storeDesign(key string, r *Result) {
-	if _, ok := e.cache[key]; !ok {
-		e.order = append(e.order, key)
-	}
-	e.cache[key] = r
-	for e.cacheCap > 0 && len(e.cache) > e.cacheCap {
-		old := e.order[e.head]
-		e.head++
-		delete(e.cache, old)
-		e.cEvictions.Inc()
-	}
-	// Compact the eviction queue once the dead prefix dominates.
-	if e.head > len(e.order)/2 && e.head > 64 {
-		e.order = append([]string(nil), e.order[e.head:]...)
-		e.head = 0
-	}
-}
-
 func (e *Evaluator) evaluate(ctx context.Context, pt arch.Point) *Result {
 	d, err := e.cfg.Space.Decode(pt)
 	if err != nil {
@@ -1073,7 +1036,7 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 		key.salt = salt
 	}
 	e.mu.Lock()
-	if ent, ok := e.lcache[key]; ok {
+	if ent, ok := e.lcache.get(key); ok {
 		e.cLHits.Inc()
 		e.mu.Unlock()
 		return ent
@@ -1112,10 +1075,10 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 
 	e.cLMisses.Inc()
 	e.mu.Lock()
-	var incumbent *warmEntry
+	var incumbent *mapping.Mapping
 	if e.cfg.Mode == PrunedMappings && e.cfg.WarmStart == WarmStrict {
-		if we, ok := e.warm[key.shape]; ok {
-			incumbent = &we
+		if m, ok := e.warm.get(key.shape); ok {
+			incumbent = &m
 			e.cWarmProbes.Inc()
 		}
 	}
@@ -1208,55 +1171,20 @@ func fromPersist(pe evalcache.Entry) layerEntry {
 	}
 }
 
-// storeLayer inserts a search outcome into the bounded layer cache (FIFO,
-// 8x the design-memo cap) and, when the search found a mapping, makes it the
-// shape's warm-start incumbent. Caller holds e.mu.
+// storeLayer inserts a search outcome into the layer cache and, when the
+// search found a mapping, makes it the shape's warm-start incumbent. Caller
+// holds e.mu.
 func (e *Evaluator) storeLayer(key layerCacheKey, ent layerEntry) {
 	if ent.found {
-		e.storeWarm(key.shape, warmEntry{mapping: ent.mapping, perf: ent.perf})
+		e.warm.put(key.shape, ent.mapping)
 	}
-	if _, ok := e.lcache[key]; !ok {
-		e.lorder = append(e.lorder, key)
-	}
-	e.lcache[key] = ent
-	for e.cacheCap > 0 && len(e.lcache) > 8*e.cacheCap {
-		old := e.lorder[e.lhead]
-		e.lhead++
-		delete(e.lcache, old)
-		e.cLEvictions.Inc()
-	}
-	if e.lhead > len(e.lorder)/2 && e.lhead > 64 {
-		e.lorder = append([]layerCacheKey(nil), e.lorder[e.lhead:]...)
-		e.lhead = 0
-	}
-}
-
-// storeWarm records a shape's latest best mapping (and its breakdown, the
-// seed of the incremental warm-start probe) in the warm-start index, bounded
-// FIFO by first insertion with the same cap as the layer cache so a
-// long-running daemon streaming distinct shapes cannot grow it without
-// limit. Caller holds e.mu.
-func (e *Evaluator) storeWarm(shape string, we warmEntry) {
-	if _, ok := e.warm[shape]; !ok {
-		e.worder = append(e.worder, shape)
-	}
-	e.warm[shape] = we
-	for e.cacheCap > 0 && len(e.warm) > 8*e.cacheCap {
-		old := e.worder[e.whead]
-		e.whead++
-		delete(e.warm, old)
-		e.cWarmEvict.Inc()
-	}
-	if e.whead > len(e.worder)/2 && e.whead > 64 {
-		e.worder = append([]string(nil), e.worder[e.whead:]...)
-		e.whead = 0
-	}
+	e.lcache.put(key, ent)
 }
 
 // timedSearchLayer is searchLayer with the mapping-search latency recorded
 // into the eval_layer_search_seconds histogram; cache hits and in-flight
 // joins never reach it, so the histogram measures real searches only.
-func (e *Evaluator) timedSearchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *warmEntry) layerEntry {
+func (e *Evaluator) timedSearchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) layerEntry {
 	start := time.Now()
 	ent := e.searchLayer(d, l, salt, incumbent)
 	e.hLayer.ObserveDuration(time.Since(start))
@@ -1268,11 +1196,10 @@ func (e *Evaluator) timedSearchLayer(d arch.Design, l workload.Layer, salt int64
 // search inner loop runs on the context's Tier-1 fast path (cycles and
 // validity only, no allocation), and only the winning mapping pays for the
 // Tier-2 full breakdown. In PrunedMappings mode under WarmStrict the
-// enumeration carries a certified cost lower bound (and the warm-start
-// incumbent when given), with the incumbent probe answered incrementally
-// from its previous breakdown when one is on record; WarmOff reproduces the
-// fully-cold search.
-func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *warmEntry) layerEntry {
+// enumeration carries a certified cost lower bound and the warm-start
+// incumbent when given, whose probe is one more Tier-1 call; WarmOff
+// reproduces the fully-cold search.
+func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) layerEntry {
 	var ent layerEntry
 	ctx := perf.NewContext(d, l)
 	switch e.cfg.Mode {
@@ -1283,7 +1210,7 @@ func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, inc
 		ent.trials, ent.costCalls, ent.found = 1, 1, true
 	case RandomMappings:
 		rng := rand.New(rand.NewSource(e.cfg.Seed*1_000_003 + salt))
-		res := mapping.RandomSearch(l, e.cfg.MapTrials, rng, ctx.Cost())
+		res := mapping.RandomSearch(l, e.cfg.MapTrials, rng, ctx.EvaluateCycles)
 		ent = e.fromSearch(ctx, res, "no valid mapping found by random search")
 	case PrunedMappings:
 		cfg := mapping.GenConfig{
@@ -1295,25 +1222,10 @@ func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, inc
 			BaseValid: ctx.Valid(),
 		}
 		if e.cfg.WarmStart == WarmStrict {
-			cfg.CostLB = perf.CostLowerBoundFn(l)
-			if incumbent != nil {
-				m := incumbent.mapping
-				cfg.Incumbent = &m
-				if prev := incumbent.perf; prev.MACs > 0 {
-					// The incumbent's breakdown on its previous design
-					// answers the probe incrementally: DeltaEvaluate
-					// recomputes only the factors downstream of the
-					// design parameters that changed, bit-identical to
-					// a full evaluation (the strict contract's
-					// requirement on ProbeCost).
-					cfg.ProbeCost = func(pm *mapping.Mapping) (float64, bool) {
-						b := ctx.DeltaEvaluate(&prev, *pm)
-						return b.Cycles, b.Valid
-					}
-				}
-			}
+			cfg.CostLB = ctx.CostLowerBound
+			cfg.Incumbent = incumbent
 		}
-		res := mapping.EnumeratePruned(l, cfg, ctx.Cost())
+		res := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
 		ent = e.fromSearch(ctx, res, "no valid mapping in pruned space")
 	}
 	return ent

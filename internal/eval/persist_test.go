@@ -192,27 +192,75 @@ func TestPersistCacheConcurrentEvaluators(t *testing.T) {
 	}
 }
 
-// TestWarmIndexBounded is the memory-leak regression test: the warm-start
-// index must stay within 8x the design-memo cap no matter how many distinct
-// shapes stream through a long-running evaluator.
+// TestWarmIndexBounded is the memory-leak regression test for the
+// evaluator's three bounded maps: the design memo stays within CacheCap, and
+// the layer cache and the warm-start index within 8x CacheCap, however many
+// distinct keys stream through a long-running evaluator. Each keeps the
+// newest keys, and counts every drop in its Stats field.
 func TestWarmIndexBounded(t *testing.T) {
-	cfg := cacheTestConfig(spaceWithDummyParam(2), PrunedMappings)
-	cfg.CacheCap = 1 // warm bound: 8
-	e := New(cfg)
-	var we warmEntry
-	for i := 0; i < 50; i++ {
-		e.mu.Lock()
-		e.storeWarm(fmt.Sprintf("shape-%d", i), we)
-		e.mu.Unlock()
-	}
-	e.mu.Lock()
-	n := len(e.warm)
-	e.mu.Unlock()
-	if n > 8 {
-		t.Errorf("warm index holds %d shapes, cap 8", n)
-	}
-	if st := e.Stats(); st.WarmEvictions != 42 {
-		t.Errorf("WarmEvictions = %d, want 42", st.WarmEvictions)
+	for _, tc := range []struct {
+		name    string
+		limit   int
+		fill    func(e *Evaluator, i int)
+		has     func(e *Evaluator, i int) bool
+		size    func(e *Evaluator) int
+		evicted func(st Stats) int
+	}{
+		{
+			name:    "design memo",
+			limit:   1,
+			fill:    func(e *Evaluator, i int) { e.cache.put(fmt.Sprint(i), &Result{}) },
+			has:     func(e *Evaluator, i int) bool { _, ok := e.cache.get(fmt.Sprint(i)); return ok },
+			size:    func(e *Evaluator) int { return len(e.cache.m) },
+			evicted: func(st Stats) int { return st.Evictions },
+		},
+		{
+			name:  "layer cache",
+			limit: 8,
+			fill: func(e *Evaluator, i int) {
+				e.storeLayer(layerCacheKey{shape: "shape", sub: fmt.Sprint(i)}, layerEntry{})
+			},
+			has: func(e *Evaluator, i int) bool {
+				_, ok := e.lcache.get(layerCacheKey{shape: "shape", sub: fmt.Sprint(i)})
+				return ok
+			},
+			size:    func(e *Evaluator) int { return len(e.lcache.m) },
+			evicted: func(st Stats) int { return st.LayerEvictions },
+		},
+		{
+			name:  "warm index",
+			limit: 8,
+			fill: func(e *Evaluator, i int) {
+				e.storeLayer(layerCacheKey{shape: fmt.Sprint(i)}, layerEntry{found: true})
+			},
+			has:     func(e *Evaluator, i int) bool { _, ok := e.warm.get(fmt.Sprint(i)); return ok },
+			size:    func(e *Evaluator) int { return len(e.warm.m) },
+			evicted: func(st Stats) int { return st.WarmEvictions },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cacheTestConfig(spaceWithDummyParam(2), PrunedMappings)
+			cfg.CacheCap = 1
+			e := New(cfg)
+			const n = 50
+			e.mu.Lock()
+			for i := 0; i < n; i++ {
+				tc.fill(e, i)
+			}
+			size := tc.size(e)
+			oldestKept, newestDropped := tc.has(e, n-tc.limit), tc.has(e, n-tc.limit-1)
+			e.mu.Unlock()
+			if size != tc.limit {
+				t.Errorf("holds %d keys, want the bound %d", size, tc.limit)
+			}
+			if !oldestKept || newestDropped {
+				t.Errorf("kept key %d = %v and key %d = %v; want only the newest %d keys",
+					n-tc.limit, oldestKept, n-tc.limit-1, newestDropped, tc.limit)
+			}
+			if got := tc.evicted(e.Stats()); got != n-tc.limit {
+				t.Errorf("eviction counter = %d, want %d", got, n-tc.limit)
+			}
+		})
 	}
 }
 

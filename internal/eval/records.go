@@ -27,7 +27,7 @@ func ParseMapperMode(s string) (MapperMode, bool) {
 func (e *Evaluator) Memoized(pt arch.Point) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, ok := e.cache[pt.Key()]
+	_, ok := e.cache.get(pt.Key())
 	return ok
 }
 
@@ -60,7 +60,7 @@ func (e *Evaluator) RecordsFor(pt arch.Point) []evalcache.Record {
 				continue
 			}
 			seen[key] = true
-			ent, ok := e.lcache[key]
+			ent, ok := e.lcache.get(key)
 			if !ok {
 				continue
 			}
@@ -105,7 +105,7 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 		}
 		ent := fromPersist(rec.Entry)
 		e.mu.Lock()
-		if _, ok := e.lcache[key]; ok {
+		if _, ok := e.lcache.get(key); ok {
 			e.mu.Unlock()
 			continue
 		}
@@ -140,7 +140,7 @@ func (e *Evaluator) Prefill(pt arch.Point) bool {
 		for i := range mdl.Layers {
 			key := e.layerKeyFor(mdl.Layers[i], sub, int64(i))
 			e.mu.Lock()
-			_, ok := e.lcache[key]
+			_, ok := e.lcache.get(key)
 			e.mu.Unlock()
 			if ok {
 				continue

@@ -25,8 +25,6 @@
 package evalcache
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -67,20 +65,9 @@ type Key struct {
 	Salt int64
 }
 
-// ID returns the key's stable content-address digest — the currency of the
-// networked cache surface (GET /cache/{id} on the serve daemon) and of any
-// other context that needs a flat, URL-safe name for a record. It hashes the
-// canonical JSON rendering of the key, so two equal keys always share an ID
-// and any field change produces a new one.
-func (k Key) ID() string {
-	data, _ := json.Marshal(k) // Key is plain strings and ints; cannot fail
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16])
-}
-
 // Record pairs a content address with its entry — the unit the wire-level
-// APIs (EncodeRecord/DecodeRecord, the fleet protocol, GET /cache/{id})
-// move between processes.
+// APIs (EncodeRecord/DecodeRecord, the fleet protocol) move between
+// processes.
 type Record struct {
 	Key   Key
 	Entry Entry
@@ -175,8 +162,7 @@ type Store struct {
 
 	mu    sync.Mutex
 	idx   map[Key]Entry
-	ids   map[string]Key // Key.ID() -> Key, the networked-lookup index
-	atime map[Key]int64  // last access (unix seconds), the GC currency
+	atime map[Key]int64 // last access (unix seconds), the GC currency
 	order []Key
 	head  int
 }
@@ -222,7 +208,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		now: func() int64 { return time.Now().Unix() },
 
 		idx:   make(map[Key]Entry),
-		ids:   make(map[string]Key),
 		atime: make(map[Key]int64),
 	}
 	unlock, err := lockedFile(s.lockPath)
@@ -357,23 +342,9 @@ func (s *Store) Get(key Key) (Entry, bool) {
 	return ent, ok
 }
 
-// GetByID answers a lookup by content-address digest (Key.ID) — the
-// networked read path, where callers hold a flat record ID instead of the
-// structured key. Hits refresh the record's last-access stamp like Get.
-func (s *Store) GetByID(id string) (Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key, ok := s.ids[id]
-	if !ok {
-		return Record{}, false
-	}
-	s.atime[key] = s.now()
-	return Record{Key: key, Entry: s.idx[key]}, true
-}
-
 // GC retires every record whose last access is older than maxAge, then
 // compacts the file so the retired lines are physically gone, all under the
-// cross-process lock. Access times refresh on Get/GetByID hits and persist
+// cross-process lock. Access times refresh on Get hits and persist
 // through compactions; records written before access stamps existed carry a
 // zero stamp and are always GC-eligible. Returns the number of records
 // retired. maxAge must be positive — a zero or negative age would silently
@@ -400,7 +371,6 @@ func (s *Store) GC(maxAge time.Duration) (int, error) {
 			continue
 		}
 		delete(s.idx, key)
-		delete(s.ids, key.ID())
 		delete(s.atime, key)
 		retired++
 	}
@@ -476,14 +446,12 @@ func (s *Store) appendLocked(data []byte) error {
 // holds s.mu (or has exclusive access during load).
 func (s *Store) insert(key Key, ent Entry, at int64) {
 	s.idx[key] = ent
-	s.ids[key.ID()] = key
 	s.atime[key] = at
 	s.order = append(s.order, key)
 	for s.maxN > 0 && len(s.idx) > s.maxN {
 		old := s.order[s.head]
 		s.head++
 		delete(s.idx, old)
-		delete(s.ids, old.ID())
 		delete(s.atime, old)
 		s.cEvicted.Inc()
 	}

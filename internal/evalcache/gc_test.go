@@ -60,35 +60,6 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestKeyIDStableAndDistinct(t *testing.T) {
-	a1, a2 := testKey(1).ID(), testKey(1).ID()
-	if a1 != a2 || a1 == "" {
-		t.Fatalf("ID not stable: %q vs %q", a1, a2)
-	}
-	if testKey(1).ID() == testKey(2).ID() {
-		t.Fatal("distinct keys share an ID")
-	}
-}
-
-func TestGetByID(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{Version: "v-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := testEntry(4)
-	s.Put(testKey(4), want)
-	rec, ok := s.GetByID(testKey(4).ID())
-	if !ok {
-		t.Fatal("GetByID miss for a present record")
-	}
-	if rec.Key != testKey(4) || !entriesEqual(rec.Entry, want) {
-		t.Fatal("GetByID returned the wrong record")
-	}
-	if _, ok := s.GetByID("no-such-id"); ok {
-		t.Fatal("GetByID hit for an absent id")
-	}
-}
-
 func TestGCRetiresByLastAccess(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{Version: "v-test"})

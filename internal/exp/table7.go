@@ -79,9 +79,10 @@ func RunTable7(cfg Config) []Table7Row {
 		// reference hardware accepts (buffers, PEs, NoC time-sharing).
 		const samples = 4000
 		valid := 0
+		ctx := perf.NewContext(design, l)
 		for i := 0; i < samples; i++ {
 			mm := mapping.Random(dims, rng)
-			if perf.Evaluate(design, l, mm).Valid {
+			if ctx.Evaluate(mm).Valid {
 				valid++
 			}
 		}

@@ -187,13 +187,6 @@ type GenConfig struct {
 	// mapping and cycles are always bit-identical to a cold run.
 	// Incumbent is only consulted when CostLB is also set.
 	Incumbent *Mapping
-	// ProbeCost, when set, answers the single Incumbent probe in place of
-	// the search's cost callback — e.g. an incremental re-evaluation
-	// seeded from the incumbent's breakdown on a previous design
-	// (perf.EvalContext.DeltaEvaluate). It MUST be cycle-exact with the
-	// cost callback on the incumbent, or the strict bit-identical warm
-	// start contract breaks. The probe still counts toward CostCalls.
-	ProbeCost Cost
 }
 
 // defaultOrderings enumerates the 3x3 stationary-tensor choices.
@@ -338,12 +331,8 @@ func EnumeratePruned(l workload.Layer, cfg GenConfig, cost Cost) Result {
 		bestCycles: math.Inf(1),
 	}
 	if cfg.Incumbent != nil && e.hasLB {
-		probe := cost
-		if cfg.ProbeCost != nil {
-			probe = cfg.ProbeCost
-		}
 		e.costCalls++
-		if c, ok := probe(cfg.Incumbent); ok {
+		if c, ok := cost(cfg.Incumbent); ok {
 			e.probe = c
 		}
 	}

@@ -231,11 +231,11 @@ func TestEnumeratePrunedRespectsPEBudget(t *testing.T) {
 	}
 }
 
-// TestProbeCostAnswersIncumbentProbe: when GenConfig.ProbeCost is set, the
-// single warm-start probe must go through it (and only it) — the cost
-// callback never sees the incumbent probe — and a cycle-exact probe must
-// leave the whole Result bit-identical to a run probing through cost.
-func TestProbeCostAnswersIncumbentProbe(t *testing.T) {
+// TestIncumbentProbeIsFirstCostCall: the warm-start probe is one call of the
+// search's own cost callback, made with the incumbent before any candidate
+// and counted in CostCalls, and the warm Result keeps the cold run's best
+// mapping, cycles and Evaluated count.
+func TestIncumbentProbeIsFirstCostCall(t *testing.T) {
 	l := benchLayer()
 	cost, lb := benchCost(l)
 	cold := EnumeratePruned(l, benchGenCfg(), cost)
@@ -244,32 +244,24 @@ func TestProbeCostAnswersIncumbentProbe(t *testing.T) {
 	}
 	inc := cold.Best
 
-	warmCfg := benchGenCfg()
-	warmCfg.CostLB = lb
-	warmCfg.Incumbent = &inc
-	plain := EnumeratePruned(l, warmCfg, cost)
-
-	probeCalls := 0
-	spyCfg := benchGenCfg()
-	spyCfg.CostLB = lb
-	spyCfg.Incumbent = &inc
-	spyCfg.ProbeCost = func(m *Mapping) (float64, bool) {
-		probeCalls++
-		if *m != inc {
-			t.Fatalf("ProbeCost called with %v, want the incumbent %v", *m, inc)
+	calls := 0
+	spy := func(m *Mapping) (float64, bool) {
+		if calls == 0 && *m != inc {
+			t.Fatalf("first cost call with %v, want the incumbent %v", *m, inc)
 		}
+		calls++
 		return cost(m)
 	}
-	spied := EnumeratePruned(l, spyCfg, cost)
+	cfg := benchGenCfg()
+	cfg.CostLB = lb
+	cfg.Incumbent = &inc
+	warm := EnumeratePruned(l, cfg, spy)
 
-	if probeCalls != 1 {
-		t.Fatalf("ProbeCost called %d times, want exactly 1", probeCalls)
+	if calls != warm.CostCalls {
+		t.Fatalf("cost callback ran %d times, CostCalls = %d", calls, warm.CostCalls)
 	}
-	if spied != plain {
-		t.Fatalf("ProbeCost run diverged from plain warm run:\n%+v\n%+v", spied, plain)
-	}
-	if spied.Best != cold.Best || spied.Cycles != cold.Cycles || spied.Evaluated != cold.Evaluated {
-		t.Fatalf("ProbeCost run diverged from cold run: %+v vs %+v", spied, cold)
+	if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Evaluated != cold.Evaluated {
+		t.Fatalf("warm run diverged from cold run: %+v vs %+v", warm, cold)
 	}
 }
 

@@ -46,7 +46,7 @@ const (
 	SpanQueue = "queue"
 	// SpanWorkerEval covers one design-point evaluation on a worker.
 	SpanWorkerEval = "worker-eval"
-	// SpanCache covers worker-side record export (and /cache/{id} serves).
+	// SpanCache covers worker-side record export.
 	SpanCache = "cache"
 )
 
@@ -222,9 +222,8 @@ func SpanFromContext(ctx context.Context) (*Tracer, SpanContext, bool) {
 }
 
 // TraceHeader is the HTTP header propagating trace context across process
-// boundaries (the fleet coordinator sets it on POST /eval and GET
-// /cache/{id}), playing the role of W3C traceparent with this repo's
-// deterministic IDs.
+// boundaries (the fleet coordinator sets it on POST /eval), playing the role
+// of W3C traceparent with this repo's deterministic IDs.
 const TraceHeader = "X-Xdse-Traceparent"
 
 // traceHeaderVersion is the header format version. Parsers reject versions

@@ -26,9 +26,9 @@ import (
 //
 // Tier 2 is EvalContext.Evaluate: the full Breakdown, used for the winning
 // mapping, bottleneck analysis, and mitigation. Both tiers share the same
-// refetch/burst helpers and mirror the package-level Evaluate expression by
-// expression, so their cycles are bit-identical (see the cycle-exactness
-// contract in DESIGN.md §13 and TestFastPathMatchesEvaluateProperty).
+// refetch/burst helpers and Tier 1 mirrors Tier 2 expression by expression,
+// so their cycles are bit-identical (see the cycle-exactness contract in
+// DESIGN.md §13 and TestFastPathMatchesEvaluateProperty).
 //
 // An EvalContext is NOT safe for concurrent use: the fill memo is mutable
 // state. Build one context per goroutine (internal/eval builds one per
@@ -48,7 +48,7 @@ type EvalContext struct {
 	// redMask has bit d set when dimension d is a reduction (psum) dim.
 	redMask uint8
 
-	// Design-derived precomputes (rebound by Rebind).
+	// Design-derived precomputes.
 	bpc     float64
 	nocW    float64
 	l2Bytes int64
@@ -85,9 +85,18 @@ type fillState struct {
 }
 
 // NewContext builds the evaluation context of layer l on design d,
-// precomputing every mapping-independent factor of the cost tree.
+// precomputing every mapping-independent factor of the cost tree. It is the
+// only entry to the cost model: callers evaluate through the context's two
+// tiers.
 func NewContext(d arch.Design, l workload.Layer) *EvalContext {
-	c := &EvalContext{l: l, kind: l.Kind}
+	c := &EvalContext{
+		d:       d,
+		l:       l,
+		kind:    l.Kind,
+		bpc:     d.BytesPerCycle(),
+		nocW:    float64(d.NoCWidthBits),
+		l2Bytes: int64(d.L2Bytes()),
+	}
 	c.dims = mapping.Dims(l)
 	macs := 1.0
 	for dim := mapping.Dim(0); dim < mapping.NumDims; dim++ {
@@ -105,39 +114,25 @@ func NewContext(d arch.Design, l workload.Layer) *EvalContext {
 	for _, dim := range mapping.ReductionDims(c.kind) {
 		c.redMask |= 1 << uint(dim)
 	}
-	c.bindDesign(d)
 	return c
 }
 
-// bindDesign (re)derives the design-dependent constants and invalidates the
-// fill memo (its NoC-sharing and burst terms embed the old design).
-func (c *EvalContext) bindDesign(d arch.Design) {
-	c.d = d
-	c.bpc = d.BytesPerCycle()
-	c.nocW = float64(d.NoCWidthBits)
-	c.l2Bytes = int64(d.L2Bytes())
-	c.fillOK = false
+// CostLowerBound is a certified lower bound on the cycles either tier can
+// report for any valid mapping of the bound layer occupying the given number
+// of spatial PEs: Cycles = max(TComp, ...) >= TComp = paddedMACs/PEsUsed.
+// The pruned enumerator (mapping.GenConfig.CostLB) uses it to skip cost
+// calls that provably cannot beat an incumbent without changing the search
+// result.
+func (c *EvalContext) CostLowerBound(spatialPEs int) float64 {
+	if spatialPEs < 1 {
+		spatialPEs = 1
+	}
+	return c.macs / float64(spatialPEs)
 }
 
-// Rebind returns a context for the same layer on a different design,
-// reusing every layer-derived precompute (the dirty-subtree rule at context
-// granularity: a design edit never invalidates dims, MAC counts, tensor
-// sizes, or index masks). The receiver is left untouched.
-func (c *EvalContext) Rebind(d arch.Design) *EvalContext {
-	nc := *c
-	nc.bindDesign(d)
-	return &nc
-}
-
-// Design returns the bound design.
-func (c *EvalContext) Design() arch.Design { return c.d }
-
-// Layer returns the bound layer.
-func (c *EvalContext) Layer() workload.Layer { return c.l }
-
-// prodIrr is Evaluate's prodIrrelevant: the product of level-lv factors of
-// the dimensions NOT indexing tensor t, in ascending dimension order (the
-// multiplication order fixes the float rounding and must not change).
+// prodIrr is the product of level-lv factors of the dimensions NOT indexing
+// tensor t, in ascending dimension order (the multiplication order fixes the
+// float rounding and must not change).
 func (c *EvalContext) prodIrr(m *mapping.Mapping, t mapping.Tensor, lv mapping.Level) float64 {
 	p := 1.0
 	mask := c.idxMask[t]
@@ -149,9 +144,9 @@ func (c *EvalContext) prodIrr(m *mapping.Mapping, t mapping.Tensor, lv mapping.L
 	return p
 }
 
-// psumProd is Evaluate's psumProd: the product of level-lv factors of the
-// reduction dimensions, in ascending dimension order (ReductionDims lists
-// them ascending, so the rounding matches the original closure).
+// psumProd is the product of level-lv factors of the reduction dimensions,
+// in ascending dimension order (the multiplication order fixes the float
+// rounding and must not change).
 func (c *EvalContext) psumProd(m *mapping.Mapping, lv mapping.Level) float64 {
 	p := 1.0
 	for dim := mapping.Dim(0); dim < mapping.NumDims; dim++ {
@@ -278,10 +273,10 @@ func (c *EvalContext) computeFill(m *mapping.Mapping) {
 
 // EvaluateCycles is the Tier-1 fast path: the layer latency of mapping m in
 // cycles and whether the mapping is valid on the bound design. For a valid
-// mapping the cycles are bit-identical to Evaluate(d, l, m).Cycles; for an
-// invalid one it reports (0, false) without computing a latency (every
-// search-loop caller gates on ok before reading the cycles). It allocates
-// nothing.
+// mapping the cycles are bit-identical to Evaluate(m).Cycles; for an invalid
+// one it reports (0, false) without computing a latency (every search-loop
+// caller gates on ok before reading the cycles). It allocates nothing, and
+// its method value is the mapping.Cost callback of every mapping search.
 func (c *EvalContext) EvaluateCycles(m *mapping.Mapping) (float64, bool) {
 	if !c.fillOK || c.fill.f != m.F {
 		c.computeFill(m)
@@ -312,7 +307,7 @@ func (c *EvalContext) EvaluateCycles(m *mapping.Mapping) (float64, bool) {
 		refNoCO = 1
 	}
 
-	// Traffic, mirroring Evaluate's expressions (and their association)
+	// Traffic, mirroring Tier 2's expressions (and their association)
 	// exactly: off = size*refDRAM, noc = (size*refDRAM)*refNoC.
 	var off, noc [arch.NumOperands]float64
 	psumNoC := psumDRAM * refNoCO
@@ -351,8 +346,8 @@ func (c *EvalContext) EvaluateCycles(m *mapping.Mapping) (float64, bool) {
 }
 
 // Evaluate is the Tier-2 full evaluation: the complete Breakdown of mapping
-// m on the bound (design, layer) pair. It is an exact port of the
-// package-level Evaluate and shares the refetch/burst helpers with Tier 1.
+// m on the bound (design, layer) pair. It shares the refetch/burst helpers
+// with Tier 1.
 func (c *EvalContext) Evaluate(m mapping.Mapping) Breakdown {
 	var b Breakdown
 	d := c.d
@@ -478,117 +473,9 @@ func (c *EvalContext) Evaluate(m mapping.Mapping) Breakdown {
 	return b
 }
 
-// DeltaEvaluate is the incremental (dirty-subtree) re-evaluation: the
-// Breakdown of mapping m on the bound design, recomputed from a previous
-// Breakdown of the SAME (layer shape, mapping) pair on a possibly different
-// design. Only the factors downstream of design parameters are recomputed —
-// capacity and NoC-sharing validity, VirtNeeded/TNoC (links, NoC width),
-// and TDMA (off-chip bandwidth) — while the design-independent subtrees
-// (MACs, TComp, all traffic volumes, NoC group geometry, buffer
-// allocations, remaining reuse) are carried over from prev. The result is
-// bit-identical to Evaluate(m).
-//
-// A prev with MACs == 0 was cut short by a validity early-return and lacks
-// the carried subtrees, so it falls back to the full evaluation (as does a
-// nil prev).
-func (c *EvalContext) DeltaEvaluate(prev *Breakdown, m mapping.Mapping) Breakdown {
-	if prev == nil || prev.MACs == 0 {
-		return c.Evaluate(m)
-	}
-	var b Breakdown
-	d := c.d
-
-	// prev.MACs > 0 proves the fill covers the loop extents (structural
-	// validity is design-independent); the capacity checks re-run against
-	// this design's thresholds, reproducing Evaluate's early-return shapes.
-	b.PEsUsed = prev.PEsUsed
-	if b.PEsUsed > d.PEs {
-		b.Incompat = "spatial tiling exceeds PE count"
-		b.IncompatCount = 1
-		return b
-	}
-	if rf := mapping.RFTileBytes(c.l, &m); rf > int64(d.L1Bytes) {
-		b.Incompat = "RF tile exceeds L1 capacity"
-		b.IncompatCount = 1
-		return b
-	}
-	if l2 := mapping.L2TileBytes(c.l, &m); l2 > c.l2Bytes {
-		b.Incompat = "L2 tile exceeds scratchpad capacity"
-		b.IncompatCount = 1
-		return b
-	}
-
-	// Design-independent subtrees: carried over unchanged.
-	b.MACs, b.TComp = prev.MACs, prev.TComp
-	b.DataOffchip, b.DataNoC = prev.DataOffchip, prev.DataNoC
-	b.NoCGroups, b.NoCBytesPerGroup = prev.NoCGroups, prev.NoCBytesPerGroup
-	b.DataRF, b.DataSPM = prev.DataRF, prev.DataSPM
-	b.ReuseAvailRF, b.ReuseAvailSPM = prev.ReuseAvailRF, prev.ReuseAvailSPM
-
-	// NoC sharing and communication time: downstream of PhysLinks,
-	// VirtLinks, and NoCWidthBits.
-	for _, op := range arch.Operands {
-		groups := b.NoCGroups[op]
-		bpg := b.NoCBytesPerGroup[op]
-		shares := (groups + d.PhysLinks[op] - 1) / d.PhysLinks[op]
-		if shares < 1 {
-			shares = 1
-		}
-		b.VirtNeeded[op] = shares
-		if shares > d.VirtLinks[op] {
-			if b.Incompat != "" {
-				b.Incompat += "; "
-			}
-			b.Incompat += "spatial parallelism needs more time-shared unicast than " + op.String() + " NoC supports"
-			b.IncompatCount++
-		}
-
-		if b.DataNoC[op] <= 0 {
-			continue
-		}
-		loads := b.DataNoC[op] / (float64(groups) * bpg)
-		perGroupCycles := math.Ceil(bpg * 8 / c.nocW)
-		b.TNoC[op] = loads * float64(shares) * perGroupCycles
-	}
-
-	// DMA time: downstream of the off-chip bandwidth (bytes/cycle); the
-	// burst sizes depend only on the mapping.
-	for _, op := range arch.Operands {
-		bytes := b.DataOffchip[op]
-		if bytes <= 0 {
-			continue
-		}
-		burst := c.burstBytes(&m, OperandTensor(op))
-		if burst < workload.BytesPerElem {
-			burst = workload.BytesPerElem
-		}
-		b.TDMAOp[op] = bytes/c.bpc + bytes/burst*dmaBurstSetupCycles
-		b.TDMA += b.TDMAOp[op]
-	}
-
-	b.Cycles = b.TComp
-	for _, op := range arch.Operands {
-		if b.TNoC[op] > b.Cycles {
-			b.Cycles = b.TNoC[op]
-		}
-	}
-	if b.TDMA > b.Cycles {
-		b.Cycles = b.TDMA
-	}
-	b.Valid = b.IncompatCount == 0
-	return b
-}
-
-// Cost adapts the Tier-1 fast path into the mapping.Cost callback. The
-// returned closure shares the context's fill memo and is therefore not safe
-// for concurrent use.
-func (c *EvalContext) Cost() mapping.Cost {
-	return c.EvaluateCycles
-}
-
 // Valid adapts the Tier-1 fast path into a validity-only predicate (the
-// pruned enumerator's per-spatial-base probe). Like Cost, the closure is
-// not safe for concurrent use.
+// pruned enumerator's per-spatial-base probe). Like EvaluateCycles, the
+// closure shares the fill memo and is not safe for concurrent use.
 func (c *EvalContext) Valid() func(mapping.Mapping) bool {
 	return func(m mapping.Mapping) bool {
 		_, ok := c.EvaluateCycles(&m)

@@ -48,59 +48,21 @@ func TestEvaluateCyclesZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRebindMatchesNewContext: a rebound context must be indistinguishable
-// from a context built from scratch for the new design, and rebinding must
-// leave the receiver untouched.
-func TestRebindMatchesNewContext(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for _, l := range propertyLayers() {
-		dims := mapping.Dims(l)
-		for i := 0; i < 20; i++ {
-			d1, d2 := randDesign(rng), randDesign(rng)
-			ctx1 := NewContext(d1, l)
-			m0 := mapping.Random(dims, rng)
-			ctx1.EvaluateCycles(&m0) // populate the fill memo before rebinding
-
-			reb := ctx1.Rebind(d2)
-			fresh := NewContext(d2, l)
-			for trial := 0; trial < 20; trial++ {
-				m := mapping.Random(dims, rng)
-				gc, gok := reb.EvaluateCycles(&m)
-				wc, wok := fresh.EvaluateCycles(&m)
-				if gc != wc || gok != wok {
-					t.Fatalf("%s: rebound fast path (%v,%v) != fresh (%v,%v) for %v",
-						l.Name, gc, gok, wc, wok, m)
-				}
-				if gb, wb := reb.Evaluate(m), fresh.Evaluate(m); gb != wb {
-					t.Fatalf("%s: rebound Evaluate diverged from fresh context", l.Name)
-				}
-			}
-			if ctx1.Design() != d1 {
-				t.Fatalf("%s: Rebind mutated the receiver's design", l.Name)
-			}
-			gc, gok := ctx1.EvaluateCycles(&m0)
-			w := Evaluate(d1, l, m0)
-			if gok != w.Valid || (gok && gc != w.Cycles) {
-				t.Fatalf("%s: receiver's memo corrupted by Rebind", l.Name)
-			}
-		}
-	}
-}
-
 // TestEnumerateTrajectoryMatchesSlowPath runs the production pruned search
 // with the Tier-1 fast-path cost against a reference cost that calls the
-// full Tier-2 evaluation on every candidate, in all three production
-// configurations — cold, warm-started, and warm-started with the
-// DeltaEvaluate probe — and demands the complete Result (best mapping,
-// cycles, trial counts, cost-call counts, pruning counts) be identical.
+// full Tier-2 evaluation on every candidate, in both production
+// configurations — cold and warm-started — and demands the complete Result
+// (best mapping, cycles, trial counts, cost-call counts, pruning counts) be
+// identical.
 func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	warmChecked := 0
 	for _, l := range propertyLayers() {
 		for i := 0; i < 6; i++ {
 			d := randDesign(rng)
+			ctx := NewContext(d, l)
 			slowCost := func(m *mapping.Mapping) (float64, bool) {
-				b := Evaluate(d, l, *m)
+				b := ctx.Evaluate(*m)
 				return b.Cycles, b.Valid
 			}
 			newCfg := func() mapping.GenConfig {
@@ -108,7 +70,7 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 			}
 
 			// Cold: no pruning, every candidate costed.
-			cold := mapping.EnumeratePruned(l, newCfg(), NewContext(d, l).Cost())
+			cold := mapping.EnumeratePruned(l, newCfg(), NewContext(d, l).EvaluateCycles)
 			coldRef := mapping.EnumeratePruned(l, newCfg(), slowCost)
 			if cold != coldRef {
 				t.Fatalf("%s: cold fast-path result %+v != slow-path %+v", l.Name, cold, coldRef)
@@ -120,11 +82,11 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 			// Warm: lower-bound pruning seeded by an incumbent probe.
 			inc := cold.Best
 			warmCfg := newCfg()
-			warmCfg.CostLB = CostLowerBoundFn(l)
+			warmCfg.CostLB = ctx.CostLowerBound
 			warmCfg.Incumbent = &inc
-			warm := mapping.EnumeratePruned(l, warmCfg, NewContext(d, l).Cost())
+			warm := mapping.EnumeratePruned(l, warmCfg, NewContext(d, l).EvaluateCycles)
 			refCfg := newCfg()
-			refCfg.CostLB = CostLowerBoundFn(l)
+			refCfg.CostLB = ctx.CostLowerBound
 			refCfg.Incumbent = &inc
 			warmRef := mapping.EnumeratePruned(l, refCfg, slowCost)
 			if warm != warmRef {
@@ -132,24 +94,6 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 			}
 			if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Evaluated != cold.Evaluated {
 				t.Fatalf("%s: warm result diverged from cold (%+v vs %+v)", l.Name, warm, cold)
-			}
-
-			// Warm + delta probe: the incumbent's breakdown from a previous
-			// design answers the probe through DeltaEvaluate, exactly as
-			// internal/eval wires it. The whole Result must still match.
-			prevDesign := randDesign(rng)
-			prev := NewContext(prevDesign, l).Evaluate(inc)
-			ctx := NewContext(d, l)
-			deltaCfg := newCfg()
-			deltaCfg.CostLB = CostLowerBoundFn(l)
-			deltaCfg.Incumbent = &inc
-			deltaCfg.ProbeCost = func(m *mapping.Mapping) (float64, bool) {
-				b := ctx.DeltaEvaluate(&prev, *m)
-				return b.Cycles, b.Valid
-			}
-			delta := mapping.EnumeratePruned(l, deltaCfg, ctx.Cost())
-			if delta != warm {
-				t.Fatalf("%s: delta-probe result %+v != plain warm %+v", l.Name, delta, warm)
 			}
 			warmChecked++
 		}
@@ -170,15 +114,14 @@ func TestEnumerateSearchAllocsRealCost(t *testing.T) {
 	d := testDesign()
 	cfg := mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 600}
 	ctx := NewContext(d, l)
-	cost := ctx.Cost()
-	warm := mapping.EnumeratePruned(l, cfg, cost) // warm the divisor/spread memos
+	warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles) // warm the divisor/spread memos
 	if !warm.Found {
 		t.Fatal("no mapping found")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		c := cfg
-		c.CostLB = CostLowerBoundFn(l)
-		mapping.EnumeratePruned(l, c, cost)
+		c.CostLB = ctx.CostLowerBound
+		mapping.EnumeratePruned(l, c, ctx.EvaluateCycles)
 	})
 	if allocs > 16 {
 		t.Fatalf("real-cost enumeration allocates %.0f times per search; Tier-1 hot path has regressed", allocs)

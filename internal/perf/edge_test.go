@@ -26,7 +26,7 @@ func TestPrimeDimensionsPadAndEvaluate(t *testing.T) {
 				t.Fatalf("%s: dim %d not smooth after padding", l.Name, dim)
 			}
 		}
-		b := Evaluate(d, l, mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes()))
+		b := NewContext(d, l).Evaluate(mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes()))
 		if !b.Valid {
 			t.Fatalf("%s: %s", l.Name, b.Incompat)
 		}
@@ -44,7 +44,7 @@ func TestOneDConvolution(t *testing.T) {
 	// wav2vec2 feature extractor: 1-D conv with the time axis on X.
 	l := workload.Layer{Kind: workload.Conv, Name: "feat", K: 512, C: 512, Y: 1, X: 551, R: 1, S: 3, Stride: 2, Mult: 1}
 	d := testDesign()
-	b := Evaluate(d, l, mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes()))
+	b := NewContext(d, l).Evaluate(mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes()))
 	if !b.Valid {
 		t.Fatal(b.Incompat)
 	}
@@ -65,8 +65,8 @@ func TestBurstOverheadShrinksWithLargerTiles(t *testing.T) {
 	big.F[mapping.DimX][mapping.LvlL2] = dims[mapping.DimX]
 	big.F[mapping.DimX][mapping.LvlDRAM] = 1
 
-	bs := Evaluate(d, l, small)
-	bb := Evaluate(d, l, big)
+	bs := NewContext(d, l).Evaluate(small)
+	bb := NewContext(d, l).Evaluate(big)
 	if !bs.Valid || !bb.Valid {
 		t.Fatal("mappings invalid")
 	}
@@ -87,7 +87,7 @@ func TestGEMMNoCGroupsFollowSpatialSplit(t *testing.T) {
 	m.F[mapping.DimK][mapping.LvlDRAM] = dims[mapping.DimK] / 8
 	m.F[mapping.DimX][mapping.LvlSpatial] = 4
 	m.F[mapping.DimX][mapping.LvlDRAM] = dims[mapping.DimX] / 4
-	b := Evaluate(d, l, m)
+	b := NewContext(d, l).Evaluate(m)
 	if !b.Valid {
 		t.Fatal(b.Incompat)
 	}
@@ -109,7 +109,7 @@ func TestDepthwiseGroupsUseK(t *testing.T) {
 	m := sequentialMapping(l)
 	m.F[mapping.DimK][mapping.LvlSpatial] = 4
 	m.F[mapping.DimK][mapping.LvlDRAM] = mapping.Dims(l)[mapping.DimK] / 4
-	b := Evaluate(d, l, m)
+	b := NewContext(d, l).Evaluate(m)
 	if !b.Valid {
 		t.Fatal(b.Incompat)
 	}
@@ -129,9 +129,9 @@ func TestStationaryTensorReducesItsTraffic(t *testing.T) {
 	m.F[mapping.DimK][mapping.LvlDRAM] = dims[mapping.DimK] / 4
 
 	m.DRAMStationary = mapping.TI
-	wi := Evaluate(d, l, m)
+	wi := NewContext(d, l).Evaluate(m)
 	m.DRAMStationary = mapping.TW
-	ww := Evaluate(d, l, m)
+	ww := NewContext(d, l).Evaluate(m)
 	if !wi.Valid || !ww.Valid {
 		t.Fatal("invalid")
 	}

@@ -13,7 +13,6 @@ import (
 
 	"xdse/internal/arch"
 	"xdse/internal/mapping"
-	"xdse/internal/workload"
 )
 
 // dmaBurstSetupCycles is the fixed DMA overhead charged per non-contiguous
@@ -79,15 +78,6 @@ func OperandTensor(op arch.Operand) mapping.Tensor {
 	}
 }
 
-// Evaluate computes the breakdown of executing one occurrence of layer l on
-// design d under mapping m. It is the Tier-2 full evaluation; callers that
-// evaluate many mappings of one (design, layer) pair should build an
-// EvalContext once and use its EvaluateCycles fast path (Tier 1) in the
-// inner loop instead.
-func Evaluate(d arch.Design, l workload.Layer, m mapping.Mapping) Breakdown {
-	return NewContext(d, l).Evaluate(m)
-}
-
 // MaxTNoC returns the slowest operand NoC and its time.
 func (b *Breakdown) MaxTNoC() (arch.Operand, float64) {
 	best, bestT := arch.OpW, b.TNoC[arch.OpW]
@@ -100,16 +90,16 @@ func (b *Breakdown) MaxTNoC() (arch.Operand, float64) {
 }
 
 // MappingSubKey returns a canonical key of exactly the design parameters
-// Evaluate reads: PEs, the L1/L2 capacities, the NoC width and per-operand
-// physical/virtual link counts, and the off-chip-bandwidth-to-frequency
-// ratio (Evaluate only ever consumes OffchipMBps and FreqMHz through
-// BytesPerCycle, so the ratio is captured as a gcd-reduced integer pair —
-// two designs at different clocks but the same bytes/cycle share a key).
-// Two designs with equal sub-keys are indistinguishable to Evaluate for
-// every (layer, mapping) pair, which is what makes the layer-grain mapping
-// cache in internal/eval sound. When adding a field to arch.Design that
-// Evaluate reads, extend this key (TestMappingSubKeyCoversDesign guards
-// against forgetting).
+// the cost model reads: PEs, the L1/L2 capacities, the NoC width and
+// per-operand physical/virtual link counts, and the off-chip-bandwidth-to-
+// frequency ratio (the model only ever consumes OffchipMBps and FreqMHz
+// through BytesPerCycle, so the ratio is captured as a gcd-reduced integer
+// pair — two designs at different clocks but the same bytes/cycle share a
+// key). Two designs with equal sub-keys are indistinguishable to
+// EvalContext for every (layer, mapping) pair, which is what makes the
+// layer-grain mapping cache in internal/eval sound. When adding a field to
+// arch.Design that NewContext reads, extend this key
+// (TestMappingSubKeyCoversDesign guards against forgetting).
 func MappingSubKey(d arch.Design) string {
 	num, den := d.OffchipMBps, d.FreqMHz
 	if den <= 0 {
@@ -159,40 +149,4 @@ func gcd(a, b int) int {
 		return 1
 	}
 	return a
-}
-
-// CostLowerBoundFn returns a certified lower bound on the cycles Evaluate
-// can report for any valid mapping of layer l occupying the given number of
-// spatial PEs: Cycles = max(TComp, ...) >= TComp = paddedMACs/PEsUsed. The
-// pruned enumerator uses it to skip cost calls that provably cannot beat an
-// incumbent without changing the search result.
-func CostLowerBoundFn(l workload.Layer) func(spatialPEs int) float64 {
-	dims := mapping.Dims(l)
-	macs := 1.0
-	for dim := mapping.Dim(0); dim < mapping.NumDims; dim++ {
-		macs *= float64(dims[dim])
-	}
-	return func(spatialPEs int) float64 {
-		if spatialPEs < 1 {
-			spatialPEs = 1
-		}
-		return macs / float64(spatialPEs)
-	}
-}
-
-// CostFn adapts the evaluation into the mapping.Cost callback for design d
-// and layer l, backed by a fresh EvalContext's Tier-1 fast path. For a
-// valid mapping the cycles are bit-identical to Evaluate(d, l, m).Cycles;
-// an invalid mapping reports (0, false) without a latency. The returned
-// closure owns a mutable fill memo and is not safe for concurrent use —
-// call CostFn once per goroutine.
-func CostFn(d arch.Design, l workload.Layer) mapping.Cost {
-	return NewContext(d, l).Cost()
-}
-
-// ValidFn adapts the evaluation into a validity-only predicate, used by the
-// pruned enumerator to reject whole spatial bases in one probe. Like
-// CostFn, the returned closure is not safe for concurrent use.
-func ValidFn(d arch.Design, l workload.Layer) func(mapping.Mapping) bool {
-	return NewContext(d, l).Valid()
 }

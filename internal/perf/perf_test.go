@@ -42,7 +42,7 @@ func sequentialMapping(l workload.Layer) mapping.Mapping {
 
 func TestSequentialMappingValid(t *testing.T) {
 	l := testLayer()
-	b := Evaluate(testDesign(), l, sequentialMapping(l))
+	b := NewContext(testDesign(), l).Evaluate(sequentialMapping(l))
 	if !b.Valid {
 		t.Fatalf("sequential mapping invalid: %s", b.Incompat)
 	}
@@ -62,7 +62,7 @@ func TestSequentialMappingValid(t *testing.T) {
 func TestLatencyIsMaxOfFactors(t *testing.T) {
 	l := testLayer()
 	d := testDesign()
-	b := Evaluate(d, l, mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes()))
+	b := NewContext(d, l).Evaluate(mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes()))
 	if !b.Valid {
 		t.Fatalf("invalid: %s", b.Incompat)
 	}
@@ -83,7 +83,7 @@ func TestLatencyIsMaxOfFactors(t *testing.T) {
 func TestTDMAIsSumOfOperands(t *testing.T) {
 	l := testLayer()
 	d := testDesign()
-	b := Evaluate(d, l, sequentialMapping(l))
+	b := NewContext(d, l).Evaluate(sequentialMapping(l))
 	sum := 0.0
 	for _, op := range arch.Operands {
 		sum += b.TDMAOp[op]
@@ -97,12 +97,12 @@ func TestMorePEsReduceTComp(t *testing.T) {
 	l := testLayer()
 	d := testDesign()
 	m := sequentialMapping(l)
-	seq := Evaluate(d, l, m)
+	seq := NewContext(d, l).Evaluate(m)
 
 	dims := mapping.Dims(l)
 	m.F[mapping.DimK][mapping.LvlSpatial] = 16
 	m.F[mapping.DimK][mapping.LvlDRAM] = dims[mapping.DimK] / 16
-	par := Evaluate(d, l, m)
+	par := NewContext(d, l).Evaluate(m)
 	if !par.Valid {
 		t.Fatalf("parallel mapping invalid: %s", par.Incompat)
 	}
@@ -115,9 +115,9 @@ func TestMoreBandwidthReducesTDMA(t *testing.T) {
 	l := testLayer()
 	m := sequentialMapping(l)
 	d := testDesign()
-	slow := Evaluate(d, l, m)
+	slow := NewContext(d, l).Evaluate(m)
 	d.OffchipMBps *= 4
-	fast := Evaluate(d, l, m)
+	fast := NewContext(d, l).Evaluate(m)
 	if fast.TDMA >= slow.TDMA {
 		t.Fatalf("4x bandwidth did not reduce TDMA: %v -> %v", slow.TDMA, fast.TDMA)
 	}
@@ -127,10 +127,10 @@ func TestWiderNoCReducesTNoC(t *testing.T) {
 	l := testLayer()
 	d := testDesign()
 	m := mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes())
-	narrow := Evaluate(d, l, m)
+	narrow := NewContext(d, l).Evaluate(m)
 	d2 := d
 	d2.NoCWidthBits = 256
-	wide := Evaluate(d2, l, m)
+	wide := NewContext(d2, l).Evaluate(m)
 	for _, op := range arch.Operands {
 		if wide.TNoC[op] > narrow.TNoC[op] {
 			t.Fatalf("wider NoC increased %v time: %v -> %v", op, narrow.TNoC[op], wide.TNoC[op])
@@ -149,7 +149,7 @@ func TestVirtualUnicastIncompatibility(t *testing.T) {
 	m := sequentialMapping(l)
 	m.F[mapping.DimK][mapping.LvlSpatial] = 16
 	m.F[mapping.DimK][mapping.LvlDRAM] = dims[mapping.DimK] / 16
-	b := Evaluate(d, l, m)
+	b := NewContext(d, l).Evaluate(m)
 	if b.Valid {
 		t.Fatal("16 groups over 1 physical x 1 virtual link must be incompatible")
 	}
@@ -166,7 +166,7 @@ func TestBufferOverflowInvalid(t *testing.T) {
 	l := testLayer()
 	d := testDesign()
 	d.L1Bytes = 2 // 1 element: three tensors cannot fit
-	b := Evaluate(d, l, sequentialMapping(l))
+	b := NewContext(d, l).Evaluate(sequentialMapping(l))
 	if b.Valid {
 		t.Fatal("RF overflow must be invalid")
 	}
@@ -184,7 +184,7 @@ func TestRFOverflowDetected(t *testing.T) {
 	m.F[mapping.DimS][mapping.LvlRF] = dims[mapping.DimS]
 	m.F[mapping.DimS][mapping.LvlDRAM] = 1
 	d.L1Bytes = 64
-	b := Evaluate(d, l, m)
+	b := NewContext(d, l).Evaluate(m)
 	if b.Valid {
 		t.Fatal("32*3*3 weights cannot fit 64B RF")
 	}
@@ -200,7 +200,7 @@ func TestOffchipTrafficAtLeastTensorSizes(t *testing.T) {
 	checked := 0
 	for i := 0; i < 500 && checked < 50; i++ {
 		m := mapping.Random(dims, rng)
-		b := Evaluate(d, l, m)
+		b := NewContext(d, l).Evaluate(m)
 		if !b.Valid {
 			continue
 		}
@@ -231,7 +231,7 @@ func TestNoCTrafficAtLeastOffchip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 300; i++ {
 		m := mapping.Random(dims, rng)
-		b := Evaluate(d, l, m)
+		b := NewContext(d, l).Evaluate(m)
 		if !b.Valid {
 			continue
 		}
@@ -249,13 +249,13 @@ func TestOutputStationaryAvoidsPsumSpill(t *testing.T) {
 	m := sequentialMapping(l)
 	m.DRAMStationary = mapping.TO
 	m.NoCStationary = mapping.TO
-	b := Evaluate(d, l, m)
+	b := NewContext(d, l).Evaluate(m)
 	if b.DataOffchip[arch.OpORd] != 0 {
 		t.Fatalf("output-stationary psum reads = %v, want 0", b.DataOffchip[arch.OpORd])
 	}
 	// Weight-stationary with split reduction spills partial sums.
 	m.DRAMStationary = mapping.TW
-	b2 := Evaluate(d, l, m)
+	b2 := NewContext(d, l).Evaluate(m)
 	if b2.DataOffchip[arch.OpORd] <= 0 {
 		t.Fatal("weight-stationary with DRAM-level reduction must spill psums")
 	}
@@ -268,7 +268,7 @@ func TestDeterminismProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	f := func(uint8) bool {
 		m := mapping.Random(dims, rng)
-		a, b := Evaluate(d, l, m), Evaluate(d, l, m)
+		a, b := NewContext(d, l).Evaluate(m), NewContext(d, l).Evaluate(m)
 		return a == b
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -276,17 +276,18 @@ func TestDeterminismProperty(t *testing.T) {
 	}
 }
 
-func TestCostFnMatchesEvaluate(t *testing.T) {
+func TestCyclesAndValidMatchEvaluate(t *testing.T) {
 	l := testLayer()
 	d := testDesign()
 	m := sequentialMapping(l)
-	c, ok := CostFn(d, l)(&m)
-	b := Evaluate(d, l, m)
+	ctx := NewContext(d, l)
+	c, ok := ctx.EvaluateCycles(&m)
+	b := ctx.Evaluate(m)
 	if ok != b.Valid || c != b.Cycles {
-		t.Fatal("CostFn disagrees with Evaluate")
+		t.Fatal("EvaluateCycles disagrees with Evaluate")
 	}
-	if !ValidFn(d, l)(m) {
-		t.Fatal("ValidFn disagrees")
+	if !ctx.Valid()(m) {
+		t.Fatal("Valid disagrees")
 	}
 }
 
@@ -307,7 +308,7 @@ func TestGEMMAndDepthwiseEvaluate(t *testing.T) {
 		{Kind: workload.DWConv, Name: "dw", K: 96, C: 1, Y: 56, X: 56, R: 3, S: 3, Stride: 1, Mult: 1},
 	}
 	for _, l := range layers {
-		b := Evaluate(d, l, sequentialMapping(l))
+		b := NewContext(d, l).Evaluate(sequentialMapping(l))
 		if !b.Valid {
 			t.Fatalf("%s: %s", l.Name, b.Incompat)
 		}

@@ -47,7 +47,7 @@ func TestResourceGrowthNeverHurtsProperty(t *testing.T) {
 		checked := 0
 		for trial := 0; trial < 1500 && checked < 60; trial++ {
 			m := mapping.Random(dims, rng)
-			before := Evaluate(base, l, m)
+			before := NewContext(base, l).Evaluate(m)
 			if !before.Valid {
 				continue
 			}
@@ -55,7 +55,7 @@ func TestResourceGrowthNeverHurtsProperty(t *testing.T) {
 			for _, g := range grow {
 				d := base
 				g.mut(&d)
-				after := Evaluate(d, l, m)
+				after := NewContext(d, l).Evaluate(m)
 				if !after.Valid {
 					t.Fatalf("%s/%s: growth invalidated a valid mapping", l.Name, g.name)
 				}
@@ -138,7 +138,7 @@ func TestFastPathMatchesEvaluateProperty(t *testing.T) {
 					for ns := mapping.Tensor(0); ns < mapping.NumTensors; ns++ {
 						m.DRAMStationary, m.NoCStationary = ds, ns
 						got, ok := ctx.EvaluateCycles(&m)
-						want := Evaluate(d, l, m)
+						want := NewContext(d, l).Evaluate(m)
 						if ok != want.Valid {
 							t.Fatalf("%s: fast path ok=%v, Evaluate valid=%v (%q) for %v on %+v",
 								l.Name, ok, want.Valid, want.Incompat, m, d)
@@ -162,50 +162,6 @@ func TestFastPathMatchesEvaluateProperty(t *testing.T) {
 	}
 }
 
-// TestDeltaEvaluateMatchesEvaluateProperty: re-evaluating a known mapping on
-// a mutated design through the dirty-subtree path must reproduce the full
-// evaluation bit-for-bit — including the early-return shapes when the new
-// design rejects the mapping, and the fallback when prev carries no subtrees.
-func TestDeltaEvaluateMatchesEvaluateProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, l := range propertyLayers() {
-		dims := mapping.Dims(l)
-		carried := 0
-		for pair := 0; pair < 40; pair++ {
-			d1, d2 := randDesign(rng), randDesign(rng)
-			ctx1 := NewContext(d1, l)
-			ctx2 := ctx1.Rebind(d2)
-			for trial := 0; trial < 25; trial++ {
-				var m mapping.Mapping
-				switch {
-				case trial == 0:
-					m = sequentialMapping(l) // always carries subtrees
-				case trial%7 == 6:
-					m = mapping.Random(dims, rng)
-					m.F[mapping.Dim(rng.Intn(int(mapping.NumDims)))][mapping.LvlRF] += 1
-				default:
-					m = mapping.Random(dims, rng)
-				}
-				prev := ctx1.Evaluate(m)
-				want := ctx2.Evaluate(m)
-				if got := ctx2.DeltaEvaluate(&prev, m); got != want {
-					t.Fatalf("%s: DeltaEvaluate diverged from Evaluate\n got: %+v\nwant: %+v\nprev: %+v",
-						l.Name, got, want, prev)
-				}
-				if got := ctx2.DeltaEvaluate(nil, m); got != want {
-					t.Fatalf("%s: nil-prev DeltaEvaluate diverged from Evaluate", l.Name)
-				}
-				if prev.MACs > 0 {
-					carried++
-				}
-			}
-		}
-		if carried < 40 {
-			t.Fatalf("%s: only %d delta evaluations carried subtrees", l.Name, carried)
-		}
-	}
-}
-
 // TestTrafficNonNegativeProperty: no operand ever reports negative traffic
 // or time under random mappings.
 func TestTrafficNonNegativeProperty(t *testing.T) {
@@ -214,7 +170,7 @@ func TestTrafficNonNegativeProperty(t *testing.T) {
 	dims := mapping.Dims(l)
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 500; i++ {
-		b := Evaluate(d, l, mapping.Random(dims, rng))
+		b := NewContext(d, l).Evaluate(mapping.Random(dims, rng))
 		if !b.Valid {
 			continue
 		}

@@ -13,16 +13,16 @@ import (
 // TestMappingSubKeyCoversDesign is the guard behind the layer-cache sub-key
 // derivation rule (docs/EXTENDING.md): every field of arch.Design must be
 // explicitly classified here as either folded into MappingSubKey or proven
-// irrelevant to Evaluate. Adding a field to arch.Design without classifying
-// it fails this test, which is the point — an unclassified field read by
-// Evaluate would silently poison the layer-grain mapping cache.
+// irrelevant to the cost model. Adding a field to arch.Design without
+// classifying it fails this test, which is the point — an unclassified field
+// read by the cost model would silently poison the layer-grain mapping cache.
 func TestMappingSubKeyCoversDesign(t *testing.T) {
 	// Fields whose values are folded into the sub-key directly.
 	keyed := map[string]bool{
 		"PEs": true, "L1Bytes": true, "L2KB": true,
 		"NoCWidthBits": true, "PhysLinks": true, "VirtLinks": true,
 	}
-	// Fields Evaluate consumes only through BytesPerCycle; the sub-key
+	// Fields the cost model consumes only through BytesPerCycle; the sub-key
 	// captures their gcd-reduced ratio rather than the raw values.
 	ratio := map[string]bool{"OffchipMBps": true, "FreqMHz": true}
 
@@ -31,7 +31,7 @@ func TestMappingSubKeyCoversDesign(t *testing.T) {
 		name := typ.Field(i).Name
 		if !keyed[name] && !ratio[name] {
 			t.Errorf("arch.Design field %q is not classified for MappingSubKey; "+
-				"if perf.Evaluate reads it, fold it into the key, otherwise list it here as irrelevant", name)
+				"if perf.NewContext reads it, fold it into the key, otherwise list it here as irrelevant", name)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func TestMappingSubKeySoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		m := mapping.Random(dims, rng)
-		ba, bb := Evaluate(a, l, m), Evaluate(b, l, m)
+		ba, bb := NewContext(a, l).Evaluate(m), NewContext(b, l).Evaluate(m)
 		if ba != bb {
 			t.Fatalf("equal sub-keys but different breakdowns for mapping %v", m)
 		}
@@ -106,13 +106,14 @@ func TestMappingSubKeySoundness(t *testing.T) {
 func TestCostLowerBound(t *testing.T) {
 	d := testDesign()
 	l := testLayer()
-	lb := CostLowerBoundFn(l)
+	ctx := NewContext(d, l)
+	lb := ctx.CostLowerBound
 	dims := mapping.Dims(l)
 	rng := rand.New(rand.NewSource(11))
 	checked := 0
 	for i := 0; i < 500; i++ {
 		m := mapping.Random(dims, rng)
-		b := Evaluate(d, l, m)
+		b := ctx.Evaluate(m)
 		if !b.Valid {
 			continue
 		}
@@ -126,9 +127,10 @@ func TestCostLowerBound(t *testing.T) {
 	}
 	// The bound must also hold for a GEMM layer (different padded dims).
 	g := workload.Layer{Kind: workload.Gemm, Name: "g", K: 128, C: 256, Y: 1, X: 1, R: 1, S: 1, Stride: 1, Mult: 1}
-	glb := CostLowerBoundFn(g)
+	gctx := NewContext(d, g)
+	glb := gctx.CostLowerBound
 	gm := sequentialMapping(g)
-	if b := Evaluate(d, g, gm); b.Valid && b.Cycles < glb(1) {
+	if b := gctx.Evaluate(gm); b.Valid && b.Cycles < glb(1) {
 		t.Fatalf("GEMM cycles %v below bound %v", b.Cycles, glb(1))
 	}
 }

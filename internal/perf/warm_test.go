@@ -33,10 +33,10 @@ func warmTestLayers() []workload.Layer {
 	}
 }
 
-func genCfg(d arch.Design, l workload.Layer, maxN int) mapping.GenConfig {
+func genCfg(d arch.Design, ctx *EvalContext, maxN int) mapping.GenConfig {
 	return mapping.GenConfig{
 		PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(),
-		MinN: 10, MaxN: maxN, BaseValid: ValidFn(d, l),
+		MinN: 10, MaxN: maxN, BaseValid: ctx.Valid(),
 	}
 }
 
@@ -52,7 +52,8 @@ func TestWarmEnumerationBitIdentical(t *testing.T) {
 		incumbents := make([]*mapping.Mapping, len(designs))
 		colds := make([]mapping.Result, len(designs))
 		for i, d := range designs {
-			colds[i] = mapping.EnumeratePruned(l, genCfg(d, l, 300), CostFn(d, l))
+			ctx := NewContext(d, l)
+			colds[i] = mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateCycles)
 			if colds[i].Found {
 				m := colds[i].Best
 				incumbents[i] = &m
@@ -63,10 +64,11 @@ func TestWarmEnumerationBitIdentical(t *testing.T) {
 				if incumbents[j] == nil {
 					continue
 				}
-				cfg := genCfg(d, l, 300)
-				cfg.CostLB = CostLowerBoundFn(l)
+				ctx := NewContext(d, l)
+				cfg := genCfg(d, ctx, 300)
+				cfg.CostLB = ctx.CostLowerBound
 				cfg.Incumbent = incumbents[j]
-				warm := mapping.EnumeratePruned(l, cfg, CostFn(d, l))
+				warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
 				cold := colds[i]
 				if warm.Best != cold.Best || warm.Cycles != cold.Cycles ||
 					warm.Found != cold.Found || warm.Evaluated != cold.Evaluated {
@@ -89,15 +91,16 @@ func TestWarmEnumerationBitIdentical(t *testing.T) {
 func TestWarmSelfIncumbentPrunes(t *testing.T) {
 	d := testDesign()
 	l := warmTestLayers()[0]
-	cold := mapping.EnumeratePruned(l, genCfg(d, l, 300), CostFn(d, l))
+	ctx := NewContext(d, l)
+	cold := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateCycles)
 	if !cold.Found {
 		t.Skip("no mapping found on roomy design")
 	}
 	m := cold.Best
-	cfg := genCfg(d, l, 300)
-	cfg.CostLB = CostLowerBoundFn(l)
+	cfg := genCfg(d, ctx, 300)
+	cfg.CostLB = ctx.CostLowerBound
 	cfg.Incumbent = &m
-	warm := mapping.EnumeratePruned(l, cfg, CostFn(d, l))
+	warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
 	if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Evaluated != cold.Evaluated {
 		t.Fatal("self-incumbent warm run changed the result")
 	}

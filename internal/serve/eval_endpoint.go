@@ -189,14 +189,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	csp := tr.StartChild(parent, obs.SpanCache, "export")
 	var lines []string
-	seen := make(map[string]bool)
+	seen := make(map[evalcache.Key]bool)
 	for _, pt := range pts[:evaluated] {
 		for _, rec := range ev.RecordsFor(pt) {
-			id := rec.Key.ID()
-			if seen[id] {
+			if seen[rec.Key] {
 				continue
 			}
-			seen[id] = true
+			seen[rec.Key] = true
 			data, err := evalcache.EncodeRecord(rec, perf.ModelVersion())
 			if err != nil {
 				continue
@@ -219,47 +218,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleCacheGet serves one persistent-cache record by content address
-// (evalcache.Key.ID) as its wire line, with the daemon's cost-model version
-// as a strong ETag: a peer holding a copy under the same version revalidates
-// to 304 without the body, and a version bump invalidates every cached copy
-// at once.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		httpError(w, http.StatusNotFound, "no persistent cache configured")
-		return
-	}
-	id := r.PathValue("id")
-	// A traced fetch spans the serve into the daemon's own trace sink
-	// (there is no response channel for spans here; peers merge via /eval).
-	if sc, ok := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader)); ok && s.opts.Trace != nil {
-		ctr := obs.NewTracer(s.opts.Trace, sc.Span+".c")
-		sp := ctr.StartChild(sc, obs.SpanCache, id)
-		defer sp.End()
-	}
-	rec, ok := s.cache.GetByID(id)
-	if !ok {
-		s.cCacheMisses.Inc()
-		httpError(w, http.StatusNotFound, "no record %q", id)
-		return
-	}
-	etag := `"` + s.cache.Version() + `"`
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
-		s.cCacheRevalid.Inc()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	data, err := evalcache.EncodeRecord(rec, s.cache.Version())
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode record: %v", err)
-		return
-	}
-	s.cCacheServed.Inc()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(data) //nolint:errcheck // client gone; nothing to do
-}
-
 // evalEndpointMetrics registers the fleet-worker instruments on the service
 // registry; called from New.
 func (s *Server) evalEndpointMetrics(reg *obs.Registry) {
@@ -267,9 +225,6 @@ func (s *Server) evalEndpointMetrics(reg *obs.Registry) {
 	s.cEvalPoints = reg.Counter("serve_eval_points_total")
 	s.cEvalRecords = reg.Counter("serve_eval_records_total")
 	s.cEvalShed = reg.Counter("serve_eval_shed_total")
-	s.cCacheServed = reg.Counter("serve_cache_records_served_total")
-	s.cCacheMisses = reg.Counter("serve_cache_record_misses_total")
-	s.cCacheRevalid = reg.Counter("serve_cache_revalidations_total")
 	s.gEvalInflight = reg.Gauge("serve_eval_inflight")
 	s.hEvalWait = reg.Histogram("serve_eval_queue_wait_seconds", obs.DurationBuckets())
 }

@@ -70,9 +70,9 @@ func TestEvalEndpointServesRecords(t *testing.T) {
 	if len(out.Records) == 0 {
 		t.Fatal("no records returned")
 	}
-	// Every line must decode as an intact record under our version, and IDs
+	// Every line must decode as an intact record under our version, and keys
 	// must be unique (the worker dedups).
-	seen := map[string]bool{}
+	seen := map[evalcache.Key]bool{}
 	for _, line := range out.Records {
 		rec, ver, err := evalcache.DecodeRecord(line)
 		if err != nil {
@@ -81,11 +81,10 @@ func TestEvalEndpointServesRecords(t *testing.T) {
 		if ver != perf.ModelVersion() {
 			t.Fatalf("record version %q, want %q", ver, perf.ModelVersion())
 		}
-		if id := rec.Key.ID(); seen[id] {
-			t.Fatalf("duplicate record %s in response", id)
-		} else {
-			seen[id] = true
+		if seen[rec.Key] {
+			t.Fatalf("duplicate record %+v in response", rec.Key)
 		}
+		seen[rec.Key] = true
 	}
 }
 
@@ -132,84 +131,6 @@ func TestEvalEndpointShedsWhenSaturated(t *testing.T) {
 	}
 	if s.cEvalShed.Value() == 0 {
 		t.Fatal("shed not counted")
-	}
-}
-
-func TestCacheGetByContentAddress(t *testing.T) {
-	_, base := testServer(t, Options{CacheDir: t.TempDir()})
-	// Populate the store through a real shard evaluation, then fetch one of
-	// its records by content address.
-	resp := postEval(t, base, evalReq(1))
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("eval status %d", resp.StatusCode)
-	}
-	var out fleet.EvalResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Records) == 0 {
-		t.Fatal("no records to fetch")
-	}
-	rec, _, err := evalcache.DecodeRecord(out.Records[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := rec.Key.ID()
-
-	get, err := http.Get(base + "/cache/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer get.Body.Close()
-	if get.StatusCode != http.StatusOK {
-		t.Fatalf("cache get status %d", get.StatusCode)
-	}
-	etag := get.Header.Get("ETag")
-	if etag != `"`+perf.ModelVersion()+`"` {
-		t.Fatalf("ETag %q, want quoted model version", etag)
-	}
-	line, _ := io.ReadAll(get.Body)
-	got, ver, err := evalcache.DecodeRecord(string(line))
-	if err != nil {
-		t.Fatalf("served record does not decode: %v", err)
-	}
-	if ver != perf.ModelVersion() || got.Key != rec.Key {
-		t.Fatal("served record differs from the one the shard computed")
-	}
-
-	// Conditional revalidation: same ETag → 304, no body.
-	req, _ := http.NewRequest(http.MethodGet, base+"/cache/"+id, nil)
-	req.Header.Set("If-None-Match", etag)
-	cond, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cond.Body.Close()
-	if cond.StatusCode != http.StatusNotModified {
-		t.Fatalf("revalidation status %d, want 304", cond.StatusCode)
-	}
-
-	// Unknown address → 404.
-	miss, err := http.Get(base + "/cache/ffffffffffffffffffffffffffffffff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer miss.Body.Close()
-	if miss.StatusCode != http.StatusNotFound {
-		t.Fatalf("miss status %d, want 404", miss.StatusCode)
-	}
-}
-
-func TestCacheGetWithoutStore(t *testing.T) {
-	_, base := testServer(t, Options{})
-	resp, err := http.Get(base + "/cache/abc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("uncached daemon cache get status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -31,9 +31,6 @@ import (
 //	POST /eval             — evaluate one fleet shard and return its
 //	                         content-addressed records; 412 on model-version
 //	                         skew, 429 + Retry-After when saturated
-//	GET  /cache/{id}       — one persistent-cache record by content address,
-//	                         ETag'd with the cost-model version (304 on
-//	                         If-None-Match revalidation)
 //
 // With Options.Debug, the runtime profiling surface is mounted too:
 //
@@ -72,7 +69,6 @@ func (s *Server) Handler() http.Handler {
 	// the real wire path: aborted connections, injected statuses, and
 	// mutated bodies all reach the coordinator as genuine HTTP outcomes.
 	mux.Handle("POST /eval", s.chaos.Wrap(http.HandlerFunc(s.handleEval)))
-	mux.HandleFunc("GET /cache/{id}", s.handleCacheGet)
 	if s.opts.Debug {
 		s.mountDebug(mux)
 	}

@@ -104,8 +104,8 @@ type Options struct {
 	CacheDir string
 	// Trace, when non-nil, receives the daemon's own span events: the
 	// worker-side spans of traced /eval shards (also returned to the
-	// coordinator in the response) and /cache/{id} serves carrying an
-	// obs.TraceHeader. The sink's lifetime belongs to the caller.
+	// coordinator in the response). The sink's lifetime belongs to the
+	// caller.
 	Trace obs.Sink
 	// Debug mounts the runtime profiling surface — GET /debug/pprof/* and
 	// GET /debug/vars — on Handler. Off by default: profiling endpoints
@@ -164,8 +164,7 @@ type Server struct {
 	cCancelled, cInterrupted, cDeadlineCount   *obs.Counter
 	cRecovered, cResumedRuns                   *obs.Counter
 	cEvalShards, cEvalPoints, cEvalRecords     *obs.Counter
-	cEvalShed, cCacheServed, cCacheMisses      *obs.Counter
-	cCacheRevalid                              *obs.Counter
+	cEvalShed                                  *obs.Counter
 	gQueue, gRunning, gDraining, gEvalInflight *obs.Gauge
 	hJobWait, hEvalWait                        *obs.Histogram
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"xdse/internal/evalcache"
 	"xdse/internal/fleet"
 	"xdse/internal/obs"
 )
@@ -98,46 +97,6 @@ func TestEvalEndpointTracedSpans(t *testing.T) {
 	}
 	if len(pout.Spans) != 0 {
 		t.Fatalf("untraced eval returned %d spans, want 0", len(pout.Spans))
-	}
-}
-
-// TestCacheGetTracedSpan checks a traced /cache/{id} fetch lands a cache span
-// in the daemon's own trace sink (there is no response channel for spans on
-// this endpoint).
-func TestCacheGetTracedSpan(t *testing.T) {
-	col := &obs.CollectSink{}
-	_, base := testServer(t, Options{CacheDir: t.TempDir(), Trace: col})
-	resp := postEval(t, base, evalReq(1))
-	defer resp.Body.Close()
-	var out fleet.EvalResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Records) == 0 {
-		t.Fatal("no records to fetch")
-	}
-	rec, _, err := evalcache.DecodeRecord(out.Records[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := rec.Key.ID()
-
-	hreq, _ := http.NewRequest(http.MethodGet, base+"/cache/"+id, nil)
-	hreq.Header.Set(obs.TraceHeader, obs.FormatTraceHeader(obs.SpanContext{Trace: "t", Span: "3"}))
-	get, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get.Body.Close()
-
-	found := false
-	for _, ev := range col.Events() {
-		if ev.Kind == obs.KindSpan && ev.SpanKind == obs.SpanCache && ev.Parent == "3" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("traced cache fetch emitted no cache span to the daemon sink: %+v", col.Events())
 	}
 }
 
