@@ -383,13 +383,35 @@ func TestIncumbentProbeAllocatesNothingExtra(t *testing.T) {
 	}
 	for i, l := range workload.ResNet18().Layers[:4] {
 		inc := e.searchLayer(dl, l, int64(i), nil)
-		if !inc.found {
+		if !inc.Found {
 			t.Fatalf("%s: no mapping on the larger design", l.Name)
 		}
 		cold := testing.AllocsPerRun(5, func() { e.searchLayer(d, l, int64(i), nil) })
-		warm := testing.AllocsPerRun(5, func() { e.searchLayer(d, l, int64(i), &inc.mapping) })
+		warm := testing.AllocsPerRun(5, func() { e.searchLayer(d, l, int64(i), &inc.Mapping) })
 		if warm > cold {
 			t.Errorf("%s: search with an incumbent allocates %.0f times, without one %.0f", l.Name, warm, cold)
+		}
+	}
+}
+
+// TestDeriveAllocatesNothing pins the cost of completing a layer record: a
+// warm campaign derives one breakdown per store hit, so deriving a valid
+// found mapping must keep its perf.EvalContext on the stack and allocate
+// nothing.
+func TestDeriveAllocatesNothing(t *testing.T) {
+	e := newEval(PrunedMappings)
+	space := e.Config().Space
+	d, err := space.Decode(compatiblePoint(space))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range workload.ResNet18().Layers[:4] {
+		dec := e.searchLayer(d, l, int64(i), nil)
+		if ent := e.derive(d, l, dec); !dec.Found || !ent.perf.Valid {
+			t.Fatalf("%s: no valid mapping on the test design", l.Name)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { e.derive(d, l, dec) }); allocs != 0 {
+			t.Errorf("%s: deriving a breakdown allocates %.0f times, want 0", l.Name, allocs)
 		}
 	}
 }

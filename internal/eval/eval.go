@@ -358,17 +358,18 @@ type layerCacheKey struct {
 	salt  int64
 }
 
-// layerEntry is the shape-invariant portion of a layer's search outcome;
-// the caller re-attaches the concrete Layer (whose Name and Mult are not
-// part of the shape key) and re-derives multiplicity-scaled totals.
+// layerEntry is the shape-invariant outcome of a layer's search: the
+// decision, as stored and shipped, plus the Tier-2 breakdown derive
+// computes from it. The caller re-attaches the concrete Layer (whose Name
+// and Mult are not part of the shape key) and re-derives
+// multiplicity-scaled totals.
 type layerEntry struct {
-	mapping      mapping.Mapping
-	perf         perf.Breakdown
-	trials       int
-	costCalls    int
-	lbPruned     int
-	warmFallback bool
-	found        bool
+	evalcache.Entry
+	perf perf.Breakdown
+	// derived is false only for an installed record not yet looked up; its
+	// breakdown is derived on the first layerResult hit, where the design
+	// and the layer are at hand.
+	derived bool
 }
 
 // layerFlight is one in-progress layer search other goroutines can wait on.
@@ -442,10 +443,12 @@ type Stats struct {
 	// only.
 	CostCalls int64
 	// FullEvals is the number of Tier-2 full-breakdown evaluations
-	// (perf.EvalContext.Evaluate): one per winning mapping, plus the
-	// fixed-dataflow analytical mappings. The Tier-1/Tier-2 split
-	// FullEvals/CostCalls is the fraction of perf-model work that pays for
-	// the complete per-operand factor tree.
+	// (perf.EvalContext.Evaluate): one per found mapping a layer entry is
+	// derived from — a fresh search's winner, the fixed-dataflow
+	// analytical mapping, or a record answered from the persistent store
+	// or installed from a fleet worker (records carry no breakdown). The
+	// Tier-1/Tier-2 split FullEvals/CostCalls is the fraction of perf-model
+	// work that pays for the complete per-operand factor tree.
 	FullEvals int64
 	// LBPruned counts mapping candidates whose cost call was skipped
 	// because a certified lower bound proved they could not win.
@@ -1006,7 +1009,7 @@ func (e *Evaluator) evaluateModel(d arch.Design, sub string, est energy.Estimate
 func (e *Evaluator) evaluateLayer(d arch.Design, sub string, l workload.Layer, salt int64) LayerEval {
 	le := LayerEval{Layer: l}
 	ent := e.layerResult(d, sub, l, salt)
-	le.Mapping, le.Perf, le.MapTrials = ent.mapping, ent.perf, ent.trials
+	le.Mapping, le.Perf, le.MapTrials = ent.Mapping, ent.perf, ent.Trials
 	mult := l.Mult
 	if mult < 1 {
 		mult = 1
@@ -1024,21 +1027,22 @@ func (e *Evaluator) evaluateLayer(d arch.Design, sub string, l workload.Layer, s
 // search outcomes; only the cost-call counters differ.
 func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, salt int64) layerEntry {
 	if e.cfg.DisableLayerCache {
-		ent := e.timedSearchLayer(d, l, salt, nil)
-		e.cCostCalls.Add(int64(ent.costCalls))
-		e.cLBPruned.Add(int64(ent.lbPruned))
-		return ent
+		return e.timedSearchLayer(d, l, salt, nil)
 	}
-	key := layerCacheKey{shape: l.ShapeKey(), sub: sub}
-	if e.cfg.Mode == RandomMappings {
-		// The random search's rng is seeded from the layer index, so
-		// equal shapes at different indices draw different mappings.
-		key.salt = salt
-	}
+	key := e.layerKeyFor(l, sub, salt)
 	e.mu.Lock()
 	if ent, ok := e.lcache.get(key); ok {
 		e.cLHits.Inc()
 		e.mu.Unlock()
+		if !ent.derived {
+			// An installed record's first use: derive its breakdown once
+			// and keep it. A concurrent twin may derive it too; both
+			// compute the same entry.
+			ent = e.derive(d, l, ent.Entry)
+			e.mu.Lock()
+			e.lcache.put(key, ent)
+			e.mu.Unlock()
+		}
 		return ent
 	}
 	if f, ok := e.lflights[key]; ok {
@@ -1059,8 +1063,8 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 	// disk and never reaches the cost model. The singleflight above
 	// already collapses concurrent in-process probes of the same key.
 	if e.store != nil {
-		if pe, ok := e.store.Get(e.persistKey(key)); ok {
-			ent := fromPersist(pe)
+		if dec, ok := e.store.Get(e.persistKey(key)); ok {
+			ent := e.derive(d, l, dec)
 			e.mu.Lock()
 			e.storeLayer(key, ent)
 			delete(e.lflights, key)
@@ -1103,18 +1107,13 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 	e.storeLayer(key, ent)
 	delete(e.lflights, key)
 	e.mu.Unlock()
-	e.cCostCalls.Add(int64(ent.costCalls))
-	e.cLBPruned.Add(int64(ent.lbPruned))
-	if ent.warmFallback {
-		e.cWarmFalls.Inc()
-	}
 
 	f.ent = ent
 	close(f.done)
 	if e.store != nil {
 		// Persist after waking waiters: the fsync'd append rides on this
 		// goroutine, never on the joined ones.
-		e.store.Put(e.persistKey(key), toPersist(ent))
+		e.store.Put(e.persistKey(key), ent.Entry)
 		e.cPWrites.Inc()
 	}
 	return ent
@@ -1144,75 +1143,47 @@ func (e *Evaluator) persistKey(key layerCacheKey) evalcache.Key {
 	return pk
 }
 
-// toPersist and fromPersist convert between the in-memory layer entry and
-// its exported persistent twin. Every field round-trips bit-exactly — the
-// persist-hit path must be indistinguishable from a completed search.
-func toPersist(ent layerEntry) evalcache.Entry {
-	return evalcache.Entry{
-		Found:        ent.found,
-		Mapping:      ent.mapping,
-		Perf:         ent.perf,
-		Trials:       ent.trials,
-		CostCalls:    ent.costCalls,
-		LBPruned:     ent.lbPruned,
-		WarmFallback: ent.warmFallback,
-	}
-}
-
-func fromPersist(pe evalcache.Entry) layerEntry {
-	return layerEntry{
-		mapping:      pe.Mapping,
-		perf:         pe.Perf,
-		trials:       pe.Trials,
-		costCalls:    pe.CostCalls,
-		lbPruned:     pe.LBPruned,
-		warmFallback: pe.WarmFallback,
-		found:        pe.Found,
-	}
-}
-
 // storeLayer inserts a search outcome into the layer cache and, when the
 // search found a mapping, makes it the shape's warm-start incumbent. Caller
 // holds e.mu.
 func (e *Evaluator) storeLayer(key layerCacheKey, ent layerEntry) {
-	if ent.found {
-		e.warm.put(key.shape, ent.mapping)
+	if ent.Found {
+		e.warm.put(key.shape, ent.Mapping)
 	}
 	e.lcache.put(key, ent)
 }
 
-// timedSearchLayer is searchLayer with the mapping-search latency recorded
-// into the eval_layer_search_seconds histogram; cache hits and in-flight
-// joins never reach it, so the histogram measures real searches only.
+// timedSearchLayer runs searchLayer and derives the winner's breakdown,
+// recording the latency into the eval_layer_search_seconds histogram; cache
+// hits and in-flight joins never reach it, so the histogram measures real
+// searches only.
 func (e *Evaluator) timedSearchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) layerEntry {
 	start := time.Now()
-	ent := e.searchLayer(d, l, salt, incumbent)
+	ent := e.derive(d, l, e.searchLayer(d, l, salt, incumbent))
 	e.hLayer.ObserveDuration(time.Since(start))
 	return ent
 }
 
 // searchLayer runs the configured mapping search for one layer on one
-// design. It builds one perf.EvalContext for the (design, layer) pair: the
-// search inner loop runs on the context's Tier-1 fast path (cycles and
-// validity only, no allocation), and only the winning mapping pays for the
-// Tier-2 full breakdown. In PrunedMappings mode under WarmStrict the
-// enumeration carries a certified cost lower bound and the warm-start
-// incumbent when given, whose probe is one more Tier-1 call; WarmOff
-// reproduces the fully-cold search.
-func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) layerEntry {
-	var ent layerEntry
-	ctx := perf.NewContext(d, l)
+// design and returns its decision, counting the search's cost calls,
+// lower-bound prunes and warm fallbacks. The search inner loop runs on one
+// perf.EvalContext's Tier-1 fast path (cycles and validity only, no
+// allocation); the winner's Tier-2 breakdown is derive's job. In
+// PrunedMappings mode under WarmStrict the enumeration carries a certified
+// cost lower bound and the warm-start incumbent when given, whose probe is
+// one more Tier-1 call; WarmOff reproduces the fully-cold search.
+func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) evalcache.Entry {
+	var res mapping.Result
 	switch e.cfg.Mode {
 	case FixedDataflow:
-		ent.mapping = mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes())
-		ent.perf = ctx.Evaluate(ent.mapping)
-		e.cFullEvals.Inc()
-		ent.trials, ent.costCalls, ent.found = 1, 1, true
+		// One analytical mapping, costed once by derive.
+		e.cCostCalls.Inc()
+		return evalcache.Entry{Found: true, Mapping: mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes()), Trials: 1}
 	case RandomMappings:
 		rng := rand.New(rand.NewSource(e.cfg.Seed*1_000_003 + salt))
-		res := mapping.RandomSearch(l, e.cfg.MapTrials, rng, ctx.EvaluateCycles)
-		ent = e.fromSearch(ctx, res, "no valid mapping found by random search")
+		res = mapping.RandomSearch(l, e.cfg.MapTrials, rng, perf.NewContext(d, l).EvaluateCycles)
 	case PrunedMappings:
+		ctx := perf.NewContext(d, l)
 		cfg := mapping.GenConfig{
 			PEs:       d.PEs,
 			L1Bytes:   d.L1Bytes,
@@ -1225,29 +1196,36 @@ func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, inc
 			cfg.CostLB = ctx.CostLowerBound
 			cfg.Incumbent = incumbent
 		}
-		res := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
-		ent = e.fromSearch(ctx, res, "no valid mapping in pruned space")
+		res = mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
 	}
-	return ent
+	e.cCostCalls.Add(int64(res.CostCalls))
+	e.cLBPruned.Add(int64(res.LBPruned))
+	if res.WarmFallback {
+		e.cWarmFalls.Inc()
+	}
+	dec := evalcache.Entry{Found: res.Found, Trials: res.Evaluated}
+	if res.Found {
+		dec.Mapping = res.Best
+	}
+	return dec
 }
 
-// fromSearch converts a mapping-search result into a cacheable layer entry,
-// evaluating the winning mapping's full Tier-2 breakdown on the search's
-// context.
-func (e *Evaluator) fromSearch(ctx *perf.EvalContext, res mapping.Result, failMsg string) layerEntry {
-	ent := layerEntry{
-		trials:       res.Evaluated,
-		costCalls:    res.CostCalls,
-		lbPruned:     res.LBPruned,
-		warmFallback: res.WarmFallback,
-		found:        res.Found,
-	}
-	if res.Found {
-		ent.mapping = res.Best
-		ent.perf = ctx.Evaluate(ent.mapping)
+// derive completes a layer search's decision with its Tier-2 breakdown. The
+// breakdown is a pure function of the design's sub-key, the layer shape and
+// the decision, so records carry only the decision, and every path — a
+// fresh search, a store hit, Prefill, an installed record on first use —
+// derives the breakdown here, once per cached entry. The context is built
+// per call and stays on the stack.
+func (e *Evaluator) derive(d arch.Design, l workload.Layer, dec evalcache.Entry) layerEntry {
+	ent := layerEntry{Entry: dec, derived: true}
+	switch {
+	case dec.Found:
+		ent.perf = perf.NewContext(d, l).Evaluate(dec.Mapping)
 		e.cFullEvals.Inc()
-	} else {
-		ent.perf.Incompat = failMsg
+	case e.cfg.Mode == RandomMappings:
+		ent.perf.Incompat = "no valid mapping found by random search"
+	case e.cfg.Mode == PrunedMappings:
+		ent.perf.Incompat = "no valid mapping in pruned space"
 	}
 	return ent
 }

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"xdse/internal/evalcache"
+	"xdse/internal/workload"
 )
 
 // TestPersistCacheBitIdenticalAcrossRestart is the tentpole acceptance
@@ -53,6 +56,44 @@ func TestPersistCacheBitIdenticalAcrossRestart(t *testing.T) {
 			if st.PersistHits < st.PersistMisses {
 				t.Errorf("persistent store answered %d of %d lookups, want >= half",
 					st.PersistHits, st.PersistHits+st.PersistMisses)
+			}
+		})
+	}
+}
+
+// TestParentFormatRecordAnswers opens a store holding lines written before
+// records dropped the derived breakdown: internal/evalcache's
+// testdata/parent-records.jsonl, ResNet18's second layer on compatiblePoint's
+// design, one line per mapper mode, each still carrying "perf" and the
+// search counters. An evaluator over that store must answer the layer
+// without a search, with a Result bit-identical to a fresh evaluator's: the
+// line's mapping alone derives the breakdown a fresh search reports.
+func TestParentFormatRecordAnswers(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "evalcache", "testdata", "parent-records.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &workload.Model{Name: "one", Layers: []workload.Layer{workload.ResNet18().Layers[1]}, MaxLatencyMs: 100}
+	for _, mode := range []MapperMode{FixedDataflow, RandomMappings, PrunedMappings} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "evalcache.jsonl"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fresh := newEval(mode, model)
+			cfg := fresh.Config()
+			cfg.CacheDir = dir
+			stored := New(cfg)
+			pt := compatiblePoint(cfg.Space)
+			if err := resultsEquivalent(fresh.Evaluate(pt), stored.Evaluate(pt)); err != nil {
+				t.Fatalf("parent-format record changed the result: %v", err)
+			}
+			st := stored.Stats()
+			if st.LayerMisses != 0 || st.PersistHits != 1 {
+				t.Errorf("%d layer searches, %d persist hits; want 0, 1", st.LayerMisses, st.PersistHits)
+			}
+			if st.PersistCorrupt != 0 || st.PersistStale != 0 {
+				t.Errorf("parent-format lines read as %d corrupt, %d stale; want 0, 0", st.PersistCorrupt, st.PersistStale)
 			}
 		})
 	}
@@ -231,7 +272,7 @@ func TestWarmIndexBounded(t *testing.T) {
 			name:  "warm index",
 			limit: 8,
 			fill: func(e *Evaluator, i int) {
-				e.storeLayer(layerCacheKey{shape: fmt.Sprint(i)}, layerEntry{found: true})
+				e.storeLayer(layerCacheKey{shape: fmt.Sprint(i)}, layerEntry{Entry: evalcache.Entry{Found: true}})
 			},
 			has:     func(e *Evaluator, i int) bool { _, ok := e.warm.get(fmt.Sprint(i)); return ok },
 			size:    func(e *Evaluator) int { return len(e.warm.m) },

@@ -64,7 +64,7 @@ func (e *Evaluator) RecordsFor(pt arch.Point) []evalcache.Record {
 			if !ok {
 				continue
 			}
-			out = append(out, evalcache.Record{Key: e.persistKey(key), Entry: toPersist(ent)})
+			out = append(out, evalcache.Record{Key: e.persistKey(key), Entry: ent.Entry})
 		}
 	}
 	return out
@@ -77,8 +77,9 @@ func (e *Evaluator) RecordsFor(pt arch.Point) []evalcache.Record {
 // through persistKey; a record that does not round-trip (different mode,
 // trial budget, or random-mode seed) is skipped, so a mis-addressed or
 // stale-configuration record can never answer a local search. Installed
-// entries are exactly what a local search would have produced (the
-// content-address contract), so subsequent evaluations answering from them
+// decisions are exactly what a local search would have produced (the
+// content-address contract), and each one's breakdown is derived on its
+// first layerResult lookup, so subsequent evaluations answering from them
 // are bit-identical to evaluations that never saw the records. Returns the
 // number of records newly installed.
 func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
@@ -103,13 +104,12 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 		if e.persistKey(key) != rec.Key {
 			continue
 		}
-		ent := fromPersist(rec.Entry)
 		e.mu.Lock()
 		if _, ok := e.lcache.get(key); ok {
 			e.mu.Unlock()
 			continue
 		}
-		e.storeLayer(key, ent)
+		e.storeLayer(key, layerEntry{Entry: rec.Entry})
 		e.mu.Unlock()
 		if e.store != nil {
 			e.store.Put(rec.Key, rec.Entry)
@@ -121,12 +121,13 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 
 // Prefill reports whether pt's evaluation can run entirely from local layer
 // records: every layer key RecordsFor would export is either in the layer
-// cache or in the attached persistent store. Store hits are installed into
-// the layer cache exactly as layerResult's store probe installs them, and
-// counted as persist hits. It stops at the first layer neither holds, so a
-// point that needs a search costs one key derivation. This is the fleet
-// coordinator's local-first filter: a coordinator restarted over the same
-// store finds everything it already evaluated here and dispatches none of it.
+// cache or in the attached persistent store. Store hits are derived and
+// installed into the layer cache exactly as layerResult's store probe
+// installs them, and counted as persist hits. It stops at the first layer
+// neither holds, so a point that needs a search costs one key derivation.
+// This is the fleet coordinator's local-first filter: a coordinator
+// restarted over the same store finds everything it already evaluated here
+// and dispatches none of it.
 func (e *Evaluator) Prefill(pt arch.Point) bool {
 	if e.cfg.DisableLayerCache {
 		return false
@@ -148,12 +149,13 @@ func (e *Evaluator) Prefill(pt arch.Point) bool {
 			if e.store == nil {
 				return false
 			}
-			pe, ok := e.store.Get(e.persistKey(key))
+			dec, ok := e.store.Get(e.persistKey(key))
 			if !ok {
 				return false
 			}
+			ent := e.derive(d, mdl.Layers[i], dec)
 			e.mu.Lock()
-			e.storeLayer(key, fromPersist(pe))
+			e.storeLayer(key, ent)
 			e.mu.Unlock()
 			e.cPHits.Inc()
 		}
@@ -162,8 +164,10 @@ func (e *Evaluator) Prefill(pt arch.Point) bool {
 }
 
 // layerKeyFor builds the in-memory layer-cache key for one layer of a model
-// on a design with sub-key sub, mirroring layerResult's derivation (the salt
-// participates in RandomMappings mode only). Caller need not hold e.mu.
+// on a design with sub-key sub. The salt participates in RandomMappings mode
+// only: the random search's rng is seeded from the layer index, so equal
+// shapes at different indices draw different mappings. Caller need not hold
+// e.mu.
 func (e *Evaluator) layerKeyFor(l workload.Layer, sub string, salt int64) layerCacheKey {
 	key := layerCacheKey{shape: l.ShapeKey(), sub: sub}
 	if e.cfg.Mode == RandomMappings {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"sync"
 	"testing"
 
 	"xdse/internal/evalcache"
@@ -86,6 +87,44 @@ func TestRecordsRoundTripBitIdentical(t *testing.T) {
 				t.Errorf("prefilled evaluator re-ran %d layer searches", st.LayerMisses)
 			}
 		})
+	}
+}
+
+// TestInstalledRecordsConcurrentFirstUse races goroutines over designs
+// whose layers all answer from installed records (run under -race in CI).
+// Twin designs share sub-keys, so several goroutines may complete the same
+// installed entry at once; each must still see the breakdown a local search
+// would have produced.
+func TestInstalledRecordsConcurrentFirstUse(t *testing.T) {
+	s := spaceWithDummyParam(3)
+	pts := campaignPoints(s, 9)
+	cfg := cacheTestConfig(s, PrunedMappings)
+	worker := New(cfg)
+	var want []*Result
+	var recs []evalcache.Record
+	for _, pt := range pts {
+		want = append(want, worker.Evaluate(pt))
+		recs = append(recs, worker.RecordsFor(pt)...)
+	}
+	coord := New(cfg)
+	coord.InstallRecords(recs)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range pts {
+				j := (g + i) % len(pts)
+				if err := resultsEquivalent(want[j], coord.Evaluate(pts[j])); err != nil {
+					t.Errorf("point %v: %v", pts[j].Key(), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := coord.Stats(); st.LayerMisses != 0 {
+		t.Errorf("installed records left %d layer searches", st.LayerMisses)
 	}
 }
 

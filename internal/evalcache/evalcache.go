@@ -15,10 +15,15 @@
 // at load, so a cost-model change silently invalidates the store instead of
 // replaying outdated costs.
 //
+// A record is the search's decision — found, mapping, trial count — and
+// carries no floats: the cost breakdown is a pure function of the key's
+// design sub-key, the layer shape and the mapping, so internal/eval derives
+// it on first use instead of storing it.
+//
 // Durability follows the checkpoint journal discipline: records are
 // CRC-guarded JSONL lines (framed by checkpoint.FrameLine, so both journals
-// share one torn-write check) with floats in bit-exact hex form, appended under
-// an advisory cross-process file lock with a write-then-fsync cadence.
+// share one torn-write check), appended under an advisory cross-process file
+// lock with a write-then-fsync cadence.
 // Loading tolerates torn tails and corrupt lines — a record that fails its
 // CRC degrades to a cache miss (counted, then physically compacted away),
 // never to a wrong result.
@@ -29,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -93,46 +97,32 @@ func DecodeRecord(line string) (Record, string, error) {
 	return Record{Key: key, Entry: ent}, version, nil
 }
 
-// Entry is the shape-invariant outcome of one layer mapping search — the
-// persistent twin of internal/eval's layerEntry. Every field participates
-// in the bit-identical replay contract: a run answered from Entry values is
-// trace-fingerprint-identical to the run that computed them.
+// Entry is the decision of one layer mapping search: whether it found a
+// valid mapping, which one, and how many candidates it examined. Every field
+// participates in the bit-identical replay contract: a run answered from
+// Entry values is trace-fingerprint-identical to the run that computed them.
 type Entry struct {
-	Found        bool
-	Mapping      mapping.Mapping
-	Perf         perf.Breakdown
-	Trials       int
-	CostCalls    int
-	LBPruned     int
-	WarmFallback bool
+	Found   bool
+	Mapping mapping.Mapping
+	Trials  int
 }
+
+// maxIndexEntries bounds the in-memory index (FIFO); the file keeps evicted
+// records and a later Open sees them again. This is a leak guard for
+// long-running daemons, not a working-set knob.
+const maxIndexEntries = 1 << 20
 
 // Options tunes a Store.
 type Options struct {
 	// Version stamps written records and retires read records that carry a
 	// different stamp. Empty selects perf.ModelVersion().
 	Version string
-	// MaxEntries bounds the in-memory index (FIFO); the file keeps evicted
-	// records and a later Open sees them again. 0 selects the default
-	// (1<<20), negative disables the bound. This is a leak guard for
-	// long-running daemons, not a working-set knob.
-	MaxEntries int
 	// Registry receives the store's counters (loads, corrupt, stale,
 	// writes, write errors, index evictions). Nil selects a private one.
 	Registry *obs.Registry
 	// Warnf receives non-fatal recovery warnings (corrupt lines dropped,
 	// append failures). The default discards them.
 	Warnf func(format string, args ...any)
-}
-
-func (o Options) maxEntries() int {
-	switch {
-	case o.MaxEntries == 0:
-		return 1 << 20
-	case o.MaxEntries < 0:
-		return 0 // unbounded
-	}
-	return o.MaxEntries
 }
 
 // Store is one open persistent cache over a directory. It is safe for
@@ -144,7 +134,7 @@ type Store struct {
 	dataPath string
 	lockPath string
 	version  string
-	maxN     int
+	maxN     int // index bound, maxIndexEntries outside tests
 	warnf    func(format string, args ...any)
 
 	reg        *obs.Registry
@@ -193,7 +183,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dataPath: filepath.Join(dir, dataFile),
 		lockPath: filepath.Join(dir, lockFile),
 		version:  version,
-		maxN:     opts.maxEntries(),
+		maxN:     maxIndexEntries,
 		warnf:    warnf,
 
 		reg:        reg,
@@ -448,7 +438,7 @@ func (s *Store) insert(key Key, ent Entry, at int64) {
 	s.idx[key] = ent
 	s.atime[key] = at
 	s.order = append(s.order, key)
-	for s.maxN > 0 && len(s.idx) > s.maxN {
+	for len(s.idx) > s.maxN {
 		old := s.order[s.head]
 		s.head++
 		delete(s.idx, old)
@@ -461,10 +451,7 @@ func (s *Store) insert(key Key, ent Entry, at int64) {
 	}
 }
 
-// wireRecord is the JSON form of one cache line. Floats travel as hex-float
-// strings (strconv 'x' format) so the round trip is bit-exact — the replay
-// contract is fingerprint identity, and a decimal round trip cannot
-// guarantee that.
+// wireRecord is the JSON form of one cache line.
 type wireRecord struct {
 	V      string    `json:"v"` // cost-model version stamp
 	Shape  string    `json:"shape"`
@@ -476,123 +463,29 @@ type wireRecord struct {
 	Entry  wireEntry `json:"entry"`
 }
 
+// wireEntry is the search's decision. Lines written before records dropped
+// the derived breakdown also carry "perf", "cost_calls", "lb_pruned" and
+// "warm_fallback"; decoding ignores them, so such lines still load.
 type wireEntry struct {
-	Found        bool      `json:"found"`
-	F            [][]int   `json:"f,omitempty"` // tiling factors, [dim][level]
-	DRAMStat     int       `json:"dram_stat"`
-	NoCStat      int       `json:"noc_stat"`
-	Trials       int       `json:"trials"`
-	CostCalls    int       `json:"cost_calls"`
-	LBPruned     int       `json:"lb_pruned"`
-	WarmFallback bool      `json:"warm_fallback,omitempty"`
-	Perf         wireBreak `json:"perf"`
+	Found    bool    `json:"found"`
+	F        [][]int `json:"f,omitempty"` // tiling factors, [dim][level]
+	DRAMStat int     `json:"dram_stat"`
+	NoCStat  int     `json:"noc_stat"`
+	Trials   int     `json:"trials"`
 }
-
-type wireBreak struct {
-	Valid         bool     `json:"valid"`
-	Incompat      string   `json:"incompat,omitempty"`
-	IncompatCount int      `json:"incompat_count,omitempty"`
-	TComp         string   `json:"t_comp"`
-	TNoC          []string `json:"t_noc"`
-	TDMA          string   `json:"t_dma"`
-	TDMAOp        []string `json:"t_dma_op"`
-	Cycles        string   `json:"cycles"`
-	PEsUsed       int      `json:"pes_used"`
-	DataOffchip   []string `json:"data_offchip"`
-	DataNoC       []string `json:"data_noc"`
-	NoCGroups     []int    `json:"noc_groups"`
-	NoCBytesPG    []string `json:"noc_bytes_per_group"`
-	VirtNeeded    []int    `json:"virt_needed"`
-	DataRF        []string `json:"data_rf"`
-	DataSPM       []string `json:"data_spm"`
-	ReuseRF       []string `json:"reuse_rf"`
-	ReuseSPM      []string `json:"reuse_spm"`
-	MACs          string   `json:"macs"`
-}
-
-// formatF and parseF are the bit-exact float codec (shared convention with
-// internal/checkpoint).
-func formatF(v float64) string         { return strconv.FormatFloat(v, 'x', -1, 64) }
-func parseF(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-
-func encodeFloats(vs []float64) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = formatF(v)
-	}
-	return out
-}
-
-func decodeFloats(ss []string, want int) ([]float64, error) {
-	if len(ss) != want {
-		return nil, fmt.Errorf("float array has %d elements, want %d", len(ss), want)
-	}
-	out := make([]float64, want)
-	for i, s := range ss {
-		v, err := parseF(s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func decodeInts(vs []int, want int) ([]int, error) {
-	if len(vs) != want {
-		return nil, fmt.Errorf("int array has %d elements, want %d", len(vs), want)
-	}
-	return vs, nil
-}
-
-// nOps and nTensors are the fixed array widths of perf.Breakdown, pinned
-// here so a dimensionality change shows up as a decode failure (and a
-// ModelVersion change) rather than a silent reinterpretation.
-const (
-	nOps     = len(perf.Breakdown{}.TNoC)
-	nTensors = len(perf.Breakdown{}.DataRF)
-)
 
 // encode renders a record as one CRC'd JSONL line (newline included); at is
 // the last-access stamp carried for GC (0 on pure wire-transport lines).
 func encode(key Key, ent Entry, version string, at int64) ([]byte, error) {
 	we := wireEntry{
-		Found:        ent.Found,
-		DRAMStat:     int(ent.Mapping.DRAMStationary),
-		NoCStat:      int(ent.Mapping.NoCStationary),
-		Trials:       ent.Trials,
-		CostCalls:    ent.CostCalls,
-		LBPruned:     ent.LBPruned,
-		WarmFallback: ent.WarmFallback,
+		Found:    ent.Found,
+		F:        make([][]int, mapping.NumDims),
+		DRAMStat: int(ent.Mapping.DRAMStationary),
+		NoCStat:  int(ent.Mapping.NoCStationary),
+		Trials:   ent.Trials,
 	}
-	we.F = make([][]int, mapping.NumDims)
-	for d := 0; d < int(mapping.NumDims); d++ {
-		we.F[d] = make([]int, mapping.NumLevels)
-		for l := 0; l < int(mapping.NumLevels); l++ {
-			we.F[d][l] = ent.Mapping.F[d][l]
-		}
-	}
-	b := ent.Perf
-	we.Perf = wireBreak{
-		Valid:         b.Valid,
-		Incompat:      b.Incompat,
-		IncompatCount: b.IncompatCount,
-		TComp:         formatF(b.TComp),
-		TNoC:          encodeFloats(b.TNoC[:]),
-		TDMA:          formatF(b.TDMA),
-		TDMAOp:        encodeFloats(b.TDMAOp[:]),
-		Cycles:        formatF(b.Cycles),
-		PEsUsed:       b.PEsUsed,
-		DataOffchip:   encodeFloats(b.DataOffchip[:]),
-		DataNoC:       encodeFloats(b.DataNoC[:]),
-		NoCGroups:     append([]int(nil), b.NoCGroups[:]...),
-		NoCBytesPG:    encodeFloats(b.NoCBytesPerGroup[:]),
-		VirtNeeded:    append([]int(nil), b.VirtNeeded[:]...),
-		DataRF:        encodeFloats(b.DataRF[:]),
-		DataSPM:       encodeFloats(b.DataSPM[:]),
-		ReuseRF:       encodeFloats(b.ReuseAvailRF[:]),
-		ReuseSPM:      encodeFloats(b.ReuseAvailSPM[:]),
-		MACs:          formatF(b.MACs),
+	for d := range we.F {
+		we.F[d] = ent.Mapping.F[d][:]
 	}
 	data, err := json.Marshal(wireRecord{
 		V:      version,
@@ -626,23 +519,15 @@ func decode(text string) (Key, Entry, string, int64, error) {
 		return fail(fmt.Errorf("bad JSON: %w", err))
 	}
 	key := Key{Shape: w.Shape, Sub: w.Sub, Mode: w.Mode, Trials: w.Budget, Salt: w.Salt}
-	ent := Entry{
-		Found:        w.Entry.Found,
-		Trials:       w.Entry.Trials,
-		CostCalls:    w.Entry.CostCalls,
-		LBPruned:     w.Entry.LBPruned,
-		WarmFallback: w.Entry.WarmFallback,
-	}
+	ent := Entry{Found: w.Entry.Found, Trials: w.Entry.Trials}
 	if len(w.Entry.F) != int(mapping.NumDims) {
 		return fail(fmt.Errorf("mapping has %d dims, want %d", len(w.Entry.F), mapping.NumDims))
 	}
-	for d := range w.Entry.F {
-		if len(w.Entry.F[d]) != int(mapping.NumLevels) {
-			return fail(fmt.Errorf("mapping dim %d has %d levels, want %d", d, len(w.Entry.F[d]), mapping.NumLevels))
+	for d, levels := range w.Entry.F {
+		if len(levels) != int(mapping.NumLevels) {
+			return fail(fmt.Errorf("mapping dim %d has %d levels, want %d", d, len(levels), mapping.NumLevels))
 		}
-		for l := range w.Entry.F[d] {
-			ent.Mapping.F[d][l] = w.Entry.F[d][l]
-		}
+		copy(ent.Mapping.F[d][:], levels)
 	}
 	if w.Entry.DRAMStat < 0 || w.Entry.DRAMStat >= int(mapping.NumTensors) ||
 		w.Entry.NoCStat < 0 || w.Entry.NoCStat >= int(mapping.NumTensors) {
@@ -650,58 +535,5 @@ func decode(text string) (Key, Entry, string, int64, error) {
 	}
 	ent.Mapping.DRAMStationary = mapping.Tensor(w.Entry.DRAMStat)
 	ent.Mapping.NoCStationary = mapping.Tensor(w.Entry.NoCStat)
-
-	wb := w.Entry.Perf
-	b := &ent.Perf
-	b.Valid, b.Incompat, b.IncompatCount, b.PEsUsed = wb.Valid, wb.Incompat, wb.IncompatCount, wb.PEsUsed
-	if b.TComp, err = parseF(wb.TComp); err != nil {
-		return fail(err)
-	}
-	if b.TDMA, err = parseF(wb.TDMA); err != nil {
-		return fail(err)
-	}
-	if b.Cycles, err = parseF(wb.Cycles); err != nil {
-		return fail(err)
-	}
-	if b.MACs, err = parseF(wb.MACs); err != nil {
-		return fail(err)
-	}
-	for _, arr := range []struct {
-		dst []float64
-		src []string
-	}{
-		{b.TNoC[:], wb.TNoC}, {b.TDMAOp[:], wb.TDMAOp},
-		{b.DataOffchip[:], wb.DataOffchip}, {b.DataNoC[:], wb.DataNoC},
-		{b.NoCBytesPerGroup[:], wb.NoCBytesPG},
-	} {
-		vs, err := decodeFloats(arr.src, nOps)
-		if err != nil {
-			return fail(err)
-		}
-		copy(arr.dst, vs)
-	}
-	for _, arr := range []struct {
-		dst []float64
-		src []string
-	}{
-		{b.DataRF[:], wb.DataRF}, {b.DataSPM[:], wb.DataSPM},
-		{b.ReuseAvailRF[:], wb.ReuseRF}, {b.ReuseAvailSPM[:], wb.ReuseSPM},
-	} {
-		vs, err := decodeFloats(arr.src, nTensors)
-		if err != nil {
-			return fail(err)
-		}
-		copy(arr.dst, vs)
-	}
-	groups, err := decodeInts(wb.NoCGroups, nOps)
-	if err != nil {
-		return fail(err)
-	}
-	copy(b.NoCGroups[:], groups)
-	virt, err := decodeInts(wb.VirtNeeded, nOps)
-	if err != nil {
-		return fail(err)
-	}
-	copy(b.VirtNeeded[:], virt)
 	return key, ent, w.V, w.At, nil
 }

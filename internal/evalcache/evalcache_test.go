@@ -1,10 +1,8 @@
 package evalcache
 
 import (
-	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,15 +11,9 @@ import (
 	"xdse/internal/perf"
 )
 
-// testEntry builds an entry whose floats exercise the bit-exact codec:
-// non-terminating binary expansions, extremes, and subnormals.
+// testEntry builds a distinct search decision per seed.
 func testEntry(seed int) Entry {
-	ent := Entry{
-		Found:     true,
-		Trials:    100 + seed,
-		CostCalls: 40 + seed,
-		LBPruned:  7,
-	}
+	ent := Entry{Found: seed%4 != 3, Trials: 100 + seed}
 	for d := 0; d < int(mapping.NumDims); d++ {
 		for l := 0; l < int(mapping.NumLevels); l++ {
 			ent.Mapping.F[d][l] = 1 + (d+l+seed)%5
@@ -29,29 +21,6 @@ func testEntry(seed int) Entry {
 	}
 	ent.Mapping.DRAMStationary = mapping.Tensor(seed % int(mapping.NumTensors))
 	ent.Mapping.NoCStationary = mapping.Tensor((seed + 1) % int(mapping.NumTensors))
-
-	b := &ent.Perf
-	b.Valid = true
-	b.TComp = 1.0/3.0 + float64(seed)
-	b.TDMA = math.Pi * float64(seed+1)
-	b.Cycles = math.MaxFloat64 / 2
-	b.MACs = 5e-324 // smallest subnormal
-	b.PEsUsed = 64
-	for i := range b.TNoC {
-		b.TNoC[i] = 0.1 * float64(i+seed)
-		b.TDMAOp[i] = 0.7 / float64(i+1)
-		b.DataOffchip[i] = float64(i) + 1.0/7.0
-		b.DataNoC[i] = float64(i) * math.Sqrt2
-		b.NoCGroups[i] = i + seed
-		b.NoCBytesPerGroup[i] = 1024.5 * float64(i)
-		b.VirtNeeded[i] = i
-	}
-	for i := range b.DataRF {
-		b.DataRF[i] = 1e-9 * float64(i+1)
-		b.DataSPM[i] = 1e9 + float64(i)
-		b.ReuseAvailRF[i] = float64(i) / 3.0
-		b.ReuseAvailSPM[i] = float64(i) / 9.0
-	}
 	return ent
 }
 
@@ -59,19 +28,17 @@ func testKey(i int) Key {
 	return Key{Shape: "1|3,3,64,64,56,56|1", Sub: "sub", Mode: "pruned-mappings", Trials: 500, Salt: int64(i)}
 }
 
+// TestRoundTripBitExact checks that a store reopened over its directory
+// reproduces every entry exactly from disk alone.
 func TestRoundTripBitExact(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{Version: "v-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]Entry{}
 	for i := 0; i < 5; i++ {
-		want[i] = testEntry(i)
-		s.Put(testKey(i), want[i])
+		s.Put(testKey(i), testEntry(i))
 	}
-	// A fresh store over the same directory must reproduce every field
-	// bit-for-bit from disk alone.
 	s2, err := Open(dir, Options{Version: "v-test"})
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +51,53 @@ func TestRoundTripBitExact(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d missing after reopen", i)
 		}
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("key %d: round trip not bit-exact:\n got  %+v\n want %+v", i, got, want[i])
+		if got != testEntry(i) {
+			t.Errorf("key %d: round trip changed the entry:\n got  %+v\n want %+v", i, got, testEntry(i))
 		}
+	}
+}
+
+// TestParentFormatLinesLoad opens a store holding one line per mapper mode
+// written before records dropped the derived breakdown: each still carries
+// "perf", "cost_calls", "lb_pruned" and "warm_fallback". They must load as
+// current records — neither corrupt nor stale — which is why dropping those
+// fields needed no cost-model version bump.
+func TestParentFormatLinesLoad(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent-records.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"perf":`, `"cost_calls":`, `"lb_pruned":`, `"warm_fallback":`} {
+		if n := strings.Count(string(data), field); n != 3 {
+			t.Fatalf("fixture carries %s on %d lines, want 3", field, n)
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, dataFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"evalcache_corrupt_records_total", "evalcache_stale_records_total"} {
+		if got := s.Metrics().Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
+	}
+	if s.Len() != 3 {
+		t.Fatalf("loaded %d parent-format records, want 3", s.Len())
+	}
+	modes := map[string]bool{}
+	for _, key := range s.order {
+		ent, _ := s.Get(key)
+		if !ent.Found || ent.Trials == 0 || ent.Mapping.F[0][0] == 0 {
+			t.Errorf("%s record decoded to an empty decision: %+v", key.Mode, ent)
+		}
+		modes[key.Mode] = true
+	}
+	if len(modes) != 3 {
+		t.Errorf("fixture covers modes %v, want all three", modes)
 	}
 }
 
@@ -147,7 +158,7 @@ func TestCorruptRecordIsMissNeverWrong(t *testing.T) {
 		if !ok {
 			t.Fatalf("intact record %d lost", i)
 		}
-		if !reflect.DeepEqual(got, testEntry(i)) {
+		if got != testEntry(i) {
 			t.Errorf("intact record %d altered by recovery", i)
 		}
 	}
@@ -235,13 +246,15 @@ func TestDefaultVersionIsModelVersion(t *testing.T) {
 }
 
 // TestIndexBound checks the FIFO leak guard: the in-memory index stays within
-// MaxEntries while the file keeps everything for the next open.
+// its bound (lowered here from maxIndexEntries) while the file keeps
+// everything for the next open.
 func TestIndexBound(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "v-test", MaxEntries: 4})
+	s, err := Open(dir, Options{Version: "v-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.maxN = 4
 	for i := 0; i < 10; i++ {
 		s.Put(testKey(i), testEntry(i))
 	}
@@ -304,7 +317,7 @@ func TestConcurrentStoresShareDirectory(t *testing.T) {
 			if !ok {
 				t.Fatalf("record (%d,%d) lost under concurrency", g, i)
 			}
-			if !reflect.DeepEqual(got, testEntry(i)) {
+			if got != testEntry(i) {
 				t.Fatalf("record (%d,%d) altered under concurrency", g, i)
 			}
 		}

@@ -6,6 +6,9 @@ import (
 	"time"
 )
 
+// TestRecordCodecRoundTrip checks that an EncodeRecord line decodes to the
+// same key, entry and version stamp, with or without its trailing newline
+// (the wire transport strips them).
 func TestRecordCodecRoundTrip(t *testing.T) {
 	rec := Record{Key: testKey(3), Entry: testEntry(3)}
 	data, err := EncodeRecord(rec, "v-wire")
@@ -15,31 +18,15 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if !strings.HasSuffix(string(data), "\n") {
 		t.Fatalf("encoded record missing trailing newline: %q", data)
 	}
-	got, version, err := DecodeRecord(string(data))
-	if err != nil {
-		t.Fatal(err)
+	for _, line := range []string{string(data), strings.TrimSuffix(string(data), "\n")} {
+		got, version, err := DecodeRecord(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if version != "v-wire" || got != rec {
+			t.Fatalf("wire round trip: got %+v under %q, want %+v under v-wire", got, version, rec)
+		}
 	}
-	if version != "v-wire" {
-		t.Fatalf("version = %q, want v-wire", version)
-	}
-	if got.Key != rec.Key {
-		t.Fatalf("key round-trip: got %+v want %+v", got.Key, rec.Key)
-	}
-	if !entriesEqual(got.Entry, rec.Entry) {
-		t.Fatalf("entry round-trip mismatch")
-	}
-	// A line without its newline must decode identically (wire transport
-	// strips them).
-	if _, _, err := DecodeRecord(strings.TrimSuffix(string(data), "\n")); err != nil {
-		t.Fatalf("decode without newline: %v", err)
-	}
-}
-
-// entriesEqual compares the fields the codec tests care about bit-exactly.
-func entriesEqual(a, b Entry) bool {
-	return a.Found == b.Found && a.Trials == b.Trials &&
-		a.CostCalls == b.CostCalls && a.Mapping == b.Mapping &&
-		a.Perf == b.Perf
 }
 
 func TestRecordCodecRejectsCorruption(t *testing.T) {

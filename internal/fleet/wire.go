@@ -8,8 +8,11 @@ import "xdse/internal/obs"
 // mis-evaluating shards. Bump it when the request/response shape or the
 // record wire format changes incompatibly (see docs/EXTENDING.md). Version 2
 // dropped version 1's lease token: workers reject unknown fields, so a
-// version-1 worker would refuse every version-2 request anyway.
-const ProtocolVersion = 2
+// version-1 worker would refuse every version-2 request anyway. Version 3
+// ships records without their breakdown, which a version-2 coordinator
+// cannot decode: it would silently drop every record and search each layer
+// itself, so the bump turns that skew into a loud 400.
+const ProtocolVersion = 3
 
 // EvalRequest is the body of POST /eval — one shard of a campaign batch.
 // The worker evaluates every point under the given configuration and returns

@@ -87,9 +87,18 @@ type fillState struct {
 // NewContext builds the evaluation context of layer l on design d,
 // precomputing every mapping-independent factor of the cost tree. It is the
 // only entry to the cost model: callers evaluate through the context's two
-// tiers.
+// tiers. It is small enough to inline, so a caller that does not keep the
+// context gets it on its stack.
 func NewContext(d arch.Design, l workload.Layer) *EvalContext {
-	c := &EvalContext{
+	c := new(EvalContext)
+	c.init(d, l)
+	return c
+}
+
+// init fills c with the mapping-independent precomputes of layer l on
+// design d.
+func (c *EvalContext) init(d arch.Design, l workload.Layer) {
+	*c = EvalContext{
 		d:       d,
 		l:       l,
 		kind:    l.Kind,
@@ -114,7 +123,6 @@ func NewContext(d arch.Design, l workload.Layer) *EvalContext {
 	for _, dim := range mapping.ReductionDims(c.kind) {
 		c.redMask |= 1 << uint(dim)
 	}
-	return c
 }
 
 // CostLowerBound is a certified lower bound on the cycles either tier can
