@@ -74,7 +74,6 @@ func main() {
 		fleetWrk = flag.String("fleet-workers", "", "comma-separated `xdse serve` worker addresses (host:port,...): shard evaluation batches across them; results stay bit-identical to a local run under any worker failure")
 		fleetHI  = flag.Duration("fleet-health-interval", 0, "fleet worker health-probe cadence (0 = 1s default)")
 		fleetHA  = flag.Duration("fleet-hedge-after", 0, "hedge a straggling shard dispatch to the next ring candidate after this long (0 = 2.5s, negative disables)")
-		fleetBK  = flag.Int("fleet-breaker", 0, "consecutive transient faults that open a worker's circuit breaker (0 = 3 default)")
 		fleetCh  = flag.String("fleet-chaos", "", "coordinator-side deterministic chaos spec (e.g. \"drop@3,storm@0-4=503,partition@2-6=host:port\"); see internal/fleet.ParseChaosSpec")
 	)
 	flag.Parse()
@@ -186,10 +185,9 @@ func main() {
 			os.Exit(2)
 		}
 		fleetOpts := fleet.Options{
-			HealthInterval:   *fleetHI,
-			HedgeAfter:       *fleetHA,
-			BreakerThreshold: *fleetBK,
-			Chaos:            chaos,
+			HealthInterval: *fleetHI,
+			HedgeAfter:     *fleetHA,
+			Chaos:          chaos,
 			Warnf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "xdse: "+format+"\n", args...)
 			},

@@ -104,11 +104,12 @@ type Config struct {
 	// content-addressed layer records are installed before local
 	// evaluation. The hook is result neutral — traces and fingerprints are
 	// bit-identical with or without a fleet, under any worker failure,
-	// hedged duplicate, open circuit breaker, injected chaos fault, or
-	// coordinator crash-resume (points whose records CacheDir's store
-	// already holds are answered locally, so a restarted coordinator has
-	// nothing to re-dispatch) — so attaching one changes only wall-clock
-	// time. The caller owns the coordinator's lifecycle (fleet.New / Close).
+	// hedged duplicate, worker marked unreachable by its dispatch faults,
+	// injected chaos fault, or coordinator crash-resume (points whose
+	// records CacheDir's store already holds are answered locally, so a
+	// restarted coordinator has nothing to re-dispatch) — so attaching one
+	// changes only wall-clock time. The caller owns the coordinator's
+	// lifecycle (fleet.New / Close).
 	Fleet *fleet.Coordinator
 }
 

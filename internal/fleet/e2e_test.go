@@ -196,8 +196,8 @@ func TestKillWorkerMidCampaignBitIdentical(t *testing.T) {
 }
 
 // TestDegradedNoWorkersBitIdentical: with nothing listening anywhere, the
-// coordinator degrades to pure local execution — same fingerprint, degraded
-// transition counted.
+// coordinator degrades to pure local execution — same fingerprint, and not
+// one shard dispatched.
 func TestDegradedNoWorkersBitIdentical(t *testing.T) {
 	tech, _ := exp.TechniqueByName("ExplainableDSE-Codesign")
 	model := workload.ByName("ResNet18")
@@ -223,8 +223,8 @@ func TestDegradedNoWorkersBitIdentical(t *testing.T) {
 	if got.Trace.Fingerprint() != ref.Trace.Fingerprint() {
 		t.Fatal("degraded run fingerprint differs from single-node reference")
 	}
-	if n := c.Metrics().Counter("fleet_degraded_transitions_total").Value(); n == 0 {
-		t.Fatal("degraded transition not counted")
+	if n := c.Metrics().Counter("fleet_shards_dispatched_total").Value(); n != 0 {
+		t.Fatalf("fleet_shards_dispatched_total = %d with no healthy worker, want 0", n)
 	}
 }
 

@@ -21,13 +21,17 @@
 //     the next worker on the ring (work stealing). Late and duplicate results
 //     need no gate: installing a content-addressed record twice is a no-op.
 //   - Faults are classified with eval.ErrClass semantics: connection
-//     refused/timeouts/5xx are transient (capped deterministic backoff,
-//     retry elsewhere); 4xx and model-version skew are permanent (surfaced
-//     in the campaign report, never retried). Version skew additionally
-//     quarantines the worker. A 429 is backpressure, not a fault: it is
-//     retried like a transient but never charged to the worker's breaker.
-//   - With zero reachable workers the coordinator degrades to pure local
-//     execution and keeps probing; workers rejoin transparently.
+//     refused/timeouts/5xx are transient (retried at once on an untried
+//     worker, after a capped deterministic backoff on one already tried);
+//     4xx and model-version skew are permanent (surfaced in the campaign
+//     report, never retried). Version skew additionally quarantines the
+//     worker, and dispatchFaultLimit transient faults in a row mark it
+//     unreachable until its next good readyz probe. A 429 is backpressure,
+//     not a fault: it is retried like a transient but never charged to the
+//     worker.
+//   - With zero healthy workers every shard falls back to pure local
+//     execution while the monitor keeps probing; workers rejoin
+//     transparently.
 package fleet
 
 import (
@@ -66,10 +70,6 @@ type Options struct {
 	// backoff of eval.RetryPolicy.DelayBefore. Zero fields default to 3
 	// attempts, 50ms and a 2s cap.
 	Retry eval.RetryPolicy
-	// BreakerThreshold is the consecutive classified-transient fault count
-	// that opens a worker's circuit breaker (dispatch shed until a readyz
-	// probe earns a half-open trial). Default 3.
-	BreakerThreshold int
 	// HedgeAfter is the straggler threshold: a dispatch attempt still
 	// unanswered after this long gets one hedge to the next ring candidate,
 	// and the first result wins (the loser is cancelled and ignored). 0
@@ -85,7 +85,7 @@ type Options struct {
 	// the coordinator allocates a private registry (see Metrics).
 	Registry *obs.Registry
 	// Warnf, when non-nil, receives human-readable fleet events
-	// (membership transitions, steals, permanent faults, degradation).
+	// (membership transitions, steals, hedges, permanent faults).
 	Warnf func(format string, args ...any)
 }
 
@@ -111,9 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Retry.BackoffCap <= 0 {
 		o.Retry.BackoffCap = 2 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
 	}
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = defaultHedgeAfter
@@ -146,20 +143,16 @@ type Coordinator struct {
 
 	cShards    *obs.Counter // shards dispatched remotely (first attempts)
 	cStolen    *obs.Counter // re-dispatches after a failed attempt
-	cRetries   *obs.Counter // transient-fault retry sleeps taken
+	cRetries   *obs.Counter // re-dispatches after a transient fault
 	cPermanent *obs.Counter // permanent faults recorded
 	cLocal     *obs.Counter // shards that fell back to local evaluation
 	cInstalled *obs.Counter // records installed into the local evaluator
 	cPoints    *obs.Counter // unmemoized points offered to Prepare
 	cLocalPts  *obs.Counter // offered points answered by local records alone
-	cDegraded  *obs.Counter // transitions into degraded (no-worker) mode
-	gDegraded  *obs.Gauge   // 1 while degraded to pure local execution
 	cHedges    *obs.Counter // hedge dispatches launched
 	cHedgeWins *obs.Counter // hedges whose result won the race
-	cShedFast  *obs.Counter // backoff sleeps skipped because a breaker opened
 
 	mu            sync.Mutex
-	degraded      bool
 	faults        []string
 	faultsDropped int // permanent faults evicted from the FIFO report
 }
@@ -195,13 +188,10 @@ func New(workers []string, opts Options) (*Coordinator, error) {
 		cInstalled: reg.Counter("fleet_records_installed_total"),
 		cPoints:    reg.Counter("fleet_points_offered_total"),
 		cLocalPts:  reg.Counter("fleet_points_local_total"),
-		cDegraded:  reg.Counter("fleet_degraded_transitions_total"),
-		gDegraded:  reg.Gauge("fleet_degraded"),
 		cHedges:    reg.Counter("fleet_hedges_total"),
 		cHedgeWins: reg.Counter("fleet_hedge_wins_total"),
-		cShedFast:  reg.Counter("fleet_breaker_sheds_total"),
 	}
-	c.pool = newPool(workers, opts.ModelVersion, opts.HealthInterval, opts.BreakerThreshold, client, reg, opts.Warnf)
+	c.pool = newPool(workers, opts.ModelVersion, opts.HealthInterval, client, reg, opts.Warnf)
 	c.pool.start()
 	return c, nil
 }
@@ -218,8 +208,8 @@ func (c *Coordinator) Metrics() *obs.Registry { return c.reg }
 func (c *Coordinator) WorkersHealthy() int { return c.pool.healthyCount() }
 
 // Faults returns the most recent permanent faults (FIFO-capped, with a
-// dropped-count marker when older ones were evicted) plus the current
-// non-closed circuit-breaker states, for the campaign report.
+// dropped-count marker when older ones were evicted), for the campaign
+// report.
 func (c *Coordinator) Faults() []string {
 	c.mu.Lock()
 	out := make([]string, len(c.faults))
@@ -229,7 +219,7 @@ func (c *Coordinator) Faults() []string {
 	if dropped > 0 {
 		out = append(out, fmt.Sprintf("(+%d earlier permanent fault(s) dropped)", dropped))
 	}
-	return append(out, c.pool.breakerLines()...)
+	return out
 }
 
 // recordFault appends a permanent fault to the report and counts it. The
@@ -248,30 +238,6 @@ func (c *Coordinator) recordFault(msg string) {
 		c.faultsDropped++
 	}
 	c.faults = append(c.faults, msg)
-}
-
-// setDegraded tracks entry/exit of pure-local degraded mode, counting and
-// logging transitions only.
-func (c *Coordinator) setDegraded(on bool) {
-	c.mu.Lock()
-	changed := c.degraded != on
-	c.degraded = on
-	c.mu.Unlock()
-	if !changed {
-		return
-	}
-	if on {
-		c.cDegraded.Inc()
-		c.gDegraded.Set(1)
-		if c.opts.Warnf != nil {
-			c.opts.Warnf("fleet: no reachable workers; degrading to local execution")
-		}
-	} else {
-		c.gDegraded.Set(0)
-		if c.opts.Warnf != nil {
-			c.opts.Warnf("fleet: workers reachable again; resuming remote dispatch")
-		}
-	}
 }
 
 // Prepare returns a search.Problem.Prepare hook that warms ev's layer cache
@@ -312,11 +278,9 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 		}
 		shards := c.shard(model, fresh)
 		if len(shards) == 0 {
-			// No reachable workers: degrade, let the batch evaluate locally.
-			c.setDegraded(true)
+			// No healthy workers: the batch evaluates locally.
 			return
 		}
-		c.setDegraded(false)
 		// The batch span arrives through the context (search.EvaluateBatch
 		// plants it); each shard nests a dispatch span under it, and the
 		// record install closes the loop. A ctx without a span yields a nil
@@ -406,29 +370,30 @@ func classify(err error) eval.ErrClass {
 }
 
 // runShard drives one shard to completion: dispatch (hedged when the attempt
-// straggles), steal to the next ring worker on a transient fault or shed
-// (with capped backoff, shortened by a worker's Retry-After hint and skipped
-// entirely when the fault opened the worker's breaker and another candidate
-// is ready), record permanent faults, and fall back to local evaluation when
-// attempts run out or no worker remains. Returns the records to install (nil
-// means the coordinator computes the shard's layers itself).
+// straggles), steal at once to an untried healthy worker on a transient fault
+// or shed, back off (capped, shortened by a worker's Retry-After hint) only
+// before a second pass over workers already tried, record permanent faults,
+// and fall back to local evaluation when attempts run out or no worker
+// remains. Returns the records to install (nil means the coordinator computes
+// the shard's layers itself).
 func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) []evalcache.Record {
 	c.cShards.Inc()
 	tried := make(map[int]bool)
+	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if ctx.Err() != nil {
 			return nil
 		}
 		w, idx := c.pool.pick(sh.key, tried)
 		if w == nil && len(tried) > 0 {
-			// Every healthy worker was tried; allow a second pass.
+			// Every healthy worker was tried: back off, then a second pass.
 			tried = make(map[int]bool)
 			w, idx = c.pool.pick(sh.key, tried)
+			if w != nil && !sleepCtx(ctx, c.retryDelay(attempt-1, lastErr)) {
+				return nil
+			}
 		}
 		if w == nil {
-			if c.pool.healthyCount() == 0 {
-				c.setDegraded(true)
-			}
 			c.cLocal.Inc()
 			return nil
 		}
@@ -438,7 +403,7 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 				c.opts.Warnf("fleet: shard %s stolen to worker %s (attempt %d)", sh.key, w.id, attempt)
 			}
 		}
-		recs, faultW, err, opened := c.dispatchHedged(ctx, base, sh, w, idx, tried)
+		recs, faultW, err := c.dispatchHedged(ctx, base, sh, w, idx, tried)
 		switch classify(err) {
 		case eval.ClassNone:
 			return recs
@@ -447,23 +412,13 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 			c.cLocal.Inc()
 			return nil
 		}
-		// Transient: steal to another worker after a deterministic delay.
 		if attempt >= c.opts.Retry.MaxAttempts {
 			c.cLocal.Inc()
 			return nil
 		}
 		c.cRetries.Inc()
 		c.workerCounter("fleet_worker_retries_total", faultW.id).Inc()
-		if opened && c.pool.pickable(sh.key, tried) {
-			// The fault opened faultW's breaker and another candidate is
-			// ready: shed immediately instead of burning the backoff window
-			// on a worker the breaker just declared gone.
-			c.cShedFast.Inc()
-			continue
-		}
-		if !sleepCtx(ctx, c.retryDelay(attempt, err)) {
-			return nil
-		}
+		lastErr = err
 	}
 }
 
@@ -499,15 +454,13 @@ type attemptResult struct {
 // the merge, only waste a worker's time — which is exactly the trade a
 // straggler rescue wants.
 //
-// Returns the winning records, the worker to blame for the returned error
-// (nil error: the winner), and whether a breaker opened during this attempt
-// (the caller's shed-fast signal). Accounting per attempted worker — fault
-// or shed counters, breaker feedback, tried-set marking — happens here,
+// Returns the winning records and the worker to blame for the returned error
+// (nil error: the winner). Accounting per attempted worker — fault or shed
+// counters, the health fault count, tried-set marking — happens here,
 // because only this function knows which workers actually dispatched. A 429
 // shed is backpressure: the worker is marked tried and counted in
-// fleet_worker_shed_total, but is charged no fault and its breaker hears
-// nothing.
-func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh shard, w *worker, idx int, tried map[int]bool) ([]evalcache.Record, *worker, error, bool) {
+// fleet_worker_shed_total, but is charged no fault.
+func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh shard, w *worker, idx int, tried map[int]bool) ([]evalcache.Record, *worker, error) {
 	tr, dispatchSC, _ := obs.SpanFromContext(ctx)
 
 	results := make(chan attemptResult, 2)
@@ -536,7 +489,6 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 	haveWinner := false
 	var transientErr, permanentErr error
 	var transientW, permanentW *worker
-	opened := false
 
 	for inflight > 0 {
 		select {
@@ -569,16 +521,16 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 				}
 				hsp.End()
 			}
+			if haveWinner {
+				// The race is decided; this is the cancelled loser. It lost
+				// to our own cancellation, not to its own health: no fault.
+				continue
+			}
+			c.pool.dispatched(res.w, res.err)
 			var shed *shedError
 			switch {
-			case haveWinner:
-				// The race is decided; this is the cancelled loser. Count no
-				// fault and hand back any half-open trial slot it held: it
-				// lost to our own cancellation, not to its own health.
-				c.pool.breakerRelease(res.w)
 			case res.err == nil:
 				winner, haveWinner = res, true
-				c.pool.breakerResult(res.w, false)
 				// Decide the race for the other attempt, if any.
 				if res.hedge {
 					pcancel()
@@ -587,7 +539,6 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 				}
 			case errors.As(res.err, &shed):
 				c.workerCounter("fleet_worker_shed_total", res.w.id).Inc()
-				c.pool.breakerRelease(res.w)
 				tried[res.idx] = true
 				if transientErr == nil {
 					transientErr, transientW = res.err, res.w
@@ -597,17 +548,8 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 				tried[res.idx] = true
 				if classify(res.err) == eval.ClassPermanent {
 					permanentErr, permanentW = res.err, res.w
-				} else {
-					if transientErr == nil {
-						transientErr, transientW = res.err, res.w
-					}
-					if c.pool.breakerResult(res.w, true) {
-						opened = true
-						bsp := tr.StartChild(dispatchSC, obs.SpanBreaker, res.w.id)
-						bsp.Worker = res.w.id
-						bsp.Err = res.err.Error()
-						bsp.End()
-					}
+				} else if transientErr == nil {
+					transientErr, transientW = res.err, res.w
 				}
 			}
 		}
@@ -616,12 +558,12 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 		if winner.hedge {
 			c.cHedgeWins.Inc()
 		}
-		return winner.recs, winner.w, nil, opened
+		return winner.recs, winner.w, nil
 	}
 	if permanentErr != nil {
-		return nil, permanentW, permanentErr, opened
+		return nil, permanentW, permanentErr
 	}
-	return nil, transientW, transientErr, opened
+	return nil, transientW, transientErr
 }
 
 // workerCounter returns the per-worker-attributed variant of a fleet
@@ -676,7 +618,7 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 		return nil, err
 	}
 	if resp.ModelVersion != c.opts.ModelVersion {
-		c.pool.quarantine(w, fmt.Sprintf("response model version %q, want %q", resp.ModelVersion, c.opts.ModelVersion))
+		c.pool.mark(w, workerQuarantined, fmt.Sprintf("response model version %q, want %q", resp.ModelVersion, c.opts.ModelVersion))
 		return nil, &permanentError{fmt.Errorf("worker %s: response model version %q, want %q", w.id, resp.ModelVersion, c.opts.ModelVersion)}
 	}
 	// The result is accepted: merge the worker-side spans into the local
@@ -712,9 +654,9 @@ func (e *retryAfterError) Error() string { return e.err.Error() }
 func (e *retryAfterError) Unwrap() error { return e.err }
 
 // shedError is a worker's 429: it is shedding load. That is backpressure,
-// not a fault — the shard is retried elsewhere with the usual backoff (and
-// the worker's Retry-After hint, when one is wrapped), but dispatchHedged
-// charges the worker no fault and feeds its breaker nothing.
+// not a fault — the shard is retried like a transient fault (the worker's
+// Retry-After hint, when one is wrapped, shortens the backoff), but
+// dispatchHedged charges the worker no fault.
 type shedError struct{ err error }
 
 // Error implements error.
@@ -783,7 +725,7 @@ func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, 
 	case resp.StatusCode == http.StatusOK:
 		// Fall through to decode.
 	case resp.StatusCode == http.StatusPreconditionFailed:
-		c.pool.quarantine(w, "eval handshake: "+strings.TrimSpace(string(data)))
+		c.pool.mark(w, workerQuarantined, "eval handshake: "+strings.TrimSpace(string(data)))
 		return nil, &permanentError{fmt.Errorf("worker %s: model version skew: %s", w.id, strings.TrimSpace(string(data)))}
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
 		err := fmt.Errorf("worker %s: status %d", w.id, resp.StatusCode)

@@ -103,14 +103,14 @@ func TestHedgeRescuesStraggler(t *testing.T) {
 		t.Fatalf("shard fell back local despite a winning hedge (local=%d)", got)
 	}
 	// The loser lost to our own cancellation, not to its own health: no
-	// worker fault may be charged, so both breakers stay closed.
+	// worker fault may be charged, in the counters or in its health.
 	for _, w := range c.pool.workers {
 		if got := c.workerCounter("fleet_worker_faults_total", w.id).Value(); got != 0 {
 			t.Fatalf("hedge race charged worker %s %d faults", w.id, got)
 		}
-	}
-	if got := m.Counter("fleet_breaker_opens_total").Value(); got != 0 {
-		t.Fatalf("hedge race opened a breaker (opens=%d)", got)
+		if got := w.faults.Load(); got != 0 {
+			t.Fatalf("hedge race left worker %s a dispatch fault count of %d", w.id, got)
+		}
 	}
 }
 
@@ -204,9 +204,9 @@ func TestHungWorkerBoundedByMaxShardHold(t *testing.T) {
 }
 
 // TestShedIsBackpressureNotFault: a worker answering 429 is shedding load.
-// The shard moves to the next ring candidate, but the shedder is charged no
-// fault and its breaker — at threshold 1, so any fault would open it —
-// stays closed.
+// Each shard moves to the next ring candidate, but the shedder is charged no
+// fault: dispatchFaultLimit sheds in a row leave it healthy. The monitor
+// probes only at start, so only a dispatch could change its health.
 func TestShedIsBackpressureNotFault(t *testing.T) {
 	shedder := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
@@ -215,7 +215,7 @@ func TestShedIsBackpressureNotFault(t *testing.T) {
 	good := fakeWorker(t, okEval)
 	opts := hedgeTestOptions()
 	opts.HedgeAfter = -1
-	opts.BreakerThreshold = 1
+	opts.HealthInterval = time.Hour
 	shedAddr := shedder.Listener.Addr().String()
 	c, err := New([]string{shedAddr, good.Listener.Addr().String()}, opts)
 	if err != nil {
@@ -223,37 +223,41 @@ func TestShedIsBackpressureNotFault(t *testing.T) {
 	}
 	defer c.Close()
 
-	c.runShard(context.Background(), testBase, shard{key: keyOwnedBy(c, shedAddr), points: []string{"p"}})
+	key := keyOwnedBy(c, shedAddr)
+	for i := 0; i < dispatchFaultLimit; i++ {
+		c.runShard(context.Background(), testBase, shard{key: key, points: []string{"p"}})
+	}
 
 	m := c.Metrics()
-	if got := c.workerCounter("fleet_worker_shed_total", shedAddr).Value(); got != 1 {
-		t.Fatalf("fleet_worker_shed_total = %d, want 1", got)
+	if got := c.workerCounter("fleet_worker_shed_total", shedAddr).Value(); got != dispatchFaultLimit {
+		t.Fatalf("fleet_worker_shed_total = %d, want %d", got, dispatchFaultLimit)
 	}
 	if got := c.workerCounter("fleet_worker_faults_total", shedAddr).Value(); got != 0 {
 		t.Fatalf("429 charged %d worker faults, want 0", got)
 	}
-	if got := m.Counter("fleet_breaker_opens_total").Value(); got != 0 {
-		t.Fatalf("429 opened a breaker (opens=%d)", got)
+	for _, w := range c.pool.workers {
+		if !w.healthy() {
+			t.Fatalf("worker %s left %v by 429s, want healthy", w.id, w.get())
+		}
 	}
-	if got := m.Counter("fleet_leases_stolen_total").Value(); got != 1 {
-		t.Fatalf("fleet_leases_stolen_total = %d, want 1 (re-dispatch to the good worker)", got)
+	if got := m.Counter("fleet_leases_stolen_total").Value(); got != dispatchFaultLimit {
+		t.Fatalf("fleet_leases_stolen_total = %d, want %d (each shard re-dispatched to the good worker)", got, dispatchFaultLimit)
 	}
 	if got := m.Counter("fleet_shards_local_total").Value(); got != 0 {
 		t.Fatalf("shard fell back local (local=%d)", got)
 	}
 }
 
-// TestBreakerShedSkipsBackoff: a transient fault that opens the faulting
-// worker's breaker re-dispatches immediately to the next candidate instead of
-// sleeping out the backoff schedule.
-func TestBreakerShedSkipsBackoff(t *testing.T) {
+// TestStealSkipsBackoff: a transient fault re-dispatches at once to an
+// untried healthy worker; the backoff schedule runs only before a second
+// pass over workers already tried.
+func TestStealSkipsBackoff(t *testing.T) {
 	bad := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
 	})
 	good := fakeWorker(t, okEval)
 	opts := hedgeTestOptions()
-	opts.HedgeAfter = -1 // isolate the breaker path
-	opts.BreakerThreshold = 1
+	opts.HedgeAfter = -1 // isolate the steal path
 	// A taken backoff would hang the test loudly.
 	opts.Retry = eval.RetryPolicy{Backoff: time.Hour, BackoffCap: time.Hour}
 	badAddr, goodAddr := bad.Listener.Addr().String(), good.Listener.Addr().String()
@@ -272,16 +276,10 @@ func TestBreakerShedSkipsBackoff(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("runShard hung — the breaker shed did not skip the hour-long backoff")
+		t.Fatal("runShard hung — the steal to an untried worker waited out the hour-long backoff")
 	}
 
 	m := c.Metrics()
-	if got := m.Counter("fleet_breaker_opens_total").Value(); got != 1 {
-		t.Fatalf("fleet_breaker_opens_total = %d, want 1", got)
-	}
-	if got := m.Counter("fleet_breaker_sheds_total").Value(); got != 1 {
-		t.Fatalf("fleet_breaker_sheds_total = %d, want 1", got)
-	}
 	if got := m.Counter("fleet_leases_stolen_total").Value(); got != 1 {
 		t.Fatalf("fleet_leases_stolen_total = %d, want 1 (re-dispatch to the good worker)", got)
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xdse/internal/eval"
 	"xdse/internal/obs"
 )
 
@@ -24,8 +26,9 @@ const (
 	// workerHealthy means the last readyz probe succeeded with a matching
 	// model version; the worker is eligible for shards.
 	workerHealthy
-	// workerUnreachable means the last probe failed or the worker reported
-	// not-ready (draining). Transient: the monitor keeps probing and the
+	// workerUnreachable means the last probe failed, the worker reported
+	// not-ready (draining), or dispatchFaultLimit dispatches to it in a row
+	// hit transient faults. Transient: the monitor keeps probing and the
 	// worker rejoins on the next success.
 	workerUnreachable
 	// workerQuarantined means the worker answered with a different
@@ -36,44 +39,19 @@ const (
 	workerQuarantined
 )
 
-// breakerState is a worker's circuit-breaker position. The breaker guards
-// the /eval dispatch path specifically: a worker can answer /readyz promptly
-// (so the membership monitor keeps it healthy) while every dispatch to it
-// fails or times out — an overloaded or partially partitioned worker. The
-// breaker notices that pattern from dispatch outcomes and sheds traffic
-// without waiting out per-shard backoff schedules.
-type breakerState int32
+// dispatchFaultLimit is the number of consecutive classified-transient
+// dispatch faults that mark a worker unreachable. It catches a worker whose
+// /readyz stays green while its /eval path fails or times out (overload, a
+// partial partition), which the probe alone would keep dispatching to.
+const dispatchFaultLimit = 3
 
-const (
-	// breakerClosed passes dispatches through (the normal state).
-	breakerClosed breakerState = iota
-	// breakerHalfOpen admits exactly one trial dispatch after a successful
-	// readyz probe; its outcome decides closed vs re-open.
-	breakerHalfOpen
-	// breakerOpen sheds all dispatches. Only the health monitor's next
-	// successful readyz probe moves it to half-open — wall-clock cooldowns
-	// would make chaos runs unreplayable.
-	breakerOpen
-)
-
-// breaker is one worker's circuit breaker. Guarded by its own mutex; the
-// hot-path check is a few instructions under an uncontended lock.
-type breaker struct {
-	mu          sync.Mutex
-	state       breakerState
-	consecutive int  // consecutive classified-transient dispatch faults
-	probing     bool // the single half-open trial is outstanding
-}
-
-// worker is one fleet member. State is atomic so dispatch paths read it
-// without locks while the monitor goroutine updates it.
+// worker is one fleet member. Its fields are atomic so dispatch paths and
+// the monitor goroutine read and update them without locks.
 type worker struct {
-	id    string // address as configured (host:port), used in logs/faults
-	url   string // normalized base URL (http://host:port)
-	state atomic.Int32
-
-	br       breaker
-	gBreaker *obs.Gauge // 0 closed, 1 half-open, 2 open
+	id     string // address as configured (host:port), used in logs/faults
+	url    string // normalized base URL (http://host:port)
+	state  atomic.Int32
+	faults atomic.Int32 // consecutive transient dispatch faults; see dispatched
 }
 
 // setState transitions the worker, returning the previous state.
@@ -101,10 +79,11 @@ type ringSlot struct {
 }
 
 // pool tracks fleet membership: the static worker list, the consistent-hash
-// ring over it, and each worker's probed health. The ring is built once over
-// ALL workers (not just healthy ones) so shard ownership — and therefore
-// evalcache locality — is stable while health fluctuates; dispatch walks the
-// ring from the owner to the first healthy worker instead.
+// ring over it, and each worker's health as probes and dispatches find it.
+// The ring is built once over ALL workers (not just healthy ones) so shard
+// ownership — and therefore evalcache locality — is stable while health
+// fluctuates; dispatch walks the ring from the owner to the first healthy
+// worker instead.
 type pool struct {
 	workers []*worker
 	ring    []ringSlot
@@ -112,7 +91,6 @@ type pool struct {
 	client   *http.Client
 	version  string // expected perf.ModelVersion for the handshake
 	interval time.Duration
-	breakerK int // consecutive transient faults that open a breaker
 	warnf    func(format string, args ...any)
 
 	stop chan struct{}
@@ -121,35 +99,28 @@ type pool struct {
 	gHealthy      *obs.Gauge
 	cQuarantined  *obs.Counter
 	cTransitions  *obs.Counter
-	cBreakerOpens *obs.Counter
 	probeInflight sync.WaitGroup
 }
 
 // newPool builds the membership ring and metric instruments; call start to
 // begin probing.
-func newPool(addrs []string, version string, interval time.Duration, breakerK int, client *http.Client, reg *obs.Registry, warnf func(string, ...any)) *pool {
+func newPool(addrs []string, version string, interval time.Duration, client *http.Client, reg *obs.Registry, warnf func(string, ...any)) *pool {
 	p := &pool{
-		client:        client,
-		version:       version,
-		interval:      interval,
-		breakerK:      breakerK,
-		warnf:         warnf,
-		stop:          make(chan struct{}),
-		gHealthy:      reg.Gauge("fleet_workers_healthy"),
-		cQuarantined:  reg.Counter("fleet_workers_quarantined_total"),
-		cTransitions:  reg.Counter("fleet_worker_transitions_total"),
-		cBreakerOpens: reg.Counter("fleet_breaker_opens_total"),
+		client:       client,
+		version:      version,
+		interval:     interval,
+		warnf:        warnf,
+		stop:         make(chan struct{}),
+		gHealthy:     reg.Gauge("fleet_workers_healthy"),
+		cQuarantined: reg.Counter("fleet_workers_quarantined_total"),
+		cTransitions: reg.Counter("fleet_worker_transitions_total"),
 	}
 	for _, a := range addrs {
 		url := strings.TrimRight(a, "/")
 		if !strings.Contains(url, "://") {
 			url = "http://" + url
 		}
-		p.workers = append(p.workers, &worker{
-			id:       a,
-			url:      url,
-			gBreaker: reg.Gauge(`fleet_breaker_state{worker="` + a + `"}`),
-		})
+		p.workers = append(p.workers, &worker{id: a, url: url})
 	}
 	for i, w := range p.workers {
 		for v := 0; v < ringVirtualNodes; v++ {
@@ -259,114 +230,10 @@ func (p *pool) probe(w *worker) {
 		return
 	}
 	p.transition(w, workerHealthy, "")
-	p.breakerProbeHealthy(w)
 }
 
-// breakerProbeHealthy is the open → half-open edge: a successful readyz
-// probe of a worker whose breaker is open earns it exactly one trial
-// dispatch. The probe loop is the breaker's only clock, so an open breaker
-// with no probing (tests, stopped monitor) stays open deterministically.
-func (p *pool) breakerProbeHealthy(w *worker) {
-	w.br.mu.Lock()
-	defer w.br.mu.Unlock()
-	if w.br.state != breakerOpen {
-		return
-	}
-	w.br.state = breakerHalfOpen
-	w.br.probing = false
-	w.gBreaker.Set(float64(breakerHalfOpen))
-	if p.warnf != nil {
-		p.warnf("fleet: worker %s breaker half-open (readyz ok; one trial dispatch allowed)", w.id)
-	}
-}
-
-// breakerAdmit reports whether w's breaker passes a dispatch right now,
-// consuming the single half-open trial slot when it takes it. Callers must
-// follow every admitted dispatch with breakerResult or breakerRelease.
-func (p *pool) breakerAdmit(w *worker) bool {
-	w.br.mu.Lock()
-	defer w.br.mu.Unlock()
-	switch w.br.state {
-	case breakerOpen:
-		return false
-	case breakerHalfOpen:
-		if w.br.probing {
-			return false
-		}
-		w.br.probing = true
-	}
-	return true
-}
-
-// breakerResult feeds one dispatch outcome into w's breaker. transientFault
-// is true for classified-transient faults only — permanent faults (version
-// skew, bad request) quarantine or report instead and say nothing about the
-// worker's dispatch path health. Returns true when this outcome opened
-// (or re-opened) the breaker, so the caller can shed to the next ring
-// candidate immediately instead of burning its backoff schedule.
-func (p *pool) breakerResult(w *worker, transientFault bool) bool {
-	w.br.mu.Lock()
-	defer w.br.mu.Unlock()
-	w.br.probing = false
-	if !transientFault {
-		w.br.consecutive = 0
-		if w.br.state != breakerClosed {
-			w.br.state = breakerClosed
-			w.gBreaker.Set(float64(breakerClosed))
-			if p.warnf != nil {
-				p.warnf("fleet: worker %s breaker closed (trial dispatch succeeded)", w.id)
-			}
-		}
-		return false
-	}
-	w.br.consecutive++
-	opened := false
-	switch w.br.state {
-	case breakerHalfOpen:
-		// The trial failed: straight back to open.
-		opened = true
-	case breakerClosed:
-		opened = w.br.consecutive >= p.breakerK
-	}
-	if opened {
-		w.br.state = breakerOpen
-		w.gBreaker.Set(float64(breakerOpen))
-		p.cBreakerOpens.Inc()
-		if p.warnf != nil {
-			p.warnf("fleet: worker %s breaker open after %d consecutive transient faults", w.id, w.br.consecutive)
-		}
-	}
-	return opened
-}
-
-// breakerRelease returns w's half-open trial slot without an outcome: the
-// admitted dispatch said nothing about w's dispatch path (it lost a hedge
-// race, or w shed it with 429), so the next admitted dispatch is the trial.
-func (p *pool) breakerRelease(w *worker) {
-	w.br.mu.Lock()
-	w.br.probing = false
-	w.br.mu.Unlock()
-}
-
-// breakerLines renders the non-closed breakers for the campaign fault
-// report.
-func (p *pool) breakerLines() []string {
-	var out []string
-	for _, w := range p.workers {
-		w.br.mu.Lock()
-		st, n := w.br.state, w.br.consecutive
-		w.br.mu.Unlock()
-		switch st {
-		case breakerOpen:
-			out = append(out, fmt.Sprintf("worker %s: breaker open (%d consecutive transient faults)", w.id, n))
-		case breakerHalfOpen:
-			out = append(out, fmt.Sprintf("worker %s: breaker half-open (awaiting trial dispatch)", w.id))
-		}
-	}
-	return out
-}
-
-// transition applies a probed state, counting and logging edges only.
+// transition applies a probed or dispatch-discovered state, counting and
+// logging edges only.
 func (p *pool) transition(w *worker, to workerState, why string) {
 	from := w.setState(to)
 	if from == to {
@@ -388,11 +255,31 @@ func (p *pool) transition(w *worker, to workerState, why string) {
 	}
 }
 
-// quarantine forcibly quarantines w — used when a dispatch discovers version
-// skew (412) before the monitor does.
-func (p *pool) quarantine(w *worker, why string) {
-	p.transition(w, workerQuarantined, why)
+// mark applies a state a dispatch discovered before the monitor did —
+// version skew (412) or a run of transient faults — and refreshes the
+// healthy gauge.
+func (p *pool) mark(w *worker, to workerState, why string) {
+	p.transition(w, to, why)
 	p.gHealthy.Set(float64(p.healthyCount()))
+}
+
+// dispatched feeds one dispatch outcome into w's health. A success resets
+// w's count of consecutive transient faults; the dispatchFaultLimit-th
+// transient fault in a row marks a healthy w unreachable, and pick skips it
+// until the monitor's next good readyz probe restores it. The probe leaves
+// the count alone, so a restored worker whose next dispatch faults goes
+// straight back to unreachable. A 429 shed is backpressure and a permanent
+// fault quarantines or is reported; neither says anything about w's
+// dispatch path, so neither touches the count.
+func (p *pool) dispatched(w *worker, err error) {
+	var shed *shedError
+	if err == nil {
+		w.faults.Store(0)
+	} else if !errors.As(err, &shed) && classify(err) == eval.ClassTransient {
+		if n := w.faults.Add(1); n >= dispatchFaultLimit && w.healthy() {
+			p.mark(w, workerUnreachable, fmt.Sprintf("%d consecutive dispatch faults, last: %v", n, err))
+		}
+	}
 }
 
 // healthyCount returns the number of currently dispatchable workers.
@@ -421,29 +308,10 @@ func (p *pool) owner(key string) int {
 }
 
 // pick walks the ring clockwise from key's owner and returns the first
-// healthy, breaker-admitted worker whose index is not in tried, preserving
-// locality (the owner is preferred; failover order is deterministic).
-// Picking a half-open worker consumes its single trial slot, so callers must
-// dispatch to what pick returns and report the outcome via breakerResult.
-// Returns (nil, -1) when no dispatchable untried worker exists.
+// healthy worker whose index is not in tried, preserving locality (the owner
+// is preferred; failover order is deterministic). Returns (nil, -1) when no
+// healthy untried worker exists.
 func (p *pool) pick(key string, tried map[int]bool) (*worker, int) {
-	return p.walk(key, tried, p.breakerAdmit)
-}
-
-// pickable reports whether pick would currently find a worker, without
-// consuming any half-open trial slot — the "is there somewhere to shed to"
-// check of the open-breaker fast path.
-func (p *pool) pickable(key string, tried map[int]bool) bool {
-	w, _ := p.walk(key, tried, func(w *worker) bool {
-		w.br.mu.Lock()
-		defer w.br.mu.Unlock()
-		return w.br.state == breakerClosed || (w.br.state == breakerHalfOpen && !w.br.probing)
-	})
-	return w != nil
-}
-
-// walk implements pick's ring traversal with a pluggable breaker gate.
-func (p *pool) walk(key string, tried map[int]bool, admit func(*worker) bool) (*worker, int) {
 	if len(p.ring) == 0 {
 		return nil, -1
 	}
@@ -459,8 +327,7 @@ func (p *pool) walk(key string, tried map[int]bool, admit func(*worker) bool) (*
 		if tried[slot.idx] {
 			continue
 		}
-		w := p.workers[slot.idx]
-		if w.healthy() && admit(w) {
+		if w := p.workers[slot.idx]; w.healthy() {
 			return w, slot.idx
 		}
 		if len(seen) == len(p.workers) {

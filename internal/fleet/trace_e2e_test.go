@@ -123,8 +123,10 @@ func TestWorkerFaultAttribution(t *testing.T) {
 	model := workload.ByName("ResNet18")
 
 	// Worker 1 dies abruptly at its first /eval — the dropped in-flight
-	// request is a transient fault attributed to its address. Worker 2 stays
-	// healthy so the campaign completes remotely as well as locally.
+	// request is a transient fault attributed to its address. Worker 2
+	// reports not-ready until then, so that first dispatch must go to worker
+	// 1 wherever the ring puts shards; afterwards worker 2 serves, so the
+	// campaign completes remotely as well as locally.
 	s1, err := serve.New(quietOpts(t))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +144,19 @@ func TestWorkerFaultAttribution(t *testing.T) {
 		h1.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts1.Close)
-	ts2, _ := startWorker(t)
+	s2, err := serve.New(quietOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2 := s2.Handler()
+	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" && !dead.Load() {
+			http.Error(w, "not ready until worker 1 has died", http.StatusServiceUnavailable)
+			return
+		}
+		h2.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts2.Close)
 	addr1 := ts1.Listener.Addr().String()
 	addr2 := ts2.Listener.Addr().String()
 
@@ -153,6 +167,7 @@ func TestWorkerFaultAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	waitHealthy(t, c, 1) // worker 1: worker 2 cannot be ready yet
 	cfg := testConfig()
 	cfg.Fleet = c
 	got := exp.RunOne(context.Background(), cfg, tech, model, testBudget)

@@ -33,11 +33,6 @@ const (
 	// where the hedge went (Worker), and which side won (the loser carries
 	// Err). Nested under the shard's dispatch span.
 	SpanHedge = "hedge"
-	// SpanBreaker marks a circuit-breaker opening: an instantaneous span
-	// (WallNs ≈ 0) under the dispatch span whose failed attempt tripped it,
-	// with Worker naming the shed worker. Breaker transitions are causal
-	// events in a chaos trace, not timed regions.
-	SpanBreaker = "breaker"
 	// SpanInstall covers installing a shard's returned records into the
 	// local evaluator.
 	SpanInstall = "install"
