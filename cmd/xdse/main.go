@@ -9,9 +9,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -24,6 +24,7 @@ import (
 	"xdse/internal/exp"
 	"xdse/internal/fleet"
 	"xdse/internal/obs"
+	"xdse/internal/search"
 	"xdse/internal/workload"
 )
 
@@ -158,13 +159,7 @@ func main() {
 	cfg.CheckpointDir = *ckptDir
 	cfg.Resume = *resume
 	cfg.CacheDir = *cacheDir
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "xdse: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.CSVDir = *csvDir
-	}
+	cfg.CSVDir = *csvDir
 
 	// Distributed execution: shard evaluation batches across a worker fleet.
 	// The coordinator is a pure cache warmer (see internal/fleet), so every
@@ -264,10 +259,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "xdse: %v\n", err)
 			os.Exit(1)
 		}
+		exitIfInterrupted(ctx, *ckptDir, finishObs)
 		return
 	}
 
-	run := func(name string) {
+	run := func(cfg exp.Config, name string) {
 		switch name {
 		case "fig3":
 			exp.ReportFig3(cfg, exp.RunFig3(ctx, cfg))
@@ -314,17 +310,34 @@ func main() {
 	}
 
 	if *expName == "all" {
-		for _, name := range []string{"fig3", "fig4", "fig9", "table2", "fig11", "table7", "fig14", "fig15", "ablation", "energy", "multiworkload", "joint"} {
+		for _, name := range allExperiments {
 			if ctx.Err() != nil {
 				break
 			}
-			run(name)
+			run(experimentConfig(cfg, name), name)
 		}
 		exitIfInterrupted(ctx, *ckptDir, finishObs)
 		return
 	}
-	run(*expName)
+	run(cfg, *expName)
 	exitIfInterrupted(ctx, *ckptDir, finishObs)
+}
+
+// allExperiments is what -exp all runs, in order.
+var allExperiments = []string{"fig3", "fig4", "fig9", "table2", "fig11", "table7", "fig14", "fig15", "ablation", "energy", "multiworkload", "joint"}
+
+// experimentConfig gives one experiment of -exp all its own CSV and
+// checkpoint subdirectory, "<dir>/<name>/": experiments reuse run labels
+// (table2 reruns fig3's runs at another budget), so in one directory a later
+// experiment would overwrite an earlier one's CSVs and journals.
+func experimentConfig(cfg exp.Config, name string) exp.Config {
+	if cfg.CSVDir != "" {
+		cfg.CSVDir = filepath.Join(cfg.CSVDir, name)
+	}
+	if cfg.CheckpointDir != "" {
+		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, name)
+	}
+	return cfg
 }
 
 // exitIfInterrupted finishes an interrupted invocation: the partial report
@@ -436,49 +449,44 @@ func runExplore(ctx context.Context, cfg exp.Config, specPath, mode string, quie
 		return err
 	}
 
-	mapper := eval.FixedDataflow
+	tech := exp.Technique{
+		Name:  "explore-" + mode,
+		Mode:  eval.FixedDataflow,
+		Space: func() *arch.Space { return space },
+		Make: func(space *arch.Space, cons eval.Constraints) search.Optimizer {
+			ex := dse.New(accelmodel.New(space, cons))
+			if !quiet {
+				ex.Opts.Log = os.Stdout
+			}
+			return ex
+		},
+	}
 	switch mode {
 	case "fixdf":
 	case "codesign":
-		mapper = eval.PrunedMappings
+		tech.Mode = eval.PrunedMappings
 	default:
 		return fmt.Errorf("unknown -mode %q", mode)
 	}
 
-	cons := eval.EdgeConstraints()
-	ev := eval.New(eval.Config{
-		Space:       space,
-		Models:      cfg.Models,
-		Constraints: cons,
-		Mode:        mapper,
-		MapTrials:   cfg.MapTrials,
-		Seed:        cfg.Seed,
-		Workers:     cfg.Workers,
-	})
-	ex := dse.New(accelmodel.New(space, cons))
-	if !quiet {
-		ex.Opts.Log = os.Stdout
-	}
-	if cfg.Trace != nil {
-		ex.Opts.Sink = obs.WithRun(cfg.Trace, "explore_"+mode)
-	}
 	names := make([]string, len(cfg.Models))
 	for i, m := range cfg.Models {
 		names[i] = m.Name
 	}
 	fmt.Printf("exploring %v over %s designs (%s, budget %d)\n\n", names, space.Size(), mode, cfg.Budget)
 
-	tr := ex.Run(ev.ProblemCtx(ctx, cfg.Budget), rand.New(rand.NewSource(cfg.Seed)))
-	if ctx.Err() != nil {
+	run := exp.RunModels(ctx, cfg, tech, cfg.Models, cfg.Budget)
+	tr := run.Trace
+	if run.Interrupted {
 		fmt.Printf("\ninterrupted after %d designs; partial results below\n", tr.Evaluations)
 	}
 	fmt.Printf("\n%d designs evaluated, %.0f%% of acquisitions feasible\n",
 		tr.Evaluations, tr.FeasibleFraction()*100)
-	if tr.Best == nil {
+	r := run.Best()
+	if r == nil {
 		fmt.Println("no feasible design found")
 		return nil
 	}
-	r := ev.Evaluate(tr.Best)
 	fmt.Printf("best: %v\n  latency %.2f ms | area %.1f mm^2 | power %.2f W\n",
 		r.Design, r.LatencyMs, r.AreaMM2, r.PowerW)
 	return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -62,6 +63,26 @@ func TestRunExploreRejectsMissingSpec(t *testing.T) {
 	cfg := testConfig()
 	if err := runExplore(context.Background(), cfg, "/nonexistent/spec", "fixdf", true); err == nil {
 		t.Fatal("missing spec file accepted")
+	}
+}
+
+// TestExperimentConfigSeparatesOutputs checks that under -exp all each
+// experiment writes its CSVs and journals to its own subdirectory while
+// sharing everything else, the content-addressed cache included.
+func TestExperimentConfigSeparatesOutputs(t *testing.T) {
+	cfg := testConfig()
+	cfg.CSVDir, cfg.CheckpointDir, cfg.CacheDir, cfg.Resume = "csv", "ckpt", "cache", true
+	for _, name := range allExperiments {
+		got := experimentConfig(cfg, name)
+		if got.CSVDir != filepath.Join("csv", name) || got.CheckpointDir != filepath.Join("ckpt", name) {
+			t.Errorf("%s: CSVDir %q, CheckpointDir %q", name, got.CSVDir, got.CheckpointDir)
+		}
+		if got.CacheDir != cfg.CacheDir || got.Resume != cfg.Resume || got.Budget != cfg.Budget {
+			t.Errorf("%s: shared settings changed: %+v", name, got)
+		}
+	}
+	if got := experimentConfig(testConfig(), "fig3"); got.CSVDir != "" || got.CheckpointDir != "" {
+		t.Errorf("unset directories became CSVDir %q, CheckpointDir %q", got.CSVDir, got.CheckpointDir)
 	}
 }
 

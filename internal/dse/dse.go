@@ -61,11 +61,6 @@ type Options struct {
 	// human-readable format (internally an obs.TextSink over the
 	// structured event stream).
 	Log io.Writer
-	// Sink, when non-nil, additionally receives the structured
-	// explanation events (see internal/obs). It is combined with Log's
-	// text rendering and with the problem's Events sink; events are
-	// derived from, never feeding back into, the acquisition sequence.
-	Sink obs.Sink
 	// DisableBudgetAwareUpdate replaces the §4.6 constraint-budget-aware
 	// solution update with plain greedy feasible-min (ablation hook).
 	DisableBudgetAwareUpdate bool
@@ -152,15 +147,15 @@ func (e *Explorer) Run(p *search.Problem, rng *rand.Rand) *search.Trace {
 	start := time.Now()
 	defer func() { t.Elapsed = time.Since(start) }()
 
-	// One emitter serves the whole run: the legacy text log, the
-	// engine-level structured sink, and the problem-level sink (campaign
-	// tracing) all hang off it. A nil emitter (nothing attached) keeps
-	// every emission a no-op and skips all rendering.
+	// One emitter serves the whole run: the legacy text log and the
+	// problem-level sink (campaign tracing) both hang off it. A nil emitter
+	// (nothing attached) keeps every emission a no-op and skips all
+	// rendering.
 	var text obs.Sink
 	if o.Log != nil {
 		text = obs.NewTextSink(o.Log)
 	}
-	em := obs.NewEmitter(text, o.Sink, p.Events)
+	em := obs.NewEmitter(text, p.Events)
 
 	restarts := o.Restarts
 	if restarts <= 1 {

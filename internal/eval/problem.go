@@ -69,6 +69,8 @@ func costsOf(r *Result) search.Costs {
 //     analysis needs the full *Result, so adopting a replayed solution
 //     lazily re-evaluates the design (deterministic, memoized, and counted
 //     as a recompute — never a new unique evaluation, by invariant 1).
+//     The thunk ignores ctx's cancellation: a report resolving a replayed
+//     best after an interrupt gets the design's result, not a cancelled one.
 //  3. Only evaluations that actually completed are journaled: cancelled
 //     results are skipped, so a kill can lose at most in-flight work, never
 //     record work that didn't happen.
@@ -93,7 +95,7 @@ func (e *Evaluator) ResumableProblem(ctx context.Context, budget int, j *checkpo
 				// rematerialized; surface the reason in-band.
 				return erroredResult(arch.Point{}, fmt.Sprintf("checkpoint replay: %v", err))
 			}
-			return e.EvaluateCtx(ctx, pt)
+			return e.EvaluateCtx(context.WithoutCancel(ctx), pt)
 		})
 		replay[key] = c
 		keys = append(keys, key)

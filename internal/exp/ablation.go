@@ -3,12 +3,12 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"xdse/internal/accelmodel"
 	"xdse/internal/arch"
 	"xdse/internal/dse"
 	"xdse/internal/eval"
+	"xdse/internal/search"
 	"xdse/internal/workload"
 )
 
@@ -39,24 +39,27 @@ func RunAblations(ctx context.Context, cfg Config) []AblationResult {
 		{"joint-acquisition", dse.Options{JointAcquisition: true}},
 	}
 
-	model := workload.EfficientNetB0()
-	var out []AblationResult
-	for _, v := range variants {
-		space := arch.EdgeSpace()
-		cons := eval.EdgeConstraints()
-		ev := eval.New(eval.Config{
-			Space: space, Models: []*workload.Model{model}, Constraints: cons,
-			Mode: eval.FixedDataflow, Seed: cfg.Seed,
-		})
-		ex := dse.New(accelmodel.New(space, cons))
-		ex.Opts = v.opts
-		tr := ex.Run(ev.ProblemCtx(ctx, cfg.Budget), rand.New(rand.NewSource(cfg.Seed)))
-		out = append(out, AblationResult{
-			Variant:     v.name,
-			BestLatency: tr.BestObjective(),
-			Feasible:    tr.Best != nil,
-			Evaluations: ev.Evaluations(),
-		})
+	techs := make([]Technique, len(variants))
+	for i, v := range variants {
+		techs[i] = Technique{
+			Name: "ExplainableDSE-" + v.name,
+			Mode: eval.FixedDataflow,
+			Make: func(space *arch.Space, cons eval.Constraints) search.Optimizer {
+				ex := dse.New(accelmodel.New(space, cons))
+				ex.Opts = v.opts
+				return ex
+			},
+		}
+	}
+	c := RunCampaign(ctx, cfg, techs, []*workload.Model{workload.EfficientNetB0()}, 0)
+	out := make([]AblationResult, len(c.Runs))
+	for i, r := range c.Runs {
+		out[i] = AblationResult{
+			Variant:     variants[i].name,
+			BestLatency: r.Trace.BestObjective(),
+			Feasible:    r.Trace.Best != nil,
+			Evaluations: r.Evaluations,
+		}
 	}
 	return out
 }

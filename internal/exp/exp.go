@@ -60,7 +60,8 @@ type Config struct {
 	// Out receives the reports (defaults to os.Stdout).
 	Out io.Writer
 	// CSVDir, when non-empty, receives one CSV trace per run
-	// ("<technique>_<model>.csv"), the raw series behind the figures.
+	// ("<technique>_<model>.csv"), the raw series behind the figures; it
+	// is created if missing.
 	CSVDir string
 	// CheckpointDir, when non-empty, journals every run's unique design
 	// evaluations under "<dir>/<technique>_<model>/", making a killed
@@ -98,10 +99,10 @@ type Config struct {
 	// Cache, when non-nil, is an already-open persistent store shared by
 	// every run (the serve daemon injects its own); CacheDir is ignored.
 	Cache *evalcache.Store
-	// Fleet, when non-nil, shards every run's evaluation batches across a
-	// pool of xdse serve workers (see internal/fleet): each batch's points
-	// that need a layer search are dispatched, and the returned
-	// content-addressed layer records are installed before local
+	// Fleet, when non-nil, shards every single-model run's evaluation
+	// batches across a pool of xdse serve workers (see internal/fleet):
+	// each batch's points that need a layer search are dispatched, and the
+	// returned content-addressed layer records are installed before local
 	// evaluation. The hook is result neutral — traces and fingerprints are
 	// bit-identical with or without a fleet, under any worker failure,
 	// hedged duplicate, worker marked unreachable by its dispatch faults,
@@ -150,10 +151,16 @@ func (c Config) out() io.Writer {
 	return os.Stdout
 }
 
-// Technique describes one DSE technique under a mapper mode.
+// Technique describes one DSE technique under a mapper mode: the optimizer
+// and the evaluator inputs an exploration with it varies.
 type Technique struct {
 	Name string
 	Mode eval.MapperMode
+	// Objective is the cost the evaluator minimizes (zero value:
+	// eval.MinLatency).
+	Objective eval.Objective
+	// Space builds the design space to explore; nil selects arch.EdgeSpace.
+	Space func() *arch.Space
 	// Make constructs a fresh optimizer; Explainable-DSE needs the space
 	// and constraints to build its domain bottleneck model.
 	Make func(space *arch.Space, cons eval.Constraints) search.Optimizer
@@ -219,9 +226,11 @@ func TechniqueByName(name string) (Technique, bool) {
 // Run is the outcome of one (technique, model) exploration.
 type Run struct {
 	Technique string
-	Model     string
-	Mode      eval.MapperMode
-	Trace     *search.Trace
+	// Model names the explored model; a run over several models joins
+	// their names with "+".
+	Model string
+	Mode  eval.MapperMode
+	Trace *search.Trace
 	// Evaluations is the number of unique design points evaluated.
 	Evaluations int
 	// Elapsed is the exploration wall-clock time.
@@ -238,9 +247,6 @@ type Run struct {
 	// Resumed is the number of journaled evaluations replayed into this
 	// run from a previous (killed) invocation.
 	Resumed int
-	// CheckpointDir is the run's journal directory ("" when the run was
-	// not checkpointed); a killed campaign is resumable from it.
-	CheckpointDir string
 	// Interrupted reports the run's context was cancelled before the
 	// exploration completed; the trace is a clean batch-boundary prefix.
 	Interrupted bool
@@ -257,6 +263,16 @@ type Run struct {
 // completed evaluations are journaled, so invoking the same run again with
 // cfg.Resume produces a final trace bit-identical to an uninterrupted one.
 func RunOne(ctx context.Context, cfg Config, tech Technique, model *workload.Model, budget int) Run {
+	return RunModels(ctx, cfg, tech, []*workload.Model{model}, budget)
+}
+
+// RunModels is RunOne for one design serving every model in models (the
+// §4.4 multi-workload aggregation). It is the only code that builds an
+// exploration's evaluator, so every output in cfg applies to every
+// experiment. The run label "<technique>_<models>" names the run's CSV,
+// journal directory and trace, so it must be unique within an experiment.
+// A multi-model run skips cfg.Fleet, whose requests name one model.
+func RunModels(ctx context.Context, cfg Config, tech Technique, models []*workload.Model, budget int) Run {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -264,12 +280,16 @@ func RunOne(ctx context.Context, cfg Config, tech Technique, model *workload.Mod
 		budget = cfg.budgetFor(tech)
 	}
 	space := arch.EdgeSpace()
+	if tech.Space != nil {
+		space = tech.Space()
+	}
 	cons := eval.EdgeConstraints()
 	ev := eval.New(eval.Config{
 		Space:        space,
-		Models:       []*workload.Model{model},
+		Models:       models,
 		Constraints:  cons,
 		Mode:         tech.Mode,
+		Objective:    tech.Objective,
 		MapTrials:    cfg.MapTrials,
 		Seed:         cfg.Seed,
 		Workers:      cfg.Workers,
@@ -280,20 +300,24 @@ func RunOne(ctx context.Context, cfg Config, tech Technique, model *workload.Mod
 		PersistCache: cfg.Cache,
 	})
 	o := tech.Make(space, cons)
-	run := Run{Technique: tech.Name, Model: model.Name, Mode: tech.Mode}
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.Name
+	}
+	run := Run{Technique: tech.Name, Model: strings.Join(names, "+"), Mode: tech.Mode}
+	label := fmt.Sprintf("%s_%s", sanitize(run.Technique), sanitize(run.Model))
 	warnf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "exp: "+format+"\n", args...)
 	}
 	var prob *search.Problem
 	if cfg.CheckpointDir != "" {
-		dir := filepath.Join(cfg.CheckpointDir, fmt.Sprintf("%s_%s", sanitize(tech.Name), sanitize(model.Name)))
+		dir := filepath.Join(cfg.CheckpointDir, label)
 		j, err := checkpoint.Open(dir, checkpoint.Options{Fresh: !cfg.Resume, Warnf: warnf})
 		if err != nil {
 			warnf("checkpoint %s unavailable, running unjournaled: %v", dir, err)
 			prob = ev.ProblemCtx(ctx, budget)
 		} else {
 			defer j.Close()
-			run.CheckpointDir = dir
 			run.Resumed = len(j.Replayed())
 			prob = ev.ResumableProblem(ctx, budget, j, warnf)
 		}
@@ -308,7 +332,6 @@ func RunOne(ctx context.Context, cfg Config, tech Technique, model *workload.Mod
 	// sink gets every event stamped with this run's label.
 	var camp obs.Span
 	if cfg.Trace != nil || cfg.Metrics != nil {
-		label := fmt.Sprintf("%s_%s", sanitize(tech.Name), sanitize(model.Name))
 		prob.Events = obs.Multi(obs.WithRun(cfg.Trace, label), obs.NewMetricsSink(ev.Metrics()))
 		if cfg.Trace != nil {
 			// The tracing spine: one trace per run, rooted in a campaign span
@@ -324,10 +347,10 @@ func RunOne(ctx context.Context, cfg Config, tech Technique, model *workload.Mod
 			prob.TraceSpan = camp.Context()
 		}
 	}
-	if cfg.Fleet != nil {
+	if cfg.Fleet != nil && len(models) == 1 {
 		// Remote batch preparation: a pure cache warmer, so the optimizer
 		// below sees identical results whether the fleet helped or not.
-		prob.Prepare = cfg.Fleet.Prepare(ev, model.Name)
+		prob.Prepare = cfg.Fleet.Prepare(ev, models[0].Name)
 	}
 	start := time.Now()
 	tr, panicErr := runOptimizer(o, prob, rand.New(rand.NewSource(cfg.Seed)))
@@ -341,7 +364,7 @@ func RunOne(ctx context.Context, cfg Config, tech Technique, model *workload.Mod
 	run.Err = panicErr
 	run.Interrupted = ctx.Err() != nil
 	if cfg.CSVDir != "" && !run.Interrupted {
-		writeTraceCSV(cfg.CSVDir, tech.Name, model.Name, tr)
+		writeTraceCSV(filepath.Join(cfg.CSVDir, label+".csv"), tr)
 	}
 	run.Trace = tr
 	run.Evaluations = ev.Evaluations()
@@ -353,6 +376,16 @@ func RunOne(ctx context.Context, cfg Config, tech Technique, model *workload.Mod
 		cfg.Metrics.Merge(ev.Metrics())
 	}
 	return run
+}
+
+// Best returns the evaluation of the run's best feasible design, read from
+// its trace, or nil when the run found none.
+func (r *Run) Best() *eval.Result {
+	if r.Trace.Best == nil {
+		return nil
+	}
+	res, _ := search.ResolveRaw(r.Trace.BestCosts.Raw).(*eval.Result)
+	return res
 }
 
 // runOptimizer runs one optimizer with last-resort panic containment: a
@@ -412,39 +445,15 @@ func RunCampaign(ctx context.Context, cfg Config, techs []Technique, models []*w
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Cache == nil && cfg.CacheDir != "" {
-		// Open the persistent store once and share it across every run, so
-		// repeated layer searches within the campaign hit its in-memory
-		// index and the journal is loaded a single time. Registering the
-		// campaign's metrics registry (when attached) surfaces the store's
-		// load/corruption counters alongside the evaluator counters. An
-		// unopenable store degrades to an uncached campaign, never a
-		// failure.
-		store, err := evalcache.Open(cfg.CacheDir, evalcache.Options{
-			Registry: cfg.Metrics,
-			Warnf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "exp: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "exp: persistent cache %s unavailable, running uncached: %v\n", cfg.CacheDir, err)
-		} else {
-			cfg.Cache = store
-		}
-	}
+	cfg = cfg.withCache()
 	type job struct {
-		tech   Technique
-		model  *workload.Model
-		budget int
+		tech  Technique
+		model *workload.Model
 	}
 	var jobs []job
 	for _, tech := range techs {
 		for _, m := range models {
-			b := budget
-			if b <= 0 {
-				b = cfg.budgetFor(tech)
-			}
-			jobs = append(jobs, job{tech, m, b})
+			jobs = append(jobs, job{tech, m})
 		}
 	}
 	runs := make([]Run, len(jobs))
@@ -460,7 +469,7 @@ func RunCampaign(ctx context.Context, cfg Config, techs []Technique, models []*w
 				}
 			}
 		}()
-		runs[i] = RunOne(ctx, cfg, j.tech, j.model, j.budget)
+		runs[i] = RunOne(ctx, cfg, j.tech, j.model, budget)
 	}
 	// Note: the coordinator's fleet_* instruments are NOT merged into
 	// cfg.Metrics here — the coordinator outlives campaigns (a process may
@@ -487,10 +496,36 @@ func RunCampaign(ctx context.Context, cfg Config, techs []Technique, models []*w
 	return &Campaign{Runs: runs}
 }
 
-// writeTraceCSV dumps one run's acquisition trace; export failures are
-// reported on stderr but never fail the experiment.
-func writeTraceCSV(dir, tech, model string, tr *search.Trace) {
-	name := filepath.Join(dir, fmt.Sprintf("%s_%s.csv", sanitize(tech), sanitize(model)))
+// withCache opens CacheDir's persistent store as Cache unless one is
+// already open, so every run of an experiment shares one store: the journal
+// is loaded, and its load and corruption counters are registered in
+// Metrics, once, and a layer search one run did is an in-memory hit for
+// the next. An unopenable store degrades to uncached runs, never a failure.
+func (c Config) withCache() Config {
+	if c.Cache != nil || c.CacheDir == "" {
+		return c
+	}
+	store, err := evalcache.Open(c.CacheDir, evalcache.Options{
+		Registry: c.Metrics,
+		Warnf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "exp: "+format+"\n", args...)
+		},
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "exp: persistent cache %s unavailable, running uncached: %v\n", c.CacheDir, err)
+		return c
+	}
+	c.Cache = store
+	return c
+}
+
+// writeTraceCSV dumps one run's acquisition trace, creating its directory;
+// export failures are reported on stderr but never fail the experiment.
+func writeTraceCSV(name string, tr *search.Trace) {
+	if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "exp: trace export: %v\n", err)
+		return
+	}
 	f, err := os.Create(name)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "exp: trace export: %v\n", err)

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"xdse/internal/accelmodel"
 	"xdse/internal/arch"
@@ -35,28 +34,30 @@ type EnergyRun struct {
 // same engine drives a different bottleneck model (the additive energy
 // tree) toward a different corner of the space.
 func RunEnergyObjective(ctx context.Context, cfg Config) []EnergyRun {
-	var out []EnergyRun
-	for _, obj := range []eval.Objective{eval.MinLatency, eval.MinEnergy} {
-		space := arch.EdgeSpace()
-		cons := eval.EdgeConstraints()
-		ev := eval.New(eval.Config{
-			Space: space, Models: []*workload.Model{workload.MobileNetV2()},
-			Constraints: cons, Mode: eval.FixedDataflow, Objective: obj, Seed: cfg.Seed,
-		})
-		model := accelmodel.New(space, cons)
-		model.Objective = obj
-		ex := dse.New(model)
-		tr := ex.Run(ev.ProblemCtx(ctx, cfg.Budget), rand.New(rand.NewSource(cfg.Seed)))
-
-		run := EnergyRun{Objective: obj, Evaluations: ev.Evaluations()}
-		if tr.Best != nil {
-			r := ev.Evaluate(tr.Best)
-			run.LatencyMs = r.LatencyMs
-			run.EnergyMJ = r.EnergyMJ
-			run.Feasible = true
-			run.Design = r.Design
+	objs := []eval.Objective{eval.MinLatency, eval.MinEnergy}
+	techs := make([]Technique, len(objs))
+	for i, obj := range objs {
+		techs[i] = Technique{
+			Name:      "ExplainableDSE-" + obj.String(),
+			Mode:      eval.FixedDataflow,
+			Objective: obj,
+			Make: func(space *arch.Space, cons eval.Constraints) search.Optimizer {
+				model := accelmodel.New(space, cons)
+				model.Objective = obj
+				return dse.New(model)
+			},
 		}
-		out = append(out, run)
+	}
+	c := RunCampaign(ctx, cfg, techs, []*workload.Model{workload.MobileNetV2()}, 0)
+	out := make([]EnergyRun, len(c.Runs))
+	for i, r := range c.Runs {
+		out[i] = EnergyRun{Objective: objs[i], Evaluations: r.Evaluations}
+		if best := r.Best(); best != nil {
+			out[i].LatencyMs = best.LatencyMs
+			out[i].EnergyMJ = best.EnergyMJ
+			out[i].Feasible = true
+			out[i].Design = best.Design
+		}
 	}
 	return out
 }
@@ -96,32 +97,26 @@ type MultiWorkloadRun struct {
 // per-model designs.
 func RunMultiWorkload(ctx context.Context, cfg Config) []MultiWorkloadRun {
 	models := []*workload.Model{workload.ResNet18(), workload.MobileNetV2()}
+	tech := explainable("ExplainableDSE-FixDF", eval.FixedDataflow)
+	cfg = cfg.withCache()
 
-	explore := func(label string, ms []*workload.Model) MultiWorkloadRun {
-		space := arch.EdgeSpace()
-		cons := eval.EdgeConstraints()
-		ev := eval.New(eval.Config{
-			Space: space, Models: ms, Constraints: cons,
-			Mode: eval.FixedDataflow, Seed: cfg.Seed,
-		})
-		ex := dse.New(accelmodel.New(space, cons))
-		tr := ex.Run(ev.ProblemCtx(ctx, cfg.Budget), rand.New(rand.NewSource(cfg.Seed)))
-		run := MultiWorkloadRun{Label: label, Evaluations: ev.Evaluations()}
+	explore := func(label string, ms ...*workload.Model) MultiWorkloadRun {
+		r := RunModels(ctx, cfg, tech, ms, 0)
+		run := MultiWorkloadRun{Label: label, Evaluations: r.Evaluations}
 		for _, m := range ms {
 			run.Models = append(run.Models, m.Name)
 		}
-		if tr.Best != nil {
-			r := ev.Evaluate(tr.Best)
-			run.LatencyMs = r.LatencyMs
-			run.AreaMM2 = r.AreaMM2
+		if best := r.Best(); best != nil {
+			run.LatencyMs = best.LatencyMs
+			run.AreaMM2 = best.AreaMM2
 			run.Feasible = true
 		}
 		return run
 	}
 
-	out := []MultiWorkloadRun{explore("shared accelerator", models)}
+	out := []MultiWorkloadRun{explore("shared accelerator", models...)}
 	for _, m := range models {
-		out = append(out, explore("dedicated: "+m.Name, []*workload.Model{m}))
+		out = append(out, explore("dedicated: "+m.Name, m))
 	}
 	return out
 }
@@ -159,31 +154,28 @@ type JointRun struct {
 // hardware trial).
 func RunJointVsTwoStage(ctx context.Context, cfg Config) []JointRun {
 	model := workload.EfficientNetB0()
-	explore := func(label string, mapTrials int) JointRun {
-		space := arch.EdgeSpace()
-		ev := eval.New(eval.Config{
-			Space: space, Models: []*workload.Model{model},
-			Constraints: eval.EdgeConstraints(), Mode: eval.RandomMappings,
-			MapTrials: mapTrials, Seed: cfg.Seed,
-		})
-		tr := opt.Random{}.Run(ev.ProblemCtx(ctx, cfg.CodesignBudget), rand.New(rand.NewSource(cfg.Seed)))
-		run := JointRun{Label: label, Evaluations: ev.Evaluations()}
-		if tr.Best != nil {
-			r := ev.Evaluate(tr.Best)
-			run.LatencyMs = r.LatencyMs
+	cfg = cfg.withCache()
+	explore := func(label, name string, mapTrials int) JointRun {
+		rcfg := cfg
+		rcfg.MapTrials = mapTrials
+		tech := blackBox(name, eval.RandomMappings, func() search.Optimizer { return opt.Random{} })
+		r := RunOne(ctx, rcfg, tech, model, 0)
+		run := JointRun{Label: label, Evaluations: r.Evaluations}
+		if best := r.Best(); best != nil {
+			run.LatencyMs = best.LatencyMs
 			run.Feasible = true
 		}
 		// Total mapping evaluations across all visited designs.
-		for _, s := range tr.Steps {
-			if r, ok := search.ResolveRaw(s.Costs.Raw).(*eval.Result); ok {
-				run.MapEvalTotal += r.MapEvaluations
+		for _, s := range r.Trace.Steps {
+			if res, ok := search.ResolveRaw(s.Costs.Raw).(*eval.Result); ok {
+				run.MapEvalTotal += res.MapEvaluations
 			}
 		}
 		return run
 	}
 	return []JointRun{
-		explore("joint (1 mapping/trial)", 1),
-		explore(fmt.Sprintf("two-stage (%d mapping trials)", cfg.MapTrials), cfg.MapTrials),
+		explore("joint (1 mapping/trial)", "RandomSearch-Joint", 1),
+		explore(fmt.Sprintf("two-stage (%d mapping trials)", cfg.MapTrials), "RandomSearch-TwoStage", cfg.MapTrials),
 	}
 }
 

@@ -3,11 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
-	"xdse/internal/accelmodel"
-	"xdse/internal/arch"
-	"xdse/internal/dse"
 	"xdse/internal/eval"
 	"xdse/internal/workload"
 )
@@ -76,28 +72,19 @@ func RunFig14(ctx context.Context, cfg Config) []Fig14Row {
 	}
 	refs := []EdgeRef{EdgeTPURef(), EyerissRef()}
 
+	c := RunCampaign(ctx, cfg, []Technique{explainable("ExplainableDSE-Codesign", eval.PrunedMappings)}, models, 0)
 	var rows []Fig14Row
-	for _, m := range models {
-		space := arch.EdgeSpace()
-		cons := eval.EdgeConstraints()
-		ev := eval.New(eval.Config{
-			Space: space, Models: []*workload.Model{m}, Constraints: cons,
-			Mode: eval.PrunedMappings, MapTrials: cfg.MapTrials, Seed: cfg.Seed,
-		})
-		ex := dse.New(accelmodel.New(space, cons))
-		tr := ex.Run(ev.ProblemCtx(ctx, cfg.CodesignBudget), rand.New(rand.NewSource(cfg.Seed)))
-
-		row := Fig14Row{Model: m.Name, Refs: map[string]EdgeRefPoint{}}
-		if tr.Best != nil {
-			r := ev.Evaluate(tr.Best)
-			row.DSEFPS = 1000 / r.LatencyMs
-			row.DSEAreaMM2 = r.AreaMM2
-			if e := r.Models[0].EnergyMJ; e > 0 {
+	for _, r := range c.Runs {
+		row := Fig14Row{Model: r.Model, Refs: map[string]EdgeRefPoint{}}
+		if best := r.Best(); best != nil {
+			row.DSEFPS = 1000 / best.LatencyMs
+			row.DSEAreaMM2 = best.AreaMM2
+			if e := best.Models[0].EnergyMJ; e > 0 {
 				row.DSEFPSJ = 1000 / e // inferences per Joule
 			}
 		}
 		for _, ref := range refs {
-			fps, ok := ref.FPS[m.Name]
+			fps, ok := ref.FPS[r.Model]
 			if !ok {
 				continue
 			}

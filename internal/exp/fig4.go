@@ -3,11 +3,8 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
-	"xdse/internal/accelmodel"
 	"xdse/internal/arch"
-	"xdse/internal/dse"
 	"xdse/internal/eval"
 	"xdse/internal/opt"
 	"xdse/internal/search"
@@ -33,44 +30,19 @@ func Fig4Space() *arch.Space {
 	return s
 }
 
-// Fig4Run is one technique's acquisition sequence over the toy space.
-type Fig4Run struct {
-	Technique string
-	Trace     *search.Trace
-}
-
 // RunFig4 explores the toy space for the single ResNet CONV5_2b layer with
 // HyperMapper 2.0 and Explainable-DSE.
-func RunFig4(ctx context.Context, cfg Config) []Fig4Run {
-	model := workload.ResNetConv52b()
-	budget := 30
-	var out []Fig4Run
-
-	runWith := func(name string, mk func(space *arch.Space, cons eval.Constraints) search.Optimizer) {
-		space := Fig4Space()
-		cons := eval.EdgeConstraints()
-		ev := eval.New(eval.Config{
-			Space:       space,
-			Models:      []*workload.Model{model},
-			Constraints: cons,
-			Mode:        eval.FixedDataflow,
-			Seed:        cfg.Seed,
-		})
-		tr := mk(space, cons).Run(ev.ProblemCtx(ctx, budget), rand.New(rand.NewSource(cfg.Seed)))
-		out = append(out, Fig4Run{Technique: name, Trace: tr})
-	}
-
-	runWith("HyperMapper2.0", func(*arch.Space, eval.Constraints) search.Optimizer {
+func RunFig4(ctx context.Context, cfg Config) []Run {
+	hm := blackBox("HyperMapper2.0", eval.FixedDataflow, func() search.Optimizer {
 		return opt.HyperMapper{Warmup: 8, Pool: 200}
 	})
-	runWith("ExplainableDSE", func(space *arch.Space, cons eval.Constraints) search.Optimizer {
-		return dse.New(accelmodel.New(space, cons))
-	})
-	return out
+	ex := explainable("ExplainableDSE", eval.FixedDataflow)
+	hm.Space, ex.Space = Fig4Space, Fig4Space
+	return RunCampaign(ctx, cfg, []Technique{hm, ex}, []*workload.Model{workload.ResNetConv52b()}, 30).Runs
 }
 
 // ReportFig4 renders each technique's acquisition walk over (PEs, L2).
-func ReportFig4(cfg Config, runs []Fig4Run) {
+func ReportFig4(cfg Config, runs []Run) {
 	w := cfg.out()
 	space := Fig4Space()
 	fmt.Fprintf(w, "\n== Fig4: toy DSE of #PEs x L2 size for ResNet CONV5_2b ==\n")

@@ -13,7 +13,7 @@ import (
 // reports in results/ are still current and compares each byte for byte, so
 // a change to any layer under them (evaluator caches, record codecs, the
 // cost model, the engine) cannot silently move the reproduction's numbers.
-// fig11 also matches but takes several seconds; fig3, fig4, fig9, fig15 and
+// fig11 also matches but takes several seconds; fig3, fig9, fig15 and
 // table2 wait for results/ to be regenerated.
 func TestResultsGolden(t *testing.T) {
 	ctx := context.Background()
@@ -27,6 +27,7 @@ func TestResultsGolden(t *testing.T) {
 		{"energy", "energy.txt", func(cfg Config) { ReportEnergyObjective(cfg, RunEnergyObjective(ctx, cfg)) }},
 		{"multiworkload", "multi.txt", func(cfg Config) { ReportMultiWorkload(cfg, RunMultiWorkload(ctx, cfg)) }},
 		{"fig14", "fig14.txt", func(cfg Config) { ReportFig14(cfg, RunFig14(ctx, cfg)) }},
+		{"fig4", "fig4.txt", func(cfg Config) { ReportFig4(cfg, RunFig4(ctx, cfg)) }},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.file))

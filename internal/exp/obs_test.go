@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xdse/internal/eval"
+	"xdse/internal/evalcache"
 	"xdse/internal/obs"
 	"xdse/internal/search"
 	"xdse/internal/workload"
@@ -197,6 +198,94 @@ func TestCampaignTraceAndMetrics(t *testing.T) {
 	}
 	if err := obs.ValidatePrometheus(b.String()); err != nil {
 		t.Errorf("campaign metrics dump malformed: %v", err)
+	}
+}
+
+// TestExperimentsHonourOutputs runs each experiment that explores through
+// RunCampaign, RunOne or RunModels without being a plain technique roster,
+// and checks that the campaign outputs reach every one of its runs: one CSV
+// and one campaign span per run, spans that link into valid trees (which
+// also proves the run labels unique), and the evaluator counters merged
+// into the registry.
+func TestExperimentsHonourOutputs(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		id   string
+		runs int
+		run  func(Config)
+	}{
+		{"ablation", 7, func(cfg Config) { RunAblations(ctx, cfg) }},
+		{"energy", 2, func(cfg Config) { RunEnergyObjective(ctx, cfg) }},
+		{"multiworkload", 3, func(cfg Config) { RunMultiWorkload(ctx, cfg) }},
+		{"joint", 2, func(cfg Config) { RunJointVsTwoStage(ctx, cfg) }},
+		{"fig4", 2, func(cfg Config) { RunFig4(ctx, cfg) }},
+		{"fig14", 4, func(cfg Config) { RunFig14(ctx, cfg) }},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			var buf bytes.Buffer
+			cfg := tinyConfig(&buf)
+			cfg.CSVDir = filepath.Join(t.TempDir(), "csv")
+			sink := &obs.CollectSink{}
+			cfg.Trace = sink
+			cfg.Metrics = obs.NewRegistry()
+			tc.run(cfg)
+
+			csvs, err := filepath.Glob(filepath.Join(cfg.CSVDir, "*.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(csvs) != tc.runs {
+				t.Errorf("%d CSVs, want %d: %v", len(csvs), tc.runs, csvs)
+			}
+			events := sink.Events()
+			campaigns := 0
+			for _, ev := range events {
+				if ev.Kind == obs.KindSpan && ev.SpanKind == obs.SpanCampaign {
+					campaigns++
+				}
+			}
+			if campaigns != tc.runs {
+				t.Errorf("%d campaign spans, want %d", campaigns, tc.runs)
+			}
+			if err := obs.ValidateSpans(events); err != nil {
+				t.Errorf("trace spans invalid: %v", err)
+			}
+			if cfg.Metrics.Counter("eval_design_evaluations_total").Value() == 0 {
+				t.Error("no design evaluations reached the metrics registry")
+			}
+		})
+	}
+}
+
+// TestExperimentsOpenTheStoreOnce runs the experiments that call RunOne or
+// RunModels more than once without RunCampaign over a warm -cache-dir
+// store: the store is opened once per experiment, so its load counter
+// reaches the metrics registry once, not once per run.
+func TestExperimentsOpenTheStoreOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		id  string
+		run func(Config)
+	}{
+		{"multiworkload", func(cfg Config) { RunMultiWorkload(ctx, cfg) }},
+		{"joint", func(cfg Config) { RunJointVsTwoStage(ctx, cfg) }},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			cfg := tinyConfig(&bytes.Buffer{})
+			cfg.CacheDir = t.TempDir()
+			tc.run(cfg)
+			reg := obs.NewRegistry()
+			if _, err := evalcache.Open(cfg.CacheDir, evalcache.Options{Registry: reg}); err != nil {
+				t.Fatal(err)
+			}
+			want := reg.Counter("evalcache_records_loaded_total").Value()
+
+			cfg.Metrics = obs.NewRegistry()
+			tc.run(cfg)
+			if got := cfg.Metrics.Counter("evalcache_records_loaded_total").Value(); got != want || want == 0 {
+				t.Errorf("evalcache_records_loaded_total = %d, want the store's %d records once", got, want)
+			}
+		})
 	}
 }
 

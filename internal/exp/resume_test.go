@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -226,5 +227,81 @@ func TestInterruptedCampaignSkipsRemainingRuns(t *testing.T) {
 		if !r.Interrupted {
 			t.Errorf("%s: run not marked Interrupted under a cancelled context", r.Technique)
 		}
+	}
+}
+
+// interruptedAt runs an experiment under a context it cancels at the first
+// unique evaluation for which stop returns true.
+func interruptedAt[T any](cfg Config, run func(context.Context, Config) T, stop func(ord int) bool) T {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Faults = &eval.FaultPolicy{OnEvaluation: func(ord int) {
+		if stop(ord) {
+			cancel()
+		}
+	}}
+	return run(ctx, cfg)
+}
+
+// nthRun stops at the first evaluation of an experiment's n-th run (every
+// run's evaluator numbers its unique evaluations from 0); firstNew stops at
+// the first evaluation a resumed experiment's journals cannot answer.
+func nthRun(n int) func(int) bool {
+	starts := 0
+	return func(ord int) bool {
+		if ord == 0 {
+			starts++
+		}
+		return starts == n
+	}
+}
+
+func firstNew(int) bool { return true }
+
+// TestInterruptedResumeKeepsReplayedResults interrupts checkpointed
+// experiments and resumes them, interrupted again. A replayed design's
+// result is a Deferred payload that a report may resolve after the
+// interrupt, so it must resolve to the design's result, not a cancelled
+// one. Killed in fig14's run 3 twice over, the rows of the two fully
+// replayed runs must equal an uninterrupted fig14's. Killed in run 1 twice
+// over, the replayed partial run must equal the first, unreplayed
+// invocation's: fig14's best design, and joint's best and per-step
+// mapping-evaluation total.
+func TestInterruptedResumeKeepsReplayedResults(t *testing.T) {
+	base := resumeConfig()
+	// The smallest budget at which every fig14 run finds a feasible design
+	// only after several acquisitions, so each best is a replayed one.
+	base.CodesignBudget, base.MapTrials = 50, 120
+
+	ref := RunFig14(context.Background(), base)
+	cfg := base
+	cfg.CheckpointDir = t.TempDir()
+	interruptedAt(cfg, RunFig14, nthRun(3))
+	cfg.Resume = true
+	rows := interruptedAt(cfg, RunFig14, firstNew)
+	for i := 0; i < 2; i++ {
+		if !reflect.DeepEqual(rows[i], ref[i]) {
+			t.Errorf("fig14 replayed run %d: row %+v, uninterrupted %+v", i+1, rows[i], ref[i])
+		}
+	}
+
+	cfg = base
+	cfg.CheckpointDir = t.TempDir()
+	partial := interruptedAt(cfg, RunFig14, func(ord int) bool { return ord == 40 })
+	cfg.Resume = true
+	rows = interruptedAt(cfg, RunFig14, firstNew)
+	if partial[0].DSEFPS == 0 {
+		t.Fatal("fig14 run 1 found no feasible design before the interrupt; move the kill later")
+	}
+	if !reflect.DeepEqual(rows[0], partial[0]) {
+		t.Errorf("fig14 replayed partial run 1: row %+v, before the resume %+v", rows[0], partial[0])
+	}
+
+	cfg = base
+	cfg.CheckpointDir = t.TempDir()
+	jpartial := interruptedAt(cfg, RunJointVsTwoStage, func(ord int) bool { return ord == 20 })
+	cfg.Resume = true
+	if got := interruptedAt(cfg, RunJointVsTwoStage, firstNew); got[0] != jpartial[0] || got[0].MapEvalTotal == 0 {
+		t.Errorf("joint replayed partial run 1: %+v, before the resume %+v", got[0], jpartial[0])
 	}
 }
