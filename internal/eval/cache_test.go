@@ -206,9 +206,9 @@ func TestDesignMemoEviction(t *testing.T) {
 	}
 }
 
-// TestEvaluateModelBoundsGoroutines checks the worker semaphore is acquired
-// before spawn: a many-layer model under Workers=1 must not burst one
-// goroutine per layer.
+// TestEvaluateModelBoundsGoroutines checks that a model's layers run on at
+// most Workers goroutines: a many-layer model under Workers=1 must not burst
+// one goroutine per layer.
 func TestEvaluateModelBoundsGoroutines(t *testing.T) {
 	layers := make([]workload.Layer, 64)
 	for i := range layers {
@@ -247,7 +247,7 @@ func TestEvaluateModelBoundsGoroutines(t *testing.T) {
 	<-done
 	// Workers=1 permits the evaluating goroutine, one worker, the sampler,
 	// and some slack for runtime/test goroutines — far below the 64-layer
-	// burst the pre-fix code produced.
+	// burst of one goroutine per layer.
 	if burst := atomic.LoadInt64(&maxG) - int64(base); burst > 16 {
 		t.Fatalf("goroutine burst of %d under Workers=1 (64 layers)", burst)
 	}
@@ -365,8 +365,10 @@ func TestTierSplitStats(t *testing.T) {
 
 // TestIncumbentProbeAllocatesNothingExtra pins the warm-start probe's cost:
 // a pruned search handed an incumbent allocates no more than the same search
-// without one, since the incumbent reaches the enumerator as is and its
-// probe is one more Tier-1 call.
+// without one, in mallocs or in bytes, since the incumbent reaches the
+// enumerator as is and its probe is one more Tier-1 call. These incumbents
+// trigger no probe skip, so the strict fallback's skip records are out of
+// its reach; TestWarmFallbackSearchBytes in internal/perf pins those.
 func TestIncumbentProbeAllocatesNothingExtra(t *testing.T) {
 	e := newEval(PrunedMappings)
 	space := e.Config().Space
@@ -386,12 +388,35 @@ func TestIncumbentProbeAllocatesNothingExtra(t *testing.T) {
 		if !inc.Found {
 			t.Fatalf("%s: no mapping on the larger design", l.Name)
 		}
-		cold := testing.AllocsPerRun(5, func() { e.searchLayer(d, l, int64(i), nil) })
-		warm := testing.AllocsPerRun(5, func() { e.searchLayer(d, l, int64(i), &inc.Mapping) })
-		if warm > cold {
-			t.Errorf("%s: search with an incumbent allocates %.0f times, without one %.0f", l.Name, warm, cold)
+		cold := func() { e.searchLayer(d, l, int64(i), nil) }
+		warm := func() { e.searchLayer(d, l, int64(i), &inc.Mapping) }
+		if w, c := testing.AllocsPerRun(5, warm), testing.AllocsPerRun(5, cold); w > c {
+			t.Errorf("%s: search with an incumbent allocates %.0f times, without one %.0f", l.Name, w, c)
+		}
+		if w, c := bytesPerRun(5, warm), bytesPerRun(5, cold); w > c {
+			t.Errorf("%s: search with an incumbent allocates %d B, without one %d B", l.Name, w, c)
 		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the bytes one call of
+// f allocates, averaged over runs calls after a warm-up call. It reports the
+// least of three such windows, since a stray allocation elsewhere in the
+// process can only add bytes.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return least
 }
 
 // TestDeriveAllocatesNothing pins the cost of completing a layer record: a

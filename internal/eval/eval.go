@@ -15,6 +15,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xdse/internal/arch"
@@ -938,32 +939,35 @@ func sumTrials(me ModelEval) int {
 func (e *Evaluator) evaluateModel(d arch.Design, sub string, est energy.Estimate, mdl *workload.Model) ModelEval {
 	me := ModelEval{Model: mdl, Layers: make([]LayerEval, len(mdl.Layers))}
 
-	// Acquire the worker semaphore before spawning so at most Workers
-	// goroutines exist at a time: a 100-layer model under Workers=1 must
-	// not burst 100 goroutines that all immediately block.
+	// min(Workers, layers) goroutines pull layer indices, so a stack grown
+	// by one layer's search serves the next layers of the design, and a
+	// 100-layer model under Workers=1 runs on one goroutine.
 	//
-	// A panic on a layer goroutine would kill the whole process (panics
-	// never cross goroutines), so each worker captures its panic value
-	// into its own slot and the first one — by layer order, so the choice
-	// is deterministic — is re-raised on the calling goroutine after the
-	// barrier, where protectedEvaluate's recover converts it into an
-	// errored design.
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.cfg.Workers)
+	// A panic on a worker would kill the whole process (panics never cross
+	// goroutines), so each layer's panic value is captured into its own
+	// slot, the worker moves on to the next layer, and the first panic —
+	// by layer order, so the choice is deterministic — is re-raised on the
+	// calling goroutine after the barrier, where protectedEvaluate's
+	// recover converts it into an errored design.
 	panics := make([]any, len(mdl.Layers))
-	for i := range mdl.Layers {
-		sem <- struct{}{}
+	layer := func(i int) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				panics[i] = rec
+			}
+		}()
+		me.Layers[i] = e.evaluateLayer(d, sub, mdl.Layers[i], int64(i))
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(e.cfg.Workers, len(mdl.Layers)) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if rec := recover(); rec != nil {
-					panics[i] = rec
-				}
-			}()
-			me.Layers[i] = e.evaluateLayer(d, sub, mdl.Layers[i], int64(i))
-		}(i)
+			for i := int(next.Add(1)) - 1; i < len(mdl.Layers); i = int(next.Add(1)) - 1 {
+				layer(i)
+			}
+		}()
 	}
 	wg.Wait()
 	for _, rec := range panics {

@@ -203,28 +203,34 @@ func defaultOrderings() []Mapping {
 // allOrderings is the shared default ordering set (read-only).
 var allOrderings = defaultOrderings()
 
-// skippedCand is a candidate whose cost call was skipped on account of the
-// external warm-start probe; it is remembered (with its candidate index) so
-// the strict fallback can re-evaluate it in order.
-type skippedCand struct {
-	n int
-	m Mapping
+// skippedBase is a spatial base whose candidates (n0, n1] were all skipped on
+// account of the external warm-start probe. Within one base the lower bound
+// and the probe are constant and the running best moves only through a cost
+// call, so the probe skips either every candidate of a base (up to the band
+// limit) or none of them. The strict fallback therefore regenerates exactly
+// the skipped candidates, in order and with their indices, by re-running
+// emitTemporal over the base bounded to (n0, n1].
+type skippedBase struct {
+	spatial [4]int // the K, C, Y, X spatial factors
+	n0, n1  int
 }
 
 // enumerator carries the running state of one pruned enumeration: the
-// incumbent, the candidate counter, the pruning bound, and the scratch
-// buffers that keep the hot loop allocation-free.
+// incumbent, the candidate counter, the pruning bound, and the working
+// mapping and scratch buffers that keep the hot loop allocation-free.
 type enumerator struct {
 	cost      Cost
 	lb        func(int) float64
+	hasLB     bool
 	orderings []Mapping
 
 	// probe is the external warm-start bound (+Inf when absent).
 	probe float64
 	// curLB is the lower bound of the current spatial base.
-	curLB    float64
-	hasLB    bool
-	hasCurLB bool
+	curLB float64
+	// skipBase reports that the bound prunes every candidate of the
+	// current spatial base, so try only counts them.
+	skipBase bool
 
 	best       Mapping
 	bestCycles float64
@@ -235,62 +241,79 @@ type enumerator struct {
 	limit     int // current band's candidate cap
 	costCalls int
 	pruned    int
-	skipped   []skippedCand
+	skipped   []skippedBase
 
 	// bufs are the fit-filter scratch buffers of emitTemporal, one per
 	// temporal nesting level (each holds at most 3 surviving factors).
 	bufs [6][4]int
-	// trial is the working mapping try hands to the cost callback. It
-	// lives on the enumerator (heap-allocated once per search) so taking
-	// its address for the indirect cost call does not force a fresh heap
-	// escape per fill.
-	trial Mapping
+	// m is the one working mapping of the search: loadBase resets it to a
+	// spatial base, emitTemporal and fitOptions vary its temporal factors
+	// in place, and try varies its orderings and hands its address to the
+	// cost callback.
+	m Mapping
 }
 
-// setBase records the spatial base's PE occupancy, fixing the lower bound
-// for every candidate emitted from that base.
-func (e *enumerator) setBase(pes int) {
-	e.hasCurLB = e.hasLB
-	if e.hasLB {
-		e.curLB = e.lb(pes)
+// loadBase resets the working mapping to the spatial base with the given
+// K, C, Y, X spatial factors: every other factor is 1, except that DRAM
+// takes the rest of each dimension.
+func (e *enumerator) loadBase(dims [NumDims]int, spatial [4]int) {
+	e.m = Mapping{}
+	for d := range e.m.F {
+		e.m.F[d] = [NumLevels]int{LvlSpatial: 1, LvlRF: 1, LvlL2: 1, LvlDRAM: dims[d]}
+	}
+	for i, d := range [4]Dim{DimK, DimC, DimY, DimX} {
+		e.m.F[d][LvlSpatial], e.m.F[d][LvlDRAM] = spatial[i], dims[d]/spatial[i]
 	}
 }
 
-// try considers one temporal fill under every ordering. It returns false
-// when the band's candidate budget is exhausted.
-func (e *enumerator) try(m Mapping) bool {
-	// One working copy per fill, held in the enumerator's scratch slot;
-	// only the two stationary fields vary per ordering (the 208-byte
-	// factor matrix is shared by all nine).
-	e.trial = m
-	mm := &e.trial
-	for _, ord := range e.orderings {
-		mm.DRAMStationary = ord.DRAMStationary
-		mm.NoCStationary = ord.NoCStationary
+// setBase fixes the lower bound for every candidate of the spatial base
+// occupying pes PEs and decides whether the bound prunes the whole base. It
+// reports whether it does so on the warm-start probe's account alone (the
+// bound is below the running best), the skips the strict fallback must
+// revisit.
+func (e *enumerator) setBase(pes int) (probeSkip bool) {
+	e.skipBase = false
+	if !e.hasLB {
+		return false
+	}
+	e.curLB = e.lb(pes)
+	switch {
+	case e.curLB >= e.bestCycles:
+		e.skipBase = true
+	case e.curLB >= e.probe:
+		e.skipBase, probeSkip = true, true
+	}
+	return probeSkip
+}
+
+// try considers the working mapping's temporal fill under every ordering.
+// It returns false when the band's candidate budget is exhausted.
+func (e *enumerator) try() bool {
+	if e.skipBase {
+		// The bound proves no ordering of the fill can strictly beat
+		// the incumbent: count them, up to the band limit, in one step.
+		k := min(len(e.orderings), e.limit-e.n)
+		e.n += k
+		e.pruned += k
+		return e.n < e.limit
+	}
+	mm := &e.m
+	for i := range e.orderings {
+		mm.DRAMStationary = e.orderings[i].DRAMStationary
+		mm.NoCStationary = e.orderings[i].NoCStationary
 		e.n++
-		if e.hasCurLB {
-			bound := e.bestCycles
-			if e.probe < bound {
-				bound = e.probe
+		if e.hasLB && e.curLB >= e.bestCycles {
+			// An earlier candidate of this base brought the running
+			// best down to the bound.
+			e.pruned++
+		} else {
+			e.costCalls++
+			// The first attainer of the best cycles wins. Candidates
+			// arrive in index order except in the strict fallback,
+			// which revisits skipped ones behind the running best.
+			if c, ok := e.cost(mm); ok && (c < e.bestCycles || c == e.bestCycles && e.found && e.n < e.bestN) {
+				e.best, e.bestCycles, e.found, e.bestN = *mm, c, true, e.n
 			}
-			if e.curLB >= bound {
-				// The bound proves mm cannot strictly beat the
-				// incumbent. Skips justified only by the probe
-				// (curLB below the running best) must be
-				// remembered for the strict fallback.
-				e.pruned++
-				if e.curLB < e.bestCycles {
-					e.skipped = append(e.skipped, skippedCand{e.n, *mm})
-				}
-				if e.n >= e.limit {
-					return false
-				}
-				continue
-			}
-		}
-		e.costCalls++
-		if c, ok := e.cost(mm); ok && c < e.bestCycles {
-			e.best, e.bestCycles, e.found, e.bestN = *mm, c, true, e.n
 		}
 		if e.n >= e.limit {
 			return false
@@ -361,31 +384,23 @@ func EnumeratePruned(l workload.Layer, cfg GenConfig, cost Cost) Result {
 		}
 	}
 
-	res := Result{
-		Best: e.best, Cycles: e.bestCycles, Found: e.found,
-		Evaluated: e.n, CostCalls: e.costCalls, LBPruned: e.pruned,
-	}
+	res := Result{Evaluated: e.n, LBPruned: e.pruned}
 	if len(e.skipped) > 0 && !(e.found && e.bestCycles < e.probe) {
 		// Strict fallback: the enumeration did not strictly beat the
 		// probe, so a candidate skipped on the probe's account could
 		// have been the cold run's winner (or an earlier attainer of
-		// the same cycles). Re-evaluate them in candidate order and
-		// merge with first-attainer semantics.
+		// the same cycles). Regenerate them base by base, in candidate
+		// order, and cost every one; try merges them with
+		// first-attainer semantics.
 		res.WarmFallback = true
-		bestN := e.bestN
+		e.hasLB, e.skipBase = false, false
 		for _, s := range e.skipped {
-			res.CostCalls++
-			e.trial = s.m
-			c, ok := cost(&e.trial)
-			if !ok {
-				continue
-			}
-			if c < res.Cycles || (c == res.Cycles && res.Found && s.n < bestN) {
-				res.Best, res.Cycles, res.Found = s.m, c, true
-				bestN = s.n
-			}
+			e.loadBase(dims, s.spatial)
+			e.n, e.limit = s.n0, s.n1
+			e.emitTemporal(l, dims, cfg)
 		}
 	}
+	res.Best, res.Cycles, res.Found, res.CostCalls = e.best, e.bestCycles, e.found, e.costCalls
 	if !res.Found {
 		res.Cycles = math.Inf(1)
 		res.Best = Mapping{}
@@ -412,26 +427,22 @@ func (e *enumerator) enumerateAt(l workload.Layer, dims [NumDims]int, cfg GenCon
 					if pes > cfg.PEs || util < minUtil || util > maxUtil {
 						continue
 					}
-					var base Mapping
-					for d := Dim(0); d < NumDims; d++ {
-						for lv := Level(0); lv < NumLevels; lv++ {
-							base.F[d][lv] = 1
-						}
-						base.F[d][LvlDRAM] = dims[d]
-					}
-					base.F[DimK][LvlSpatial], base.F[DimK][LvlDRAM] = sk, dims[DimK]/sk
-					base.F[DimC][LvlSpatial], base.F[DimC][LvlDRAM] = sc, dims[DimC]/sc
-					base.F[DimY][LvlSpatial], base.F[DimY][LvlDRAM] = sy, dims[DimY]/sy
-					base.F[DimX][LvlSpatial], base.F[DimX][LvlDRAM] = sx, dims[DimX]/sx
+					spatial := [4]int{sk, sc, sy, sx}
+					e.loadBase(dims, spatial)
 					// One validity probe per spatial base: NoC-group
 					// demand and minimum tile footprints depend only
 					// on the spatial factors, so a rejected base
 					// cannot host any valid mapping.
-					if cfg.BaseValid != nil && !cfg.BaseValid(base) {
+					if cfg.BaseValid != nil && !cfg.BaseValid(e.m) {
 						continue
 					}
-					e.setBase(pes)
-					if !e.emitTemporal(l, base, dims, cfg) {
+					probeSkip := e.setBase(pes)
+					n0 := e.n
+					more := e.emitTemporal(l, dims, cfg)
+					if probeSkip && e.n > n0 {
+						e.skipped = append(e.skipped, skippedBase{spatial, n0, e.n})
+					}
+					if !more {
 						return
 					}
 				}
@@ -442,78 +453,88 @@ func (e *enumerator) enumerateAt(l workload.Layer, dims [NumDims]int, cfg GenCon
 
 // fitOptions filters candidate factors of dimension d at level lv to those
 // whose resulting tile fits the corresponding buffer, appending survivors to
-// dst (a scratch buffer owned by the enumerator).
-func fitOptions(l workload.Layer, m Mapping, d Dim, lv Level, factors []int, capacity int, tileBytes func(workload.Layer, *Mapping) int64, dst []int) []int {
+// dst (a scratch buffer owned by the enumerator). It varies m's factor in
+// place and restores it before returning.
+func fitOptions(l workload.Layer, m *Mapping, d Dim, lv Level, factors []int, capacity int, tileBytes func(workload.Layer, *Mapping) int64, dst []int) []int {
 	if capacity <= 0 {
 		return factors
 	}
 	out := dst
-	trial := m
+	f0 := m.F[d][lv]
 	for _, f := range factors {
-		trial.F[d][lv] = f
-		if tileBytes(l, &trial) <= int64(capacity) {
+		m.F[d][lv] = f
+		if tileBytes(l, m) <= int64(capacity) {
 			out = append(out, f)
 		}
 	}
+	m.F[d][lv] = f0
 	return out
 }
 
 // emitTemporal fills the RF/L2/DRAM factors of K,C,Y,X around the spatial
-// base — pruning register-file and scratchpad overflows before evaluation —
-// and emits candidate mappings until the band budget is exhausted. Filter
-// taps are placed at the RF level when they fit, at the L2/DRAM boundary
-// otherwise.
-func (e *enumerator) emitTemporal(l workload.Layer, base Mapping, dims [NumDims]int, cfg GenConfig) bool {
+// base in the working mapping — pruning register-file and scratchpad
+// overflows before evaluation — and emits candidate mappings until the band
+// budget is exhausted. Filter taps are placed at the RF level when they fit,
+// at the L2/DRAM boundary otherwise.
+//
+// The walk is in place: each nesting level sets its factor and restores the
+// base's value, 1, after its loop, since the L2 fit filters read every
+// dimension's L2 factor. (Option lists end with 1 today, so the restores
+// keep the walk right for any option order rather than fix a live case.)
+// An early return leaves a fill behind; every caller loads a base before
+// the next walk.
+func (e *enumerator) emitTemporal(l workload.Layer, dims [NumDims]int, cfg GenConfig) bool {
+	m := &e.m
 	// Prefer filter taps resident in the RF (maximal convolution reuse).
-	taps := base
-	taps.F[DimR][LvlRF], taps.F[DimR][LvlDRAM] = dims[DimR]/base.F[DimR][LvlSpatial], 1
-	taps.F[DimS][LvlRF], taps.F[DimS][LvlDRAM] = dims[DimS]/base.F[DimS][LvlSpatial], 1
-	if cfg.L1Bytes <= 0 || RFTileBytes(l, &taps) <= int64(cfg.L1Bytes) {
-		base = taps
+	r, s := m.F[DimR], m.F[DimS]
+	m.F[DimR][LvlRF], m.F[DimR][LvlDRAM] = dims[DimR]/r[LvlSpatial], 1
+	m.F[DimS][LvlRF], m.F[DimS][LvlDRAM] = dims[DimS]/s[LvlSpatial], 1
+	if cfg.L1Bytes > 0 && RFTileBytes(l, m) > int64(cfg.L1Bytes) {
+		m.F[DimR], m.F[DimS] = r, s
 	}
 
-	remK := dims[DimK] / base.F[DimK][LvlSpatial]
-	remC := dims[DimC] / base.F[DimC][LvlSpatial]
-	remY := dims[DimY] / base.F[DimY][LvlSpatial]
-	remX := dims[DimX] / base.F[DimX][LvlSpatial]
+	remK := dims[DimK] / m.F[DimK][LvlSpatial]
+	remC := dims[DimC] / m.F[DimC][LvlSpatial]
+	remY := dims[DimY] / m.F[DimY][LvlSpatial]
+	remX := dims[DimX] / m.F[DimX][LvlSpatial]
 
-	rfK := fitOptions(l, base, DimK, LvlRF, spreadDivisors(remK, 3), cfg.L1Bytes, RFTileBytes, e.bufs[0][:0])
+	rfK := fitOptions(l, m, DimK, LvlRF, spreadDivisors(remK, 3), cfg.L1Bytes, RFTileBytes, e.bufs[0][:0])
 	for _, fk := range rfK {
-		mk := base
-		mk.F[DimK][LvlRF] = fk
-		rfC := fitOptions(l, mk, DimC, LvlRF, spreadDivisors(remC, 3), cfg.L1Bytes, RFTileBytes, e.bufs[1][:0])
+		m.F[DimK][LvlRF] = fk
+		rfC := fitOptions(l, m, DimC, LvlRF, spreadDivisors(remC, 3), cfg.L1Bytes, RFTileBytes, e.bufs[1][:0])
 		for _, fc := range rfC {
-			m := mk
 			m.F[DimC][LvlRF] = fc
 			l2K := fitOptions(l, m, DimK, LvlL2, spreadDivisors(remK/fk, 3), cfg.L2Bytes, L2TileBytes, e.bufs[2][:0])
 			for _, gk := range l2K {
-				mg := m
-				mg.F[DimK][LvlL2] = gk
-				l2C := fitOptions(l, mg, DimC, LvlL2, spreadDivisors(remC/fc, 3), cfg.L2Bytes, L2TileBytes, e.bufs[3][:0])
+				m.F[DimK][LvlL2] = gk
+				l2C := fitOptions(l, m, DimC, LvlL2, spreadDivisors(remC/fc, 3), cfg.L2Bytes, L2TileBytes, e.bufs[3][:0])
 				for _, gc := range l2C {
-					mc := mg
-					mc.F[DimC][LvlL2] = gc
-					l2Y := fitOptions(l, mc, DimY, LvlL2, spreadDivisors(remY, 3), cfg.L2Bytes, L2TileBytes, e.bufs[4][:0])
+					m.F[DimC][LvlL2] = gc
+					l2Y := fitOptions(l, m, DimY, LvlL2, spreadDivisors(remY, 3), cfg.L2Bytes, L2TileBytes, e.bufs[4][:0])
 					for _, gy := range l2Y {
-						my := mc
-						my.F[DimY][LvlL2] = gy
-						l2X := fitOptions(l, my, DimX, LvlL2, spreadDivisors(remX, 2), cfg.L2Bytes, L2TileBytes, e.bufs[5][:0])
+						m.F[DimY][LvlL2] = gy
+						l2X := fitOptions(l, m, DimX, LvlL2, spreadDivisors(remX, 2), cfg.L2Bytes, L2TileBytes, e.bufs[5][:0])
 						for _, gx := range l2X {
-							mm := my
-							mm.F[DimX][LvlL2] = gx
-							mm.F[DimK][LvlDRAM] = remK / fk / gk
-							mm.F[DimC][LvlDRAM] = remC / fc / gc
-							mm.F[DimY][LvlDRAM] = remY / gy
-							mm.F[DimX][LvlDRAM] = remX / gx
-							if !e.try(mm) {
+							m.F[DimX][LvlL2] = gx
+							m.F[DimK][LvlDRAM] = remK / fk / gk
+							m.F[DimC][LvlDRAM] = remC / fc / gc
+							m.F[DimY][LvlDRAM] = remY / gy
+							m.F[DimX][LvlDRAM] = remX / gx
+							if !e.try() {
 								return false
 							}
 						}
+						m.F[DimX][LvlL2] = 1
 					}
+					m.F[DimY][LvlL2] = 1
 				}
+				m.F[DimC][LvlL2] = 1
 			}
+			m.F[DimK][LvlL2] = 1
 		}
+		m.F[DimC][LvlRF] = 1
 	}
+	m.F[DimK][LvlRF] = 1
 	return true
 }
 

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -322,5 +323,124 @@ func TestSpreadDivisorsParallelConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// sweepCost is a certified synthetic cost for TestWarmProbeSweep: the lower
+// bound plus a penalty hashed from the mapping, rounded up to a grid of q
+// cycles so that candidates on different spatial bases often tie. About one
+// mapping in eleven is invalid. The enumerator never emits a negative
+// DRAMStationary, so the sweep's incumbent carries one and costs *probe.
+func sweepCost(lb func(int) float64, q float64, probe *float64) Cost {
+	return func(m *Mapping) (float64, bool) {
+		if m.DRAMStationary < 0 {
+			return *probe, true
+		}
+		h := uint64(m.DRAMStationary)*3 + uint64(m.NoCStationary)
+		for _, fs := range m.F {
+			for _, f := range fs {
+				h = h*1_000_003 + uint64(f)
+			}
+		}
+		h ^= h >> 29
+		if h%11 == 0 {
+			return 0, false
+		}
+		return q * math.Ceil((lb(m.SpatialPEs())+float64(h%4)*q/2)/q), true
+	}
+}
+
+// sweepGolden holds TestWarmProbeSweep's digest per layer.
+var sweepGolden = map[string]uint64{
+	"b":  0xa2014ee4fd2786fc,
+	"s2": 0xa9b4bf254bfb72ab,
+	"dw": 0x40375ab7acae6ecc,
+	"g":  0x149775ff16034e39,
+}
+
+// TestWarmProbeSweep checks the strict warm-start contract where it is
+// easiest to break, and pins the enumeration's candidate order and the warm
+// search's work. Over layers, buffer sizes that bind the fit filters and
+// budgets that cut bands mid-base, it sweeps the probe across the lower
+// bound of every PE count a candidate occupies. So searches mix costed
+// bases, bases skipped on the probe's account and fallbacks that must keep
+// the first attainer of tied cycles. Every warm answer must equal the cold
+// one. The digest folds in the cold run's costed candidates, in order, and
+// each warm run's CostCalls, LBPruned and WarmFallback. Its golden values
+// were measured when the fallback kept one skip record per candidate and
+// the walk copied the mapping at every nesting level.
+func TestWarmProbeSweep(t *testing.T) {
+	layers := []workload.Layer{
+		benchLayer(),
+		{Kind: workload.Conv, Name: "s2", K: 128, C: 64, Y: 7, X: 7, R: 3, S: 3, Stride: 2, Mult: 1},
+		{Kind: workload.DWConv, Name: "dw", K: 96, C: 96, Y: 28, X: 28, R: 3, S: 3, Stride: 1, Mult: 1},
+		{Kind: workload.Gemm, Name: "g", K: 256, C: 512, Y: 1, X: 1, R: 1, S: 1, Stride: 1, Mult: 1},
+	}
+	buffers := [][2]int{{512, 512 << 10}, {64, 16 << 10}, {32, 4 << 10}, {32, 1 << 10}}
+	orderings := [][]Mapping{nil, allOrderings[4:5], allOrderings[2:4]}
+	fallbacks := 0
+	for _, l := range layers {
+		_, lb := benchCost(l)
+		q := lb(128)
+		h := fnv.New64a()
+		for _, buf := range buffers {
+			for _, maxN := range []int{40, 400} {
+				for _, ords := range orderings {
+					cfg := GenConfig{PEs: 256, L1Bytes: buf[0], L2Bytes: buf[1], MinN: 10, MaxN: maxN, Orderings: ords}
+					var probe float64
+					cost := sweepCost(lb, q, &probe)
+					pess := map[int]bool{}
+					cold := EnumeratePruned(l, cfg, func(m *Mapping) (float64, bool) {
+						fmt.Fprint(h, *m)
+						pess[m.SpatialPEs()] = true
+						return cost(m)
+					})
+					inc := Mapping{DRAMStationary: -1}
+					warmCfg := cfg
+					warmCfg.CostLB = lb
+					warmCfg.Incumbent = &inc
+					for pes := cfg.PEs; pes >= 1; pes-- {
+						if !pess[pes] {
+							continue
+						}
+						probe = lb(pes)
+						warm := EnumeratePruned(l, warmCfg, cost)
+						if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Found != cold.Found || warm.Evaluated != cold.Evaluated {
+							t.Fatalf("%s %+v probe %v: warm %+v diverged from cold %+v", l.Name, cfg, probe, warm, cold)
+						}
+						fmt.Fprint(h, warm.CostCalls, warm.LBPruned, warm.WarmFallback)
+						if warm.WarmFallback {
+							fallbacks++
+						}
+					}
+				}
+			}
+		}
+		if got := h.Sum64(); got != sweepGolden[l.Name] {
+			t.Errorf("layer %s: digest %#x, want %#x: the candidate order or the warm work changed", l.Name, got, sweepGolden[l.Name])
+		}
+	}
+	if fallbacks < 100 {
+		t.Fatalf("only %d warm searches fell back; the sweep no longer exercises the fallback", fallbacks)
+	}
+}
+
+// TestProbeSkippedEmptyBaseDoesNotFallBack: a spatial base the probe would
+// skip but that emits no candidate (here, with no orderings at all) skips
+// nothing, so it must not trigger the strict fallback.
+func TestProbeSkippedEmptyBaseDoesNotFallBack(t *testing.T) {
+	l := benchLayer()
+	cost, lb := benchCost(l)
+	// Spread over more PEs than the design has, the incumbent's probe is
+	// below every base's bound, so the probe would skip every base.
+	inc := Random(Dims(l), rand.New(rand.NewSource(1)))
+	inc.F[DimK][LvlSpatial] *= 1024
+	cfg := benchGenCfg()
+	cfg.Orderings = []Mapping{}
+	cfg.CostLB = lb
+	cfg.Incumbent = &inc
+	res := EnumeratePruned(l, cfg, cost)
+	if res.WarmFallback || res.Evaluated != 0 || res.CostCalls != 1 {
+		t.Fatalf("got %+v, want no candidates, only the probe's cost call and no fallback", res)
 	}
 }

@@ -108,3 +108,107 @@ func TestWarmSelfIncumbentPrunes(t *testing.T) {
 		t.Fatal("self-incumbent warm run pruned nothing; the bound is not engaging")
 	}
 }
+
+// warmWork is the part of a warm search's Result that records its work
+// rather than its answer.
+type warmWork struct {
+	costCalls, lbPruned int
+	fallback            bool
+}
+
+// warmWorkGolden[layer][design][incumbent-from] is the work of every warm
+// run of TestWarmEnumerationBitIdentical's grid, as measured when the strict
+// fallback still kept one skip record per candidate. Recording skips per
+// spatial base must re-evaluate exactly the candidates that list held.
+var warmWorkGolden = map[string][4][4]warmWork{
+	"c1": {
+		{{76, 225, false}, {76, 225, false}, {76, 225, false}, {76, 225, false}},
+		{{76, 225, false}, {76, 225, false}, {76, 225, false}, {76, 225, false}},
+		{{2, 299, false}, {2, 299, false}, {301, 300, true}, {2, 299, false}},
+		{{76, 225, false}, {76, 225, false}, {76, 225, false}, {76, 225, false}},
+	},
+	"c2": {
+		{{226, 75, false}, {226, 75, false}, {226, 75, false}, {226, 75, false}},
+		{{226, 75, false}, {226, 75, false}, {226, 75, false}, {226, 75, false}},
+		{{2, 299, false}, {2, 299, false}, {301, 300, true}, {2, 299, false}},
+		{{226, 75, false}, {226, 75, false}, {226, 75, false}, {226, 75, false}},
+	},
+	"dw": {
+		{{301, 0, false}, {301, 0, false}, {301, 0, false}, {301, 0, false}},
+		{{301, 0, false}, {301, 0, false}, {301, 0, false}, {301, 0, false}},
+		{{301, 0, false}, {301, 0, false}, {301, 0, false}, {301, 0, false}},
+		{{301, 0, false}, {301, 0, false}, {301, 0, false}, {301, 0, false}},
+	},
+	"g": {
+		{{301, 0, false}, {301, 0, false}, {301, 0, false}, {301, 0, false}},
+		{{301, 0, false}, {301, 0, false}, {301, 0, false}, {301, 0, false}},
+		{{301, 0, false}, {301, 0, false}, {301, 0, false}, {301, 0, false}},
+		{{301, 0, false}, {301, 0, false}, {301, 0, false}, {301, 0, false}},
+	},
+}
+
+// TestWarmEnumerationWorkGolden pins the search's work, not only its
+// answer: on TestWarmEnumerationBitIdentical's grid, every warm run's
+// CostCalls, LBPruned and WarmFallback equal warmWorkGolden.
+func TestWarmEnumerationWorkGolden(t *testing.T) {
+	designs := warmTestDesigns()
+	for _, l := range warmTestLayers() {
+		golden, ok := warmWorkGolden[l.Name]
+		if !ok {
+			t.Fatalf("layer %s has no golden work", l.Name)
+		}
+		incumbents := make([]*mapping.Mapping, len(designs))
+		for i, d := range designs {
+			ctx := NewContext(d, l)
+			if cold := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateCycles); cold.Found {
+				incumbents[i] = &cold.Best
+			}
+		}
+		for i, d := range designs {
+			for j, inc := range incumbents {
+				if inc == nil {
+					t.Fatalf("layer %s: design %d has no incumbent to offer", l.Name, j)
+				}
+				ctx := NewContext(d, l)
+				cfg := genCfg(d, ctx, 300)
+				cfg.CostLB = ctx.CostLowerBound
+				cfg.Incumbent = inc
+				warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
+				if got := (warmWork{warm.CostCalls, warm.LBPruned, warm.WarmFallback}); got != golden[i][j] {
+					t.Errorf("layer %s design %d incumbent-from %d: work %+v, want %+v", l.Name, i, j, got, golden[i][j])
+				}
+			}
+		}
+	}
+}
+
+// TestWarmFallbackSearchBytes pins the bytes, not only the mallocs, of a
+// real-cost warm search that falls back: layer c2 on the fewPEs design,
+// warm-started from its own best, skips every candidate on the probe's
+// account and re-evaluates them all. Skips are recorded once per spatial
+// base, so the search stays within a few KiB; a record per skipped
+// candidate cost about 225 KiB here while staying under the malloc bounds.
+func TestWarmFallbackSearchBytes(t *testing.T) {
+	d := warmTestDesigns()[2]
+	l := warmTestLayers()[1]
+	ctx := NewContext(d, l)
+	cold := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateCycles)
+	if !cold.Found {
+		t.Fatal("no mapping found on the fewPEs design")
+	}
+	cfg := genCfg(d, ctx, 300)
+	cfg.CostLB = ctx.CostLowerBound
+	cfg.Incumbent = &cold.Best
+	if warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles); !warm.WarmFallback {
+		t.Fatal("the self-incumbent search no longer falls back; pick a case that does")
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
+		}
+	})
+	if bytes := r.AllocedBytesPerOp(); bytes > 16<<10 {
+		t.Fatalf("a warm search that falls back allocates %d B; its skip records have regressed", bytes)
+	}
+}
