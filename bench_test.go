@@ -340,14 +340,14 @@ func BenchmarkMappingSearch(b *testing.B) {
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ctx := perf.NewContext(d, l)
-			cfg := mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 300, BaseValid: ctx.Valid()}
-			mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
+			cfg := mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 300, BaseValid: ctx.Valid}
+			mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill)
 		}
 	})
 	b.Run("random", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
-			mapping.RandomSearch(l, 300, rng, perf.NewContext(d, l).EvaluateCycles)
+			mapping.RandomSearch(l, 300, rng, perf.NewContext(d, l).EvaluateFill)
 		}
 	})
 }

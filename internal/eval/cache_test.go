@@ -325,8 +325,8 @@ func mappingFor(t *testing.T, d arch.Design, l workload.Layer) mapping.Mapping {
 	ctx := perf.NewContext(d, l)
 	res := mapping.EnumeratePruned(l, mapping.GenConfig{
 		PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(),
-		MinN: 10, MaxN: 200, BaseValid: ctx.Valid(),
-	}, ctx.EvaluateCycles)
+		MinN: 10, MaxN: 200, BaseValid: ctx.Valid,
+	}, ctx.EvaluateFill)
 	if !res.Found {
 		t.Fatalf("%s: no valid mapping on test design", l.Name)
 	}

@@ -437,10 +437,11 @@ type Stats struct {
 	// WarmEvictions counts entries dropped from the bounded warm-start
 	// index.
 	WarmEvictions int
-	// CostCalls is the total number of perf-model invocations made by
-	// mapping searches; with lower-bound pruning it trails MapTrials.
-	// Every one of these goes through the Tier-1 fast path
-	// (perf.EvalContext.EvaluateCycles), which reports cycles and validity
+	// CostCalls is the total number of mapping candidates priced by the
+	// perf model during mapping searches (mapping.Result.CostCalls); with
+	// lower-bound pruning it trails MapTrials. Every one is priced on the
+	// Tier-1 fast path (perf.EvalContext.EvaluateFill), which prices a
+	// temporal fill under all its orderings in one call and reports cycles
 	// only.
 	CostCalls int64
 	// FullEvals is the number of Tier-2 full-breakdown evaluations
@@ -1171,11 +1172,12 @@ func (e *Evaluator) timedSearchLayer(d arch.Design, l workload.Layer, salt int64
 // searchLayer runs the configured mapping search for one layer on one
 // design and returns its decision, counting the search's cost calls,
 // lower-bound prunes and warm fallbacks. The search inner loop runs on one
-// perf.EvalContext's Tier-1 fast path (cycles and validity only, no
-// allocation); the winner's Tier-2 breakdown is derive's job. In
-// PrunedMappings mode under WarmStrict the enumeration carries a certified
-// cost lower bound and the warm-start incumbent when given, whose probe is
-// one more Tier-1 call; WarmOff reproduces the fully-cold search.
+// perf.EvalContext's Tier-1 fast path (one call per temporal fill for all
+// its orderings, cycles only, no allocation); the winner's Tier-2
+// breakdown is derive's job. In PrunedMappings mode under WarmStrict the
+// enumeration carries a certified cost lower bound and the warm-start
+// incumbent when given, whose probe is one more Tier-1 call; WarmOff
+// reproduces the fully-cold search.
 func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) evalcache.Entry {
 	var res mapping.Result
 	switch e.cfg.Mode {
@@ -1185,7 +1187,7 @@ func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, inc
 		return evalcache.Entry{Found: true, Mapping: mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes()), Trials: 1}
 	case RandomMappings:
 		rng := rand.New(rand.NewSource(e.cfg.Seed*1_000_003 + salt))
-		res = mapping.RandomSearch(l, e.cfg.MapTrials, rng, perf.NewContext(d, l).EvaluateCycles)
+		res = mapping.RandomSearch(l, e.cfg.MapTrials, rng, perf.NewContext(d, l).EvaluateFill)
 	case PrunedMappings:
 		ctx := perf.NewContext(d, l)
 		cfg := mapping.GenConfig{
@@ -1194,13 +1196,13 @@ func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, inc
 			L2Bytes:   d.L2Bytes(),
 			MinN:      10,
 			MaxN:      e.cfg.MapTrials,
-			BaseValid: ctx.Valid(),
+			BaseValid: ctx.Valid,
 		}
 		if e.cfg.WarmStart == WarmStrict {
 			cfg.CostLB = ctx.CostLowerBound
 			cfg.Incumbent = incumbent
 		}
-		res = mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
+		res = mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill)
 	}
 	e.cCostCalls.Add(int64(res.CostCalls))
 	e.cLBPruned.Add(int64(res.LBPruned))

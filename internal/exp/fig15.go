@@ -55,7 +55,7 @@ func RunFig15(cfg Config) []Fig15Result {
 		start := time.Now()
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		for _, l := range model.Layers {
-			r := mp.fn(l, trials, rng, perf.NewContext(design, l).EvaluateCycles)
+			r := mp.fn(l, trials, rng, perf.NewContext(design, l).EvaluateFill)
 			if r.Found {
 				res.LayerCycles = append(res.LayerCycles, r.Cycles)
 				res.TotalMs += r.Cycles * float64(l.Mult) / (float64(design.FreqMHz) * 1e3)

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"testing"
 
 	"xdse/internal/workload"
@@ -11,10 +12,34 @@ func benchLayer() workload.Layer {
 	return workload.Layer{Kind: workload.Conv, Name: "b", K: 64, C: 32, Y: 14, X: 14, R: 3, S: 3, Stride: 1, Mult: 1}
 }
 
+// candidateCost is a synthetic cost of one candidate: its cycles and
+// whether it is valid.
+type candidateCost func(m *Mapping) (cycles float64, ok bool)
+
+// perCandidate adapts a candidateCost to the fill contract of Cost: it
+// prices the orderings one by one, in order, on a copy of the fill, and an
+// invalid candidate at +Inf. The copy is the adapter's own scratch, so
+// pricing allocates nothing and an adapted cost must not be shared between
+// goroutines.
+func perCandidate(f candidateCost) Cost {
+	var c Mapping
+	return func(m *Mapping, orderings []Mapping, cycles []float64) {
+		c = *m
+		for i := range orderings {
+			c.DRAMStationary, c.NoCStationary = orderings[i].DRAMStationary, orderings[i].NoCStationary
+			if v, ok := f(&c); ok {
+				cycles[i] = v
+			} else {
+				cycles[i] = math.Inf(1)
+			}
+		}
+	}
+}
+
 // benchCost is an allocation-free synthetic cost model: compute-bound time
 // plus a DRAM-traffic proxy, so its exact lower bound at a given spatial
 // occupancy is macs/spatialPEs (mirroring the perf model's TComp floor).
-func benchCost(l workload.Layer) (Cost, func(int) float64) {
+func benchCost(l workload.Layer) (candidateCost, func(int) float64) {
 	dims := Dims(l)
 	macs := 1.0
 	for d := Dim(0); d < NumDims; d++ {
@@ -41,7 +66,8 @@ func benchGenCfg() GenConfig {
 // with lower-bound self-pruning, and warm-started from the cold run's best.
 func BenchmarkEnumeratePruned(b *testing.B) {
 	l := benchLayer()
-	cost, lb := benchCost(l)
+	f, lb := benchCost(l)
+	cost := perCandidate(f)
 	cold := EnumeratePruned(l, benchGenCfg(), cost)
 	if !cold.Found {
 		b.Fatal("no mapping found")
@@ -78,7 +104,8 @@ func BenchmarkEnumeratePruned(b *testing.B) {
 // the de-allocated loop amortizes to a handful of allocations per search.
 func TestEnumerateAllocsRegression(t *testing.T) {
 	l := benchLayer()
-	cost, lb := benchCost(l)
+	f, lb := benchCost(l)
+	cost := perCandidate(f)
 	warmRes := EnumeratePruned(l, benchGenCfg(), cost) // warm the divisor/spread memos
 	if !warmRes.Found {
 		t.Fatal("no mapping found")
@@ -101,7 +128,8 @@ func TestEnumerateAllocsRegression(t *testing.T) {
 // internal/perf): warm and cold runs agree exactly.
 func TestWarmResultMatchesColdSynthetic(t *testing.T) {
 	l := benchLayer()
-	cost, lb := benchCost(l)
+	f, lb := benchCost(l)
+	cost := perCandidate(f)
 	cold := EnumeratePruned(l, benchGenCfg(), cost)
 	cfg := benchGenCfg()
 	cfg.CostLB = lb

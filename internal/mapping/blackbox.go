@@ -19,8 +19,9 @@ import (
 const invalidMappingScore = 1e12
 
 func mappingScore(cost Cost, m Mapping) float64 {
-	if c, ok := cost(&m); ok {
-		return c
+	var c [1]float64
+	if cost(&m, alone(&m), c[:]); !math.IsInf(c[0], 1) {
+		return c[0]
 	}
 	return invalidMappingScore
 }

@@ -19,8 +19,8 @@ func ExampleFixedOutputStationary() {
 
 	fmt.Println("PEs used:", m.SpatialPEs())
 	fmt.Println("stationary:", m.DRAMStationary, m.NoCStationary)
-	fmt.Println("RF fits:", mapping.RFTileBytes(layer, &m) <= 512)
-	fmt.Println("L2 fits:", mapping.L2TileBytes(layer, &m) <= 512*1024)
+	fmt.Println("RF fits:", mapping.RFTileBytes(&layer, &m) <= 512)
+	fmt.Println("L2 fits:", mapping.L2TileBytes(&layer, &m) <= 512*1024)
 	// Output:
 	// PEs used: 256
 	// stationary: O O

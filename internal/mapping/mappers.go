@@ -5,21 +5,35 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"xdse/internal/workload"
 )
 
-// Cost evaluates a mapping and reports its latency in cycles and whether the
-// mapping is valid on the target design (fits buffers and PEs, NoC
-// time-sharing compatible). Mappers are decoupled from the cost model
-// through this callback, mirroring how the paper's mappers call into the
+// Cost prices one temporal fill under a list of stationary orderings: it
+// sets cycles[i] to the latency, in cycles, of m's factor matrix m.F under
+// the DRAM- and NoC-stationary tensors of orderings[i], or to +Inf when
+// that candidate is invalid on the target design (overflows buffers or
+// PEs, or is NoC time-sharing incompatible). It reads only the stationary
+// fields of each orderings entry and ignores m's own; cycles has at least
+// len(orderings) entries. Mappers are decoupled from the cost model through
+// this callback, mirroring how the paper's mappers call into the
 // dMazeRunner cost model.
 //
-// The mapping is passed by pointer because this is the search inner loop
-// (hundreds of thousands of calls per layer search, and Mapping is a
-// 208-byte struct). The pointee is owned by the caller: the callback must
-// not mutate it and must not retain the pointer past the call.
-type Cost func(m *Mapping) (cycles float64, ok bool)
+// The unit is a fill, not a candidate, because the pruned enumerator emits
+// each fill under several orderings back to back and everything but the
+// refetch selection depends on the fill alone. A single mapping is priced
+// as its own one-element list (see alone). A +Inf never wins a search: a
+// valid candidate never costs +Inf. Every argument is owned by the caller:
+// the callback must not mutate them and must not retain them past the
+// call.
+type Cost func(m *Mapping, orderings []Mapping, cycles []float64)
+
+// alone is m as its own one-element ordering list, so that
+// cost(m, alone(m), cycles[:1]) prices m under its own stationary pair.
+// It aliases m rather than copying it: a copy would escape through the
+// indirect cost call on every pricing.
+func alone(m *Mapping) []Mapping { return unsafe.Slice(m, 1) }
 
 // Result is the outcome of a mapping search.
 type Result struct {
@@ -28,16 +42,16 @@ type Result struct {
 	Found     bool
 	Evaluated int
 
-	// CostCalls is the number of cost-model invocations actually made,
-	// including the warm-start probe and any strict-fallback
-	// re-evaluations. Without pruning it equals Evaluated; with a
+	// CostCalls is the number of candidates priced through the cost
+	// model, including the warm-start probe and any strict-fallback
+	// re-evaluations; a Cost call that prices a fill under nine orderings
+	// counts nine. Without pruning it equals Evaluated; with a
 	// GenConfig.CostLB bound it is usually much smaller.
 	CostCalls int
-	// LBPruned counts candidates whose cost call was skipped because the
-	// lower bound proved they could not beat the incumbent. Pruned
-	// candidates still count toward Evaluated, so search trajectories
-	// (band budgets, trial counts) are bit-identical with and without
-	// pruning.
+	// LBPruned counts candidates left unpriced because the lower bound
+	// proved they could not beat the incumbent. Pruned candidates still
+	// count toward Evaluated, so search trajectories (band budgets, trial
+	// counts) are bit-identical with and without pruning.
 	LBPruned int
 	// WarmFallback reports that the strict warm-start contract had to
 	// re-evaluate externally-pruned candidates because the enumeration
@@ -51,15 +65,16 @@ type Result struct {
 func RandomSearch(l workload.Layer, trials int, rng *rand.Rand, cost Cost) Result {
 	dims := Dims(l)
 	res := Result{Cycles: math.Inf(1)}
-	// One scratch mapping outside the loop: its address goes through the
-	// indirect cost call, so a per-iteration local would heap-escape every
-	// trial.
+	// One scratch mapping and result slot outside the loop: their addresses
+	// go through the indirect cost call, so per-iteration locals would
+	// heap-escape every trial.
 	var m Mapping
+	var c [1]float64
 	for i := 0; i < trials; i++ {
 		m = Random(dims, rng)
 		res.Evaluated++
-		if c, ok := cost(&m); ok && c < res.Cycles {
-			res.Best, res.Cycles, res.Found = m, c, true
+		if cost(&m, alone(&m), c[:]); c[0] < res.Cycles {
+			res.Best, res.Cycles, res.Found = m, c[0], true
 		}
 	}
 	res.CostCalls = res.Evaluated
@@ -164,16 +179,19 @@ type GenConfig struct {
 	// BaseValid, when set, is consulted once per spatial tiling with a
 	// minimal temporal fill; if it rejects, every mapping sharing that
 	// spatial tiling is skipped (NoC-group demand and minimum tile
-	// footprints depend only on the spatial factors).
-	BaseValid func(Mapping) bool
-	// Orderings limits stationary-tensor combinations (default all 9).
+	// footprints depend only on the spatial factors). Like a Cost, it must
+	// neither mutate nor retain the mapping.
+	BaseValid func(*Mapping) bool
+	// Orderings limits the stationary-tensor combinations to a subset of
+	// the nine (DRAM, NoC) pairs, each listed at most once (default all
+	// nine). Only their stationary fields are read.
 	Orderings []Mapping
 
 	// CostLB, when set, returns a certified lower bound on cost(m) for
 	// any mapping occupying the given spatial PE count (e.g. the
 	// compute-time floor MACs/PEs of the perf model). The enumeration
-	// skips the cost call for candidates whose bound proves they cannot
-	// strictly beat the incumbent; skipped candidates still count toward
+	// does not price candidates whose bound proves they cannot strictly
+	// beat the incumbent; skipped candidates still count toward
 	// Evaluated, so the candidate trajectory — and therefore the returned
 	// best mapping and cycles — is bit-identical with or without the
 	// bound. Only CostCalls/LBPruned change.
@@ -243,13 +261,17 @@ type enumerator struct {
 	pruned    int
 	skipped   []skippedBase
 
+	// cycles is the result scratch of one cost call: a fill's orderings
+	// are a subset of the nine pairs.
+	cycles [NumTensors * NumTensors]float64
+
 	// bufs are the fit-filter scratch buffers of emitTemporal, one per
 	// temporal nesting level (each holds at most 3 surviving factors).
 	bufs [6][4]int
 	// m is the one working mapping of the search: loadBase resets it to a
 	// spatial base, emitTemporal and fitOptions vary its temporal factors
-	// in place, and try varies its orderings and hands its address to the
-	// cost callback.
+	// in place, and try hands its address, the fill, to the cost callback.
+	// Its own stationary fields stay zero; the orderings carry them.
 	m Mapping
 }
 
@@ -286,40 +308,41 @@ func (e *enumerator) setBase(pes int) (probeSkip bool) {
 	return probeSkip
 }
 
-// try considers the working mapping's temporal fill under every ordering.
-// It returns false when the band's candidate budget is exhausted.
+// try considers the working mapping's temporal fill under every ordering,
+// up to the band limit, pricing them in one cost call. It returns false
+// when the band's candidate budget is exhausted.
 func (e *enumerator) try() bool {
-	if e.skipBase {
-		// The bound proves no ordering of the fill can strictly beat
-		// the incumbent: count them, up to the band limit, in one step.
-		k := min(len(e.orderings), e.limit-e.n)
+	k := min(len(e.orderings), e.limit-e.n)
+	if k == 0 || e.skipBase || e.hasLB && e.curLB >= e.bestCycles {
+		// Nothing to price, or the bound proves no ordering of the fill
+		// can strictly beat the incumbent (from setBase, or because an
+		// earlier fill of this base brought the running best down to
+		// the bound): count them in one step.
 		e.n += k
 		e.pruned += k
 		return e.n < e.limit
 	}
-	mm := &e.m
-	for i := range e.orderings {
-		mm.DRAMStationary = e.orderings[i].DRAMStationary
-		mm.NoCStationary = e.orderings[i].NoCStationary
+	e.cost(&e.m, e.orderings[:k], e.cycles[:k])
+	for i, c := range e.cycles[:k] {
 		e.n++
 		if e.hasLB && e.curLB >= e.bestCycles {
-			// An earlier candidate of this base brought the running
+			// An earlier ordering of this fill brought the running
 			// best down to the bound.
 			e.pruned++
-		} else {
-			e.costCalls++
-			// The first attainer of the best cycles wins. Candidates
-			// arrive in index order except in the strict fallback,
-			// which revisits skipped ones behind the running best.
-			if c, ok := e.cost(mm); ok && (c < e.bestCycles || c == e.bestCycles && e.found && e.n < e.bestN) {
-				e.best, e.bestCycles, e.found, e.bestN = *mm, c, true, e.n
-			}
+			continue
 		}
-		if e.n >= e.limit {
-			return false
+		e.costCalls++
+		// The first attainer of the best cycles wins. Candidates arrive
+		// in index order except in the strict fallback, which revisits
+		// skipped ones behind the running best. An invalid candidate
+		// costs +Inf and never wins.
+		if c < e.bestCycles || c == e.bestCycles && e.found && e.n < e.bestN {
+			e.best = e.m
+			e.best.DRAMStationary, e.best.NoCStationary = e.orderings[i].DRAMStationary, e.orderings[i].NoCStationary
+			e.bestCycles, e.found, e.bestN = c, true, e.n
 		}
 	}
-	return true
+	return e.n < e.limit
 }
 
 // EnumeratePruned performs the dMazeRunner/Interstellar-style search of
@@ -328,7 +351,7 @@ func (e *enumerator) try() bool {
 // space is smaller than MinN) and evaluates it linearly.
 //
 // When GenConfig.CostLB is set, candidates that provably cannot beat the
-// incumbent skip the cost-model call (but still count toward Evaluated);
+// incumbent are not priced (but still count toward Evaluated);
 // when GenConfig.Incumbent additionally seeds the bound, a strict fallback
 // pass guarantees the returned best mapping and cycles are bit-identical to
 // a cold run — only CostCalls, LBPruned, and WarmFallback vary.
@@ -355,9 +378,8 @@ func EnumeratePruned(l workload.Layer, cfg GenConfig, cost Cost) Result {
 	}
 	if cfg.Incumbent != nil && e.hasLB {
 		e.costCalls++
-		if c, ok := cost(cfg.Incumbent); ok {
-			e.probe = c
-		}
+		cost(cfg.Incumbent, alone(cfg.Incumbent), e.cycles[:1])
+		e.probe = e.cycles[0]
 	}
 
 	// Utilization bands are explored from high PE utilization downward,
@@ -377,7 +399,7 @@ func EnumeratePruned(l workload.Layer, cfg GenConfig, cost Cost) Result {
 		}
 		start := e.n
 		e.limit = e.n + share
-		e.enumerateAt(l, dims, cfg, band[0], band[1])
+		e.enumerateAt(&l, dims, cfg, band[0], band[1])
 		budget -= e.n - start
 		if budget <= 0 {
 			break
@@ -397,7 +419,7 @@ func EnumeratePruned(l workload.Layer, cfg GenConfig, cost Cost) Result {
 		for _, s := range e.skipped {
 			e.loadBase(dims, s.spatial)
 			e.n, e.limit = s.n0, s.n1
-			e.emitTemporal(l, dims, cfg)
+			e.emitTemporal(&l, dims, cfg)
 		}
 	}
 	res.Best, res.Cycles, res.Found, res.CostCalls = e.best, e.bestCycles, e.found, e.costCalls
@@ -411,7 +433,7 @@ func EnumeratePruned(l workload.Layer, cfg GenConfig, cost Cost) Result {
 // enumerateAt runs one enumeration pass over spatial tilings whose PE
 // utilization falls in [minUtil, maxUtil], capped at the enumerator's
 // current band limit.
-func (e *enumerator) enumerateAt(l workload.Layer, dims [NumDims]int, cfg GenConfig, minUtil, maxUtil float64) {
+func (e *enumerator) enumerateAt(l *workload.Layer, dims [NumDims]int, cfg GenConfig, minUtil, maxUtil float64) {
 	const perDim = 6
 	optK := spreadDivisors(dims[DimK], perDim)
 	optC := spreadDivisors(dims[DimC], perDim)
@@ -433,7 +455,7 @@ func (e *enumerator) enumerateAt(l workload.Layer, dims [NumDims]int, cfg GenCon
 					// demand and minimum tile footprints depend only
 					// on the spatial factors, so a rejected base
 					// cannot host any valid mapping.
-					if cfg.BaseValid != nil && !cfg.BaseValid(e.m) {
+					if cfg.BaseValid != nil && !cfg.BaseValid(&e.m) {
 						continue
 					}
 					probeSkip := e.setBase(pes)
@@ -451,11 +473,11 @@ func (e *enumerator) enumerateAt(l workload.Layer, dims [NumDims]int, cfg GenCon
 	}
 }
 
-// fitOptions filters candidate factors of dimension d at level lv to those
-// whose resulting tile fits the corresponding buffer, appending survivors to
-// dst (a scratch buffer owned by the enumerator). It varies m's factor in
-// place and restores it before returning.
-func fitOptions(l workload.Layer, m *Mapping, d Dim, lv Level, factors []int, capacity int, tileBytes func(workload.Layer, *Mapping) int64, dst []int) []int {
+// fitOptions filters candidate factors of dimension d at level lv (LvlRF or
+// LvlL2) to those whose resulting tile fits that level's buffer, appending
+// survivors to dst (a scratch buffer owned by the enumerator). It varies m's
+// factor in place and restores it before returning.
+func fitOptions(l *workload.Layer, m *Mapping, d Dim, lv Level, factors []int, capacity int, dst []int) []int {
 	if capacity <= 0 {
 		return factors
 	}
@@ -463,12 +485,22 @@ func fitOptions(l workload.Layer, m *Mapping, d Dim, lv Level, factors []int, ca
 	f0 := m.F[d][lv]
 	for _, f := range factors {
 		m.F[d][lv] = f
-		if tileBytes(l, m) <= int64(capacity) {
+		if tileBytes(l, m, lv) <= int64(capacity) {
 			out = append(out, f)
 		}
 	}
 	m.F[d][lv] = f0
 	return out
+}
+
+// tileBytes is the footprint of m's tiles at level lv: RFTileBytes at LvlRF,
+// L2TileBytes at LvlL2. The calls are direct, so the layer pointer does not
+// escape.
+func tileBytes(l *workload.Layer, m *Mapping, lv Level) int64 {
+	if lv == LvlRF {
+		return RFTileBytes(l, m)
+	}
+	return L2TileBytes(l, m)
 }
 
 // emitTemporal fills the RF/L2/DRAM factors of K,C,Y,X around the spatial
@@ -483,7 +515,7 @@ func fitOptions(l workload.Layer, m *Mapping, d Dim, lv Level, factors []int, ca
 // keep the walk right for any option order rather than fix a live case.)
 // An early return leaves a fill behind; every caller loads a base before
 // the next walk.
-func (e *enumerator) emitTemporal(l workload.Layer, dims [NumDims]int, cfg GenConfig) bool {
+func (e *enumerator) emitTemporal(l *workload.Layer, dims [NumDims]int, cfg GenConfig) bool {
 	m := &e.m
 	// Prefer filter taps resident in the RF (maximal convolution reuse).
 	r, s := m.F[DimR], m.F[DimS]
@@ -497,23 +529,25 @@ func (e *enumerator) emitTemporal(l workload.Layer, dims [NumDims]int, cfg GenCo
 	remC := dims[DimC] / m.F[DimC][LvlSpatial]
 	remY := dims[DimY] / m.F[DimY][LvlSpatial]
 	remX := dims[DimX] / m.F[DimX][LvlSpatial]
+	// The Y and X option lists depend only on the base.
+	optY, optX := spreadDivisors(remY, 3), spreadDivisors(remX, 2)
 
-	rfK := fitOptions(l, m, DimK, LvlRF, spreadDivisors(remK, 3), cfg.L1Bytes, RFTileBytes, e.bufs[0][:0])
+	rfK := fitOptions(l, m, DimK, LvlRF, spreadDivisors(remK, 3), cfg.L1Bytes, e.bufs[0][:0])
 	for _, fk := range rfK {
 		m.F[DimK][LvlRF] = fk
-		rfC := fitOptions(l, m, DimC, LvlRF, spreadDivisors(remC, 3), cfg.L1Bytes, RFTileBytes, e.bufs[1][:0])
+		rfC := fitOptions(l, m, DimC, LvlRF, spreadDivisors(remC, 3), cfg.L1Bytes, e.bufs[1][:0])
 		for _, fc := range rfC {
 			m.F[DimC][LvlRF] = fc
-			l2K := fitOptions(l, m, DimK, LvlL2, spreadDivisors(remK/fk, 3), cfg.L2Bytes, L2TileBytes, e.bufs[2][:0])
+			l2K := fitOptions(l, m, DimK, LvlL2, spreadDivisors(remK/fk, 3), cfg.L2Bytes, e.bufs[2][:0])
 			for _, gk := range l2K {
 				m.F[DimK][LvlL2] = gk
-				l2C := fitOptions(l, m, DimC, LvlL2, spreadDivisors(remC/fc, 3), cfg.L2Bytes, L2TileBytes, e.bufs[3][:0])
+				l2C := fitOptions(l, m, DimC, LvlL2, spreadDivisors(remC/fc, 3), cfg.L2Bytes, e.bufs[3][:0])
 				for _, gc := range l2C {
 					m.F[DimC][LvlL2] = gc
-					l2Y := fitOptions(l, m, DimY, LvlL2, spreadDivisors(remY, 3), cfg.L2Bytes, L2TileBytes, e.bufs[4][:0])
+					l2Y := fitOptions(l, m, DimY, LvlL2, optY, cfg.L2Bytes, e.bufs[4][:0])
 					for _, gy := range l2Y {
 						m.F[DimY][LvlL2] = gy
-						l2X := fitOptions(l, m, DimX, LvlL2, spreadDivisors(remX, 2), cfg.L2Bytes, L2TileBytes, e.bufs[5][:0])
+						l2X := fitOptions(l, m, DimX, LvlL2, optX, cfg.L2Bytes, e.bufs[5][:0])
 						for _, gx := range l2X {
 							m.F[DimX][LvlL2] = gx
 							m.F[DimK][LvlDRAM] = remK / fk / gk
@@ -560,8 +594,8 @@ func FixedOutputStationary(l workload.Layer, pes, l1Bytes, l2Bytes int) Mapping 
 	// buffer capacities (the minimal all-ones mapping always is on any
 	// non-degenerate design, so the greedy growth below is safe).
 	fits := func(trial *Mapping) bool {
-		return RFTileBytes(l, trial) <= int64(l1Bytes) &&
-			L2TileBytes(l, trial) <= int64(l2Bytes)
+		return RFTileBytes(&l, trial) <= int64(l1Bytes) &&
+			L2TileBytes(&l, trial) <= int64(l2Bytes)
 	}
 	rem := func(d Dim) int {
 		return dims[d] / (m.Factor(d, LvlSpatial) * m.Factor(d, LvlRF) * m.Factor(d, LvlL2))

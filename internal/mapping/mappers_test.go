@@ -56,10 +56,10 @@ func TestFixedOutputStationaryFits(t *testing.T) {
 				if !covers(mp, Dims(l)) {
 					t.Fatalf("%s/%s: mapping does not cover dims", m.Name, l.Name)
 				}
-				if got := RFTileBytes(l, &mp); got > int64(c.l1) {
+				if got := RFTileBytes(&l, &mp); got > int64(c.l1) {
 					t.Fatalf("%s/%s: RF tile %dB > %dB", m.Name, l.Name, got, c.l1)
 				}
-				if got := L2TileBytes(l, &mp); got > int64(c.l2) {
+				if got := L2TileBytes(&l, &mp); got > int64(c.l2) {
 					t.Fatalf("%s/%s: L2 tile %dB > %dB", m.Name, l.Name, got, c.l2)
 				}
 				if mp.SpatialPEs() > c.pes {
@@ -81,15 +81,15 @@ func TestFixedOutputStationaryIsOutputStationary(t *testing.T) {
 // favors more spatial parallelism.
 func fitCost(l workload.Layer, pes, l1, l2 int) Cost {
 	dims := Dims(l)
-	return func(m *Mapping) (float64, bool) {
+	return perCandidate(func(m *Mapping) (float64, bool) {
 		if !covers(*m, dims) || m.SpatialPEs() > pes {
 			return 0, false
 		}
-		if RFTileBytes(l, m) > int64(l1) || L2TileBytes(l, m) > int64(l2) {
+		if RFTileBytes(&l, m) > int64(l1) || L2TileBytes(&l, m) > int64(l2) {
 			return 0, false
 		}
 		return 1e9 / float64(m.SpatialPEs()), true
-	}
+	})
 }
 
 func TestRandomSearchFindsValid(t *testing.T) {
@@ -136,8 +136,8 @@ func TestEnumeratePrunedPrefersUtilization(t *testing.T) {
 func TestEnumeratePrunedBaseValidSkipsEverything(t *testing.T) {
 	l := testLayer()
 	calls := 0
-	cost := func(*Mapping) (float64, bool) { calls++; return 1, true }
-	res := EnumeratePruned(l, GenConfig{PEs: 64, MaxN: 100, BaseValid: func(Mapping) bool { return false }}, cost)
+	cost := perCandidate(func(*Mapping) (float64, bool) { calls++; return 1, true })
+	res := EnumeratePruned(l, GenConfig{PEs: 64, MaxN: 100, BaseValid: func(*Mapping) bool { return false }}, cost)
 	if res.Found || calls != 0 {
 		t.Fatalf("BaseValid=false must suppress all evaluations (calls=%d)", calls)
 	}
@@ -203,12 +203,12 @@ func TestEnumeratePrunedEmitsOnlyCoveringMappings(t *testing.T) {
 	l := testLayer()
 	dims := Dims(l)
 	bad := 0
-	cost := func(m *Mapping) (float64, bool) {
+	cost := perCandidate(func(m *Mapping) (float64, bool) {
 		if !covers(*m, dims) {
 			bad++
 		}
 		return 1, true
-	}
+	})
 	EnumeratePruned(l, GenConfig{PEs: 256, L1Bytes: 512, L2Bytes: 256 * 1024, MaxN: 800}, cost)
 	if bad != 0 {
 		t.Fatalf("%d emitted mappings do not cover the dims", bad)
@@ -220,26 +220,26 @@ func TestEnumeratePrunedEmitsOnlyCoveringMappings(t *testing.T) {
 func TestEnumeratePrunedRespectsPEBudget(t *testing.T) {
 	l := testLayer()
 	over := 0
-	cost := func(m *Mapping) (float64, bool) {
+	cost := perCandidate(func(m *Mapping) (float64, bool) {
 		if m.SpatialPEs() > 128 {
 			over++
 		}
 		return 1, true
-	}
+	})
 	EnumeratePruned(l, GenConfig{PEs: 128, MaxN: 600}, cost)
 	if over != 0 {
 		t.Fatalf("%d emitted mappings exceed the PE budget", over)
 	}
 }
 
-// TestIncumbentProbeIsFirstCostCall: the warm-start probe is one call of the
-// search's own cost callback, made with the incumbent before any candidate
-// and counted in CostCalls, and the warm Result keeps the cold run's best
-// mapping, cycles and Evaluated count.
+// TestIncumbentProbeIsFirstCostCall: the warm-start probe is the first
+// candidate the search's own cost prices, the incumbent, before any other;
+// CostCalls counts every candidate priced, the probe included; and the warm
+// Result keeps the cold run's best mapping, cycles and Evaluated count.
 func TestIncumbentProbeIsFirstCostCall(t *testing.T) {
 	l := benchLayer()
 	cost, lb := benchCost(l)
-	cold := EnumeratePruned(l, benchGenCfg(), cost)
+	cold := EnumeratePruned(l, benchGenCfg(), perCandidate(cost))
 	if !cold.Found {
 		t.Fatal("no mapping found")
 	}
@@ -256,10 +256,10 @@ func TestIncumbentProbeIsFirstCostCall(t *testing.T) {
 	cfg := benchGenCfg()
 	cfg.CostLB = lb
 	cfg.Incumbent = &inc
-	warm := EnumeratePruned(l, cfg, spy)
+	warm := EnumeratePruned(l, cfg, perCandidate(spy))
 
 	if calls != warm.CostCalls {
-		t.Fatalf("cost callback ran %d times, CostCalls = %d", calls, warm.CostCalls)
+		t.Fatalf("cost priced %d candidates, CostCalls = %d", calls, warm.CostCalls)
 	}
 	if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Evaluated != cold.Evaluated {
 		t.Fatalf("warm run diverged from cold run: %+v vs %+v", warm, cold)
@@ -331,7 +331,7 @@ func TestSpreadDivisorsParallelConsistent(t *testing.T) {
 // cycles so that candidates on different spatial bases often tie. About one
 // mapping in eleven is invalid. The enumerator never emits a negative
 // DRAMStationary, so the sweep's incumbent carries one and costs *probe.
-func sweepCost(lb func(int) float64, q float64, probe *float64) Cost {
+func sweepCost(lb func(int) float64, q float64, probe *float64) candidateCost {
 	return func(m *Mapping) (float64, bool) {
 		if m.DRAMStationary < 0 {
 			return *probe, true
@@ -390,11 +390,11 @@ func TestWarmProbeSweep(t *testing.T) {
 					var probe float64
 					cost := sweepCost(lb, q, &probe)
 					pess := map[int]bool{}
-					cold := EnumeratePruned(l, cfg, func(m *Mapping) (float64, bool) {
+					cold := EnumeratePruned(l, cfg, perCandidate(func(m *Mapping) (float64, bool) {
 						fmt.Fprint(h, *m)
 						pess[m.SpatialPEs()] = true
 						return cost(m)
-					})
+					}))
 					inc := Mapping{DRAMStationary: -1}
 					warmCfg := cfg
 					warmCfg.CostLB = lb
@@ -404,7 +404,7 @@ func TestWarmProbeSweep(t *testing.T) {
 							continue
 						}
 						probe = lb(pes)
-						warm := EnumeratePruned(l, warmCfg, cost)
+						warm := EnumeratePruned(l, warmCfg, perCandidate(cost))
 						if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Found != cold.Found || warm.Evaluated != cold.Evaluated {
 							t.Fatalf("%s %+v probe %v: warm %+v diverged from cold %+v", l.Name, cfg, probe, warm, cold)
 						}
@@ -439,7 +439,7 @@ func TestProbeSkippedEmptyBaseDoesNotFallBack(t *testing.T) {
 	cfg.Orderings = []Mapping{}
 	cfg.CostLB = lb
 	cfg.Incumbent = &inc
-	res := EnumeratePruned(l, cfg, cost)
+	res := EnumeratePruned(l, cfg, perCandidate(cost))
 	if res.WarmFallback || res.Evaluated != 0 || res.CostCalls != 1 {
 		t.Fatalf("got %+v, want no candidates, only the probe's cost call and no fallback", res)
 	}

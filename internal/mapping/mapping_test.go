@@ -151,16 +151,16 @@ func TestTileArithmetic(t *testing.T) {
 	m.F[DimS][LvlRF] = 3
 	// Per-PE RF tile: W = 2*4*3*3 = 72 elems; I = 4*3*3 = 36 (1x1 out,
 	// 3x3 halo); O = 2.
-	if got := RFTileElems(l, &m, TW); got != 72 {
+	if got := RFTileElems(&l, &m, TW); got != 72 {
 		t.Fatalf("W RF tile = %d, want 72", got)
 	}
-	if got := RFTileElems(l, &m, TI); got != 36 {
+	if got := RFTileElems(&l, &m, TI); got != 36 {
 		t.Fatalf("I RF tile = %d, want 36", got)
 	}
-	if got := RFTileElems(l, &m, TO); got != 2 {
+	if got := RFTileElems(&l, &m, TO); got != 2 {
 		t.Fatalf("O RF tile = %d, want 2", got)
 	}
-	if got := RFTileBytes(l, &m); got != (72+36+2)*workload.BytesPerElem {
+	if got := RFTileBytes(&l, &m); got != (72+36+2)*workload.BytesPerElem {
 		t.Fatalf("RF bytes = %d", got)
 	}
 }
@@ -176,7 +176,7 @@ func TestL2TileIncludesSpatial(t *testing.T) {
 	m.F[DimY][LvlSpatial] = 2
 	m.F[DimY][LvlL2] = 3
 	// O tile through L2: K=1, Y=6, X=1.
-	if got := L2TileElems(l, &m, TO); got != 6 {
+	if got := L2TileElems(&l, &m, TO); got != 6 {
 		t.Fatalf("O L2 tile = %d, want 6", got)
 	}
 }

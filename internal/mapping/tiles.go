@@ -12,7 +12,7 @@ func haloElems(ch, y, x, r, s, stride int) int64 {
 
 // RFTileElems returns the per-PE register-file tile element count of tensor
 // t: the data one PE holds while iterating its RF-level loops.
-func RFTileElems(l workload.Layer, m *Mapping, t Tensor) int64 {
+func RFTileElems(l *workload.Layer, m *Mapping, t Tensor) int64 {
 	k := m.Factor(DimK, LvlRF)
 	c := m.Factor(DimC, LvlRF)
 	y := m.Factor(DimY, LvlRF)
@@ -38,7 +38,7 @@ func RFTileElems(l workload.Layer, m *Mapping, t Tensor) int64 {
 
 // L2TileElems returns the shared scratchpad tile element count of tensor t:
 // the data resident in L2 for one DRAM-level tile (all PEs combined).
-func L2TileElems(l workload.Layer, m *Mapping, t Tensor) int64 {
+func L2TileElems(l *workload.Layer, m *Mapping, t Tensor) int64 {
 	th := func(d Dim) int { return m.TileThrough(d, LvlL2) }
 	k, c, y, x, r, s := th(DimK), th(DimC), th(DimY), th(DimX), th(DimR), th(DimS)
 	switch t {
@@ -62,7 +62,7 @@ func L2TileElems(l workload.Layer, m *Mapping, t Tensor) int64 {
 // It is the W+I+O sum of RFTileElems with the six RF factors read once
 // instead of once per tensor — this runs per candidate inside the mapping
 // generators' buffer-fit filters.
-func RFTileBytes(l workload.Layer, m *Mapping) int64 {
+func RFTileBytes(l *workload.Layer, m *Mapping) int64 {
 	k := m.Factor(DimK, LvlRF)
 	c := m.Factor(DimC, LvlRF)
 	y := m.Factor(DimY, LvlRF)
@@ -75,7 +75,7 @@ func RFTileBytes(l workload.Layer, m *Mapping) int64 {
 // L2TileBytes returns the shared scratchpad footprint of all tensors. Like
 // RFTileBytes it reads the six tile-through-L2 extents once rather than per
 // tensor.
-func L2TileBytes(l workload.Layer, m *Mapping) int64 {
+func L2TileBytes(l *workload.Layer, m *Mapping) int64 {
 	k := m.TileThrough(DimK, LvlL2)
 	c := m.TileThrough(DimC, LvlL2)
 	y := m.TileThrough(DimY, LvlL2)

@@ -15,14 +15,13 @@ import (
 // NoC constants — so the enumeration inner loop pays only for what actually
 // varies per candidate.
 //
-// Tier 1 is EvaluateCycles: a slim (cycles, valid) evaluation for the
-// mapping-search hot loop that skips the per-operand breakdown arrays
-// mapping.Cost never reads. It additionally memoizes the most recent
-// temporal fill (the factor matrix m.F): the pruned enumerator tries all
-// nine stationary-tensor orderings of each fill back-to-back, and every
-// fill-dependent quantity — structural validity, buffer fits, refetch
-// products, NoC geometry, DMA bursts — is stationary-independent, so eight
-// of nine calls reduce to a handful of multiplications.
+// Tier 1 is EvaluateFill, the mapping.Cost of every mapping search: the
+// cycles of one temporal fill (a factor matrix m.F) under a list of
+// stationary-tensor orderings, with no per-operand breakdown. Everything a
+// fill determines on its own — structural validity, buffer fits, refetch
+// products, NoC geometry, DMA bursts — is worked out once per call, the
+// off-chip traffic and DMA time once per DRAM-stationary tensor the list
+// names, and each ordering then costs a handful of multiplications.
 //
 // Tier 2 is EvalContext.Evaluate: the full Breakdown, used for the winning
 // mapping, bottleneck analysis, and mitigation. Both tiers share the same
@@ -30,9 +29,8 @@ import (
 // so their cycles are bit-identical (see the cycle-exactness contract in
 // DESIGN.md §13 and TestFastPathMatchesEvaluateProperty).
 //
-// An EvalContext is NOT safe for concurrent use: the fill memo is mutable
-// state. Build one context per goroutine (internal/eval builds one per
-// layer search).
+// An EvalContext is immutable after NewContext: any number of goroutines
+// may evaluate through one context at once.
 type EvalContext struct {
 	d arch.Design
 	l workload.Layer
@@ -52,20 +50,11 @@ type EvalContext struct {
 	bpc     float64
 	nocW    float64
 	l2Bytes int64
-
-	// Fill memo: the mapping-factor-dependent, stationary-independent state
-	// of the most recently evaluated temporal fill.
-	fillOK bool
-	fill   fillState
 }
 
-// fillState caches every quantity of one temporal fill (a factor matrix
-// m.F) that does not depend on the stationary-tensor ordering.
+// fillState holds every quantity of one valid temporal fill (a factor
+// matrix m.F) that does not depend on the stationary-tensor ordering.
 type fillState struct {
-	f  [mapping.NumDims][mapping.NumLevels]int
-	ok bool // fill is structurally valid, fits buffers/PEs/NoC sharing
-
-	pes   int
 	tcomp float64
 
 	// prodIrrDRAM/prodIrrL2 are prodIrrelevant(t, level) for TW and TI
@@ -82,6 +71,15 @@ type fillState struct {
 	sharesF   [arch.NumOperands]float64
 	perGroup  [arch.NumOperands]float64
 	burst     [arch.NumOperands]float64
+}
+
+// dramSide is the part of a candidate's cost that its fill and its
+// DRAM-stationary tensor fix: the off-chip bytes per operand, the off-chip
+// partial-sum refetch, and the DMA time.
+type dramSide struct {
+	off  [arch.NumOperands]float64
+	psum float64
+	tdma float64
 }
 
 // NewContext builds the evaluation context of layer l on design d,
@@ -209,18 +207,14 @@ func (c *EvalContext) burstBytes(m *mapping.Mapping, t mapping.Tensor) float64 {
 	}
 }
 
-// computeFill populates the fill memo for mapping m's factor matrix. After
-// it returns, c.fill.ok reports whether any ordering of this fill can be
-// valid (validity is stationary-independent: structural coverage, PE and
-// buffer fits, and NoC time-sharing demand all ignore the stationary
-// tensors).
-func (c *EvalContext) computeFill(m *mapping.Mapping) {
-	fs := &c.fill
-	fs.f = m.F
-	fs.ok = false
-	c.fillOK = true
-
-	// Structural validity: factors must cover padded dims exactly.
+// fits runs the validity checks of mapping m: the factors cover the padded
+// dims, the spatial tiling fits the PEs, the RF and L2 tiles fit their
+// buffers, and no operand needs more time-shared NoC unicast than the
+// design supports. None of them reads the stationary tensors, so validity
+// is a property of the temporal fill. It also returns what the checks
+// computed: the PEs the fill occupies and each operand's NoC group count
+// and time-sharing degree.
+func (c *EvalContext) fits(m *mapping.Mapping) (pes int, groups, shares [arch.NumOperands]int, ok bool) {
 	for dim := mapping.Dim(0); dim < mapping.NumDims; dim++ {
 		prod := 1
 		for lv := mapping.Level(0); lv < mapping.NumLevels; lv++ {
@@ -230,17 +224,53 @@ func (c *EvalContext) computeFill(m *mapping.Mapping) {
 			return
 		}
 	}
-	pes := m.SpatialPEs()
+	pes = m.SpatialPEs()
 	if pes > c.d.PEs {
 		return
 	}
-	if mapping.RFTileBytes(c.l, m) > int64(c.d.L1Bytes) {
+	if mapping.RFTileBytes(&c.l, m) > int64(c.d.L1Bytes) {
 		return
 	}
-	if mapping.L2TileBytes(c.l, m) > c.l2Bytes {
+	if mapping.L2TileBytes(&c.l, m) > c.l2Bytes {
 		return
 	}
-	fs.pes = pes
+	for _, op := range arch.Operands {
+		g := 1
+		mask := c.idxMask[OperandTensor(op)]
+		for dim := mapping.Dim(0); dim < mapping.NumDims; dim++ {
+			if mask&(1<<uint(dim)) != 0 {
+				g *= m.Factor(dim, mapping.LvlSpatial)
+			}
+		}
+		sh := (g + c.d.PhysLinks[op] - 1) / c.d.PhysLinks[op]
+		if sh < 1 {
+			sh = 1
+		}
+		if sh > c.d.VirtLinks[op] {
+			return
+		}
+		groups[op], shares[op] = g, sh
+	}
+	return pes, groups, shares, true
+}
+
+// Valid reports whether mapping m is valid on the bound design, under any
+// stationary ordering. It runs only the validity checks, none of Tier 1's
+// cost precomputes, and allocates nothing; its method value is the pruned
+// enumerator's per-spatial-base probe (mapping.GenConfig.BaseValid).
+func (c *EvalContext) Valid(m *mapping.Mapping) bool {
+	_, _, _, ok := c.fits(m)
+	return ok
+}
+
+// computeFill sets fs to the ordering-independent state of m's temporal
+// fill and reports whether the fill is valid; fs is left partial when it
+// is not.
+func (c *EvalContext) computeFill(m *mapping.Mapping, fs *fillState) bool {
+	pes, groups, shares, ok := c.fits(m)
+	if !ok {
+		return false
+	}
 	fs.tcomp = c.macs / float64(pes)
 
 	for t := mapping.Tensor(0); t < mapping.TO; t++ {
@@ -252,23 +282,9 @@ func (c *EvalContext) computeFill(m *mapping.Mapping) {
 
 	for _, op := range arch.Operands {
 		t := OperandTensor(op)
-		groups := 1
-		mask := c.idxMask[t]
-		for dim := mapping.Dim(0); dim < mapping.NumDims; dim++ {
-			if mask&(1<<uint(dim)) != 0 {
-				groups *= m.Factor(dim, mapping.LvlSpatial)
-			}
-		}
-		shares := (groups + c.d.PhysLinks[op] - 1) / c.d.PhysLinks[op]
-		if shares < 1 {
-			shares = 1
-		}
-		if shares > c.d.VirtLinks[op] {
-			return
-		}
-		bpg := float64(mapping.RFTileElems(c.l, m, t)) * workload.BytesPerElem
-		fs.groupsBpg[op] = float64(groups) * bpg
-		fs.sharesF[op] = float64(shares)
+		bpg := float64(mapping.RFTileElems(&c.l, m, t)) * workload.BytesPerElem
+		fs.groupsBpg[op] = float64(groups[op]) * bpg
+		fs.sharesF[op] = float64(shares[op])
 		fs.perGroup[op] = math.Ceil(bpg * 8 / c.nocW)
 		burst := c.burstBytes(m, t)
 		if burst < workload.BytesPerElem {
@@ -276,81 +292,100 @@ func (c *EvalContext) computeFill(m *mapping.Mapping) {
 		}
 		fs.burst[op] = burst
 	}
-	fs.ok = true
+	return true
 }
 
-// EvaluateCycles is the Tier-1 fast path: the layer latency of mapping m in
-// cycles and whether the mapping is valid on the bound design. For a valid
-// mapping the cycles are bit-identical to Evaluate(m).Cycles; for an invalid
-// one it reports (0, false) without computing a latency (every search-loop
-// caller gates on ok before reading the cycles). It allocates nothing, and
-// its method value is the mapping.Cost callback of every mapping search.
-func (c *EvalContext) EvaluateCycles(m *mapping.Mapping) (float64, bool) {
-	if !c.fillOK || c.fill.f != m.F {
-		c.computeFill(m)
-	}
-	fs := &c.fill
-	if !fs.ok {
-		return 0, false
-	}
-
-	// Ordering-dependent refetch selection: the stationary tensors only
-	// pick between a precomputed product and 1.
-	refDRAMW, refDRAMI, psumDRAM := fs.prodIrrDRAM[mapping.TW], fs.prodIrrDRAM[mapping.TI], fs.psumDRAM
-	switch m.DRAMStationary {
+// dram works out the off-chip side of a valid fill with DRAM-stationary
+// tensor ds, mirroring Tier 2's expressions and their association exactly:
+// off = size*refDRAM, and the DMA time summed in operand order.
+func (c *EvalContext) dram(fs *fillState, ds mapping.Tensor) dramSide {
+	refW, refI, psum := fs.prodIrrDRAM[mapping.TW], fs.prodIrrDRAM[mapping.TI], fs.psumDRAM
+	switch ds {
 	case mapping.TW:
-		refDRAMW = 1
+		refW = 1
 	case mapping.TI:
-		refDRAMI = 1
+		refI = 1
 	default:
-		psumDRAM = 1
+		psum = 1
 	}
-	refNoCW, refNoCI, refNoCO := fs.prodIrrL2[mapping.TW], fs.prodIrrL2[mapping.TI], fs.psumL2
-	switch m.NoCStationary {
-	case mapping.TW:
-		refNoCW = 1
-	case mapping.TI:
-		refNoCI = 1
-	default:
-		refNoCO = 1
-	}
-
-	// Traffic, mirroring Tier 2's expressions (and their association)
-	// exactly: off = size*refDRAM, noc = (size*refDRAM)*refNoC.
-	var off, noc [arch.NumOperands]float64
-	psumNoC := psumDRAM * refNoCO
-	off[arch.OpW] = c.sizeB[mapping.TW] * refDRAMW
-	off[arch.OpI] = c.sizeB[mapping.TI] * refDRAMI
-	off[arch.OpOWr] = c.sizeB[mapping.TO] * psumDRAM
-	off[arch.OpORd] = c.sizeB[mapping.TO] * (psumDRAM - 1)
-	noc[arch.OpW] = off[arch.OpW] * refNoCW
-	noc[arch.OpI] = off[arch.OpI] * refNoCI
-	noc[arch.OpOWr] = c.sizeB[mapping.TO] * psumNoC
-	noc[arch.OpORd] = c.sizeB[mapping.TO] * (psumNoC - 1)
-
-	cycles := fs.tcomp
+	s := dramSide{psum: psum}
+	s.off[arch.OpW] = c.sizeB[mapping.TW] * refW
+	s.off[arch.OpI] = c.sizeB[mapping.TI] * refI
+	s.off[arch.OpOWr] = c.sizeB[mapping.TO] * psum
+	s.off[arch.OpORd] = c.sizeB[mapping.TO] * (psum - 1)
 	for _, op := range arch.Operands {
-		if noc[op] <= 0 {
-			continue
-		}
-		loads := noc[op] / fs.groupsBpg[op]
-		t := loads * fs.sharesF[op] * fs.perGroup[op]
-		if t > cycles {
-			cycles = t
-		}
-	}
-	tdma := 0.0
-	for _, op := range arch.Operands {
-		bytes := off[op]
+		bytes := s.off[op]
 		if bytes <= 0 {
 			continue
 		}
-		tdma += bytes/c.bpc + bytes/fs.burst[op]*dmaBurstSetupCycles
+		s.tdma += bytes/c.bpc + bytes/fs.burst[op]*dmaBurstSetupCycles
 	}
-	if tdma > cycles {
-		cycles = tdma
+	return s
+}
+
+// EvaluateFill is Tier 1, the mapping.Cost of every mapping search: it sets
+// cycles[i] to the latency of m's temporal fill under the stationary pair of
+// orderings[i], bit-identical to Evaluate's Cycles for that candidate, or to
+// +Inf when the candidate is invalid. It reads only the stationary fields
+// of the orderings and ignores m's own. It works out the fill's
+// ordering-independent state once, the off-chip side once per
+// DRAM-stationary tensor the list names, and allocates nothing.
+func (c *EvalContext) EvaluateFill(m *mapping.Mapping, orderings []mapping.Mapping, cycles []float64) {
+	var fs fillState
+	if !c.computeFill(m, &fs) {
+		for i := range orderings {
+			cycles[i] = math.Inf(1)
+		}
+		return
 	}
-	return cycles, true
+	var sides [mapping.NumTensors]dramSide
+	var have [mapping.NumTensors]bool
+	for i := range orderings {
+		// Anything but W or I keeps O stationary, as in dram's switch.
+		ds := orderings[i].DRAMStationary
+		if ds != mapping.TW && ds != mapping.TI {
+			ds = mapping.TO
+		}
+		if !have[ds] {
+			sides[ds], have[ds] = c.dram(&fs, ds), true
+		}
+		side := &sides[ds]
+
+		// The NoC-stationary tensor only picks between a precomputed
+		// product and 1. NoC traffic mirrors Tier 2's association:
+		// noc = (size*refDRAM)*refNoC.
+		refNoCW, refNoCI, refNoCO := fs.prodIrrL2[mapping.TW], fs.prodIrrL2[mapping.TI], fs.psumL2
+		switch orderings[i].NoCStationary {
+		case mapping.TW:
+			refNoCW = 1
+		case mapping.TI:
+			refNoCI = 1
+		default:
+			refNoCO = 1
+		}
+		var noc [arch.NumOperands]float64
+		psumNoC := side.psum * refNoCO
+		noc[arch.OpW] = side.off[arch.OpW] * refNoCW
+		noc[arch.OpI] = side.off[arch.OpI] * refNoCI
+		noc[arch.OpOWr] = c.sizeB[mapping.TO] * psumNoC
+		noc[arch.OpORd] = c.sizeB[mapping.TO] * (psumNoC - 1)
+
+		cyc := fs.tcomp
+		for _, op := range arch.Operands {
+			if noc[op] <= 0 {
+				continue
+			}
+			loads := noc[op] / fs.groupsBpg[op]
+			t := loads * fs.sharesF[op] * fs.perGroup[op]
+			if t > cyc {
+				cyc = t
+			}
+		}
+		if side.tdma > cyc {
+			cyc = side.tdma
+		}
+		cycles[i] = cyc
+	}
 }
 
 // Evaluate is the Tier-2 full evaluation: the complete Breakdown of mapping
@@ -378,12 +413,12 @@ func (c *EvalContext) Evaluate(m mapping.Mapping) Breakdown {
 		b.IncompatCount = 1
 		return b
 	}
-	if rf := mapping.RFTileBytes(c.l, &m); rf > int64(d.L1Bytes) {
+	if rf := mapping.RFTileBytes(&c.l, &m); rf > int64(d.L1Bytes) {
 		b.Incompat = "RF tile exceeds L1 capacity"
 		b.IncompatCount = 1
 		return b
 	}
-	if l2 := mapping.L2TileBytes(c.l, &m); l2 > c.l2Bytes {
+	if l2 := mapping.L2TileBytes(&c.l, &m); l2 > c.l2Bytes {
 		b.Incompat = "L2 tile exceeds scratchpad capacity"
 		b.IncompatCount = 1
 		return b
@@ -418,7 +453,7 @@ func (c *EvalContext) Evaluate(m mapping.Mapping) Breakdown {
 			}
 		}
 		b.NoCGroups[op] = groups
-		bpg := float64(mapping.RFTileElems(c.l, &m, t)) * workload.BytesPerElem
+		bpg := float64(mapping.RFTileElems(&c.l, &m, t)) * workload.BytesPerElem
 		b.NoCBytesPerGroup[op] = bpg
 
 		shares := (groups + d.PhysLinks[op] - 1) / d.PhysLinks[op]
@@ -462,8 +497,8 @@ func (c *EvalContext) Evaluate(m mapping.Mapping) Breakdown {
 
 	// Buffer allocations and remaining reuse.
 	for t := mapping.Tensor(0); t < mapping.NumTensors; t++ {
-		b.DataRF[t] = float64(mapping.RFTileElems(c.l, &m, t)) * workload.BytesPerElem
-		b.DataSPM[t] = float64(mapping.L2TileElems(c.l, &m, t)) * workload.BytesPerElem
+		b.DataRF[t] = float64(mapping.RFTileElems(&c.l, &m, t)) * workload.BytesPerElem
+		b.DataSPM[t] = float64(mapping.L2TileElems(&c.l, &m, t)) * workload.BytesPerElem
 		b.ReuseAvailRF[t] = c.refetchNoC(&m, t)
 		b.ReuseAvailSPM[t] = c.refetchDRAM(&m, t)
 	}
@@ -479,14 +514,4 @@ func (c *EvalContext) Evaluate(m mapping.Mapping) Breakdown {
 	}
 	b.Valid = b.IncompatCount == 0
 	return b
-}
-
-// Valid adapts the Tier-1 fast path into a validity-only predicate (the
-// pruned enumerator's per-spatial-base probe). Like EvaluateCycles, the
-// closure shares the fill memo and is not safe for concurrent use.
-func (c *EvalContext) Valid() func(mapping.Mapping) bool {
-	return func(m mapping.Mapping) bool {
-		_, ok := c.EvaluateCycles(&m)
-		return ok
-	}
 }

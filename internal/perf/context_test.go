@@ -1,50 +1,123 @@
 package perf
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"xdse/internal/mapping"
 )
 
-// TestEvaluateCyclesZeroAllocs pins the Tier-1 hot path to zero heap
-// allocations — both on the memoized ordering-sweep path (nine calls per
-// fill) and on the memo-miss path (a fresh fill every call). The enumeration
-// inner loop makes ~43k of these calls per layer search; one allocation per
-// call would reintroduce the GC pressure the context exists to remove.
-func TestEvaluateCyclesZeroAllocs(t *testing.T) {
+// nineOrderings lists the nine (DRAM, NoC) stationary pairs in the order
+// the pruned enumerator prices them.
+func nineOrderings() []mapping.Mapping {
+	var out []mapping.Mapping
+	for ds := mapping.Tensor(0); ds < mapping.NumTensors; ds++ {
+		for ns := mapping.Tensor(0); ns < mapping.NumTensors; ns++ {
+			out = append(out, mapping.Mapping{DRAMStationary: ds, NoCStationary: ns})
+		}
+	}
+	return out
+}
+
+// TestEvaluateFillZeroAllocs pins Tier 1 to zero heap allocations: one
+// EvaluateFill call over all nine orderings of a fill (the enumerator's
+// call), over one ordering (the warm-start probe's and the black-box
+// mappers' call) and over an invalid fill, and the Valid base probe. A
+// codesign campaign makes about half a million of these calls; one
+// allocation per call would reintroduce the GC pressure the context exists
+// to remove.
+func TestEvaluateFillZeroAllocs(t *testing.T) {
 	l := testLayer()
-	d := testDesign()
-	ctx := NewContext(d, l)
-	dims := mapping.Dims(l)
-	rng := rand.New(rand.NewSource(31))
+	ctx := NewContext(testDesign(), l)
+	valid := sequentialMapping(l)
+	invalid := valid
+	invalid.F[mapping.DimK][mapping.LvlDRAM]++ // breaks loop coverage
+	nine := nineOrderings()
+	cycles := make([]float64, len(nine))
+	for _, tc := range []struct {
+		name      string
+		m         *mapping.Mapping
+		orderings []mapping.Mapping
+		valid     bool
+	}{
+		{"nine orderings", &valid, nine, true},
+		{"one ordering", &valid, nine[4:5], true},
+		{"invalid fill", &invalid, nine, false},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			ctx.EvaluateFill(tc.m, tc.orderings, cycles)
+		}); allocs != 0 {
+			t.Errorf("%s: EvaluateFill allocates %.1f per call, want 0", tc.name, allocs)
+		}
+		if math.IsInf(cycles[0], 1) == tc.valid {
+			t.Errorf("%s: cycles %v, want a fill that is valid=%v", tc.name, cycles[0], tc.valid)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { ctx.Valid(tc.m) }); allocs != 0 {
+			t.Errorf("%s: Valid allocates %.1f per call, want 0", tc.name, allocs)
+		}
+	}
+}
 
-	fillA := mapping.Random(dims, rng)
-	fillB := fillA
-	fillB.F[mapping.DimK][mapping.LvlRF], fillB.F[mapping.DimK][mapping.LvlDRAM] =
-		fillB.F[mapping.DimK][mapping.LvlDRAM], fillB.F[mapping.DimK][mapping.LvlRF]
-
-	ord := 0
-	if allocs := testing.AllocsPerRun(200, func() {
-		m := fillA
-		m.DRAMStationary = mapping.Tensor(ord % 3)
-		m.NoCStationary = mapping.Tensor((ord / 3) % 3)
-		ord++
-		ctx.EvaluateCycles(&m)
-	}); allocs != 0 {
-		t.Errorf("memoized ordering sweep allocates %.1f per call, want 0", allocs)
+// TestSharedContextConcurrentEvaluateFill: an EvalContext is immutable after
+// NewContext, so four goroutines pricing the same fills on one context, each
+// in its own order, must see exactly what a serial pass sees. Under -race, a
+// write to context state on the Tier-1 path fails it.
+func TestSharedContextConcurrentEvaluateFill(t *testing.T) {
+	l := testLayer()
+	ctx := NewContext(testDesign(), l)
+	rng := rand.New(rand.NewSource(43))
+	nine := nineOrderings()
+	fills := make([]mapping.Mapping, 48)
+	fills[0] = sequentialMapping(l)
+	for i := 1; i < len(fills); i++ {
+		fills[i] = mapping.Random(mapping.Dims(l), rng)
+	}
+	want := make([][]float64, len(fills))
+	valid := 0
+	for i := range fills {
+		want[i] = make([]float64, len(nine))
+		ctx.EvaluateFill(&fills[i], nine, want[i])
+		if !math.IsInf(want[i][0], 1) {
+			valid++
+		}
+	}
+	if valid == 0 || valid == len(fills) {
+		t.Fatalf("%d of %d fills valid; the sample must hold both kinds", valid, len(fills))
 	}
 
-	flip := false
-	if allocs := testing.AllocsPerRun(200, func() {
-		m := fillA
-		if flip {
-			m = fillB
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got := make([]float64, len(nine))
+			for rep := 0; rep < 10; rep++ {
+				for k := range fills {
+					i := (k*(2*g+1) + rep) % len(fills)
+					ctx.EvaluateFill(&fills[i], nine, got)
+					for j := range got {
+						if got[j] != want[i][j] {
+							errs[g] = fmt.Errorf("goroutine %d, fill %d, ordering %d: %v, serial %v", g, i, j, got[j], want[i][j])
+							return
+						}
+					}
+					if ctx.Valid(&fills[i]) == math.IsInf(want[i][0], 1) {
+						errs[g] = fmt.Errorf("goroutine %d, fill %d: Valid disagrees with the serial cycles %v", g, i, want[i][0])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
-		flip = !flip
-		ctx.EvaluateCycles(&m)
-	}); allocs != 0 {
-		t.Errorf("fill-memo miss path allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -61,16 +134,25 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			d := randDesign(rng)
 			ctx := NewContext(d, l)
-			slowCost := func(m *mapping.Mapping) (float64, bool) {
-				b := ctx.Evaluate(*m)
-				return b.Cycles, b.Valid
+			// slowCost prices each ordering of the fill through a full
+			// Tier-2 Breakdown.
+			slowCost := func(m *mapping.Mapping, orderings []mapping.Mapping, cycles []float64) {
+				c := *m
+				for i := range orderings {
+					c.DRAMStationary, c.NoCStationary = orderings[i].DRAMStationary, orderings[i].NoCStationary
+					if b := ctx.Evaluate(c); b.Valid {
+						cycles[i] = b.Cycles
+					} else {
+						cycles[i] = math.Inf(1)
+					}
+				}
 			}
 			newCfg := func() mapping.GenConfig {
 				return mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 600}
 			}
 
 			// Cold: no pruning, every candidate costed.
-			cold := mapping.EnumeratePruned(l, newCfg(), NewContext(d, l).EvaluateCycles)
+			cold := mapping.EnumeratePruned(l, newCfg(), ctx.EvaluateFill)
 			coldRef := mapping.EnumeratePruned(l, newCfg(), slowCost)
 			if cold != coldRef {
 				t.Fatalf("%s: cold fast-path result %+v != slow-path %+v", l.Name, cold, coldRef)
@@ -84,7 +166,7 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 			warmCfg := newCfg()
 			warmCfg.CostLB = ctx.CostLowerBound
 			warmCfg.Incumbent = &inc
-			warm := mapping.EnumeratePruned(l, warmCfg, NewContext(d, l).EvaluateCycles)
+			warm := mapping.EnumeratePruned(l, warmCfg, ctx.EvaluateFill)
 			refCfg := newCfg()
 			refCfg.CostLB = ctx.CostLowerBound
 			refCfg.Incumbent = &inc
@@ -107,21 +189,21 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 // pruned enumeration driven by the real Tier-1 cost (the mapping-package
 // regression test uses a synthetic cost). After the divisor/spread memos are
 // warm, a search over hundreds of candidates must amortize to a handful of
-// allocations — any per-candidate allocation in EvaluateCycles blows the
-// bound immediately.
+// allocations — any per-fill allocation in EvaluateFill blows the bound
+// immediately.
 func TestEnumerateSearchAllocsRealCost(t *testing.T) {
 	l := testLayer()
 	d := testDesign()
 	cfg := mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 600}
 	ctx := NewContext(d, l)
-	warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles) // warm the divisor/spread memos
+	warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill) // warm the divisor/spread memos
 	if !warm.Found {
 		t.Fatal("no mapping found")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		c := cfg
 		c.CostLB = ctx.CostLowerBound
-		mapping.EnumeratePruned(l, c, ctx.EvaluateCycles)
+		mapping.EnumeratePruned(l, c, ctx.EvaluateFill)
 	})
 	if allocs > 16 {
 		t.Fatalf("real-cost enumeration allocates %.0f times per search; Tier-1 hot path has regressed", allocs)

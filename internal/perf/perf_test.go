@@ -281,12 +281,13 @@ func TestCyclesAndValidMatchEvaluate(t *testing.T) {
 	d := testDesign()
 	m := sequentialMapping(l)
 	ctx := NewContext(d, l)
-	c, ok := ctx.EvaluateCycles(&m)
+	var c [1]float64
+	ctx.EvaluateFill(&m, []mapping.Mapping{m}, c[:])
 	b := ctx.Evaluate(m)
-	if ok != b.Valid || c != b.Cycles {
-		t.Fatal("EvaluateCycles disagrees with Evaluate")
+	if !b.Valid || c[0] != b.Cycles {
+		t.Fatal("EvaluateFill disagrees with Evaluate")
 	}
-	if !ctx.Valid()(m) {
+	if !ctx.Valid(&m) {
 		t.Fatal("Valid disagrees")
 	}
 }

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -105,14 +106,22 @@ func propertyLayers() []workload.Layer {
 }
 
 // TestFastPathMatchesEvaluateProperty is the two-tier cycle-exactness
-// contract: over randomized designs x layers x mappings, the Tier-1
-// EvaluateCycles must agree with the Tier-2 full Breakdown on validity
-// always, and bit-exactly (==, no epsilon) on cycles whenever valid. Each
-// fill is swept through all nine stationary orderings on one shared context
-// so the fill memo's hit path is exercised as hard as the enumerator does,
-// and corrupted fills check the invalid side of the memo.
+// contract: over randomized designs x layers x mappings, every entry Tier 1
+// (EvaluateFill) prices must be +Inf exactly when the Tier-2 full Breakdown
+// says invalid, and bit-exactly (==, no epsilon) its cycles otherwise. Each
+// fill is priced in one call over all nine orderings, as the enumerator
+// prices it, and once more over a list that revisits DRAM-stationary
+// tensors out of order, which catches an off-chip side worked out under the
+// wrong tensor. Corrupted fills check the invalid side.
 func TestFastPathMatchesEvaluateProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	lists := [][]mapping.Mapping{nineOrderings(), {
+		{DRAMStationary: mapping.TI, NoCStationary: mapping.TW},
+		{DRAMStationary: mapping.TW, NoCStationary: mapping.TO},
+		{DRAMStationary: mapping.TI, NoCStationary: mapping.TO},
+		{DRAMStationary: mapping.TW, NoCStationary: mapping.TW},
+	}}
+	cycles := make([]float64, 9)
 	for _, l := range propertyLayers() {
 		dims := mapping.Dims(l)
 		valid, invalid := 0, 0
@@ -134,23 +143,24 @@ func TestFastPathMatchesEvaluateProperty(t *testing.T) {
 				default:
 					m = mapping.Random(dims, rng)
 				}
-				for ds := mapping.Tensor(0); ds < mapping.NumTensors; ds++ {
-					for ns := mapping.Tensor(0); ns < mapping.NumTensors; ns++ {
-						m.DRAMStationary, m.NoCStationary = ds, ns
-						got, ok := ctx.EvaluateCycles(&m)
-						want := NewContext(d, l).Evaluate(m)
-						if ok != want.Valid {
-							t.Fatalf("%s: fast path ok=%v, Evaluate valid=%v (%q) for %v on %+v",
-								l.Name, ok, want.Valid, want.Incompat, m, d)
+				for _, ords := range lists {
+					ctx.EvaluateFill(&m, ords, cycles)
+					for i, o := range ords {
+						c := m
+						c.DRAMStationary, c.NoCStationary = o.DRAMStationary, o.NoCStationary
+						got, want := cycles[i], NewContext(d, l).Evaluate(c)
+						if math.IsInf(got, 1) == want.Valid {
+							t.Fatalf("%s: fast path %v, Evaluate valid=%v (%q) for %v on %+v",
+								l.Name, got, want.Valid, want.Incompat, c, d)
 						}
-						if !ok {
+						if !want.Valid {
 							invalid++
 							continue
 						}
 						valid++
 						if got != want.Cycles {
 							t.Fatalf("%s: fast path %v != Evaluate %v (diff %g) for %v on %+v",
-								l.Name, got, want.Cycles, got-want.Cycles, m, d)
+								l.Name, got, want.Cycles, got-want.Cycles, c, d)
 						}
 					}
 				}

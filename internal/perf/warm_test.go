@@ -36,7 +36,7 @@ func warmTestLayers() []workload.Layer {
 func genCfg(d arch.Design, ctx *EvalContext, maxN int) mapping.GenConfig {
 	return mapping.GenConfig{
 		PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(),
-		MinN: 10, MaxN: maxN, BaseValid: ctx.Valid(),
+		MinN: 10, MaxN: maxN, BaseValid: ctx.Valid,
 	}
 }
 
@@ -53,7 +53,7 @@ func TestWarmEnumerationBitIdentical(t *testing.T) {
 		colds := make([]mapping.Result, len(designs))
 		for i, d := range designs {
 			ctx := NewContext(d, l)
-			colds[i] = mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateCycles)
+			colds[i] = mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateFill)
 			if colds[i].Found {
 				m := colds[i].Best
 				incumbents[i] = &m
@@ -68,7 +68,7 @@ func TestWarmEnumerationBitIdentical(t *testing.T) {
 				cfg := genCfg(d, ctx, 300)
 				cfg.CostLB = ctx.CostLowerBound
 				cfg.Incumbent = incumbents[j]
-				warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
+				warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill)
 				cold := colds[i]
 				if warm.Best != cold.Best || warm.Cycles != cold.Cycles ||
 					warm.Found != cold.Found || warm.Evaluated != cold.Evaluated {
@@ -92,7 +92,7 @@ func TestWarmSelfIncumbentPrunes(t *testing.T) {
 	d := testDesign()
 	l := warmTestLayers()[0]
 	ctx := NewContext(d, l)
-	cold := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateCycles)
+	cold := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateFill)
 	if !cold.Found {
 		t.Skip("no mapping found on roomy design")
 	}
@@ -100,7 +100,7 @@ func TestWarmSelfIncumbentPrunes(t *testing.T) {
 	cfg := genCfg(d, ctx, 300)
 	cfg.CostLB = ctx.CostLowerBound
 	cfg.Incumbent = &m
-	warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
+	warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill)
 	if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Evaluated != cold.Evaluated {
 		t.Fatal("self-incumbent warm run changed the result")
 	}
@@ -160,7 +160,7 @@ func TestWarmEnumerationWorkGolden(t *testing.T) {
 		incumbents := make([]*mapping.Mapping, len(designs))
 		for i, d := range designs {
 			ctx := NewContext(d, l)
-			if cold := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateCycles); cold.Found {
+			if cold := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateFill); cold.Found {
 				incumbents[i] = &cold.Best
 			}
 		}
@@ -173,7 +173,7 @@ func TestWarmEnumerationWorkGolden(t *testing.T) {
 				cfg := genCfg(d, ctx, 300)
 				cfg.CostLB = ctx.CostLowerBound
 				cfg.Incumbent = inc
-				warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
+				warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill)
 				if got := (warmWork{warm.CostCalls, warm.LBPruned, warm.WarmFallback}); got != golden[i][j] {
 					t.Errorf("layer %s design %d incumbent-from %d: work %+v, want %+v", l.Name, i, j, got, golden[i][j])
 				}
@@ -192,20 +192,20 @@ func TestWarmFallbackSearchBytes(t *testing.T) {
 	d := warmTestDesigns()[2]
 	l := warmTestLayers()[1]
 	ctx := NewContext(d, l)
-	cold := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateCycles)
+	cold := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateFill)
 	if !cold.Found {
 		t.Fatal("no mapping found on the fewPEs design")
 	}
 	cfg := genCfg(d, ctx, 300)
 	cfg.CostLB = ctx.CostLowerBound
 	cfg.Incumbent = &cold.Best
-	if warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles); !warm.WarmFallback {
+	if warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill); !warm.WarmFallback {
 		t.Fatal("the self-incumbent search no longer falls back; pick a case that does")
 	}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mapping.EnumeratePruned(l, cfg, ctx.EvaluateCycles)
+			mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill)
 		}
 	})
 	if bytes := r.AllocedBytesPerOp(); bytes > 16<<10 {
