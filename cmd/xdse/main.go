@@ -327,9 +327,11 @@ func main() {
 var allExperiments = []string{"fig3", "fig4", "fig9", "table2", "fig11", "table7", "fig14", "fig15", "ablation", "energy", "multiworkload", "joint"}
 
 // experimentConfig gives one experiment of -exp all its own CSV and
-// checkpoint subdirectory, "<dir>/<name>/": experiments reuse run labels
-// (table2 reruns fig3's runs at another budget), so in one directory a later
-// experiment would overwrite an earlier one's CSVs and journals.
+// checkpoint subdirectory, "<dir>/<name>/", and prefixes the run label and
+// trace ID of every event it traces with "<name>/": experiments reuse run
+// labels (table2 reruns fig3's runs at another budget), so in one directory
+// a later experiment would overwrite an earlier one's CSVs and journals, and
+// in one trace file their span IDs would collide.
 func experimentConfig(cfg exp.Config, name string) exp.Config {
 	if cfg.CSVDir != "" {
 		cfg.CSVDir = filepath.Join(cfg.CSVDir, name)
@@ -337,7 +339,27 @@ func experimentConfig(cfg exp.Config, name string) exp.Config {
 	if cfg.CheckpointDir != "" {
 		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, name)
 	}
+	if cfg.Trace != nil {
+		cfg.Trace = prefixSink{sink: cfg.Trace, prefix: name + "/"}
+	}
 	return cfg
+}
+
+// prefixSink prefixes each event's non-empty run label and trace ID.
+type prefixSink struct {
+	sink   obs.Sink
+	prefix string
+}
+
+// Emit implements obs.Sink.
+func (s prefixSink) Emit(ev obs.Event) {
+	if ev.Run != "" {
+		ev.Run = s.prefix + ev.Run
+	}
+	if ev.Trace != "" {
+		ev.Trace = s.prefix + ev.Trace
+	}
+	s.sink.Emit(ev)
 }
 
 // exitIfInterrupted finishes an interrupted invocation: the partial report

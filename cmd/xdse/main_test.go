@@ -8,6 +8,7 @@ import (
 
 	"xdse/internal/arch"
 	"xdse/internal/exp"
+	"xdse/internal/obs"
 	"xdse/internal/workload"
 )
 
@@ -81,8 +82,23 @@ func TestExperimentConfigSeparatesOutputs(t *testing.T) {
 			t.Errorf("%s: shared settings changed: %+v", name, got)
 		}
 	}
-	if got := experimentConfig(testConfig(), "fig3"); got.CSVDir != "" || got.CheckpointDir != "" {
-		t.Errorf("unset directories became CSVDir %q, CheckpointDir %q", got.CSVDir, got.CheckpointDir)
+	if got := experimentConfig(testConfig(), "fig3"); got.CSVDir != "" || got.CheckpointDir != "" || got.Trace != nil {
+		t.Errorf("unset outputs became CSVDir %q, CheckpointDir %q, Trace %v", got.CSVDir, got.CheckpointDir, got.Trace)
+	}
+	// Runs of different experiments share labels, so one trace file keeps
+	// them apart by the experiment's prefix on run labels and trace IDs.
+	var sink obs.CollectSink
+	cfg = testConfig()
+	cfg.Trace = &sink
+	traced := experimentConfig(cfg, "fig3").Trace
+	traced.Emit(obs.Event{Kind: obs.KindSpan, Run: "GA_ResNet18", Trace: "GA_ResNet18", Span: "1"})
+	traced.Emit(obs.Event{Kind: obs.KindNote})
+	got := sink.Events()
+	if len(got) != 2 || got[0].Run != "fig3/GA_ResNet18" || got[0].Trace != "fig3/GA_ResNet18" || got[0].Span != "1" {
+		t.Fatalf("traced event = %+v, want run and trace prefixed with fig3/", got)
+	}
+	if got[1].Run != "" || got[1].Trace != "" {
+		t.Errorf("empty run label or trace ID gained a prefix: %+v", got[1])
 	}
 }
 

@@ -2,10 +2,9 @@
 // unique design evaluation is appended to a per-run journal the moment it
 // completes, so a killed run can resume without losing (or re-charging)
 // evaluated designs. The journal is an append-only JSONL file whose lines
-// carry a CRC32 and which is periodically compacted into an atomically
-// renamed snapshot; a torn trailing write — the signature of a hard kill —
-// is detected by the CRC and dropped with a warning rather than poisoning
-// the resume.
+// carry a CRC32; a torn trailing write — the signature of a hard kill — is
+// detected by the CRC and dropped with a warning rather than poisoning the
+// resume.
 //
 // Resume model: the journal is a durable memo, not a program counter. A
 // resumed run re-executes its (deterministic) optimizer from the start;
@@ -30,12 +29,19 @@ import (
 	"xdse/internal/search"
 )
 
-// journalFile and snapshotFile name the two on-disk halves of a checkpoint
-// directory: the append-only tail and the last compacted prefix.
+// journalFile is the append-only journal of a checkpoint directory.
+// snapshotFile is the compacted prefix an earlier build wrote beside it:
+// Load still reads one ahead of the journal, so such a checkpoint resumes in
+// full, and a Fresh open removes it.
 const (
 	journalFile  = "journal.jsonl"
 	snapshotFile = "snapshot.jsonl"
 )
+
+// syncEvery is the fsync cadence in appended records: the journal is flushed
+// and fsync'd after every syncEvery-th append, bounding how many evaluations
+// a hard kill can lose.
+const syncEvery = 16
 
 // Record is one journaled design evaluation: the design's point key, its
 // scalar evaluation outcome, and the journal sequence number it was written
@@ -160,61 +166,30 @@ func truncateForErr(s string) string {
 	return s
 }
 
-// Options tunes a journal's durability/throughput trade-off.
+// Options configures how a journal opens.
 type Options struct {
 	// Fresh discards any existing journal in the directory instead of
 	// resuming from it (a new run that happens to reuse a directory).
 	Fresh bool
-	// SyncEvery is the fsync cadence in appended records: the journal is
-	// flushed and fsync'd after every SyncEvery-th append, bounding how
-	// many evaluations a hard kill can lose. 0 selects the default (16);
-	// negative syncs only on Flush/Close (fastest, weakest).
-	SyncEvery int
-	// SnapshotEvery compacts the full record set into an atomically
-	// renamed snapshot (and truncates the journal tail) every N appends.
-	// 0 selects the default (512); negative disables snapshotting.
-	SnapshotEvery int
 	// Warnf, when non-nil, receives non-fatal recovery warnings (torn or
 	// CRC-failing lines dropped during load). The default discards them.
 	Warnf func(format string, args ...any)
-}
-
-func (o Options) syncEvery() int {
-	if o.SyncEvery == 0 {
-		return 16
-	}
-	return o.SyncEvery
-}
-
-func (o Options) snapshotEvery() int {
-	if o.SnapshotEvery == 0 {
-		return 512
-	}
-	return o.SnapshotEvery
-}
-
-func (o Options) warnf(format string, args ...any) {
-	if o.Warnf != nil {
-		o.Warnf(format, args...)
-	}
 }
 
 // Journal is one run's open checkpoint: the records replayed from disk at
 // Open plus everything appended since. It is safe for concurrent Append
 // from evaluation workers.
 type Journal struct {
-	dir  string
-	opts Options
+	replayed []Record // loaded from disk at Open
 
-	mu        sync.Mutex
-	f         *os.File
-	w         *bufio.Writer
-	seen      map[string]bool
-	recs      []Record // full record set, snapshot source
-	replayed  int      // how many of recs were loaded from disk at Open
-	unsynced  int
-	sinceSnap int
-	closed    bool
+	mu sync.Mutex
+	f  *os.File
+	w  *bufio.Writer
+	// seen holds the key of every replayed or appended record, so its size
+	// is the next record's Step.
+	seen     map[string]bool
+	unsynced int
+	closed   bool
 }
 
 // Open opens (creating if needed) the checkpoint directory for one run,
@@ -241,13 +216,10 @@ func Open(dir string, opts Options) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{
-		dir:      dir,
-		opts:     opts,
+		replayed: recs,
 		f:        f,
 		w:        bufio.NewWriter(f),
 		seen:     make(map[string]bool, len(recs)),
-		recs:     recs,
-		replayed: len(recs),
 	}
 	for _, r := range recs {
 		j.seen[r.Key] = true
@@ -255,11 +227,11 @@ func Open(dir string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// Load reads every intact record from a checkpoint directory (snapshot
-// first, then the journal tail), deduplicated by design key with the first
-// occurrence winning. A line that is truncated or fails its CRC — and
-// everything after it in that file — is dropped via warnf; Load only errors
-// on I/O failures, never on corrupt content.
+// Load reads every intact record from a checkpoint directory (an earlier
+// build's snapshot first, then the journal), deduplicated by design key with
+// the first occurrence winning. A line that is truncated or fails its CRC —
+// and everything after it in that file — is dropped via warnf; Load only
+// errors on I/O failures, never on corrupt content.
 func Load(dir string, warnf func(format string, args ...any)) ([]Record, error) {
 	warn := func(format string, args ...any) {
 		if warnf != nil {
@@ -301,20 +273,10 @@ func Load(dir string, warnf func(format string, args ...any)) ([]Record, error) 
 	return recs, nil
 }
 
-// Dir returns the checkpoint directory this journal persists into.
-func (j *Journal) Dir() string { return j.dir }
-
 // Replayed returns the records that were loaded from disk when the journal
 // was opened — the resume set. The returned slice is shared; callers must
 // not mutate it.
-func (j *Journal) Replayed() []Record { return j.recs[:j.replayed] }
-
-// Len returns the total number of records (replayed plus appended).
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.recs)
-}
+func (j *Journal) Replayed() []Record { return j.replayed }
 
 // Append journals one completed design evaluation. Appends are deduplicated
 // by key — re-acquisitions of memoized designs are free in the budget and
@@ -329,7 +291,7 @@ func (j *Journal) Append(key string, c search.Costs) error {
 		return nil
 	}
 	c.Raw = nil
-	rec := Record{Step: len(j.recs), Key: key, Costs: c}
+	rec := Record{Step: len(j.seen), Key: key, Costs: c}
 	data, err := encode(rec)
 	if err != nil {
 		return err
@@ -338,18 +300,9 @@ func (j *Journal) Append(key string, c search.Costs) error {
 		return err
 	}
 	j.seen[key] = true
-	j.recs = append(j.recs, rec)
 	j.unsynced++
-	j.sinceSnap++
-	if n := j.opts.syncEvery(); n > 0 && j.unsynced >= n {
-		if err := j.flushLocked(); err != nil {
-			return err
-		}
-	}
-	if n := j.opts.snapshotEvery(); n > 0 && j.sinceSnap >= n {
-		if err := j.snapshotLocked(); err != nil {
-			return err
-		}
+	if j.unsynced >= syncEvery {
+		return j.flushLocked()
 	}
 	return nil
 }
@@ -374,60 +327,6 @@ func (j *Journal) Flush() error {
 		return nil
 	}
 	return j.flushLocked()
-}
-
-// snapshotLocked compacts the full record set into snapshotFile via
-// write-temp + fsync + atomic rename, then truncates the journal tail. A
-// crash at any point leaves either the old snapshot + full journal or the
-// new snapshot (+ a possibly duplicated tail, which Load dedups). Caller
-// holds j.mu.
-func (j *Journal) snapshotLocked() error {
-	if err := j.flushLocked(); err != nil {
-		return err
-	}
-	tmpPath := filepath.Join(j.dir, snapshotFile+".tmp")
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(tmp)
-	for _, r := range j.recs {
-		data, err := encode(r)
-		if err == nil {
-			_, err = bw.Write(data)
-		}
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
-	}
-	if err := bw.Flush(); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, filepath.Join(j.dir, snapshotFile)); err != nil {
-		return err
-	}
-	// Truncate the journal tail: its content now lives in the snapshot.
-	if err := j.f.Close(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(j.dir, journalFile), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	j.sinceSnap = 0
-	return nil
 }
 
 // Close flushes, fsyncs, and closes the journal. Idempotent.

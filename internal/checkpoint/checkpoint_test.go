@@ -28,7 +28,7 @@ func costsFor(i int) search.Costs {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalInfNaNRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +117,6 @@ func TestJournalDedupByKey(t *testing.T) {
 	if err := j.Append("other", costsFor(2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +134,7 @@ func TestJournalDedupByKey(t *testing.T) {
 // load always recovers exactly the intact prefix, warning instead of failing.
 func TestJournalTornTrailingWrite(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +191,7 @@ func TestJournalTornTrailingWrite(t *testing.T) {
 // verifies the CRC catches it: that line and everything after is dropped.
 func TestJournalCorruptMidline(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,48 +229,55 @@ func TestJournalCorruptMidline(t *testing.T) {
 	}
 }
 
+// TestJournalSnapshotRotation opens the layout an earlier build left after
+// rotating its journal into a snapshot: a 10-record snapshot.jsonl and a
+// 2-record journal tail. All 12 records replay in order, and the next append
+// continues the sequence.
 func TestJournalSnapshotRotation(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1, SnapshotEvery: 5})
+	var snap, tail []byte
+	for i := 0; i < 12; i++ {
+		line, err := encode(Record{Step: i, Key: fmt.Sprintf("k%d", i), Costs: costsFor(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < 10 {
+			snap = append(snap, line...)
+		} else {
+			tail = append(tail, line...)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFile), tail, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 12
-	for i := 0; i < n; i++ {
-		if err := j.Append(fmt.Sprintf("k%d", i), costsFor(i)); err != nil {
-			t.Fatal(err)
+	recs := j.Replayed()
+	if len(recs) != 12 {
+		t.Fatalf("replayed %d records, want 12", len(recs))
+	}
+	for i, r := range recs {
+		if r.Step != i || r.Key != fmt.Sprintf("k%d", i) {
+			t.Fatalf("record %d = {%d %q}", i, r.Step, r.Key)
 		}
+	}
+	if err := j.Append("k12", costsFor(12)); err != nil {
+		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Two snapshots should have happened (at 5 and 10); the journal tail
-	// holds only the last 2 records.
-	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatalf("snapshot missing: %v", err)
-	}
-	if got := strings.Count(string(snap), "\n"); got != 10 {
-		t.Fatalf("snapshot has %d lines, want 10", got)
-	}
-	tail, err := os.ReadFile(filepath.Join(dir, journalFile))
+	recs, err = Load(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(string(tail), "\n"); got != 2 {
-		t.Fatalf("journal tail has %d lines, want 2", got)
-	}
-	recs, err := Load(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != n {
-		t.Fatalf("loaded %d records, want %d", len(recs), n)
-	}
-	for i, r := range recs {
-		if r.Key != fmt.Sprintf("k%d", i) {
-			t.Fatalf("record %d key = %q", i, r.Key)
-		}
+	if len(recs) != 13 || recs[12].Key != "k12" || recs[12].Step != 12 {
+		t.Fatalf("after append loaded %d records, last %+v; want k12 at step 12", len(recs), recs[len(recs)-1])
 	}
 }
 
@@ -282,7 +286,7 @@ func TestJournalSnapshotRotation(t *testing.T) {
 // snapshot content, and Load must dedup by key.
 func TestJournalSnapshotCrashOverlap(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +318,7 @@ func TestJournalSnapshotCrashOverlap(t *testing.T) {
 
 func TestJournalFresh(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1, SnapshotEvery: 2})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +328,14 @@ func TestJournalFresh(t *testing.T) {
 		}
 	}
 	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// An earlier build's snapshot beside the journal goes too.
+	data, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	j2, err := Open(dir, Options{Fresh: true})
@@ -341,7 +353,7 @@ func TestJournalFresh(t *testing.T) {
 
 func TestJournalAppendAfterResume(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SyncEvery: 1})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +363,7 @@ func TestJournalAppendAfterResume(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := Open(dir, Options{SyncEvery: 1})
+	j2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ type Options struct {
 	// (default AggregateMin, the paper's choice; see §4.4i).
 	Aggregate Aggregation
 	// Patience is the number of consecutive non-improving acquisition
-	// attempts tolerated before termination (default 3).
+	// attempts tolerated before termination (default 5).
 	Patience int
 	// Log, when non-nil, receives the per-attempt explanations that make
 	// the exploration auditable, rendered in the engine's historical

@@ -24,13 +24,24 @@ func benchEvalConfig(s *arch.Space) Config {
 
 // BenchmarkEvaluateDesign measures a repeated-sub-key campaign (every design
 // recurs under a mapping-irrelevant dummy parameter, as frequency or DRAM
-// energy knobs would recur in a larger template) with the layer-grain cache
-// disabled ("cold") and enabled ("warm"). The acceptance criterion for the
-// cache is a >=2x cold/warm ratio on this workload.
+// energy knobs would recur in a larger template) with a fresh evaluator per
+// design ("cold": every layer search runs, lower-bound pruned as in
+// production) and one evaluator for the whole campaign ("warm"). The
+// acceptance criterion for the cache is a >=2x cold/warm ratio on this
+// workload.
 func BenchmarkEvaluateDesign(b *testing.B) {
 	s := spaceWithDummyParam(3)
 	pts := campaignPoints(s, 24)
-	run := func(b *testing.B, cfg Config) {
+	cfg := benchEvalConfig(s)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, pt := range pts {
+				New(cfg).Evaluate(pt)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e := New(cfg)
@@ -38,33 +49,21 @@ func BenchmarkEvaluateDesign(b *testing.B) {
 				e.Evaluate(pt)
 			}
 		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		cfg := benchEvalConfig(s)
-		cfg.DisableLayerCache = true
-		cfg.WarmStart = WarmOff
-		run(b, cfg)
-	})
-	b.Run("warm", func(b *testing.B) {
-		run(b, benchEvalConfig(s))
 	})
 }
 
 // BenchmarkEvaluateLayer measures one layer's mapping search through the
-// evaluator: a cold search every call versus the layer cache answering
-// repeats.
+// evaluator: a cold search on a fresh evaluator every call versus the layer
+// cache answering repeats.
 func BenchmarkEvaluateLayer(b *testing.B) {
 	s := arch.EdgeSpace()
 	d := s.MustDecode(compatiblePoint(s))
 	l := workload.ResNet18().Layers[1]
 	b.Run("cold", func(b *testing.B) {
 		cfg := benchEvalConfig(s)
-		cfg.DisableLayerCache = true
-		cfg.WarmStart = WarmOff
-		e := New(cfg)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.evaluateLayer(d, perf.MappingSubKey(d), l, 1)
+			New(cfg).evaluateLayer(d, perf.MappingSubKey(d), l, 1)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {

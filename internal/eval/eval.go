@@ -11,8 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -88,37 +86,12 @@ func EdgeConstraints() Constraints {
 	return Constraints{MaxAreaMM2: 75, MaxPowerW: 4}
 }
 
-// WarmStartMode selects how the layer-grain cache accelerates a near-miss
-// (same layer shape, different mapping-relevant sub-key).
-type WarmStartMode int
-
-const (
-	// WarmStrict (the default) probes the layer's previously-best mapping
-	// through the new design's cost model and lets the enumeration use the
-	// probe plus a certified cost lower bound to skip provably-losing cost
-	// calls. The contract is strict: the returned best mapping, cycles,
-	// and Evaluated counts are bit-identical to a cold run — only the
-	// number of cost-model invocations changes (see mapping.GenConfig).
-	WarmStrict WarmStartMode = iota
-	// WarmOff disables both the incumbent probe and lower-bound pruning,
-	// reproducing the fully-cold search (the reference for equivalence
-	// tests and cold benchmarks).
-	WarmOff
-)
-
-// String names the warm-start mode, rendering out-of-range values as
-// "unknown(n)".
-func (w WarmStartMode) String() string {
-	names := [...]string{"warm-strict", "warm-off"}
-	if w < 0 || int(w) >= len(names) {
-		return fmt.Sprintf("unknown(%d)", int(w))
-	}
-	return names[w]
-}
-
-// DefaultCacheCap is the design-level memo entry bound used when
-// Config.CacheCap is zero. It is far above any campaign budget in this
-// repository, so eviction only engages on very long-running explorations.
+// DefaultCacheCap bounds the design-level memo entry count. It is far above
+// any campaign budget in this repository, so eviction only engages on very
+// long-running explorations. The layer-grain cache and the per-shape
+// warm-start index are each bounded at 8x this cap. Unique-design budget
+// accounting is exact under eviction: re-evaluating an evicted design is
+// counted as a recompute, never as a new unique evaluation.
 const DefaultCacheCap = 32768
 
 // Config parameterizes an Evaluator.
@@ -138,32 +111,14 @@ type Config struct {
 	// evaluation pool of Problem (0 = NumCPU, max 4 as in the paper's
 	// evaluation setup).
 	Workers int
-	// DisableLayerCache turns off the layer-grain mapping cache and the
-	// warm-start index; every design evaluation then re-runs every layer's
-	// mapping search (the pre-cache behavior, kept for A/B comparisons).
-	DisableLayerCache bool
-	// WarmStart selects the near-miss acceleration mode (default
-	// WarmStrict; results are bit-identical in every mode).
-	WarmStart WarmStartMode
-	// CacheCap bounds the design-level memo entry count: 0 selects
-	// DefaultCacheCap, a negative value disables eviction entirely. The
-	// layer-grain cache and the per-shape warm-start index are each
-	// bounded at 8x this cap. Unique-design budget accounting is exact
-	// under eviction: re-evaluating an evicted design is counted as a
-	// recompute, never as a new unique evaluation.
-	CacheCap int
-	// CacheDir, when non-empty, opens the cross-run persistent evaluation
-	// cache (internal/evalcache) in that directory and slots it under the
-	// in-memory layer cache: layer searches answered neither by memory nor
-	// by an in-flight twin are looked up on disk before the cost model
-	// runs, and fresh search results are appended for future runs and
-	// other processes. Results are bit-identical with or without it — a
-	// persist hit replays the exact entry a cold search would compute. An
-	// unopenable directory degrades to no persistent cache with a warning.
-	CacheDir string
-	// PersistCache injects an already-open store instead of (or in
-	// addition to) CacheDir — the serve daemon shares one store across
-	// every job's evaluator this way. When set, CacheDir is ignored.
+	// PersistCache, when non-nil, is the cross-run persistent evaluation
+	// cache (internal/evalcache), slotted under the in-memory layer cache:
+	// layer searches answered neither by memory nor by an in-flight twin are
+	// looked up in the store before the cost model runs, and fresh search
+	// results are appended for future runs and other processes. Results are
+	// bit-identical with or without it — a persist hit replays the exact
+	// entry a cold search would compute. The caller opens the store; the
+	// serve daemon shares one across every job's evaluator.
 	PersistCache *evalcache.Store
 	// EvalTimeout, when positive, arms a per-evaluation watchdog: a design
 	// whose evaluation (mapping search included) exceeds the deadline is
@@ -282,7 +237,7 @@ type Evaluator struct {
 	emodel energy.Model
 
 	mu sync.Mutex
-	// cache is the design memo, bounded at the resolved Config.CacheCap.
+	// cache is the design memo, bounded at DefaultCacheCap.
 	cache   fifoMap[string, *Result]
 	flights map[string]*flight
 	// seen records every design key ever evaluated and is never evicted,
@@ -300,11 +255,8 @@ type Evaluator struct {
 	lflights map[layerCacheKey]*layerFlight
 	warm     fifoMap[string, mapping.Mapping]
 
-	// store is the second-level persistent cache (nil when disabled);
-	// ownStore reports it was opened by this evaluator from Config.CacheDir
-	// (its counters then live in this evaluator's registry).
-	store    *evalcache.Store
-	ownStore bool
+	// store is the second-level persistent cache (nil when disabled).
+	store *evalcache.Store
 
 	faultSeq int // next unique-evaluation ordinal (FaultPolicy currency)
 
@@ -346,42 +298,6 @@ type Evaluator struct {
 type flight struct {
 	done chan struct{}
 	r    *Result
-}
-
-// layerCacheKey identifies one layer-grain mapping-search result: the
-// canonical layer shape, the design sub-key of exactly the parameters the
-// perf model reads (perf.MappingSubKey), and — in RandomMappings mode only —
-// the layer's seed salt, because the random search's rng is derived from the
-// layer index.
-type layerCacheKey struct {
-	shape string
-	sub   string
-	salt  int64
-}
-
-// layerEntry is the shape-invariant outcome of a layer's search: the
-// decision, as stored and shipped, plus the Tier-2 breakdown derive
-// computes from it. The caller re-attaches the concrete Layer (whose Name
-// and Mult are not part of the shape key) and re-derives
-// multiplicity-scaled totals.
-type layerEntry struct {
-	evalcache.Entry
-	perf perf.Breakdown
-	// derived is false only for an installed record not yet looked up; its
-	// breakdown is derived on the first layerResult hit, where the design
-	// and the layer are at hand.
-	derived bool
-}
-
-// layerFlight is one in-progress layer search other goroutines can wait on.
-// When the search panics, panicked carries the panic value: waiters re-raise
-// it on their own goroutine so every design joined to the doomed search
-// records the failure itself (instead of deadlocking on a flight that will
-// never close).
-type layerFlight struct {
-	done     chan struct{}
-	ent      layerEntry
-	panicked any
 }
 
 // Stats is a snapshot of the evaluator's instrumentation counters.
@@ -489,33 +405,13 @@ func New(cfg Config) *Evaluator {
 			cfg.Workers = 4
 		}
 	}
-	capn := cfg.CacheCap
-	switch {
-	case capn == 0:
-		capn = DefaultCacheCap
-	case capn < 0:
-		capn = 0 // unbounded
-	}
 	reg := obs.NewRegistry()
-	store := cfg.PersistCache
-	ownStore := false
-	if store == nil && cfg.CacheDir != "" && !cfg.DisableLayerCache {
-		s, err := evalcache.Open(cfg.CacheDir, evalcache.Options{Registry: reg})
-		if err != nil {
-			// A broken cache directory costs performance, never a run:
-			// degrade to the in-memory caches alone.
-			fmt.Fprintf(os.Stderr, "eval: persistent cache %s unavailable, continuing without: %v\n", cfg.CacheDir, err)
-		} else {
-			store, ownStore = s, true
-		}
-	}
 	e := &Evaluator{
 		cfg:      cfg,
 		flights:  make(map[string]*flight),
 		seen:     make(map[string]bool),
 		lflights: make(map[layerCacheKey]*layerFlight),
-		store:    store,
-		ownStore: ownStore,
+		store:    cfg.PersistCache,
 
 		reg:         reg,
 		cEvals:      reg.Counter("eval_design_evaluations_total"),
@@ -545,9 +441,9 @@ func New(cfg Config) *Evaluator {
 		hDesign:     reg.Histogram("eval_design_seconds", obs.DurationBuckets()),
 		hLayer:      reg.Histogram("eval_layer_search_seconds", obs.DurationBuckets()),
 	}
-	e.cache = newFIFOMap[string, *Result](capn, e.cEvictions)
-	e.lcache = newFIFOMap[layerCacheKey, layerEntry](8*capn, e.cLEvictions)
-	e.warm = newFIFOMap[string, mapping.Mapping](8*capn, e.cWarmEvict)
+	e.cache = newFIFOMap[string, *Result](DefaultCacheCap, e.cEvictions)
+	e.lcache = newFIFOMap[layerCacheKey, layerEntry](8*DefaultCacheCap, e.cLEvictions)
+	e.warm = newFIFOMap[string, mapping.Mapping](8*DefaultCacheCap, e.cWarmEvict)
 	return e
 }
 
@@ -593,8 +489,7 @@ func (e *Evaluator) Stats() Stats {
 	var persistCorrupt, persistStale int
 	if e.store != nil {
 		// Store-level counters live in whatever registry the store was
-		// opened with (this evaluator's when it owns the store, the
-		// sharing owner's otherwise).
+		// opened with, which belongs to the code that opened it.
 		persistCorrupt = int(e.store.Metrics().Counter("evalcache_corrupt_records_total").Value())
 		persistStale = int(e.store.Metrics().Counter("evalcache_stale_records_total").Value())
 	}
@@ -626,13 +521,6 @@ func (e *Evaluator) Stats() Stats {
 		TransientFaults: int(e.cTransient.Value()),
 		Retries:         int(e.cRetries.Value()),
 	}
-}
-
-// ResetCount zeroes the instrumentation counters and histograms (the caches
-// are retained, and the fault-ordinal sequence keeps advancing so injected
-// faults stay pinned to unique evaluations across a reset).
-func (e *Evaluator) ResetCount() {
-	e.reg.Reset()
 }
 
 // Evaluate returns the (memoized) evaluation of a design point. Concurrent
@@ -733,155 +621,6 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, pt arch.Point) *Result {
 	f.r = r
 	close(f.done)
 	return r
-}
-
-// erroredResult builds the infeasible Result recorded for a design whose
-// evaluation failed outright: infinite objective, a large finite constraints
-// budget, and the failure reason in both Err and Violations. The failure is
-// classified ClassPermanent; transient paths use transientResult.
-func erroredResult(pt arch.Point, reason string) *Result {
-	return &Result{
-		Point:      pt.Clone(),
-		LatencyMs:  math.Inf(1),
-		EnergyMJ:   math.Inf(1),
-		Objective:  math.Inf(1),
-		BudgetUtil: maxConstraintUtil,
-		Violations: []string{reason},
-		Err:        reason,
-		ErrClass:   ClassPermanent,
-	}
-}
-
-// transientResult is erroredResult classified ClassTransient: the retry
-// layer re-attempts it instead of letting it reach the memo or journal.
-func transientResult(pt arch.Point, reason string) *Result {
-	r := erroredResult(pt, reason)
-	r.ErrClass = ClassTransient
-	return r
-}
-
-// cancelledResult builds the uncharged, uncached Result returned when an
-// evaluation is abandoned by context cancellation. Cancellation is
-// classified transient — the work is simply redone after resume — but is
-// special-cased by the Cancelled flag everywhere, retries included.
-func cancelledResult(pt arch.Point, err error) *Result {
-	r := transientResult(pt, "evaluation cancelled: "+err.Error())
-	r.Cancelled = true
-	return r
-}
-
-// retryingEvaluate drives the transient-fault retry loop around
-// protectedEvaluate: a ClassTransient failure is re-attempted under the
-// configured RetryPolicy with a deterministic jitter-free backoff, and only
-// the final outcome — a success, a permanent failure, or a transient
-// failure that exhausted the attempt budget and is thereby reclassified
-// permanent — escapes to be charged, memoized, and journaled. Cancellation
-// aborts the loop (and any backoff sleep) immediately.
-func (e *Evaluator) retryingEvaluate(ctx context.Context, pt arch.Point, ord int) *Result {
-	maxAttempts := e.cfg.Retry.attempts()
-	for attempt := 0; ; attempt++ {
-		r := e.protectedEvaluate(ctx, pt, ord, attempt)
-		r.Attempts = attempt + 1
-		if r.Cancelled || r.Err == "" {
-			return r
-		}
-		if r.ErrClass != ClassTransient {
-			return r
-		}
-		e.cTransient.Inc()
-		if attempt+1 >= maxAttempts {
-			// Out of attempts: the transient failure is now permanent —
-			// the only shape in which a transient error may ever be
-			// charged, memoized, or journaled.
-			r.ErrClass = ClassPermanent
-			if attempt > 0 {
-				r.Err = fmt.Sprintf("%s (permanent after %d attempts)", r.Err, r.Attempts)
-			}
-			return r
-		}
-		e.cRetries.Inc()
-		if d := e.cfg.Retry.DelayBefore(attempt + 1); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return cancelledResult(pt, ctx.Err())
-			}
-		}
-	}
-}
-
-// protectedEvaluate runs one design-evaluation attempt inside the
-// resilience envelope: injected faults applied, panics recovered into
-// transient errored results, and — when Config.EvalTimeout is set — a
-// watchdog that abandons runaway attempts. One bad design must never take
-// down a campaign; whether a failed attempt is final is the retry layer's
-// decision (see retryingEvaluate).
-func (e *Evaluator) protectedEvaluate(ctx context.Context, pt arch.Point, ord, attempt int) (r *Result) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.cPanics.Inc()
-			// A crash describes the attempt, not the design: classified
-			// transient so the retry layer may re-attempt it. Without
-			// retries it goes permanent immediately, preserving the
-			// pre-retry charged-and-memoized behavior.
-			r = transientResult(pt, fmt.Sprintf("panic during evaluation: %v", rec))
-		}
-	}()
-	if e.cfg.EvalTimeout <= 0 {
-		return e.runEvaluate(ctx, pt, ord, attempt)
-	}
-	// Watchdog: run the evaluation on its own goroutine and race it
-	// against the deadline and the context. A panic on that goroutine is
-	// ferried back and re-raised here so the recover above owns it.
-	resCh := make(chan *Result, 1)
-	panicCh := make(chan any, 1)
-	go func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				panicCh <- rec
-			}
-		}()
-		resCh <- e.runEvaluate(ctx, pt, ord, attempt)
-	}()
-	timer := time.NewTimer(e.cfg.EvalTimeout)
-	defer timer.Stop()
-	select {
-	case r := <-resCh:
-		return r
-	case rec := <-panicCh:
-		panic(rec)
-	case <-timer.C:
-		e.cTimeouts.Inc()
-		return transientResult(pt, fmt.Sprintf("evaluation exceeded watchdog timeout %v", e.cfg.EvalTimeout))
-	case <-ctx.Done():
-		return cancelledResult(pt, ctx.Err())
-	}
-}
-
-// runEvaluate applies any injected faults for this (unique-evaluation
-// ordinal, attempt) site, then evaluates the design.
-func (e *Evaluator) runEvaluate(ctx context.Context, pt arch.Point, ord, attempt int) *Result {
-	if fp := e.cfg.Faults; fp != nil && ord >= 0 {
-		if d := fp.delayFor(ord, attempt); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return cancelledResult(pt, ctx.Err())
-			}
-		}
-		if fp.panicAt(ord, attempt) {
-			panic(fmt.Sprintf("injected fault: panic at unique evaluation %d", ord))
-		}
-		if fp.errorAt(ord, attempt) {
-			return erroredResult(pt, fmt.Sprintf("injected fault: error at unique evaluation %d", ord))
-		}
-		if fp.transientAt(ord, attempt) {
-			return transientResult(pt, fmt.Sprintf("injected fault: transient error at unique evaluation %d attempt %d", ord, attempt))
-		}
-	}
-	return e.evaluate(ctx, pt)
 }
 
 func (e *Evaluator) evaluate(ctx context.Context, pt arch.Point) *Result {
@@ -1021,219 +760,6 @@ func (e *Evaluator) evaluateLayer(d arch.Design, sub string, l workload.Layer, s
 	}
 	le.TotalCycles = le.Perf.Cycles * float64(mult)
 	return le
-}
-
-// layerResult returns the mapping-search outcome for layer l on design d,
-// answering from the layer-grain cache when the (shape, sub-key) pair has
-// been searched before, joining an identical in-flight search when one is
-// running, then probing the persistent cross-run store (when attached), and
-// only then running the search — warm-started from the shape's
-// previously-best mapping when one is known. Every path returns bit-identical
-// search outcomes; only the cost-call counters differ.
-func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, salt int64) layerEntry {
-	if e.cfg.DisableLayerCache {
-		return e.timedSearchLayer(d, l, salt, nil)
-	}
-	key := e.layerKeyFor(l, sub, salt)
-	e.mu.Lock()
-	if ent, ok := e.lcache.get(key); ok {
-		e.cLHits.Inc()
-		e.mu.Unlock()
-		if !ent.derived {
-			// An installed record's first use: derive its breakdown once
-			// and keep it. A concurrent twin may derive it too; both
-			// compute the same entry.
-			ent = e.derive(d, l, ent.Entry)
-			e.mu.Lock()
-			e.lcache.put(key, ent)
-			e.mu.Unlock()
-		}
-		return ent
-	}
-	if f, ok := e.lflights[key]; ok {
-		e.cLDedups.Inc()
-		e.mu.Unlock()
-		<-f.done
-		if f.panicked != nil {
-			panic(f.panicked)
-		}
-		return f.ent
-	}
-	f := &layerFlight{done: make(chan struct{})}
-	e.lflights[key] = f
-	e.mu.Unlock()
-
-	// Second-level probe: a search completed by a previous run — or by
-	// another job or process sharing the cache directory — answers from
-	// disk and never reaches the cost model. The singleflight above
-	// already collapses concurrent in-process probes of the same key.
-	if e.store != nil {
-		if dec, ok := e.store.Get(e.persistKey(key)); ok {
-			ent := e.derive(d, l, dec)
-			e.mu.Lock()
-			e.storeLayer(key, ent)
-			delete(e.lflights, key)
-			e.mu.Unlock()
-			e.cPHits.Inc()
-			f.ent = ent
-			close(f.done)
-			return ent
-		}
-		e.cPMisses.Inc()
-	}
-
-	e.cLMisses.Inc()
-	e.mu.Lock()
-	var incumbent *mapping.Mapping
-	if e.cfg.Mode == PrunedMappings && e.cfg.WarmStart == WarmStrict {
-		if m, ok := e.warm.get(key.shape); ok {
-			incumbent = &m
-			e.cWarmProbes.Inc()
-		}
-	}
-	e.mu.Unlock()
-
-	// A panicking search must still resolve the flight — waiters would
-	// otherwise block forever — and must not poison the cache: unregister
-	// the flight, hand the panic value to waiters, and re-raise.
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.mu.Lock()
-			delete(e.lflights, key)
-			e.mu.Unlock()
-			f.panicked = rec
-			close(f.done)
-			panic(rec)
-		}
-	}()
-	ent := e.timedSearchLayer(d, l, salt, incumbent)
-
-	e.mu.Lock()
-	e.storeLayer(key, ent)
-	delete(e.lflights, key)
-	e.mu.Unlock()
-
-	f.ent = ent
-	close(f.done)
-	if e.store != nil {
-		// Persist after waking waiters: the fsync'd append rides on this
-		// goroutine, never on the joined ones.
-		e.store.Put(e.persistKey(key), ent.Entry)
-		e.cPWrites.Inc()
-	}
-	return ent
-}
-
-// persistKey derives the content address of a layer search in the
-// cross-run store: the in-memory cache key plus everything that is implicit
-// within one evaluator but varies across runs — the mapper mode, the search
-// budget, and (in random mode) the fully-resolved rng seed. The cost-model
-// version is stamped per record by the store itself.
-func (e *Evaluator) persistKey(key layerCacheKey) evalcache.Key {
-	pk := evalcache.Key{Shape: key.shape, Sub: key.sub, Mode: e.cfg.Mode.String()}
-	switch e.cfg.Mode {
-	case RandomMappings:
-		// The random search draws from rand.NewSource(Seed*1_000_003+salt)
-		// (see searchLayer), so the persisted salt must be that resolved
-		// seed — two runs with different Config.Seed must not share
-		// random-mode entries.
-		pk.Trials = e.cfg.MapTrials
-		pk.Salt = e.cfg.Seed*1_000_003 + key.salt
-	case PrunedMappings:
-		pk.Trials = e.cfg.MapTrials
-	default:
-		// FixedDataflow derives one mapping analytically: no budget, no
-		// seed, so entries are shared across all configurations.
-	}
-	return pk
-}
-
-// storeLayer inserts a search outcome into the layer cache and, when the
-// search found a mapping, makes it the shape's warm-start incumbent. Caller
-// holds e.mu.
-func (e *Evaluator) storeLayer(key layerCacheKey, ent layerEntry) {
-	if ent.Found {
-		e.warm.put(key.shape, ent.Mapping)
-	}
-	e.lcache.put(key, ent)
-}
-
-// timedSearchLayer runs searchLayer and derives the winner's breakdown,
-// recording the latency into the eval_layer_search_seconds histogram; cache
-// hits and in-flight joins never reach it, so the histogram measures real
-// searches only.
-func (e *Evaluator) timedSearchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) layerEntry {
-	start := time.Now()
-	ent := e.derive(d, l, e.searchLayer(d, l, salt, incumbent))
-	e.hLayer.ObserveDuration(time.Since(start))
-	return ent
-}
-
-// searchLayer runs the configured mapping search for one layer on one
-// design and returns its decision, counting the search's cost calls,
-// lower-bound prunes and warm fallbacks. The search inner loop runs on one
-// perf.EvalContext's Tier-1 fast path (one call per temporal fill for all
-// its orderings, cycles only, no allocation); the winner's Tier-2
-// breakdown is derive's job. In PrunedMappings mode under WarmStrict the
-// enumeration carries a certified cost lower bound and the warm-start
-// incumbent when given, whose probe is one more Tier-1 call; WarmOff
-// reproduces the fully-cold search.
-func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) evalcache.Entry {
-	var res mapping.Result
-	switch e.cfg.Mode {
-	case FixedDataflow:
-		// One analytical mapping, costed once by derive.
-		e.cCostCalls.Inc()
-		return evalcache.Entry{Found: true, Mapping: mapping.FixedOutputStationary(l, d.PEs, d.L1Bytes, d.L2Bytes()), Trials: 1}
-	case RandomMappings:
-		rng := rand.New(rand.NewSource(e.cfg.Seed*1_000_003 + salt))
-		res = mapping.RandomSearch(l, e.cfg.MapTrials, rng, perf.NewContext(d, l).EvaluateFill)
-	case PrunedMappings:
-		ctx := perf.NewContext(d, l)
-		cfg := mapping.GenConfig{
-			PEs:       d.PEs,
-			L1Bytes:   d.L1Bytes,
-			L2Bytes:   d.L2Bytes(),
-			MinN:      10,
-			MaxN:      e.cfg.MapTrials,
-			BaseValid: ctx.Valid,
-		}
-		if e.cfg.WarmStart == WarmStrict {
-			cfg.CostLB = ctx.CostLowerBound
-			cfg.Incumbent = incumbent
-		}
-		res = mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill)
-	}
-	e.cCostCalls.Add(int64(res.CostCalls))
-	e.cLBPruned.Add(int64(res.LBPruned))
-	if res.WarmFallback {
-		e.cWarmFalls.Inc()
-	}
-	dec := evalcache.Entry{Found: res.Found, Trials: res.Evaluated}
-	if res.Found {
-		dec.Mapping = res.Best
-	}
-	return dec
-}
-
-// derive completes a layer search's decision with its Tier-2 breakdown. The
-// breakdown is a pure function of the design's sub-key, the layer shape and
-// the decision, so records carry only the decision, and every path — a
-// fresh search, a store hit, Prefill, an installed record on first use —
-// derives the breakdown here, once per cached entry. The context is built
-// per call and stays on the stack.
-func (e *Evaluator) derive(d arch.Design, l workload.Layer, dec evalcache.Entry) layerEntry {
-	ent := layerEntry{Entry: dec, derived: true}
-	switch {
-	case dec.Found:
-		ent.perf = perf.NewContext(d, l).Evaluate(dec.Mapping)
-		e.cFullEvals.Inc()
-	case e.cfg.Mode == RandomMappings:
-		ent.perf.Incompat = "no valid mapping found by random search"
-	case e.cfg.Mode == PrunedMappings:
-		ent.perf.Incompat = "no valid mapping in pruned space"
-	}
-	return ent
 }
 
 // layerEnergyMJ integrates the layer's access counts against the design's

@@ -4,9 +4,9 @@ import "xdse/internal/obs"
 
 // fifoMap is a map bounded by first-insertion order: once it holds more than
 // limit keys, the oldest-inserted keys are dropped, each one counted on
-// evicted. Overwriting a present key keeps its place in the queue. A limit
-// of zero or less leaves the map unbounded. It is not safe for concurrent
-// use; the Evaluator guards its three instances with e.mu.
+// evicted. Overwriting a present key keeps its place in the queue. It is not
+// safe for concurrent use; the Evaluator guards its three instances with
+// e.mu.
 type fifoMap[K comparable, V any] struct {
 	m       map[K]V
 	order   []K // keys in first-insertion order; order[head:] are live
@@ -30,7 +30,7 @@ func (f *fifoMap[K, V]) put(k K, v V) {
 		f.order = append(f.order, k)
 	}
 	f.m[k] = v
-	for f.limit > 0 && len(f.m) > f.limit {
+	for len(f.m) > f.limit {
 		delete(f.m, f.order[f.head])
 		f.head++
 		f.evicted.Inc()

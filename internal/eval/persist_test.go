@@ -12,6 +12,19 @@ import (
 	"xdse/internal/workload"
 )
 
+// newOver returns an evaluator over a store freshly opened in dir. Every call
+// opens the directory anew, so two calls are the process-restart shape: two
+// evaluators sharing only the directory.
+func newOver(t *testing.T, cfg Config, dir string) *Evaluator {
+	t.Helper()
+	store, err := evalcache.Open(dir, evalcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.PersistCache = store
+	return New(cfg)
+}
+
 // TestPersistCacheBitIdenticalAcrossRestart is the tentpole acceptance
 // criterion: a fresh evaluator over a populated cache directory — the
 // process-restart shape — must answer every repeated layer search from disk
@@ -24,9 +37,8 @@ func TestPersistCacheBitIdenticalAcrossRestart(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := cacheTestConfig(s, mode)
-			cfg.CacheDir = dir
 
-			first := New(cfg)
+			first := newOver(t, cfg, dir)
 			var want []*Result
 			for _, pt := range pts {
 				want = append(want, first.Evaluate(pt))
@@ -37,7 +49,7 @@ func TestPersistCacheBitIdenticalAcrossRestart(t *testing.T) {
 
 			// "Restart": a brand-new evaluator with empty in-memory caches,
 			// sharing only the directory.
-			second := New(cfg)
+			second := newOver(t, cfg, dir)
 			for i, pt := range pts {
 				got := second.Evaluate(pt)
 				if err := resultsEquivalent(want[i], got); err != nil {
@@ -82,8 +94,7 @@ func TestParentFormatRecordAnswers(t *testing.T) {
 			}
 			fresh := newEval(mode, model)
 			cfg := fresh.Config()
-			cfg.CacheDir = dir
-			stored := New(cfg)
+			stored := newOver(t, cfg, dir)
 			pt := compatiblePoint(cfg.Space)
 			if err := resultsEquivalent(fresh.Evaluate(pt), stored.Evaluate(pt)); err != nil {
 				t.Fatalf("parent-format record changed the result: %v", err)
@@ -105,13 +116,12 @@ func TestParentFormatRecordAnswers(t *testing.T) {
 func TestPersistCacheCorruptionDegradesToMiss(t *testing.T) {
 	s := spaceWithDummyParam(3)
 	pts := campaignPoints(s, 9)
-	cold := cacheTestConfig(s, PrunedMappings)
-	cold.DisableLayerCache = true
-	cold.WarmStart = WarmOff
-	ec := New(cold)
+	cfg := cacheTestConfig(s, PrunedMappings)
+	// A fresh evaluator per design is the cold reference (see
+	// TestLayerCacheBitIdentical).
 	var want []*Result
 	for _, pt := range pts {
-		want = append(want, ec.Evaluate(pt))
+		want = append(want, New(cfg).Evaluate(pt))
 	}
 
 	for _, damage := range []struct {
@@ -140,15 +150,13 @@ func TestPersistCacheCorruptionDegradesToMiss(t *testing.T) {
 	} {
 		t.Run(damage.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := cacheTestConfig(s, PrunedMappings)
-			cfg.CacheDir = dir
-			first := New(cfg)
+			first := newOver(t, cfg, dir)
 			for _, pt := range pts {
 				first.Evaluate(pt)
 			}
 			damage.do(t, filepath.Join(dir, "evalcache.jsonl"))
 
-			second := New(cfg)
+			second := newOver(t, cfg, dir)
 			for i, pt := range pts {
 				if err := resultsEquivalent(want[i], second.Evaluate(pt)); err != nil {
 					t.Fatalf("damaged cache changed results at %v: %v", pt.Key(), err)
@@ -170,21 +178,20 @@ func TestPersistCacheSeedIsolation(t *testing.T) {
 	pts := campaignPoints(s, 6)
 	dir := t.TempDir()
 
-	seedCfg := func(seed int64, cacheDir string) Config {
+	seedCfg := func(seed int64) Config {
 		cfg := cacheTestConfig(s, RandomMappings)
 		cfg.Seed = seed
-		cfg.CacheDir = cacheDir
 		return cfg
 	}
 	// Populate the store under seed 1.
-	first := New(seedCfg(1, dir))
+	first := newOver(t, seedCfg(1), dir)
 	for _, pt := range pts {
 		first.Evaluate(pt)
 	}
 	// A seed-2 run over the same directory must reproduce the uncached
 	// seed-2 results, not replay seed-1 entries.
-	uncached := New(seedCfg(2, ""))
-	shared := New(seedCfg(2, dir))
+	uncached := New(seedCfg(2))
+	shared := newOver(t, seedCfg(2), dir)
 	for _, pt := range pts {
 		if err := resultsEquivalent(uncached.Evaluate(pt), shared.Evaluate(pt)); err != nil {
 			t.Fatalf("seed-2 run contaminated by seed-1 cache at %v: %v", pt.Key(), err)
@@ -209,8 +216,7 @@ func TestPersistCacheConcurrentEvaluators(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := cacheTestConfig(s, PrunedMappings)
-	cfg.CacheDir = dir
-	evs := []*Evaluator{New(cfg), New(cfg)}
+	evs := []*Evaluator{newOver(t, cfg, dir), newOver(t, cfg, dir)}
 	errs := make([]error, len(evs))
 	var wg sync.WaitGroup
 	for gi, e := range evs {
@@ -234,10 +240,11 @@ func TestPersistCacheConcurrentEvaluators(t *testing.T) {
 }
 
 // TestWarmIndexBounded is the memory-leak regression test for the
-// evaluator's three bounded maps: the design memo stays within CacheCap, and
-// the layer cache and the warm-start index within 8x CacheCap, however many
+// evaluator's three bounded maps: the design memo stays within its cap, and
+// the layer cache and the warm-start index within 8x that cap, however many
 // distinct keys stream through a long-running evaluator. Each keeps the
-// newest keys, and counts every drop in its Stats field.
+// newest keys, and counts every drop in its Stats field. The caps are
+// lowered from DefaultCacheCap to 1 and 8 so a few keys reach them.
 func TestWarmIndexBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -280,9 +287,8 @@ func TestWarmIndexBounded(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := cacheTestConfig(spaceWithDummyParam(2), PrunedMappings)
-			cfg.CacheCap = 1
-			e := New(cfg)
+			e := New(cacheTestConfig(spaceWithDummyParam(2), PrunedMappings))
+			e.cache.limit, e.lcache.limit, e.warm.limit = 1, 8, 8
 			const n = 50
 			e.mu.Lock()
 			for i := 0; i < n; i++ {
@@ -305,8 +311,8 @@ func TestWarmIndexBounded(t *testing.T) {
 	}
 }
 
-// TestEnumStringsOutOfRange: mode/objective/warm-start names must render, not
-// panic, for values outside the defined range (e.g. a corrupted job spec).
+// TestEnumStringsOutOfRange: mode/objective names must render, not panic, for
+// values outside the defined range (e.g. a corrupted job spec).
 func TestEnumStringsOutOfRange(t *testing.T) {
 	for _, tc := range []struct {
 		got, want string
@@ -314,7 +320,6 @@ func TestEnumStringsOutOfRange(t *testing.T) {
 		{MapperMode(99).String(), "unknown(99)"},
 		{MapperMode(-1).String(), "unknown(-1)"},
 		{Objective(42).String(), "unknown(42)"},
-		{WarmStartMode(-3).String(), "unknown(-3)"},
 		{MapperMode(2).String(), "pruned-mappings"},
 	} {
 		if tc.got != tc.want {

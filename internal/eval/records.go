@@ -4,7 +4,6 @@ import (
 	"xdse/internal/arch"
 	"xdse/internal/evalcache"
 	"xdse/internal/perf"
-	"xdse/internal/workload"
 )
 
 // ParseMapperMode resolves a MapperMode from its String() name — the inverse
@@ -41,9 +40,6 @@ func (e *Evaluator) Memoized(pt arch.Point) bool {
 // layer cache are simply absent — the coordinator recomputes those layers
 // itself, so a partial export degrades to extra local work, never wrongness.
 func (e *Evaluator) RecordsFor(pt arch.Point) []evalcache.Record {
-	if e.cfg.DisableLayerCache {
-		return nil
-	}
 	d, err := e.cfg.Space.Decode(pt)
 	if err != nil {
 		return nil
@@ -83,9 +79,6 @@ func (e *Evaluator) RecordsFor(pt arch.Point) []evalcache.Record {
 // are bit-identical to evaluations that never saw the records. Returns the
 // number of records newly installed.
 func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
-	if e.cfg.DisableLayerCache {
-		return 0
-	}
 	n := 0
 	for _, rec := range recs {
 		key := layerCacheKey{shape: rec.Key.Shape, sub: rec.Key.Sub}
@@ -129,9 +122,6 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 // restarted over the same store finds everything it already evaluated here
 // and dispatches none of it.
 func (e *Evaluator) Prefill(pt arch.Point) bool {
-	if e.cfg.DisableLayerCache {
-		return false
-	}
 	d, err := e.cfg.Space.Decode(pt)
 	if err != nil {
 		return false
@@ -161,17 +151,4 @@ func (e *Evaluator) Prefill(pt arch.Point) bool {
 		}
 	}
 	return true
-}
-
-// layerKeyFor builds the in-memory layer-cache key for one layer of a model
-// on a design with sub-key sub. The salt participates in RandomMappings mode
-// only: the random search's rng is seeded from the layer index, so equal
-// shapes at different indices draw different mappings. Caller need not hold
-// e.mu.
-func (e *Evaluator) layerKeyFor(l workload.Layer, sub string, salt int64) layerCacheKey {
-	key := layerCacheKey{shape: l.ShapeKey(), sub: sub}
-	if e.cfg.Mode == RandomMappings {
-		key.salt = salt
-	}
-	return key
 }

@@ -136,7 +136,7 @@ func TestPrefill(t *testing.T) {
 	s := spaceWithDummyParam(3)
 	pt := campaignPoints(s, 1)[0]
 	cfg := cacheTestConfig(s, PrunedMappings)
-	cfg.CacheDir = t.TempDir()
+	dir := t.TempDir()
 
 	worker := New(cacheTestConfig(s, PrunedMappings))
 	want := worker.Evaluate(pt)
@@ -144,20 +144,20 @@ func TestPrefill(t *testing.T) {
 	if len(recs) < 2 {
 		t.Fatalf("%d records exported, want at least 2", len(recs))
 	}
-	if New(cfg).Prefill(pt) {
+	if newOver(t, cfg, dir).Prefill(pt) {
 		t.Fatal("Prefill true over an empty store")
 	}
 
 	// Every layer but one in the store: still not answerable locally.
-	if n := New(cfg).InstallRecords(recs[:len(recs)-1]); n != len(recs)-1 {
+	if n := newOver(t, cfg, dir).InstallRecords(recs[:len(recs)-1]); n != len(recs)-1 {
 		t.Fatalf("installed %d of %d records", n, len(recs)-1)
 	}
-	if New(cfg).Prefill(pt) {
+	if newOver(t, cfg, dir).Prefill(pt) {
 		t.Fatal("Prefill true with one layer record missing from the store")
 	}
 
-	New(cfg).InstallRecords(recs[len(recs)-1:])
-	coord := New(cfg)
+	newOver(t, cfg, dir).InstallRecords(recs[len(recs)-1:])
+	coord := newOver(t, cfg, dir)
 	if !coord.Prefill(pt) {
 		t.Fatal("Prefill false with every layer record in the store")
 	}

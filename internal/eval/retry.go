@@ -1,6 +1,13 @@
 package eval
 
-import "time"
+import (
+	"context"
+	"fmt"
+	"math"
+	"time"
+
+	"xdse/internal/arch"
+)
 
 // ErrClass classifies an evaluation failure for the transient-fault retry
 // layer. The classes draw the line the serving layer's correctness depends
@@ -97,4 +104,153 @@ func (p RetryPolicy) DelayBefore(retry int) time.Duration {
 		return p.BackoffCap
 	}
 	return d
+}
+
+// erroredResult builds the infeasible Result recorded for a design whose
+// evaluation failed outright: infinite objective, a large finite constraints
+// budget, and the failure reason in both Err and Violations. The failure is
+// classified ClassPermanent; transient paths use transientResult.
+func erroredResult(pt arch.Point, reason string) *Result {
+	return &Result{
+		Point:      pt.Clone(),
+		LatencyMs:  math.Inf(1),
+		EnergyMJ:   math.Inf(1),
+		Objective:  math.Inf(1),
+		BudgetUtil: maxConstraintUtil,
+		Violations: []string{reason},
+		Err:        reason,
+		ErrClass:   ClassPermanent,
+	}
+}
+
+// transientResult is erroredResult classified ClassTransient: the retry
+// layer re-attempts it instead of letting it reach the memo or journal.
+func transientResult(pt arch.Point, reason string) *Result {
+	r := erroredResult(pt, reason)
+	r.ErrClass = ClassTransient
+	return r
+}
+
+// cancelledResult builds the uncharged, uncached Result returned when an
+// evaluation is abandoned by context cancellation. Cancellation is
+// classified transient — the work is simply redone after resume — but is
+// special-cased by the Cancelled flag everywhere, retries included.
+func cancelledResult(pt arch.Point, err error) *Result {
+	r := transientResult(pt, "evaluation cancelled: "+err.Error())
+	r.Cancelled = true
+	return r
+}
+
+// retryingEvaluate drives the transient-fault retry loop around
+// protectedEvaluate: a ClassTransient failure is re-attempted under the
+// configured RetryPolicy with a deterministic jitter-free backoff, and only
+// the final outcome — a success, a permanent failure, or a transient
+// failure that exhausted the attempt budget and is thereby reclassified
+// permanent — escapes to be charged, memoized, and journaled. Cancellation
+// aborts the loop (and any backoff sleep) immediately.
+func (e *Evaluator) retryingEvaluate(ctx context.Context, pt arch.Point, ord int) *Result {
+	maxAttempts := e.cfg.Retry.attempts()
+	for attempt := 0; ; attempt++ {
+		r := e.protectedEvaluate(ctx, pt, ord, attempt)
+		r.Attempts = attempt + 1
+		if r.Cancelled || r.Err == "" {
+			return r
+		}
+		if r.ErrClass != ClassTransient {
+			return r
+		}
+		e.cTransient.Inc()
+		if attempt+1 >= maxAttempts {
+			// Out of attempts: the transient failure is now permanent —
+			// the only shape in which a transient error may ever be
+			// charged, memoized, or journaled.
+			r.ErrClass = ClassPermanent
+			if attempt > 0 {
+				r.Err = fmt.Sprintf("%s (permanent after %d attempts)", r.Err, r.Attempts)
+			}
+			return r
+		}
+		e.cRetries.Inc()
+		if d := e.cfg.Retry.DelayBefore(attempt + 1); d > 0 {
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return cancelledResult(pt, ctx.Err())
+			}
+		}
+	}
+}
+
+// protectedEvaluate runs one design-evaluation attempt inside the
+// resilience envelope: injected faults applied, panics recovered into
+// transient errored results, and — when Config.EvalTimeout is set — a
+// watchdog that abandons runaway attempts. One bad design must never take
+// down a campaign; whether a failed attempt is final is the retry layer's
+// decision (see retryingEvaluate).
+func (e *Evaluator) protectedEvaluate(ctx context.Context, pt arch.Point, ord, attempt int) (r *Result) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			e.cPanics.Inc()
+			// A crash describes the attempt, not the design: classified
+			// transient so the retry layer may re-attempt it. Without
+			// retries it goes permanent immediately, preserving the
+			// pre-retry charged-and-memoized behavior.
+			r = transientResult(pt, fmt.Sprintf("panic during evaluation: %v", rec))
+		}
+	}()
+	if e.cfg.EvalTimeout <= 0 {
+		return e.runEvaluate(ctx, pt, ord, attempt)
+	}
+	// Watchdog: run the evaluation on its own goroutine and race it
+	// against the deadline and the context. A panic on that goroutine is
+	// ferried back and re-raised here so the recover above owns it.
+	resCh := make(chan *Result, 1)
+	panicCh := make(chan any, 1)
+	go func() {
+		defer func() {
+			if rec := recover(); rec != nil {
+				panicCh <- rec
+			}
+		}()
+		resCh <- e.runEvaluate(ctx, pt, ord, attempt)
+	}()
+	timer := time.NewTimer(e.cfg.EvalTimeout)
+	defer timer.Stop()
+	select {
+	case r := <-resCh:
+		return r
+	case rec := <-panicCh:
+		panic(rec)
+	case <-timer.C:
+		e.cTimeouts.Inc()
+		return transientResult(pt, fmt.Sprintf("evaluation exceeded watchdog timeout %v", e.cfg.EvalTimeout))
+	case <-ctx.Done():
+		return cancelledResult(pt, ctx.Err())
+	}
+}
+
+// runEvaluate applies any injected faults for this (unique-evaluation
+// ordinal, attempt) site, then evaluates the design.
+func (e *Evaluator) runEvaluate(ctx context.Context, pt arch.Point, ord, attempt int) *Result {
+	if fp := e.cfg.Faults; fp != nil && ord >= 0 {
+		if d := fp.delayFor(ord, attempt); d > 0 {
+			select {
+			case <-time.After(d):
+			case <-ctx.Done():
+				return cancelledResult(pt, ctx.Err())
+			}
+		}
+		if fp.panicAt(ord, attempt) {
+			panic(fmt.Sprintf("injected fault: panic at unique evaluation %d", ord))
+		}
+		if fp.errorAt(ord, attempt) {
+			return erroredResult(pt, fmt.Sprintf("injected fault: error at unique evaluation %d", ord))
+		}
+		if fp.transientAt(ord, attempt) {
+			return transientResult(pt, fmt.Sprintf("injected fault: transient error at unique evaluation %d attempt %d", ord, attempt))
+		}
+	}
+	return e.evaluate(ctx, pt)
 }

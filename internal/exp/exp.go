@@ -279,6 +279,7 @@ func RunModels(ctx context.Context, cfg Config, tech Technique, models []*worklo
 	if budget <= 0 {
 		budget = cfg.budgetFor(tech)
 	}
+	cfg = cfg.withCache()
 	space := arch.EdgeSpace()
 	if tech.Space != nil {
 		space = tech.Space()
@@ -296,7 +297,6 @@ func RunModels(ctx context.Context, cfg Config, tech Technique, models []*worklo
 		EvalTimeout:  cfg.EvalTimeout,
 		Faults:       cfg.Faults,
 		Retry:        cfg.Retry,
-		CacheDir:     cfg.CacheDir,
 		PersistCache: cfg.Cache,
 	})
 	o := tech.Make(space, cons)

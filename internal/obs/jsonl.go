@@ -9,18 +9,13 @@ import (
 	"sync"
 )
 
-// JSONLOptions tunes a JSONLSink's durability/throughput trade-off, mirroring
-// the checkpoint journal's knobs.
+// JSONLOptions tunes a JSONLSink's durability/throughput trade-off.
 type JSONLOptions struct {
 	// SyncEvery is the fsync cadence in emitted events: the file is
 	// flushed and fsync'd after every SyncEvery-th event, bounding how
 	// many trace lines a hard kill can lose. 0 selects the default (64);
 	// negative syncs only on Flush/Close.
 	SyncEvery int
-	// Append opens the file in append mode instead of truncating it — the
-	// resume path, where a fresh re-execution's events extend the
-	// interrupted run's file.
-	Append bool
 }
 
 func (o JSONLOptions) syncEvery() int {
@@ -47,16 +42,11 @@ type JSONLSink struct {
 	err      error // first write error; reported by Close
 }
 
-// NewJSONLSink creates (or, with opts.Append, extends) the trace file at
-// path and returns a sink writing to it.
+// NewJSONLSink creates (truncating) the trace file at path and returns a sink
+// writing to it. A resumed campaign re-emits its whole event stream, so it
+// starts the file afresh too.
 func NewJSONLSink(path string, opts JSONLOptions) (*JSONLSink, error) {
-	flags := os.O_CREATE | os.O_WRONLY
-	if opts.Append {
-		flags |= os.O_APPEND
-	} else {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}

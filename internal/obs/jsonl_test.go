@@ -106,36 +106,6 @@ not json at all
 	}
 }
 
-func TestJSONLAppendExtends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	s1, err := NewJSONLSink(path, JSONLOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Emit(Event{Kind: KindStepStarted, Attempt: 1})
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewJSONLSink(path, JSONLOptions{Append: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Emit(Event{Kind: KindConverged, Attempt: 2})
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(path, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("append-mode sink: read %d events, want 2", len(got))
-	}
-	if got[0].Kind != KindStepStarted || got[1].Kind != KindConverged {
-		t.Errorf("appended events out of order: %+v", got)
-	}
-}
-
 func TestJSONLEmptyTraceIsError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {

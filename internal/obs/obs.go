@@ -219,13 +219,6 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Closer is the optional second half of a Sink with resources to release;
-// file-backed sinks implement it.
-type Closer interface {
-	// Close flushes and releases the sink.
-	Close() error
-}
-
 // NullSink discards every event. It exists so "tracing disabled" and
 // "tracing enabled with a throwaway sink" exercise the identical emission
 // path; Emit is allocation-free.

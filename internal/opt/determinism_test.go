@@ -54,7 +54,6 @@ func TestSerialParallelTraceEquality(t *testing.T) {
 		{"HyperMapper", func() search.Optimizer { return HyperMapper{Warmup: 8, Pool: 40} }},
 		{"RL", func() search.Optimizer { return RL{} }},
 		{"RL-Batch4", func() search.Optimizer { return RL{Batch: 4} }},
-		{"RLMLP-Batch3", func() search.Optimizer { return RLMLP{Batch: 3} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,7 +77,6 @@ func TestBatchedVariantsStayInBudget(t *testing.T) {
 	}{
 		{"Anneal", Anneal{Batch: 8}},
 		{"RL", RL{Batch: 8}},
-		{"RLMLP", RLMLP{Batch: 8}},
 	} {
 		p := synthProblem(50)
 		p.Workers = 4

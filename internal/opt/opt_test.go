@@ -185,39 +185,3 @@ func TestDeterministicWithSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestRLMLP(t *testing.T) { checkOptimizer(t, RLMLP{}, 400, 90) }
-
-func TestMLPLearnsXORishFunction(t *testing.T) {
-	// Supervised sanity of the policy network's backprop: fit a small
-	// nonlinear function by gradient descent on squared error.
-	rng := rand.New(rand.NewSource(7))
-	net := newMLP(2, 16, 1, rng)
-	f := func(a, b float64) float64 {
-		if (a > 0.5) != (b > 0.5) {
-			return 1
-		}
-		return 0
-	}
-	for epoch := 0; epoch < 30000; epoch++ {
-		a, b := rng.Float64(), rng.Float64()
-		out := net.forward([]float64{a, b})
-		grad := []float64{2 * (out[0] - f(a, b))}
-		net.backward(grad, 0.1)
-	}
-	correct := 0
-	for i := 0; i < 200; i++ {
-		a, b := rng.Float64(), rng.Float64()
-		out := net.forward([]float64{a, b})
-		pred := 0.0
-		if out[0] > 0.5 {
-			pred = 1
-		}
-		if pred == f(a, b) {
-			correct++
-		}
-	}
-	if correct < 170 {
-		t.Fatalf("MLP learned %d/200", correct)
-	}
-}
