@@ -88,10 +88,10 @@ func EdgeConstraints() Constraints {
 
 // DefaultCacheCap bounds the design-level memo entry count. It is far above
 // any campaign budget in this repository, so eviction only engages on very
-// long-running explorations. The layer-grain cache and the per-shape
-// warm-start index are each bounded at 8x this cap. Unique-design budget
-// accounting is exact under eviction: re-evaluating an evicted design is
-// counted as a recompute, never as a new unique evaluation.
+// long-running explorations. The layer-grain cache is bounded at 8x this
+// cap. Unique-design budget accounting is exact under eviction:
+// re-evaluating an evicted design is counted as a recompute, never as a new
+// unique evaluation.
 const DefaultCacheCap = 32768
 
 // Config parameterizes an Evaluator.
@@ -245,15 +245,12 @@ type Evaluator struct {
 	seen map[string]bool
 
 	// Layer-grain mapping cache: completed searches keyed by (layer shape,
-	// mapping-relevant design sub-key), in-flight searches deduplicated
-	// singleflight-style, and a per-shape warm-start index of the best
-	// mapping last found for the shape under any sub-key. Both maps are
-	// bounded at 8x the design-memo cap (a long-running daemon streams
-	// arbitrary layer shapes through one process; an unbounded index is a
-	// slow leak).
+	// mapping-relevant design sub-key), bounded at 8x the design-memo cap
+	// (a long-running daemon streams arbitrary layer shapes through one
+	// process; an unbounded cache is a slow leak), and in-flight searches
+	// deduplicated singleflight-style.
 	lcache   fifoMap[layerCacheKey, layerEntry]
 	lflights map[layerCacheKey]*layerFlight
-	warm     fifoMap[string, mapping.Mapping]
 
 	// store is the second-level persistent cache (nil when disabled).
 	store *evalcache.Store
@@ -282,9 +279,6 @@ type Evaluator struct {
 	cPHits      *obs.Counter
 	cPMisses    *obs.Counter
 	cPWrites    *obs.Counter
-	cWarmProbes *obs.Counter
-	cWarmFalls  *obs.Counter
-	cWarmEvict  *obs.Counter
 	cCostCalls  *obs.Counter
 	cFullEvals  *obs.Counter
 	cLBPruned   *obs.Counter
@@ -343,16 +337,6 @@ type Stats struct {
 	// were written under a different cost-model version (perf.ModelVersion).
 	// Store-level, like PersistCorrupt.
 	PersistStale int
-	// WarmProbes counts layer searches warm-started from a previous best
-	// mapping of the same shape under a different design sub-key.
-	WarmProbes int
-	// WarmFallbacks counts warm-started searches that had to re-evaluate
-	// probe-pruned candidates to discharge the strict bit-identical
-	// contract (the probe did not strictly lose to the enumeration best).
-	WarmFallbacks int
-	// WarmEvictions counts entries dropped from the bounded warm-start
-	// index.
-	WarmEvictions int
 	// CostCalls is the total number of mapping candidates priced by the
 	// perf model during mapping searches (mapping.Result.CostCalls); with
 	// lower-bound pruning it trails MapTrials. Every one is priced on the
@@ -430,9 +414,6 @@ func New(cfg Config) *Evaluator {
 		cPHits:      reg.Counter("eval_persist_hits_total"),
 		cPMisses:    reg.Counter("eval_persist_misses_total"),
 		cPWrites:    reg.Counter("eval_persist_writes_total"),
-		cWarmProbes: reg.Counter("eval_warm_probes_total"),
-		cWarmFalls:  reg.Counter("eval_warm_fallbacks_total"),
-		cWarmEvict:  reg.Counter("eval_warm_evictions_total"),
 		cCostCalls:  reg.Counter("eval_cost_calls_total"),
 		cFullEvals:  reg.Counter("eval_full_evaluations_total"),
 		cLBPruned:   reg.Counter("eval_lb_pruned_total"),
@@ -443,7 +424,6 @@ func New(cfg Config) *Evaluator {
 	}
 	e.cache = newFIFOMap[string, *Result](DefaultCacheCap, e.cEvictions)
 	e.lcache = newFIFOMap[layerCacheKey, layerEntry](8*DefaultCacheCap, e.cLEvictions)
-	e.warm = newFIFOMap[string, mapping.Mapping](8*DefaultCacheCap, e.cWarmEvict)
 	return e
 }
 
@@ -508,9 +488,6 @@ func (e *Evaluator) Stats() Stats {
 		PersistWrites:   int(e.cPWrites.Value()),
 		PersistCorrupt:  persistCorrupt,
 		PersistStale:    persistStale,
-		WarmProbes:      int(e.cWarmProbes.Value()),
-		WarmFallbacks:   int(e.cWarmFalls.Value()),
-		WarmEvictions:   int(e.cWarmEvict.Value()),
 		CostCalls:       e.cCostCalls.Value(),
 		FullEvals:       e.cFullEvals.Value(),
 		LBPruned:        e.cLBPruned.Value(),

@@ -3,7 +3,6 @@ package eval
 import (
 	"xdse/internal/arch"
 	"xdse/internal/evalcache"
-	"xdse/internal/mapping"
 	"xdse/internal/perf"
 	"xdse/internal/workload"
 )
@@ -61,9 +60,8 @@ func (e *Evaluator) layerKeyFor(l workload.Layer, sub string, salt int64) layerC
 // answering from the layer-grain cache when the (shape, sub-key) pair has
 // been searched before, joining an identical in-flight search when one is
 // running, then probing the persistent cross-run store (when attached), and
-// only then running the search — warm-started from the shape's
-// previously-best mapping when one is known. Every path returns bit-identical
-// search outcomes; only the cost-call counters differ.
+// only then running the search. Every path returns bit-identical search
+// outcomes.
 func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, salt int64) layerEntry {
 	key := e.layerKeyFor(l, sub, salt)
 	e.mu.Lock()
@@ -102,7 +100,7 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 		if dec, ok := e.store.Get(e.persistKey(key)); ok {
 			ent := e.derive(d, l, dec)
 			e.mu.Lock()
-			e.storeLayer(key, ent)
+			e.lcache.put(key, ent)
 			delete(e.lflights, key)
 			e.mu.Unlock()
 			e.cPHits.Inc()
@@ -114,15 +112,6 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 	}
 
 	e.cLMisses.Inc()
-	e.mu.Lock()
-	var incumbent *mapping.Mapping
-	if e.cfg.Mode == PrunedMappings {
-		if m, ok := e.warm.get(key.shape); ok {
-			incumbent = &m
-			e.cWarmProbes.Inc()
-		}
-	}
-	e.mu.Unlock()
 
 	// A panicking search must still resolve the flight — waiters would
 	// otherwise block forever — and must not poison the cache: unregister
@@ -137,10 +126,10 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 			panic(rec)
 		}
 	}()
-	ent := e.timedSearchLayer(d, l, salt, incumbent)
+	ent := e.timedSearchLayer(d, l, salt)
 
 	e.mu.Lock()
-	e.storeLayer(key, ent)
+	e.lcache.put(key, ent)
 	delete(e.lflights, key)
 	e.mu.Unlock()
 
@@ -177,16 +166,6 @@ func (e *Evaluator) persistKey(key layerCacheKey) evalcache.Key {
 		// seed, so entries are shared across all configurations.
 	}
 	return pk
-}
-
-// storeLayer inserts a search outcome into the layer cache and, when the
-// search found a mapping, makes it the shape's warm-start incumbent. Caller
-// holds e.mu.
-func (e *Evaluator) storeLayer(key layerCacheKey, ent layerEntry) {
-	if ent.Found {
-		e.warm.put(key.shape, ent.Mapping)
-	}
-	e.lcache.put(key, ent)
 }
 
 // derive completes a layer search's decision with its Tier-2 breakdown. The

@@ -239,13 +239,13 @@ func TestPersistCacheConcurrentEvaluators(t *testing.T) {
 	}
 }
 
-// TestWarmIndexBounded is the memory-leak regression test for the
-// evaluator's three bounded maps: the design memo stays within its cap, and
-// the layer cache and the warm-start index within 8x that cap, however many
-// distinct keys stream through a long-running evaluator. Each keeps the
-// newest keys, and counts every drop in its Stats field. The caps are
-// lowered from DefaultCacheCap to 1 and 8 so a few keys reach them.
-func TestWarmIndexBounded(t *testing.T) {
+// TestCachesBounded is the memory-leak regression test for the evaluator's
+// two bounded maps: the design memo stays within its cap, and the layer
+// cache within 8x that cap, however many distinct keys stream through a
+// long-running evaluator. Each keeps the newest keys, and counts every drop
+// in its Stats field. The caps are lowered from DefaultCacheCap to 1 and 8
+// so a few keys reach them.
+func TestCachesBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		limit   int
@@ -266,7 +266,7 @@ func TestWarmIndexBounded(t *testing.T) {
 			name:  "layer cache",
 			limit: 8,
 			fill: func(e *Evaluator, i int) {
-				e.storeLayer(layerCacheKey{shape: "shape", sub: fmt.Sprint(i)}, layerEntry{})
+				e.lcache.put(layerCacheKey{shape: "shape", sub: fmt.Sprint(i)}, layerEntry{})
 			},
 			has: func(e *Evaluator, i int) bool {
 				_, ok := e.lcache.get(layerCacheKey{shape: "shape", sub: fmt.Sprint(i)})
@@ -275,20 +275,10 @@ func TestWarmIndexBounded(t *testing.T) {
 			size:    func(e *Evaluator) int { return len(e.lcache.m) },
 			evicted: func(st Stats) int { return st.LayerEvictions },
 		},
-		{
-			name:  "warm index",
-			limit: 8,
-			fill: func(e *Evaluator, i int) {
-				e.storeLayer(layerCacheKey{shape: fmt.Sprint(i)}, layerEntry{Entry: evalcache.Entry{Found: true}})
-			},
-			has:     func(e *Evaluator, i int) bool { _, ok := e.warm.get(fmt.Sprint(i)); return ok },
-			size:    func(e *Evaluator) int { return len(e.warm.m) },
-			evicted: func(st Stats) int { return st.WarmEvictions },
-		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(cacheTestConfig(spaceWithDummyParam(2), PrunedMappings))
-			e.cache.limit, e.lcache.limit, e.warm.limit = 1, 8, 8
+			e.cache.limit, e.lcache.limit = 1, 8
 			const n = 50
 			e.mu.Lock()
 			for i := 0; i < n; i++ {

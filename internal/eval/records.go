@@ -102,7 +102,7 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 			e.mu.Unlock()
 			continue
 		}
-		e.storeLayer(key, layerEntry{Entry: rec.Entry})
+		e.lcache.put(key, layerEntry{Entry: rec.Entry})
 		e.mu.Unlock()
 		if e.store != nil {
 			e.store.Put(rec.Key, rec.Entry)
@@ -145,7 +145,7 @@ func (e *Evaluator) Prefill(pt arch.Point) bool {
 			}
 			ent := e.derive(d, mdl.Layers[i], dec)
 			e.mu.Lock()
-			e.storeLayer(key, ent)
+			e.lcache.put(key, ent)
 			e.mu.Unlock()
 			e.cPHits.Inc()
 		}

@@ -15,22 +15,21 @@ import (
 // recording the latency into the eval_layer_search_seconds histogram; cache
 // hits and in-flight joins never reach it, so the histogram measures real
 // searches only.
-func (e *Evaluator) timedSearchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) layerEntry {
+func (e *Evaluator) timedSearchLayer(d arch.Design, l workload.Layer, salt int64) layerEntry {
 	start := time.Now()
-	ent := e.derive(d, l, e.searchLayer(d, l, salt, incumbent))
+	ent := e.derive(d, l, e.searchLayer(d, l, salt))
 	e.hLayer.ObserveDuration(time.Since(start))
 	return ent
 }
 
 // searchLayer runs the configured mapping search for one layer on one
-// design and returns its decision, counting the search's cost calls,
-// lower-bound prunes and warm fallbacks. The search inner loop runs on one
-// perf.EvalContext's Tier-1 fast path (one call per temporal fill for all
-// its orderings, cycles only, no allocation); the winner's Tier-2
-// breakdown is derive's job. In PrunedMappings mode the enumeration carries
-// a certified cost lower bound and the warm-start incumbent when given,
-// whose probe is one more Tier-1 call.
-func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, incumbent *mapping.Mapping) evalcache.Entry {
+// design and returns its decision, counting the search's cost calls and
+// lower-bound prunes. The search inner loop runs on one perf.EvalContext's
+// Tier-1 fast path (one call per temporal fill for all its orderings,
+// cycles only, no allocation); the winner's Tier-2 breakdown is derive's
+// job. In PrunedMappings mode the enumeration carries a certified cost
+// lower bound, so what it prices depends on the layer and the design only.
+func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64) evalcache.Entry {
 	var res mapping.Result
 	switch e.cfg.Mode {
 	case FixedDataflow:
@@ -50,14 +49,10 @@ func (e *Evaluator) searchLayer(d arch.Design, l workload.Layer, salt int64, inc
 			MaxN:      e.cfg.MapTrials,
 			BaseValid: ctx.Valid,
 			CostLB:    ctx.CostLowerBound,
-			Incumbent: incumbent,
 		}, ctx.EvaluateFill)
 	}
 	e.cCostCalls.Add(int64(res.CostCalls))
 	e.cLBPruned.Add(int64(res.LBPruned))
-	if res.WarmFallback {
-		e.cWarmFalls.Inc()
-	}
 	dec := evalcache.Entry{Found: res.Found, Trials: res.Evaluated}
 	if res.Found {
 		dec.Mapping = res.Best

@@ -128,8 +128,8 @@ func ReportTable3(cfg Config, c *Campaign) {
 // ReportEvalStats renders the evaluation-layer instrumentation of a
 // campaign, aggregated per technique across models: unique design
 // evaluations, memoized cache hits (with memo evictions), in-flight
-// deduplications under the batch pool, layer-grain mapping-cache hits,
-// warm-start probes, mapping-search trials against actual cost-model
+// deduplications under the batch pool, layer-grain mapping-cache and
+// persistent-store hits, mapping-search trials against actual cost-model
 // calls, evaluation wall time, batch-layer activity, budget-free
 // repeat acquisitions, and recovered evaluation panics (non-zero means
 // designs crashed the model but the campaign survived).
@@ -137,10 +137,10 @@ func ReportEvalStats(cfg Config, c *Campaign) {
 	w := cfg.out()
 	fmt.Fprintf(w, "\n== Evaluation-layer stats (summed over models) ==\n")
 	tb := newTable("Technique", "Evals", "CacheHits", "Evict", "InflightDedup",
-		"LayerHits", "PersistHits", "WarmProbes", "MapTrials", "CostCalls", "EvalWall",
+		"LayerHits", "PersistHits", "MapTrials", "CostCalls", "EvalWall",
 		"Batches", "BatchPts", "Repeats", "Panics")
 	for _, tech := range techniqueOrder(c) {
-		var evals, hits, evict, dedups, lhits, phits, probes, repeats, panics int
+		var evals, hits, evict, dedups, lhits, phits, repeats, panics int
 		var trials, costCalls, batches, pts int64
 		var wall time.Duration
 		for _, r := range c.Runs {
@@ -153,7 +153,6 @@ func ReportEvalStats(cfg Config, c *Campaign) {
 			dedups += r.Stats.InflightDedups
 			lhits += r.Stats.LayerHits
 			phits += r.Stats.PersistHits
-			probes += r.Stats.WarmProbes
 			trials += r.Stats.MapTrials
 			costCalls += r.Stats.CostCalls
 			wall += r.Stats.EvalWall
@@ -169,7 +168,6 @@ func ReportEvalStats(cfg Config, c *Campaign) {
 			fmt.Sprintf("%d", dedups),
 			fmt.Sprintf("%d", lhits),
 			fmt.Sprintf("%d", phits),
-			fmt.Sprintf("%d", probes),
 			fmt.Sprintf("%d", trials),
 			fmt.Sprintf("%d", costCalls),
 			fmt.Sprintf("%.2fs", wall.Seconds()),

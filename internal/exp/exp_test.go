@@ -102,10 +102,15 @@ func TestRunOneAndCampaign(t *testing.T) {
 // TestParallelCampaignMatchesSerial pins the campaign-level determinism
 // contract: raising Workers (per-run batch pool) and Parallel (concurrent
 // runs) must leave every run's trace bit-identical to the serial campaign
-// and keep the roster order.
+// and keep the roster order. The mapping searches themselves must do the
+// same work too: each (shape, sub-key) is searched once however the layer
+// workers interleave, and a search's pruning depends on nothing but its
+// own inputs, so the search counters match the serial run's exactly.
 func TestParallelCampaignMatchesSerial(t *testing.T) {
 	var bufA, bufB bytes.Buffer
-	techs := []Technique{FixDFTechniques()[1], FixDFTechniques()[7]} // random + explainable
+	// Random and explainable fixed-dataflow, and the explainable codesign
+	// run, whose pruned mapping searches the counter check is for.
+	techs := []Technique{FixDFTechniques()[1], FixDFTechniques()[7], CodesignTechniques()[2]}
 
 	serialCfg := tinyConfig(&bufA)
 	serialCfg.Budget = 20
@@ -145,6 +150,13 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 		}
 		if b.Stats.Evaluations == 0 {
 			t.Fatalf("%s: evaluator stats missing: %+v", b.Technique, b.Stats)
+		}
+		sa, sb := a.Stats, b.Stats
+		if sa.CostCalls != sb.CostCalls || sa.LBPruned != sb.LBPruned ||
+			sa.MapTrials != sb.MapTrials || sa.LayerMisses != sb.LayerMisses {
+			t.Errorf("%s: search work depends on Workers: serial priced %d, pruned %d, trials %d, searches %d; parallel %d, %d, %d, %d",
+				a.Technique, sa.CostCalls, sa.LBPruned, sa.MapTrials, sa.LayerMisses,
+				sb.CostCalls, sb.LBPruned, sb.MapTrials, sb.LayerMisses)
 		}
 	}
 

@@ -306,7 +306,7 @@ func TestReportEvalStatsGolden(t *testing.T) {
 			Trace: &search.Trace{RepeatSteps: 2},
 			Stats: eval.Stats{
 				Evaluations: 10, CacheHits: 4, Evictions: 1, InflightDedups: 3,
-				LayerHits: 20, PersistHits: 7, WarmProbes: 5, MapTrials: 1000, CostCalls: 800,
+				LayerHits: 20, PersistHits: 7, MapTrials: 1000, CostCalls: 800,
 				EvalWall: 1500 * time.Millisecond, PanicsRecovered: 1,
 			},
 			Batch:   search.BatchReport{Batches: 6, Points: 24},
@@ -326,10 +326,10 @@ func TestReportEvalStatsGolden(t *testing.T) {
 	ReportEvalStats(cfg, c)
 	const golden = `
 == Evaluation-layer stats (summed over models) ==
-Technique  Evals  CacheHits  Evict  InflightDedup  LayerHits  PersistHits  WarmProbes  MapTrials  CostCalls  EvalWall  Batches  BatchPts  Repeats  Panics
----------  -----  ---------  -----  -------------  ---------  -----------  ----------  ---------  ---------  --------  -------  --------  -------  ------
-TechA      10     4          1      3              20         7            5           1000       800        1.50s     6        24        2        1
-TechB      8      0          0      0              0          0            0           640        0          0.00s     8        8         0        2
+Technique  Evals  CacheHits  Evict  InflightDedup  LayerHits  PersistHits  MapTrials  CostCalls  EvalWall  Batches  BatchPts  Repeats  Panics
+---------  -----  ---------  -----  -------------  ---------  -----------  ---------  ---------  --------  -------  --------  -------  ------
+TechA      10     4          1      3              20         7            1000       800        1.50s     6        24        2        1
+TechB      8      0          0      0              0          0            640        0          0.00s     8        8         0        2
 
 == Evaluation-layer latency (p50/p95/max, seconds) ==
 Technique  LayerSearch     DesignEval      Batch

@@ -62,16 +62,12 @@ func benchGenCfg() GenConfig {
 	return GenConfig{PEs: 256, L1Bytes: 512, L2Bytes: 512 * 1024, MinN: 10, MaxN: 400}
 }
 
-// BenchmarkEnumeratePruned measures the pruned enumeration cold (no bound),
-// with lower-bound self-pruning, and warm-started from the cold run's best.
+// BenchmarkEnumeratePruned measures the pruned enumeration cold (no bound)
+// and with lower-bound self-pruning.
 func BenchmarkEnumeratePruned(b *testing.B) {
 	l := benchLayer()
 	f, lb := benchCost(l)
 	cost := perCandidate(f)
-	cold := EnumeratePruned(l, benchGenCfg(), cost)
-	if !cold.Found {
-		b.Fatal("no mapping found")
-	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -83,16 +79,6 @@ func BenchmarkEnumeratePruned(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := benchGenCfg()
 			cfg.CostLB = lb
-			EnumeratePruned(l, cfg, cost)
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		incumbent := cold.Best
-		for i := 0; i < b.N; i++ {
-			cfg := benchGenCfg()
-			cfg.CostLB = lb
-			cfg.Incumbent = &incumbent
 			EnumeratePruned(l, cfg, cost)
 		}
 	})
@@ -123,27 +109,26 @@ func TestEnumerateAllocsRegression(t *testing.T) {
 	}
 }
 
-// TestWarmResultMatchesColdSynthetic is a mapping-level guard of the strict
-// contract on the synthetic cost model (the perf-model version lives in
-// internal/perf): warm and cold runs agree exactly.
+// TestWarmResultMatchesColdSynthetic is a mapping-level guard of the
+// pruning contract on the synthetic cost model (the perf-model version
+// lives in internal/perf): the search under the lower bound returns
+// exactly the unpruned search's answer, and prices fewer candidates.
 func TestWarmResultMatchesColdSynthetic(t *testing.T) {
 	l := benchLayer()
 	f, lb := benchCost(l)
 	cost := perCandidate(f)
-	cold := EnumeratePruned(l, benchGenCfg(), cost)
+	full := EnumeratePruned(l, benchGenCfg(), cost)
 	cfg := benchGenCfg()
 	cfg.CostLB = lb
-	inc := cold.Best
-	cfg.Incumbent = &inc
-	warm := EnumeratePruned(l, cfg, cost)
-	if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Evaluated != cold.Evaluated {
-		t.Fatalf("warm diverged: cold %v/%v/%d warm %v/%v/%d",
-			cold.Best, cold.Cycles, cold.Evaluated, warm.Best, warm.Cycles, warm.Evaluated)
+	pruned := EnumeratePruned(l, cfg, cost)
+	if pruned.Best != full.Best || pruned.Cycles != full.Cycles || pruned.Evaluated != full.Evaluated {
+		t.Fatalf("pruned diverged: unpruned %v/%v/%d pruned %v/%v/%d",
+			full.Best, full.Cycles, full.Evaluated, pruned.Best, pruned.Cycles, pruned.Evaluated)
 	}
-	if warm.LBPruned == 0 {
-		t.Fatal("warm run pruned nothing")
+	if pruned.LBPruned == 0 {
+		t.Fatal("pruned run pruned nothing")
 	}
-	if warm.CostCalls >= cold.CostCalls {
-		t.Fatalf("warm run made %d cost calls, cold %d; pruning saved nothing", warm.CostCalls, cold.CostCalls)
+	if pruned.CostCalls >= full.CostCalls {
+		t.Fatalf("pruned run made %d cost calls, unpruned %d; pruning saved nothing", pruned.CostCalls, full.CostCalls)
 	}
 }

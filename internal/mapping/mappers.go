@@ -43,20 +43,15 @@ type Result struct {
 	Evaluated int
 
 	// CostCalls is the number of candidates priced through the cost
-	// model, including the warm-start probe and any strict-fallback
-	// re-evaluations; a Cost call that prices a fill under nine orderings
-	// counts nine. Without pruning it equals Evaluated; with a
-	// GenConfig.CostLB bound it is usually much smaller.
+	// model; a Cost call that prices a fill under nine orderings counts
+	// nine. Without pruning it equals Evaluated; with a GenConfig.CostLB
+	// bound it is usually much smaller.
 	CostCalls int
 	// LBPruned counts candidates left unpriced because the lower bound
 	// proved they could not beat the incumbent. Pruned candidates still
 	// count toward Evaluated, so search trajectories (band budgets, trial
 	// counts) are bit-identical with and without pruning.
 	LBPruned int
-	// WarmFallback reports that the strict warm-start contract had to
-	// re-evaluate externally-pruned candidates because the enumeration
-	// did not strictly beat the probe (see EnumeratePruned).
-	WarmFallback bool
 }
 
 // RandomSearch explores `trials` random valid-factor mappings (Timeloop-like
@@ -196,15 +191,6 @@ type GenConfig struct {
 	// best mapping and cycles — is bit-identical with or without the
 	// bound. Only CostCalls/LBPruned change.
 	CostLB func(spatialPEs int) float64
-	// Incumbent, when set, warm-starts the search: it is probed through
-	// the cost model once before enumeration and its cycles seed the
-	// pruning bound (it is never returned as the result). The strict
-	// contract is preserved by a fallback pass: if the enumeration does
-	// not strictly beat the probe, every candidate skipped on the probe's
-	// account is re-evaluated in candidate order, so the returned best
-	// mapping and cycles are always bit-identical to a cold run.
-	// Incumbent is only consulted when CostLB is also set.
-	Incumbent *Mapping
 }
 
 // defaultOrderings enumerates the 3x3 stationary-tensor choices.
@@ -221,45 +207,25 @@ func defaultOrderings() []Mapping {
 // allOrderings is the shared default ordering set (read-only).
 var allOrderings = defaultOrderings()
 
-// skippedBase is a spatial base whose candidates (n0, n1] were all skipped on
-// account of the external warm-start probe. Within one base the lower bound
-// and the probe are constant and the running best moves only through a cost
-// call, so the probe skips either every candidate of a base (up to the band
-// limit) or none of them. The strict fallback therefore regenerates exactly
-// the skipped candidates, in order and with their indices, by re-running
-// emitTemporal over the base bounded to (n0, n1].
-type skippedBase struct {
-	spatial [4]int // the K, C, Y, X spatial factors
-	n0, n1  int
-}
-
 // enumerator carries the running state of one pruned enumeration: the
 // incumbent, the candidate counter, the pruning bound, and the working
 // mapping and scratch buffers that keep the hot loop allocation-free.
 type enumerator struct {
 	cost      Cost
-	lb        func(int) float64
-	hasLB     bool
 	orderings []Mapping
 
-	// probe is the external warm-start bound (+Inf when absent).
-	probe float64
-	// curLB is the lower bound of the current spatial base.
+	// curLB is the lower bound of the current spatial base: -Inf without
+	// a GenConfig.CostLB, which prunes nothing.
 	curLB float64
-	// skipBase reports that the bound prunes every candidate of the
-	// current spatial base, so try only counts them.
-	skipBase bool
 
 	best       Mapping
 	bestCycles float64
-	bestN      int // candidate index of the first attainer of bestCycles
 	found      bool
 
 	n         int // candidates considered (the Evaluated count)
 	limit     int // current band's candidate cap
 	costCalls int
 	pruned    int
-	skipped   []skippedBase
 
 	// cycles is the result scratch of one cost call: a fill's orderings
 	// are a subset of the nine pairs.
@@ -288,36 +254,14 @@ func (e *enumerator) loadBase(dims [NumDims]int, spatial [4]int) {
 	}
 }
 
-// setBase fixes the lower bound for every candidate of the spatial base
-// occupying pes PEs and decides whether the bound prunes the whole base. It
-// reports whether it does so on the warm-start probe's account alone (the
-// bound is below the running best), the skips the strict fallback must
-// revisit.
-func (e *enumerator) setBase(pes int) (probeSkip bool) {
-	e.skipBase = false
-	if !e.hasLB {
-		return false
-	}
-	e.curLB = e.lb(pes)
-	switch {
-	case e.curLB >= e.bestCycles:
-		e.skipBase = true
-	case e.curLB >= e.probe:
-		e.skipBase, probeSkip = true, true
-	}
-	return probeSkip
-}
-
 // try considers the working mapping's temporal fill under every ordering,
 // up to the band limit, pricing them in one cost call. It returns false
 // when the band's candidate budget is exhausted.
 func (e *enumerator) try() bool {
 	k := min(len(e.orderings), e.limit-e.n)
-	if k == 0 || e.skipBase || e.hasLB && e.curLB >= e.bestCycles {
+	if k == 0 || e.curLB >= e.bestCycles {
 		// Nothing to price, or the bound proves no ordering of the fill
-		// can strictly beat the incumbent (from setBase, or because an
-		// earlier fill of this base brought the running best down to
-		// the bound): count them in one step.
+		// can strictly beat the incumbent: count them in one step.
 		e.n += k
 		e.pruned += k
 		return e.n < e.limit
@@ -325,21 +269,21 @@ func (e *enumerator) try() bool {
 	e.cost(&e.m, e.orderings[:k], e.cycles[:k])
 	for i, c := range e.cycles[:k] {
 		e.n++
-		if e.hasLB && e.curLB >= e.bestCycles {
+		if e.curLB >= e.bestCycles {
 			// An earlier ordering of this fill brought the running
 			// best down to the bound.
 			e.pruned++
 			continue
 		}
 		e.costCalls++
-		// The first attainer of the best cycles wins. Candidates arrive
-		// in index order except in the strict fallback, which revisits
-		// skipped ones behind the running best. An invalid candidate
-		// costs +Inf and never wins.
-		if c < e.bestCycles || c == e.bestCycles && e.found && e.n < e.bestN {
+		// Candidates arrive in index order, so a strict improvement keeps
+		// the first attainer of the best cycles; for the same reason the
+		// bound may prune a candidate that could only tie. An invalid
+		// candidate costs +Inf and never wins.
+		if c < e.bestCycles {
 			e.best = e.m
 			e.best.DRAMStationary, e.best.NoCStationary = e.orderings[i].DRAMStationary, e.orderings[i].NoCStationary
-			e.bestCycles, e.found, e.bestN = c, true, e.n
+			e.bestCycles, e.found = c, true
 		}
 	}
 	return e.n < e.limit
@@ -351,10 +295,9 @@ func (e *enumerator) try() bool {
 // space is smaller than MinN) and evaluates it linearly.
 //
 // When GenConfig.CostLB is set, candidates that provably cannot beat the
-// incumbent are not priced (but still count toward Evaluated);
-// when GenConfig.Incumbent additionally seeds the bound, a strict fallback
-// pass guarantees the returned best mapping and cycles are bit-identical to
-// a cold run — only CostCalls, LBPruned, and WarmFallback vary.
+// incumbent are not priced (but still count toward Evaluated), so the
+// returned best mapping and cycles are bit-identical to an unpruned run —
+// only CostCalls and LBPruned vary.
 func EnumeratePruned(l workload.Layer, cfg GenConfig, cost Cost) Result {
 	dims := Dims(l)
 	if cfg.MaxN <= 0 {
@@ -370,16 +313,9 @@ func EnumeratePruned(l workload.Layer, cfg GenConfig, cost Cost) Result {
 
 	e := &enumerator{
 		cost:       cost,
-		lb:         cfg.CostLB,
-		hasLB:      cfg.CostLB != nil,
 		orderings:  orderings,
-		probe:      math.Inf(1),
+		curLB:      math.Inf(-1),
 		bestCycles: math.Inf(1),
-	}
-	if cfg.Incumbent != nil && e.hasLB {
-		e.costCalls++
-		cost(cfg.Incumbent, alone(cfg.Incumbent), e.cycles[:1])
-		e.probe = e.cycles[0]
 	}
 
 	// Utilization bands are explored from high PE utilization downward,
@@ -406,28 +342,9 @@ func EnumeratePruned(l workload.Layer, cfg GenConfig, cost Cost) Result {
 		}
 	}
 
-	res := Result{Evaluated: e.n, LBPruned: e.pruned}
-	if len(e.skipped) > 0 && !(e.found && e.bestCycles < e.probe) {
-		// Strict fallback: the enumeration did not strictly beat the
-		// probe, so a candidate skipped on the probe's account could
-		// have been the cold run's winner (or an earlier attainer of
-		// the same cycles). Regenerate them base by base, in candidate
-		// order, and cost every one; try merges them with
-		// first-attainer semantics.
-		res.WarmFallback = true
-		e.hasLB, e.skipBase = false, false
-		for _, s := range e.skipped {
-			e.loadBase(dims, s.spatial)
-			e.n, e.limit = s.n0, s.n1
-			e.emitTemporal(&l, dims, cfg)
-		}
-	}
-	res.Best, res.Cycles, res.Found, res.CostCalls = e.best, e.bestCycles, e.found, e.costCalls
-	if !res.Found {
-		res.Cycles = math.Inf(1)
-		res.Best = Mapping{}
-	}
-	return res
+	// Without a winner best is still the zero mapping and bestCycles +Inf.
+	return Result{Best: e.best, Cycles: e.bestCycles, Found: e.found,
+		Evaluated: e.n, CostCalls: e.costCalls, LBPruned: e.pruned}
 }
 
 // enumerateAt runs one enumeration pass over spatial tilings whose PE
@@ -449,8 +366,7 @@ func (e *enumerator) enumerateAt(l *workload.Layer, dims [NumDims]int, cfg GenCo
 					if pes > cfg.PEs || util < minUtil || util > maxUtil {
 						continue
 					}
-					spatial := [4]int{sk, sc, sy, sx}
-					e.loadBase(dims, spatial)
+					e.loadBase(dims, [4]int{sk, sc, sy, sx})
 					// One validity probe per spatial base: NoC-group
 					// demand and minimum tile footprints depend only
 					// on the spatial factors, so a rejected base
@@ -458,13 +374,10 @@ func (e *enumerator) enumerateAt(l *workload.Layer, dims [NumDims]int, cfg GenCo
 					if cfg.BaseValid != nil && !cfg.BaseValid(&e.m) {
 						continue
 					}
-					probeSkip := e.setBase(pes)
-					n0 := e.n
-					more := e.emitTemporal(l, dims, cfg)
-					if probeSkip && e.n > n0 {
-						e.skipped = append(e.skipped, skippedBase{spatial, n0, e.n})
+					if cfg.CostLB != nil {
+						e.curLB = cfg.CostLB(pes)
 					}
-					if !more {
+					if !e.emitTemporal(l, dims, cfg) {
 						return
 					}
 				}

@@ -232,40 +232,6 @@ func TestEnumeratePrunedRespectsPEBudget(t *testing.T) {
 	}
 }
 
-// TestIncumbentProbeIsFirstCostCall: the warm-start probe is the first
-// candidate the search's own cost prices, the incumbent, before any other;
-// CostCalls counts every candidate priced, the probe included; and the warm
-// Result keeps the cold run's best mapping, cycles and Evaluated count.
-func TestIncumbentProbeIsFirstCostCall(t *testing.T) {
-	l := benchLayer()
-	cost, lb := benchCost(l)
-	cold := EnumeratePruned(l, benchGenCfg(), perCandidate(cost))
-	if !cold.Found {
-		t.Fatal("no mapping found")
-	}
-	inc := cold.Best
-
-	calls := 0
-	spy := func(m *Mapping) (float64, bool) {
-		if calls == 0 && *m != inc {
-			t.Fatalf("first cost call with %v, want the incumbent %v", *m, inc)
-		}
-		calls++
-		return cost(m)
-	}
-	cfg := benchGenCfg()
-	cfg.CostLB = lb
-	cfg.Incumbent = &inc
-	warm := EnumeratePruned(l, cfg, perCandidate(spy))
-
-	if calls != warm.CostCalls {
-		t.Fatalf("cost priced %d candidates, CostCalls = %d", calls, warm.CostCalls)
-	}
-	if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Evaluated != cold.Evaluated {
-		t.Fatalf("warm run diverged from cold run: %+v vs %+v", warm, cold)
-	}
-}
-
 // TestSpreadDivisorsParallelConsistent hammers the sharded spreadDivisors
 // and Divisors memos from many goroutines (run under -race in CI) and
 // validates every answer against an unmemoized reference, including
@@ -329,13 +295,9 @@ func TestSpreadDivisorsParallelConsistent(t *testing.T) {
 // sweepCost is a certified synthetic cost for TestWarmProbeSweep: the lower
 // bound plus a penalty hashed from the mapping, rounded up to a grid of q
 // cycles so that candidates on different spatial bases often tie. About one
-// mapping in eleven is invalid. The enumerator never emits a negative
-// DRAMStationary, so the sweep's incumbent carries one and costs *probe.
-func sweepCost(lb func(int) float64, q float64, probe *float64) candidateCost {
+// mapping in eleven is invalid.
+func sweepCost(lb func(int) float64, q float64) candidateCost {
 	return func(m *Mapping) (float64, bool) {
-		if m.DRAMStationary < 0 {
-			return *probe, true
-		}
 		h := uint64(m.DRAMStationary)*3 + uint64(m.NoCStationary)
 		for _, fs := range m.F {
 			for _, f := range fs {
@@ -352,23 +314,21 @@ func sweepCost(lb func(int) float64, q float64, probe *float64) candidateCost {
 
 // sweepGolden holds TestWarmProbeSweep's digest per layer.
 var sweepGolden = map[string]uint64{
-	"b":  0xa2014ee4fd2786fc,
-	"s2": 0xa9b4bf254bfb72ab,
-	"dw": 0x40375ab7acae6ecc,
-	"g":  0x149775ff16034e39,
+	"b":  0x4e7a41c435abb2e6,
+	"s2": 0x6a993ee4862620ac,
+	"dw": 0xeca80a259d1a8101,
+	"g":  0x2280e9dc2a17387c,
 }
 
-// TestWarmProbeSweep checks the strict warm-start contract where it is
-// easiest to break, and pins the enumeration's candidate order and the warm
-// search's work. Over layers, buffer sizes that bind the fit filters and
-// budgets that cut bands mid-base, it sweeps the probe across the lower
-// bound of every PE count a candidate occupies. So searches mix costed
-// bases, bases skipped on the probe's account and fallbacks that must keep
-// the first attainer of tied cycles. Every warm answer must equal the cold
-// one. The digest folds in the cold run's costed candidates, in order, and
-// each warm run's CostCalls, LBPruned and WarmFallback. Its golden values
-// were measured when the fallback kept one skip record per candidate and
-// the walk copied the mapping at every nesting level.
+// TestWarmProbeSweep checks that the lower bound prunes without changing
+// the answer where that is easiest to break, and pins the enumeration's
+// candidate order and the pruned search's work. Over layers, buffer sizes
+// that bind the fit filters, budgets that cut bands mid-base and subsets
+// of the orderings, the synthetic cost ties often, and the bound prunes a
+// candidate that could only tie the running best: the pruned answer must
+// still equal the unpruned one, the first attainer of the best cycles. The
+// digest folds in the unpruned run's priced candidates, in order, and the
+// pruned run's CostCalls and LBPruned.
 func TestWarmProbeSweep(t *testing.T) {
 	layers := []workload.Layer{
 		benchLayer(),
@@ -378,69 +338,30 @@ func TestWarmProbeSweep(t *testing.T) {
 	}
 	buffers := [][2]int{{512, 512 << 10}, {64, 16 << 10}, {32, 4 << 10}, {32, 1 << 10}}
 	orderings := [][]Mapping{nil, allOrderings[4:5], allOrderings[2:4]}
-	fallbacks := 0
 	for _, l := range layers {
 		_, lb := benchCost(l)
 		q := lb(128)
+		cost := sweepCost(lb, q)
 		h := fnv.New64a()
 		for _, buf := range buffers {
 			for _, maxN := range []int{40, 400} {
 				for _, ords := range orderings {
 					cfg := GenConfig{PEs: 256, L1Bytes: buf[0], L2Bytes: buf[1], MinN: 10, MaxN: maxN, Orderings: ords}
-					var probe float64
-					cost := sweepCost(lb, q, &probe)
-					pess := map[int]bool{}
-					cold := EnumeratePruned(l, cfg, perCandidate(func(m *Mapping) (float64, bool) {
+					full := EnumeratePruned(l, cfg, perCandidate(func(m *Mapping) (float64, bool) {
 						fmt.Fprint(h, *m)
-						pess[m.SpatialPEs()] = true
 						return cost(m)
 					}))
-					inc := Mapping{DRAMStationary: -1}
-					warmCfg := cfg
-					warmCfg.CostLB = lb
-					warmCfg.Incumbent = &inc
-					for pes := cfg.PEs; pes >= 1; pes-- {
-						if !pess[pes] {
-							continue
-						}
-						probe = lb(pes)
-						warm := EnumeratePruned(l, warmCfg, perCandidate(cost))
-						if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Found != cold.Found || warm.Evaluated != cold.Evaluated {
-							t.Fatalf("%s %+v probe %v: warm %+v diverged from cold %+v", l.Name, cfg, probe, warm, cold)
-						}
-						fmt.Fprint(h, warm.CostCalls, warm.LBPruned, warm.WarmFallback)
-						if warm.WarmFallback {
-							fallbacks++
-						}
+					cfg.CostLB = lb
+					pruned := EnumeratePruned(l, cfg, perCandidate(cost))
+					if pruned.Best != full.Best || pruned.Cycles != full.Cycles || pruned.Found != full.Found || pruned.Evaluated != full.Evaluated {
+						t.Fatalf("%s %+v: pruned %+v diverged from unpruned %+v", l.Name, cfg, pruned, full)
 					}
+					fmt.Fprint(h, pruned.CostCalls, pruned.LBPruned)
 				}
 			}
 		}
 		if got := h.Sum64(); got != sweepGolden[l.Name] {
-			t.Errorf("layer %s: digest %#x, want %#x: the candidate order or the warm work changed", l.Name, got, sweepGolden[l.Name])
+			t.Errorf("layer %s: digest %#x, want %#x: the candidate order or the pruned work changed", l.Name, got, sweepGolden[l.Name])
 		}
-	}
-	if fallbacks < 100 {
-		t.Fatalf("only %d warm searches fell back; the sweep no longer exercises the fallback", fallbacks)
-	}
-}
-
-// TestProbeSkippedEmptyBaseDoesNotFallBack: a spatial base the probe would
-// skip but that emits no candidate (here, with no orderings at all) skips
-// nothing, so it must not trigger the strict fallback.
-func TestProbeSkippedEmptyBaseDoesNotFallBack(t *testing.T) {
-	l := benchLayer()
-	cost, lb := benchCost(l)
-	// Spread over more PEs than the design has, the incumbent's probe is
-	// below every base's bound, so the probe would skip every base.
-	inc := Random(Dims(l), rand.New(rand.NewSource(1)))
-	inc.F[DimK][LvlSpatial] *= 1024
-	cfg := benchGenCfg()
-	cfg.Orderings = []Mapping{}
-	cfg.CostLB = lb
-	cfg.Incumbent = &inc
-	res := EnumeratePruned(l, cfg, perCandidate(cost))
-	if res.WarmFallback || res.Evaluated != 0 || res.CostCalls != 1 {
-		t.Fatalf("got %+v, want no candidates, only the probe's cost call and no fallback", res)
 	}
 }

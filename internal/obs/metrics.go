@@ -349,30 +349,6 @@ func (r *Registry) Merge(src *Registry) {
 	}
 }
 
-// Reset zeroes every registered metric in place (metric pointers held by
-// instrumented code stay valid).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.histograms {
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sumBits.Store(0)
-		h.maxBits.Store(0)
-	}
-}
-
 // HistogramSnapshot is the exported view of one histogram in Snapshot.
 type HistogramSnapshot struct {
 	// Count is the number of observations.

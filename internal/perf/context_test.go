@@ -24,11 +24,10 @@ func nineOrderings() []mapping.Mapping {
 
 // TestEvaluateFillZeroAllocs pins Tier 1 to zero heap allocations: one
 // EvaluateFill call over all nine orderings of a fill (the enumerator's
-// call), over one ordering (the warm-start probe's and the black-box
-// mappers' call) and over an invalid fill, and the Valid base probe. A
-// codesign campaign makes about half a million of these calls; one
-// allocation per call would reintroduce the GC pressure the context exists
-// to remove.
+// call), over one ordering (the black-box mappers' call) and over an
+// invalid fill, and the Valid base probe. A codesign campaign makes about
+// half a million of these calls; one allocation per call would reintroduce
+// the GC pressure the context exists to remove.
 func TestEvaluateFillZeroAllocs(t *testing.T) {
 	l := testLayer()
 	ctx := NewContext(testDesign(), l)
@@ -123,13 +122,13 @@ func TestSharedContextConcurrentEvaluateFill(t *testing.T) {
 
 // TestEnumerateTrajectoryMatchesSlowPath runs the production pruned search
 // with the Tier-1 fast-path cost against a reference cost that calls the
-// full Tier-2 evaluation on every candidate, in both production
-// configurations — cold and warm-started — and demands the complete Result
-// (best mapping, cycles, trial counts, cost-call counts, pruning counts) be
-// identical.
+// full Tier-2 evaluation on every candidate, both unpruned and under the
+// lower bound, and demands the complete Result (best mapping, cycles, trial
+// counts, cost-call counts, pruning counts) be identical. The pruned answer
+// must also equal the unpruned one.
 func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	warmChecked := 0
+	prunedChecked := 0
 	for _, l := range propertyLayers() {
 		for i := 0; i < 6; i++ {
 			d := randDesign(rng)
@@ -161,27 +160,22 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 				continue
 			}
 
-			// Warm: lower-bound pruning seeded by an incumbent probe.
-			inc := cold.Best
-			warmCfg := newCfg()
-			warmCfg.CostLB = ctx.CostLowerBound
-			warmCfg.Incumbent = &inc
-			warm := mapping.EnumeratePruned(l, warmCfg, ctx.EvaluateFill)
-			refCfg := newCfg()
-			refCfg.CostLB = ctx.CostLowerBound
-			refCfg.Incumbent = &inc
-			warmRef := mapping.EnumeratePruned(l, refCfg, slowCost)
-			if warm != warmRef {
-				t.Fatalf("%s: warm fast-path result %+v != slow-path %+v", l.Name, warm, warmRef)
+			// Pruned: the production search, under the lower bound.
+			prunedCfg := newCfg()
+			prunedCfg.CostLB = ctx.CostLowerBound
+			pruned := mapping.EnumeratePruned(l, prunedCfg, ctx.EvaluateFill)
+			prunedRef := mapping.EnumeratePruned(l, prunedCfg, slowCost)
+			if pruned != prunedRef {
+				t.Fatalf("%s: pruned fast-path result %+v != slow-path %+v", l.Name, pruned, prunedRef)
 			}
-			if warm.Best != cold.Best || warm.Cycles != cold.Cycles || warm.Evaluated != cold.Evaluated {
-				t.Fatalf("%s: warm result diverged from cold (%+v vs %+v)", l.Name, warm, cold)
+			if pruned.Best != cold.Best || pruned.Cycles != cold.Cycles || pruned.Evaluated != cold.Evaluated {
+				t.Fatalf("%s: pruned result diverged from cold (%+v vs %+v)", l.Name, pruned, cold)
 			}
-			warmChecked++
+			prunedChecked++
 		}
 	}
-	if warmChecked < 10 {
-		t.Fatalf("only %d warm trajectories compared", warmChecked)
+	if prunedChecked < 10 {
+		t.Fatalf("only %d pruned trajectories compared", prunedChecked)
 	}
 }
 
