@@ -37,7 +37,7 @@ func runServe(args []string) int {
 		drainTimeout = fs.Duration("drain-timeout", 2*time.Minute, "how long a shutdown signal waits for in-flight jobs to checkpoint")
 		cacheDir     = fs.String("cache-dir", "", "persistent evaluation-cache directory shared by every job (and by later daemon incarnations); empty = uncached")
 		evalConc     = fs.Int("eval-concurrent", 2, "fleet shards served concurrently (POST /eval); excess requests are shed with 429 + Retry-After")
-		traceOut     = fs.String("trace-out", "", "write this worker's span events (traced /eval and /cache fetches) to this JSONL file")
+		traceOut     = fs.String("trace-out", "", "write this worker's span events (traced /eval requests) to this JSONL file")
 		chaosSpec    = fs.String("chaos", "", "worker-side deterministic chaos spec for POST /eval (e.g. \"storm@0-3=503,corrupt@5\"); see internal/fleet.ParseChaosSpec")
 		debug        = fs.Bool("debug", false, "mount the runtime profiling surface (/debug/pprof/*, /debug/vars); off by default as it exposes process internals")
 		runtimeSamp  = fs.Duration("runtime-sample", 0, "runtime sampler cadence for /metrics (goroutines, heap, GC pauses); 0 = 10s default, negative disables")

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"sort"
 	"strconv"
@@ -106,12 +107,16 @@ func containsInt(list []int, ord int) bool {
 
 // corruptByte flips one byte of body in place-copy at a position derived
 // only from (seed, ord, len) — deterministic, so a replayed chaos run
-// corrupts the identical offset. XOR with 0x5A guarantees the byte changes.
+// corrupts the identical offset. The position hash is FNV-1a, which is
+// stable across processes and Go versions. XOR with 0x5A guarantees the
+// byte changes.
 func corruptByte(body []byte, seed int64, ord int) []byte {
 	if len(body) == 0 {
 		return body
 	}
-	pos := int(ringHash(fmt.Sprintf("chaos|%d|%d", seed, ord))) % len(body)
+	h := fnv.New32a()
+	fmt.Fprintf(h, "chaos|%d|%d", seed, ord)
+	pos := int(h.Sum32()) % len(body)
 	out := make([]byte, len(body))
 	copy(out, body)
 	out[pos] ^= 0x5A

@@ -308,9 +308,9 @@ func TestParseRetryAfter(t *testing.T) {
 }
 
 // TestRetryDelayHonorsRetryAfterCapped: the worker's hint overrides the
-// deterministic schedule but can never exceed Retry.BackoffCap.
+// deterministic schedule but can never exceed the retry policy's BackoffCap.
 func TestRetryDelayHonorsRetryAfterCapped(t *testing.T) {
-	c := &Coordinator{opts: Options{Retry: eval.RetryPolicy{Backoff: 4 * time.Millisecond, BackoffCap: 32 * time.Millisecond}}.withDefaults()}
+	c := &Coordinator{retry: eval.RetryPolicy{Backoff: 4 * time.Millisecond, BackoffCap: 32 * time.Millisecond}}
 	base := errors.New("worker w: status 429")
 	if got := c.retryDelay(1, base); got != 4*time.Millisecond {
 		t.Fatalf("no hint: delay = %v, want the schedule's 4ms", got)

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"xdse/internal/eval"
 	"xdse/internal/exp"
 	"xdse/internal/fleet"
 	"xdse/internal/serve"
@@ -73,28 +72,22 @@ var modes = []struct{ tech string }{
 	{"ExplainableDSE-Codesign"},
 }
 
-// fleetOptions returns aggressive timings so chaos plays out within a
-// seconds-scale run.
+// fleetOptions returns fast probes and an early hedge so chaos plays out
+// within a seconds-scale run.
 func fleetOptions() fleet.Options {
 	return fleet.Options{
-		MaxShardHold:   10 * time.Second,
 		HealthInterval: 25 * time.Millisecond,
-		ShardPoints:    2,
-		Retry:          eval.RetryPolicy{Backoff: 2 * time.Millisecond, BackoffCap: 20 * time.Millisecond},
 		HedgeAfter:     200 * time.Millisecond,
 		Warnf:          func(string, ...any) {},
 	}
 }
 
-// calmOptions returns fleetOptions with a generous attempt deadline and
-// hedging off, for tests whose assertions (exact dispatch or fault counts)
-// must not be perturbed by load-induced timeouts or hedge races — e.g. under
-// the race detector with the whole package running.
+// calmOptions returns fleetOptions with hedging off, for tests whose
+// assertions (exact dispatch or fault counts) must not be perturbed by hedge
+// races — e.g. under the race detector with the whole package running.
 func calmOptions() fleet.Options {
 	o := fleetOptions()
-	o.MaxShardHold = 10 * time.Minute
 	o.HedgeAfter = -1
-	o.Retry.MaxAttempts = 32
 	return o
 }
 
@@ -135,8 +128,8 @@ func TestKillWorkerMidCampaignBitIdentical(t *testing.T) {
 			// whichever worker receives it, kills that worker — the request
 			// is dropped mid-flight and so is everything after it, probes
 			// included. This guarantees the campaign loses a worker that
-			// was actively serving a shard, wherever the ring sent the
-			// shards.
+			// was actively serving a shard, whichever worker it was dealt
+			// to.
 			var mu sync.Mutex
 			evals := 0
 			dead := &atomic.Bool{} // set once some worker has been killed
@@ -236,10 +229,26 @@ func TestVersionSkewQuarantine(t *testing.T) {
 	model := workload.ByName("ResNet18")
 	ref := exp.RunOne(context.Background(), testConfig(), tech, model, testBudget)
 
-	ts, _ := startWorker(t)
-	opts := fleetOptions()
-	opts.ModelVersion = "some-other-model-version"
-	c, err := fleet.New([]string{ts.Listener.Addr().String()}, opts)
+	// A real worker whose /readyz reports another cost-model version.
+	s, err := serve.New(quietOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var evals atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/readyz":
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"status":"ready","model_version":"some-other-model-version"}`)
+			return
+		case "/eval":
+			evals.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	c, err := fleet.New([]string{ts.Listener.Addr().String()}, fleetOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +264,9 @@ func TestVersionSkewQuarantine(t *testing.T) {
 	got := exp.RunOne(context.Background(), cfg, tech, model, testBudget)
 	if got.Trace.Fingerprint() != ref.Trace.Fingerprint() {
 		t.Fatal("quarantine run fingerprint differs from single-node reference")
+	}
+	if n := evals.Load(); n != 0 {
+		t.Fatalf("quarantined worker received %d shards, want 0", n)
 	}
 }
 

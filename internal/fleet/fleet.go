@@ -12,13 +12,15 @@
 //     evaluator already holds (layer cache or persistent store) is never
 //     dispatched, so a coordinator restarted over the same cache directory
 //     resumes without re-dispatching what it already merged.
-//   - Shards are assigned by consistent hash of the design/workload cache
-//     key, so repeat points land on the worker already holding their records.
-//   - Every dispatch attempt runs under a MaxShardHold deadline, and one
-//     still unanswered after HedgeAfter is hedged to the next ring worker
+//   - A batch's fresh points are dealt round-robin into shards, and each
+//     shard goes first to the next healthy worker in turn. No placement is
+//     sticky: Prepare never dispatches a point the coordinator already
+//     holds, so there is no repeat point for a worker to be warm for.
+//   - Every dispatch attempt runs under a 2-minute deadline, and one still
+//     unanswered after HedgeAfter is hedged to the next healthy worker
 //     (first result wins). A failed attempt — worker killed mid-flight, hung
 //     past its deadline, or transport failure — re-dispatches the shard to
-//     the next worker on the ring (work stealing). Late and duplicate results
+//     the next healthy worker (work stealing). Late and duplicate results
 //     need no gate: installing a content-addressed record twice is a no-op.
 //   - Faults are classified with eval.ErrClass semantics: connection
 //     refused/timeouts/5xx are transient (retried at once on an untried
@@ -57,33 +59,16 @@ import (
 // Options tunes a Coordinator. The zero value is usable; defaults suit a
 // LAN fleet of a few workers.
 type Options struct {
-	// MaxShardHold bounds one dispatch attempt: its request runs under a
-	// context deadline this far out, so a hung worker costs at most this
-	// long before the shard moves on — the straggler bound. Default 2m.
-	MaxShardHold time.Duration
 	// HealthInterval is the membership probe cadence. Default 1s.
 	HealthInterval time.Duration
-	// ShardPoints caps design points per dispatched shard. Default 8.
-	ShardPoints int
-	// Retry bounds a shard's dispatch attempts (MaxAttempts) before it falls
-	// back to local evaluation, and spaces them with the deterministic
-	// backoff of eval.RetryPolicy.DelayBefore. Zero fields default to 3
-	// attempts, 50ms and a 2s cap.
-	Retry eval.RetryPolicy
 	// HedgeAfter is the straggler threshold: a dispatch attempt still
-	// unanswered after this long gets one hedge to the next ring candidate,
+	// unanswered after this long gets one hedge to the next healthy worker,
 	// and the first result wins (the loser is cancelled and ignored). 0
 	// selects the 2.5s default; negative disables hedging.
 	HedgeAfter time.Duration
 	// Chaos, when non-nil (and non-empty), deterministically injects faults
 	// into the coordinator's dispatch path — see ChaosPolicy.
 	Chaos *ChaosPolicy
-	// ModelVersion is the cost-model version workers must match. Default
-	// perf.ModelVersion(); tests override it to exercise quarantine.
-	ModelVersion string
-	// Registry, when non-nil, receives the fleet_* instruments; otherwise
-	// the coordinator allocates a private registry (see Metrics).
-	Registry *obs.Registry
 	// Warnf, when non-nil, receives human-readable fleet events
 	// (membership transitions, steals, hedges, permanent faults).
 	Warnf func(format string, args ...any)
@@ -92,34 +77,21 @@ type Options struct {
 // defaultHedgeAfter is the straggler threshold HedgeAfter 0 selects.
 const defaultHedgeAfter = 2500 * time.Millisecond
 
+// shardPoints caps the design points of one shard. A batch is dealt into
+// at least one shard per healthy worker, and into more when that would
+// exceed this cap.
+const shardPoints = 8
+
 // withDefaults resolves zero fields to their documented defaults.
 func (o Options) withDefaults() Options {
-	if o.MaxShardHold <= 0 {
-		o.MaxShardHold = 2 * time.Minute
-	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
-	}
-	if o.ShardPoints <= 0 {
-		o.ShardPoints = 8
-	}
-	if o.Retry.MaxAttempts <= 0 {
-		o.Retry.MaxAttempts = 3
-	}
-	if o.Retry.Backoff <= 0 {
-		o.Retry.Backoff = 50 * time.Millisecond
-	}
-	if o.Retry.BackoffCap <= 0 {
-		o.Retry.BackoffCap = 2 * time.Second
 	}
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = defaultHedgeAfter
 	}
 	if o.HedgeAfter < 0 {
 		o.HedgeAfter = 0 // disabled
-	}
-	if o.ModelVersion == "" {
-		o.ModelVersion = perf.ModelVersion()
 	}
 	return o
 }
@@ -140,6 +112,18 @@ type Coordinator struct {
 	pool   *pool
 	client *http.Client
 	chaos  *ChaosInjector
+
+	// version is the cost-model version workers and their records must
+	// match: perf.ModelVersion().
+	version string
+	// maxShardHold bounds one dispatch attempt: its request runs under a
+	// context deadline this far out, so a hung worker costs at most this
+	// long before the shard moves on — the straggler bound.
+	maxShardHold time.Duration
+	// retry bounds a shard's dispatch attempts (MaxAttempts) before it falls
+	// back to local evaluation, and spaces them with the deterministic
+	// backoff of eval.RetryPolicy.DelayBefore.
+	retry eval.RetryPolicy
 
 	cShards    *obs.Counter // shards dispatched remotely (first attempts)
 	cStolen    *obs.Counter // re-dispatches after a failed attempt
@@ -170,10 +154,7 @@ func New(workers []string, opts Options) (*Coordinator, error) {
 		}
 	}
 	opts = opts.withDefaults()
-	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	client := &http.Client{}
 	c := &Coordinator{
 		opts:       opts,
@@ -190,8 +171,12 @@ func New(workers []string, opts Options) (*Coordinator, error) {
 		cLocalPts:  reg.Counter("fleet_points_local_total"),
 		cHedges:    reg.Counter("fleet_hedges_total"),
 		cHedgeWins: reg.Counter("fleet_hedge_wins_total"),
+
+		version:      perf.ModelVersion(),
+		maxShardHold: 2 * time.Minute,
+		retry:        eval.RetryPolicy{MaxAttempts: 3, Backoff: 50 * time.Millisecond, BackoffCap: 2 * time.Second},
 	}
-	c.pool = newPool(workers, opts.ModelVersion, opts.HealthInterval, client, reg, opts.Warnf)
+	c.pool = newPool(workers, c.version, opts.HealthInterval, client, reg, opts.Warnf)
 	c.pool.start()
 	return c, nil
 }
@@ -243,7 +228,7 @@ func (c *Coordinator) recordFault(msg string) {
 // Prepare returns a search.Problem.Prepare hook that warms ev's layer cache
 // from the fleet before each batch: it drops the batch's points ev can
 // already answer (memoized, or every layer record local — eval.Prefill),
-// shards the rest by consistent hash, dispatches each shard, and installs
+// deals the rest into shards, dispatches each shard, and installs
 // the returned content-addressed records. The hook is result neutral — the
 // batch's evaluations run locally afterwards and are bit-identical whether
 // the hook did everything, something, or nothing.
@@ -251,7 +236,7 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 	cfg := ev.Config()
 	base := EvalRequest{
 		Protocol:     ProtocolVersion,
-		ModelVersion: c.opts.ModelVersion,
+		ModelVersion: c.version,
 		Model:        model,
 		Mode:         cfg.Mode.String(),
 		MapTrials:    cfg.MapTrials,
@@ -308,41 +293,33 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 	}
 }
 
-// shard is one dispatchable unit: a slice of point keys with a ring-derived
-// locality key and preferred owner.
+// shard is one dispatchable unit: a slice of point keys and the worker to
+// try first.
 type shard struct {
-	key    string // locality key of the shard's first point
+	key    string // names the shard in spans and logs: model|first point key
+	first  int    // index of the worker dealt the shard; see pool.pick
 	points []string
 }
 
-// shard groups fresh points by their ring owner (for evalcache locality)
-// and chunks each group to ShardPoints. Returns nil when no workers are
-// currently healthy.
+// shard deals k fresh points round-robin into min(k, max(h, ⌈k/8⌉))
+// shards over the h healthy workers, so every healthy worker gets work,
+// shard sizes differ by at most one and none exceeds shardPoints. Each
+// shard is dealt to the next healthy worker under the pool's cursor.
+// Returns nil when no workers are currently healthy.
 func (c *Coordinator) shard(model string, pts []arch.Point) []shard {
-	if c.pool.healthyCount() == 0 {
+	h := c.pool.healthyCount()
+	if h == 0 {
 		return nil
 	}
-	groups := make(map[int][]string)
-	var order []int
-	for _, pt := range pts {
-		key := model + "|" + pt.Key()
-		own := c.pool.owner(key)
-		if _, ok := groups[own]; !ok {
-			order = append(order, own)
-		}
-		groups[own] = append(groups[own], pt.Key())
+	k := len(pts)
+	out := make([]shard, min(k, max(h, (k+shardPoints-1)/shardPoints)))
+	for i, pt := range pts {
+		sh := &out[i%len(out)]
+		sh.points = append(sh.points, pt.Key())
 	}
-	var out []shard
-	for _, own := range order {
-		keys := groups[own]
-		for len(keys) > 0 {
-			n := c.opts.ShardPoints
-			if n > len(keys) {
-				n = len(keys)
-			}
-			out = append(out, shard{key: model + "|" + keys[0], points: keys[:n]})
-			keys = keys[n:]
-		}
+	for i := range out {
+		out[i].key = model + "|" + out[i].points[0]
+		out[i].first = c.pool.deal()
 	}
 	return out
 }
@@ -384,11 +361,11 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 		if ctx.Err() != nil {
 			return nil
 		}
-		w, idx := c.pool.pick(sh.key, tried)
+		w, idx := c.pool.pick(sh.first, tried)
 		if w == nil && len(tried) > 0 {
 			// Every healthy worker was tried: back off, then a second pass.
 			tried = make(map[int]bool)
-			w, idx = c.pool.pick(sh.key, tried)
+			w, idx = c.pool.pick(sh.first, tried)
 			if w != nil && !sleepCtx(ctx, c.retryDelay(attempt-1, lastErr)) {
 				return nil
 			}
@@ -412,7 +389,7 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 			c.cLocal.Inc()
 			return nil
 		}
-		if attempt >= c.opts.Retry.MaxAttempts {
+		if attempt >= c.retry.MaxAttempts {
 			c.cLocal.Inc()
 			return nil
 		}
@@ -428,10 +405,10 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 // capped at the schedule's ceiling so a worker advertising a huge hold-off
 // cannot stall a shard past the campaign's own bound.
 func (c *Coordinator) retryDelay(attempt int, err error) time.Duration {
-	d := c.opts.Retry.DelayBefore(attempt)
+	d := c.retry.DelayBefore(attempt)
 	var ra *retryAfterError
 	if errors.As(err, &ra) && ra.hint > 0 {
-		d = min(ra.hint, c.opts.Retry.BackoffCap)
+		d = min(ra.hint, c.retry.BackoffCap)
 	}
 	return d
 }
@@ -446,7 +423,7 @@ type attemptResult struct {
 }
 
 // dispatchHedged performs one logical dispatch attempt of sh on w, hedging
-// to the next ring candidate if the attempt is still unanswered after the
+// to the next healthy worker if the attempt is still unanswered after the
 // HedgeAfter threshold. The first complete result wins; the loser's context
 // is cancelled to free the connection, and whatever it still returns is
 // ignored. Hedging is safe by the same argument as work stealing: workers
@@ -498,7 +475,7 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 			for k := range tried {
 				ex[k] = true
 			}
-			hw, hidx := c.pool.pick(sh.key, ex)
+			hw, hidx := c.pool.pick(sh.first, ex)
 			if hw == nil {
 				continue
 			}
@@ -589,7 +566,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// dispatch performs one attempt of sh on w under a MaxShardHold deadline:
+// dispatch performs one attempt of sh on w under the maxShardHold deadline:
 // a worker that has not answered by then has its request cancelled, and the
 // attempt fails as a transient fault. Errors are classified by classify.
 func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, w *worker) (recs []evalcache.Record, err error) {
@@ -611,15 +588,15 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 		rpc.End()
 	}()
 
-	actx, cancel := context.WithTimeout(ctx, c.opts.MaxShardHold)
+	actx, cancel := context.WithTimeout(ctx, c.maxShardHold)
 	defer cancel()
 	resp, err := c.postEval(actx, w, req, rpc.Context())
 	if err != nil {
 		return nil, err
 	}
-	if resp.ModelVersion != c.opts.ModelVersion {
-		c.pool.mark(w, workerQuarantined, fmt.Sprintf("response model version %q, want %q", resp.ModelVersion, c.opts.ModelVersion))
-		return nil, &permanentError{fmt.Errorf("worker %s: response model version %q, want %q", w.id, resp.ModelVersion, c.opts.ModelVersion)}
+	if resp.ModelVersion != c.version {
+		c.pool.mark(w, workerQuarantined, fmt.Sprintf("response model version %q, want %q", resp.ModelVersion, c.version))
+		return nil, &permanentError{fmt.Errorf("worker %s: response model version %q, want %q", w.id, resp.ModelVersion, c.version)}
 	}
 	// The result is accepted: merge the worker-side spans into the local
 	// trace. Spans of discarded (timed-out, errored, skewed) results never
@@ -629,7 +606,7 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 	}
 	for _, line := range resp.Records {
 		rec, ver, err := evalcache.DecodeRecord(line)
-		if err != nil || ver != c.opts.ModelVersion {
+		if err != nil || ver != c.version {
 			// A corrupt or skewed record is dropped, not fatal: the
 			// coordinator recomputes that layer locally.
 			continue
@@ -640,8 +617,8 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 }
 
 // retryAfterError decorates a transient status fault with the worker's own
-// Retry-After hint, which runShard folds into its backoff (capped at
-// Retry.BackoffCap).
+// Retry-After hint, which runShard folds into its backoff (capped at the
+// retry policy's BackoffCap).
 type retryAfterError struct {
 	err  error
 	hint time.Duration

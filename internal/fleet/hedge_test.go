@@ -12,17 +12,18 @@ import (
 	"time"
 
 	"xdse/internal/eval"
+	"xdse/internal/perf"
 )
 
 // fakeWorker mounts a minimal fleet worker: a /readyz that passes the
-// membership handshake for model version "v-test" and the given /eval
-// handler.
+// membership handshake at this build's perf.ModelVersion() and the given
+// /eval handler.
 func fakeWorker(t *testing.T, eval http.HandlerFunc) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"status":"ready","model_version":"v-test"}`)
+		fmt.Fprintf(w, `{"status":"ready","model_version":%q}`, perf.ModelVersion())
 	})
 	mux.HandleFunc("POST /eval", eval)
 	ts := httptest.NewServer(mux)
@@ -33,36 +34,20 @@ func fakeWorker(t *testing.T, eval http.HandlerFunc) *httptest.Server {
 // okEval answers one shard with an empty (but valid) record set.
 func okEval(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprint(w, `{"model_version":"v-test","records":[],"evaluated":1}`)
+	fmt.Fprintf(w, `{"model_version":%q,"records":[],"evaluated":1}`, perf.ModelVersion())
 }
 
-// hedgeTestOptions: a long attempt deadline (out of the picture unless a
-// test shortens it), fast probes, hedging tuned per test.
+// hedgeTestOptions: fast probes, hedging tuned per test. The attempt
+// deadline and retry policy are the production ones unless a test shortens
+// them on the coordinator it built.
 func hedgeTestOptions() Options {
 	return Options{
-		MaxShardHold:   time.Hour,
 		HealthInterval: 10 * time.Millisecond,
-		ModelVersion:   "v-test",
-		Retry:          eval.RetryPolicy{Backoff: time.Millisecond, BackoffCap: 2 * time.Millisecond},
 		Warnf:          func(string, ...any) {},
 	}
 }
 
-// keyOwnedBy returns a shard key the ring assigns to the worker at addr, so
-// a test's first dispatch is guaranteed to hit it.
-func keyOwnedBy(c *Coordinator, addr string) string {
-	idx := 0
-	if c.pool.workers[1].id == addr {
-		idx = 1
-	}
-	for i := 0; ; i++ {
-		if k := fmt.Sprintf("m|p%d", i); c.pool.owner(k) == idx {
-			return k
-		}
-	}
-}
-
-var testBase = EvalRequest{Protocol: ProtocolVersion, ModelVersion: "v-test", Model: "m", Mode: "test", Points: nil}
+var testBase = EvalRequest{Protocol: ProtocolVersion, ModelVersion: perf.ModelVersion(), Model: "m", Mode: "test", Points: nil}
 
 // TestHedgeRescuesStraggler: the first dispatch anywhere blocks; after
 // HedgeAfter the coordinator launches one hedge to the other worker, whose
@@ -142,7 +127,7 @@ func TestHedgeNoCandidateFallsThrough(t *testing.T) {
 }
 
 // TestDispatchLateResultDiscarded: a worker that answers only after the
-// attempt's MaxShardHold deadline has its perfectly valid response
+// attempt's maxShardHold deadline has its perfectly valid response
 // discarded — the attempt fails as a transient timeout with no records.
 func TestDispatchLateResultDiscarded(t *testing.T) {
 	release := make(chan struct{})
@@ -151,13 +136,12 @@ func TestDispatchLateResultDiscarded(t *testing.T) {
 		<-release
 		okEval(w, r)
 	})
-	opts := hedgeTestOptions()
-	opts.MaxShardHold = 50 * time.Millisecond
-	c, err := New([]string{ts.Listener.Addr().String()}, opts)
+	c, err := New([]string{ts.Listener.Addr().String()}, hedgeTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.maxShardHold = 50 * time.Millisecond
 
 	recs, err := c.dispatch(context.Background(), testBase, shard{key: "m|p1", points: []string{"p1"}}, c.pool.workers[0])
 	close(release) // the worker answers now, after the deadline
@@ -170,7 +154,7 @@ func TestDispatchLateResultDiscarded(t *testing.T) {
 }
 
 // TestHungWorkerBoundedByMaxShardHold: a worker that accepts /eval and never
-// answers costs each attempt at most MaxShardHold; runShard then falls back
+// answers costs each attempt at most maxShardHold; runShard then falls back
 // to local evaluation instead of waiting on it.
 func TestHungWorkerBoundedByMaxShardHold(t *testing.T) {
 	ts := fakeWorker(t, func(w http.ResponseWriter, r *http.Request) {
@@ -178,14 +162,14 @@ func TestHungWorkerBoundedByMaxShardHold(t *testing.T) {
 		<-r.Context().Done() // hang until the coordinator gives up
 	})
 	opts := hedgeTestOptions()
-	opts.MaxShardHold = 50 * time.Millisecond
 	opts.HedgeAfter = -1
-	opts.Retry.MaxAttempts = 2
 	c, err := New([]string{ts.Listener.Addr().String()}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.maxShardHold = 50 * time.Millisecond
+	c.retry.MaxAttempts = 2
 
 	start := time.Now()
 	recs := c.runShard(context.Background(), testBase, shard{key: "m|p1", points: []string{"p1"}})
@@ -193,10 +177,10 @@ func TestHungWorkerBoundedByMaxShardHold(t *testing.T) {
 	if recs != nil {
 		t.Fatal("hung worker produced records")
 	}
-	// Two attempts at 50ms plus a 1ms backoff; the slack absorbs the race
+	// Two attempts at 50ms plus one 50ms backoff; the slack absorbs the race
 	// detector and a loaded host, not another attempt's worth of hanging.
-	if elapsed < 2*opts.MaxShardHold || elapsed > 5*time.Second {
-		t.Fatalf("runShard took %v, want about 2×%v", elapsed, opts.MaxShardHold)
+	if elapsed < 2*c.maxShardHold || elapsed > 5*time.Second {
+		t.Fatalf("runShard took %v, want about 2×%v", elapsed, c.maxShardHold)
 	}
 	if got := c.Metrics().Counter("fleet_shards_local_total").Value(); got != 1 {
 		t.Fatalf("fleet_shards_local_total = %d, want 1 (local fallback)", got)
@@ -204,7 +188,7 @@ func TestHungWorkerBoundedByMaxShardHold(t *testing.T) {
 }
 
 // TestShedIsBackpressureNotFault: a worker answering 429 is shedding load.
-// Each shard moves to the next ring candidate, but the shedder is charged no
+// Each shard moves to the next healthy worker, but the shedder is charged no
 // fault: dispatchFaultLimit sheds in a row leave it healthy. The monitor
 // probes only at start, so only a dispatch could change its health.
 func TestShedIsBackpressureNotFault(t *testing.T) {
@@ -223,9 +207,9 @@ func TestShedIsBackpressureNotFault(t *testing.T) {
 	}
 	defer c.Close()
 
-	key := keyOwnedBy(c, shedAddr)
 	for i := 0; i < dispatchFaultLimit; i++ {
-		c.runShard(context.Background(), testBase, shard{key: key, points: []string{"p"}})
+		// Dealt to worker 0, the shedder.
+		c.runShard(context.Background(), testBase, shard{key: "m|p", first: 0, points: []string{"p"}})
 	}
 
 	m := c.Metrics()
@@ -258,20 +242,19 @@ func TestStealSkipsBackoff(t *testing.T) {
 	good := fakeWorker(t, okEval)
 	opts := hedgeTestOptions()
 	opts.HedgeAfter = -1 // isolate the steal path
-	// A taken backoff would hang the test loudly.
-	opts.Retry = eval.RetryPolicy{Backoff: time.Hour, BackoffCap: time.Hour}
-	badAddr, goodAddr := bad.Listener.Addr().String(), good.Listener.Addr().String()
-	c, err := New([]string{badAddr, goodAddr}, opts)
+	c, err := New([]string{bad.Listener.Addr().String(), good.Listener.Addr().String()}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	key := keyOwnedBy(c, badAddr)
+	// A taken backoff would hang the test loudly.
+	c.retry.Backoff, c.retry.BackoffCap = time.Hour, time.Hour
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.runShard(context.Background(), testBase, shard{key: key, points: []string{"p"}})
+		// Dealt to worker 0, the failing one.
+		c.runShard(context.Background(), testBase, shard{key: "m|p", first: 0, points: []string{"p"}})
 	}()
 	select {
 	case <-done:

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,26 +65,12 @@ func (w *worker) get() workerState {
 // healthy reports whether the worker is currently eligible for shards.
 func (w *worker) healthy() bool { return w.get() == workerHealthy }
 
-// ringVirtualNodes is the number of virtual nodes per worker on the
-// consistent-hash ring — enough to spread shard ownership evenly across a
-// handful of workers without making the ring walk expensive.
-const ringVirtualNodes = 64
-
-// ringSlot is one virtual node: a hash position owned by workers[idx].
-type ringSlot struct {
-	hash uint32
-	idx  int
-}
-
-// pool tracks fleet membership: the static worker list, the consistent-hash
-// ring over it, and each worker's health as probes and dispatches find it.
-// The ring is built once over ALL workers (not just healthy ones) so shard
-// ownership — and therefore evalcache locality — is stable while health
-// fluctuates; dispatch walks the ring from the owner to the first healthy
-// worker instead.
+// pool tracks fleet membership: the static worker list, each worker's
+// health as probes and dispatches find it, and the cursor that deals shards
+// over the healthy workers in turn.
 type pool struct {
 	workers []*worker
-	ring    []ringSlot
+	cursor  atomic.Uint64 // next worker index (mod len(workers)) to deal a shard to
 
 	client   *http.Client
 	version  string // expected perf.ModelVersion for the handshake
@@ -102,8 +86,8 @@ type pool struct {
 	probeInflight sync.WaitGroup
 }
 
-// newPool builds the membership ring and metric instruments; call start to
-// begin probing.
+// newPool builds the worker list and metric instruments; call start to begin
+// probing.
 func newPool(addrs []string, version string, interval time.Duration, client *http.Client, reg *obs.Registry, warnf func(string, ...any)) *pool {
 	p := &pool{
 		client:       client,
@@ -122,27 +106,7 @@ func newPool(addrs []string, version string, interval time.Duration, client *htt
 		}
 		p.workers = append(p.workers, &worker{id: a, url: url})
 	}
-	for i, w := range p.workers {
-		for v := 0; v < ringVirtualNodes; v++ {
-			p.ring = append(p.ring, ringSlot{hash: ringHash(fmt.Sprintf("%s#%d", w.id, v)), idx: i})
-		}
-	}
-	sort.Slice(p.ring, func(a, b int) bool {
-		if p.ring[a].hash != p.ring[b].hash {
-			return p.ring[a].hash < p.ring[b].hash
-		}
-		return p.ring[a].idx < p.ring[b].idx
-	})
 	return p
-}
-
-// ringHash is the pool's position hash: FNV-1a, chosen because it is stable
-// across processes and Go versions (shard ownership must agree between runs
-// for cache locality, though never for correctness).
-func ringHash(s string) uint32 {
-	h := fnv.New32a()
-	io.WriteString(h, s)
-	return h.Sum32()
 }
 
 // start runs one synchronous probe round (so callers observe initial
@@ -293,45 +257,31 @@ func (p *pool) healthyCount() int {
 	return n
 }
 
-// owner returns the ring owner index for key — the worker that would hold
-// key's cache locality, health notwithstanding.
-func (p *pool) owner(key string) int {
-	if len(p.ring) == 0 {
-		return 0
+// deal moves the cursor past the next healthy worker and returns that
+// worker's index, so consecutive shards, from one batch or from concurrent
+// runs, alternate over the healthy workers. With none healthy it returns
+// the index the cursor passed last; pick then finds no worker.
+func (p *pool) deal() int {
+	n := uint64(len(p.workers))
+	var i int
+	for range p.workers {
+		i = int((p.cursor.Add(1) - 1) % n)
+		if p.workers[i].healthy() {
+			break
+		}
 	}
-	h := ringHash(key)
-	i := sort.Search(len(p.ring), func(i int) bool { return p.ring[i].hash >= h })
-	if i == len(p.ring) {
-		i = 0
-	}
-	return p.ring[i].idx
+	return i
 }
 
-// pick walks the ring clockwise from key's owner and returns the first
-// healthy worker whose index is not in tried, preserving locality (the owner
-// is preferred; failover order is deterministic). Returns (nil, -1) when no
-// healthy untried worker exists.
-func (p *pool) pick(key string, tried map[int]bool) (*worker, int) {
-	if len(p.ring) == 0 {
-		return nil, -1
-	}
-	h := ringHash(key)
-	start := sort.Search(len(p.ring), func(i int) bool { return p.ring[i].hash >= h })
-	seen := make(map[int]bool, len(p.workers))
-	for off := 0; off < len(p.ring); off++ {
-		slot := p.ring[(start+off)%len(p.ring)]
-		if seen[slot.idx] {
-			continue
-		}
-		seen[slot.idx] = true
-		if tried[slot.idx] {
-			continue
-		}
-		if w := p.workers[slot.idx]; w.healthy() {
-			return w, slot.idx
-		}
-		if len(seen) == len(p.workers) {
-			break
+// pick walks the worker list from index first, wrapping around, and returns
+// the first healthy worker whose index is not in tried: the shard's dealt
+// worker while it is healthy, then the workers after it in list order. It
+// returns (nil, -1) when no healthy untried worker exists.
+func (p *pool) pick(first int, tried map[int]bool) (*worker, int) {
+	for off := range p.workers {
+		i := (first + off) % len(p.workers)
+		if w := p.workers[i]; !tried[i] && w.healthy() {
+			return w, i
 		}
 	}
 	return nil, -1

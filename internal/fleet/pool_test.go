@@ -8,73 +8,100 @@ import (
 	"testing"
 	"time"
 
+	"xdse/internal/arch"
 	"xdse/internal/obs"
 )
 
-func TestRingOwnerDeterministicAndLocal(t *testing.T) {
-	reg := obs.NewRegistry()
-	addrs := []string{"a:1", "b:2", "c:3"}
-	p1 := newPool(addrs, "v", time.Second, nil, reg, nil)
-	p2 := newPool(addrs, "v", time.Second, nil, obs.NewRegistry(), nil)
-	keys := []string{"ResNet18|k1", "ResNet18|k2", "BERT|k1", "x|y", "m|n"}
-	spread := map[int]bool{}
-	for _, k := range keys {
-		if p1.owner(k) != p2.owner(k) {
-			t.Fatalf("ring owner for %q differs between identical pools", k)
-		}
-		spread[p1.owner(k)] = true
-	}
-	if len(spread) < 2 {
-		t.Fatalf("all %d keys landed on one worker — ring not spreading", len(keys))
-	}
-}
-
-func TestPickPrefersOwnerAndFailsOver(t *testing.T) {
-	reg := obs.NewRegistry()
-	addrs := []string{"a:1", "b:2", "c:3"}
-	p := newPool(addrs, "v", time.Second, nil, reg, nil)
+// TestPickPrefersFirstAndFailsOver: pick returns the dealt worker while it
+// is healthy and untried, and otherwise the next such worker in list order,
+// wrapping around.
+func TestPickPrefersFirstAndFailsOver(t *testing.T) {
+	p := newPool([]string{"a:1", "b:2", "c:3"}, "v", time.Second, nil, obs.NewRegistry(), nil)
 	for _, w := range p.workers {
 		w.setState(workerHealthy)
 	}
-	key := "ResNet18|k1"
-	own := p.owner(key)
-	w, idx := p.pick(key, nil)
-	if w == nil || idx != own {
-		t.Fatalf("pick over a fully healthy pool chose %v, want owner %d", idx, own)
+	for first := range p.workers {
+		if w, idx := p.pick(first, nil); w == nil || idx != first {
+			t.Fatalf("pick(%d) over a fully healthy pool chose %d", first, idx)
+		}
 	}
-	// Owner down: pick must fail over to a different healthy worker,
-	// deterministically.
-	p.workers[own].setState(workerUnreachable)
-	w2, idx2 := p.pick(key, nil)
-	if w2 == nil || idx2 == own {
-		t.Fatalf("pick did not fail over from the down owner (got %v)", idx2)
+	p.workers[2].setState(workerUnreachable)
+	if _, idx := p.pick(2, nil); idx != 0 {
+		t.Fatalf("pick(2) with worker 2 down chose %d, want 0 (the walk wraps)", idx)
 	}
-	_, idx3 := p.pick(key, nil)
-	if idx3 != idx2 {
-		t.Fatalf("failover not deterministic: %d then %d", idx2, idx3)
+	if _, idx := p.pick(2, map[int]bool{0: true}); idx != 1 {
+		t.Fatalf("pick(2) with worker 2 down and 0 tried chose %d, want 1", idx)
 	}
-	// Excluding the failover target too leaves exactly one candidate.
-	w4, idx4 := p.pick(key, map[int]bool{idx2: true})
-	if w4 == nil || idx4 == idx2 || idx4 == own {
-		t.Fatalf("pick with exclusion chose %v", idx4)
+	if w, idx := p.pick(0, map[int]bool{0: true, 1: true}); w != nil {
+		t.Fatalf("pick chose worker %d with every healthy worker tried", idx)
 	}
-	// Everything excluded or down: nil.
-	if w5, _ := p.pick(key, map[int]bool{0: true, 1: true, 2: true}); w5 != nil {
-		t.Fatal("pick returned a worker despite all being excluded")
-	}
-	_ = w
-	_ = w2
 }
 
 func TestQuarantinedWorkerNeverPicked(t *testing.T) {
 	p := newPool([]string{"a:1", "b:2"}, "v", time.Second, nil, obs.NewRegistry(), nil)
 	p.workers[0].setState(workerQuarantined)
 	p.workers[1].setState(workerHealthy)
-	for _, key := range []string{"k1", "k2", "k3", "k4", "k5"} {
-		w, idx := p.pick(key, nil)
-		if w == nil || idx != 1 {
-			t.Fatalf("pick(%q) = %v, want the sole healthy worker 1", key, idx)
+	for i := 0; i < 4; i++ {
+		if first := p.deal(); first != 1 {
+			t.Fatalf("deal %d chose %d, want the sole healthy worker 1", i, first)
 		}
+		if w, idx := p.pick(i%2, nil); w == nil || idx != 1 {
+			t.Fatalf("pick(%d) = %v, want the sole healthy worker 1", i%2, idx)
+		}
+	}
+}
+
+// TestShardDealsRoundRobin: k fresh points are dealt into min(k, max(h,
+// ⌈k/8⌉)) shards over the h healthy workers, each point exactly once, with
+// shard sizes within one of each other and at most shardPoints. Shards are
+// dealt to healthy workers only, alternating across consecutive calls.
+func TestShardDealsRoundRobin(t *testing.T) {
+	p := newPool([]string{"a:1", "b:2", "c:3"}, "v", time.Second, nil, obs.NewRegistry(), nil)
+	p.workers[0].setState(workerHealthy)
+	p.workers[1].setState(workerUnreachable)
+	p.workers[2].setState(workerHealthy)
+	c := &Coordinator{pool: p}
+	prev := -1
+	for _, k := range []int{1, 2, 3, 5, 8, 9, 17, 40} {
+		pts := make([]arch.Point, k)
+		for i := range pts {
+			pts[i] = arch.Point{i}
+		}
+		shards := c.shard("m", pts)
+		if want := min(k, max(2, (k+7)/8)); len(shards) != want {
+			t.Fatalf("k=%d: %d shards, want %d", k, len(shards), want)
+		}
+		seen := map[string]int{}
+		lo, hi := k, 0
+		for _, sh := range shards {
+			lo, hi = min(lo, len(sh.points)), max(hi, len(sh.points))
+			for _, key := range sh.points {
+				seen[key]++
+			}
+			if !p.workers[sh.first].healthy() {
+				t.Fatalf("k=%d: shard dealt to unhealthy worker %d", k, sh.first)
+			}
+			if sh.first == prev {
+				t.Fatalf("k=%d: consecutive shards both dealt to worker %d", k, prev)
+			}
+			prev = sh.first
+		}
+		if hi-lo > 1 || hi > shardPoints {
+			t.Fatalf("k=%d: shard sizes span [%d, %d], want within one and at most %d", k, lo, hi, shardPoints)
+		}
+		for _, pt := range pts {
+			if n := seen[pt.Key()]; n != 1 {
+				t.Fatalf("k=%d: point %s dealt %d times, want once", k, pt.Key(), n)
+			}
+		}
+		if len(seen) != k {
+			t.Fatalf("k=%d: %d distinct points dealt, want %d", k, len(seen), k)
+		}
+	}
+	p.workers[0].setState(workerUnreachable)
+	p.workers[2].setState(workerQuarantined)
+	if shards := c.shard("m", []arch.Point{{0}}); shards != nil {
+		t.Fatalf("shard with no healthy worker = %v, want nil", shards)
 	}
 }
 
@@ -199,19 +226,16 @@ func TestBreakerHalfOpenSingleTrial(t *testing.T) {
 // restores it.
 func TestPickSkipsOpenBreaker(t *testing.T) {
 	p, _ := faultTestPool(t)
-	key := "ResNet18|k1"
-	own := p.owner(key)
-	other := 1 - own
-	faultN(p, p.workers[own], dispatchFaultLimit)
-	if w, idx := p.pick(key, nil); w == nil || idx != other {
-		t.Fatalf("pick = %v, want the non-owner %d (owner marked unreachable)", idx, other)
+	faultN(p, p.workers[0], dispatchFaultLimit)
+	if w, idx := p.pick(0, nil); w == nil || idx != 1 {
+		t.Fatalf("pick(0) = %v, want worker 1 (worker 0 marked unreachable)", idx)
 	}
-	faultN(p, p.workers[other], dispatchFaultLimit)
-	if w, _ := p.pick(key, nil); w != nil {
+	faultN(p, p.workers[1], dispatchFaultLimit)
+	if w, _ := p.pick(0, nil); w != nil {
 		t.Fatal("pick returned a worker with every worker marked unreachable")
 	}
-	p.probe(p.workers[own])
-	if w, idx := p.pick(key, nil); w == nil || idx != own {
-		t.Fatalf("pick after a good probe = %v, want the restored owner %d", idx, own)
+	p.probe(p.workers[0])
+	if w, idx := p.pick(0, nil); w == nil || idx != 0 {
+		t.Fatalf("pick after a good probe = %v, want the restored worker 0", idx)
 	}
 }

@@ -124,9 +124,9 @@ func TestWorkerFaultAttribution(t *testing.T) {
 
 	// Worker 1 dies abruptly at its first /eval — the dropped in-flight
 	// request is a transient fault attributed to its address. Worker 2
-	// reports not-ready until then, so that first dispatch must go to worker
-	// 1 wherever the ring puts shards; afterwards worker 2 serves, so the
-	// campaign completes remotely as well as locally.
+	// reports not-ready until then, so worker 1 is the only healthy worker
+	// and that first dispatch must go to it; afterwards worker 2 serves, so
+	// the campaign completes remotely as well as locally.
 	s1, err := serve.New(quietOpts(t))
 	if err != nil {
 		t.Fatal(err)

@@ -141,7 +141,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	// Non-blocking admission: saturation sheds with 429 and a back-off hint
 	// instead of queueing shards whose coordinators would hedge or time them
 	// out while they wait. The coordinator treats the 429 as backpressure and
-	// tries the next ring worker.
+	// tries the next healthy worker.
 	select {
 	case s.evalSem <- struct{}{}:
 		s.gEvalInflight.Set(float64(len(s.evalSem)))

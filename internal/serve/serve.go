@@ -79,8 +79,8 @@ type Options struct {
 	// timeouts classify transient and are healed by Retry.
 	EvalTimeout time.Duration
 	// Faults, when non-nil, builds a per-job deterministic fault-injection
-	// policy — the chaos hook the resilience tests and the serve-smoke CI
-	// job drive. Production deployments leave it nil.
+	// policy — the chaos hook the resilience tests drive. No flag sets it,
+	// so a daemon started from the CLI runs without it.
 	Faults func(id string, spec JobSpec) *eval.FaultPolicy
 	// EvalConcurrent bounds concurrently served fleet shards (POST /eval);
 	// requests beyond it are shed with 429 + Retry-After so a coordinator
