@@ -84,7 +84,15 @@ func parseF(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 // cache (internal/evalcache) frames its records with this too, so every
 // journal in the tree shares one torn-write detection story.
 func FrameLine(payload []byte) []byte {
-	return []byte(fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload))
+	const hexDigits = "0123456789abcdef"
+	line := make([]byte, 9+len(payload)+1)
+	for i, crc := 7, crc32.ChecksumIEEE(payload); i >= 0; i, crc = i-1, crc>>4 {
+		line[i] = hexDigits[crc&0xf]
+	}
+	line[8] = ' '
+	copy(line[9:], payload)
+	line[len(line)-1] = '\n'
+	return line
 }
 
 // UnframeLine verifies one framed line (without its trailing newline) and

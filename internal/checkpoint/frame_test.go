@@ -7,23 +7,22 @@ import (
 
 // TestFrameLineRoundTrip: every payload survives the CRC'd line discipline —
 // including empty, whitespace-bearing, and non-ASCII payloads — and the wire
-// form is exactly "crc8hex space payload newline".
+// form is exactly "crc8hex space payload newline". The expected lines are
+// the bytes earlier builds wrote, which UnframeLine must keep reading back.
 func TestFrameLineRoundTrip(t *testing.T) {
-	for _, payload := range []string{
-		"",
-		"{}",
-		`{"op":"done","points":["p1","p2"]}`,
-		"payload with spaces",
-		"unicodé ✓ bytes",
+	for _, tc := range []struct{ payload, line string }{
+		{"", "00000000 \n"},
+		{"{}", "a3a6bf43 {}\n"},
+		{`{"op":"done","points":["p1","p2"]}`, "a722bdab {\"op\":\"done\",\"points\":[\"p1\",\"p2\"]}\n"},
+		{"payload with spaces", "17df3c42 payload with spaces\n"},
+		{"unicodé ✓ bytes", "fbbdeac4 unicodé ✓ bytes\n"},
 	} {
+		payload := tc.payload
 		line := FrameLine([]byte(payload))
-		if len(line) == 0 || line[len(line)-1] != '\n' {
-			t.Fatalf("FrameLine(%q) missing trailing newline: %q", payload, line)
+		if string(line) != tc.line {
+			t.Fatalf("FrameLine(%q) = %q, want %q", payload, line, tc.line)
 		}
 		text := string(line[:len(line)-1])
-		if len(text) < 9 || text[8] != ' ' {
-			t.Fatalf("FrameLine(%q) wire shape wrong: %q", payload, text)
-		}
 		got, err := UnframeLine(text)
 		if err != nil {
 			t.Fatalf("UnframeLine(FrameLine(%q)): %v", payload, err)

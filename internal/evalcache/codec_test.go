@@ -1,0 +1,284 @@
+package evalcache
+
+import (
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"xdse/internal/checkpoint"
+)
+
+// parentLines returns the fixture's three parent-format JSON lines, one per
+// mapper mode, without their newlines.
+func parentLines(tb testing.TB) []string {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "parent-records.jsonl"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// TestRecordCodecRoundTrip checks that an EncodeRecord line decodes to the
+// same key, entry and version stamp, with or without its trailing newline
+// (the wire transport strips them): one key per mapper mode, extreme salts
+// and a search that found nothing.
+func TestRecordCodecRoundTrip(t *testing.T) {
+	const shape, sub = "0|64,64,56,56,3,3|1", "pe256,l1:128,l2:524288,noc16,bpc256/125,W:4x64,I:4x64,Ord:4x64,Owr:4x64"
+	for _, rec := range []Record{
+		{Key: testKey(3), Entry: testEntry(3)},
+		{Key: Key{Shape: shape, Sub: sub, Mode: "fixed-dataflow"}, Entry: testEntry(0)},
+		{Key: Key{Shape: shape, Sub: sub, Mode: "random-mappings", Trials: 200, Salt: 1_000_003}, Entry: testEntry(1)},
+		{Key: Key{Shape: shape, Sub: sub, Mode: "random-mappings", Trials: 200, Salt: math.MinInt64}, Entry: testEntry(2)},
+		{Key: Key{Shape: shape, Sub: sub, Mode: "pruned-mappings", Trials: 200, Salt: math.MaxInt64}, Entry: Entry{Trials: 200}},
+	} {
+		data, err := EncodeRecord(rec, "v-wire")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(string(data), "\n") {
+			t.Fatalf("encoded record missing trailing newline: %q", data)
+		}
+		for _, line := range []string{string(data), strings.TrimSuffix(string(data), "\n")} {
+			got, version, err := DecodeRecord(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if version != "v-wire" || got != rec {
+				t.Fatalf("wire round trip: got %+v under %q, want %+v under v-wire", got, version, rec)
+			}
+		}
+	}
+
+	// Store lines carry a last-access stamp; EncodeRecord's carry zero.
+	rec := Record{Key: testKey(1), Entry: testEntry(1)}
+	data, err := encode(rec.Key, rec.Entry, "v-store", 1_700_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ent, version, at, err := decode(strings.TrimSuffix(string(data), "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != rec.Key || ent != rec.Entry || version != "v-store" || at != 1_700_000_000 {
+		t.Fatalf("store round trip: got %+v %+v %q at %d", key, ent, version, at)
+	}
+}
+
+func TestRecordCodecRejectsCorruption(t *testing.T) {
+	rec := Record{Key: testKey(1), Entry: testEntry(1)}
+	data, err := EncodeRecord(rec, "v-wire")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := string(data)
+	// Flip one payload byte: the CRC must catch it.
+	mid := len(line) / 2
+	corrupt := line[:mid] + "X" + line[mid+1:]
+	if _, _, err := DecodeRecord(corrupt); err == nil {
+		t.Fatal("decode accepted a corrupted record")
+	}
+	if _, _, err := DecodeRecord("not a record at all"); err == nil {
+		t.Fatal("decode accepted garbage")
+	}
+	// Well-framed payloads the layout does not allow.
+	payload := strings.TrimSuffix(line[9:], "\n")
+	fields := strings.Split(payload, " ")
+	swap := func(i int, v string) string {
+		f := append([]string(nil), fields...)
+		f[i] = v
+		return strings.Join(f, " ")
+	}
+	for name, p := range map[string]string{
+		"unknown tag":       swap(0, "r0"),
+		"missing field":     strings.Join(fields[:len(fields)-1], " "),
+		"extra field":       payload + " 7",
+		"found not 0 or 1":  swap(8, "2"),
+		"23 factors":        swap(9, fields[9][strings.IndexByte(fields[9], ',')+1:]),
+		"25 factors":        swap(9, fields[9]+",1"),
+		"signed factor":     swap(9, "+"+fields[9]),
+		"empty integer":     swap(3, ""),
+		"hex integer":       swap(12, "0x10"),
+		"int64 overflow":    swap(4, "9223372036854775808"),
+		"dram out of range": swap(10, "3"),
+		"noc negative":      swap(11, "-1"),
+		"newline in sub":    swap(7, "a\nb"),
+	} {
+		if _, _, err := DecodeRecord(string(checkpoint.FrameLine([]byte(p)))); err == nil {
+			t.Errorf("%s: decode accepted %q", name, p)
+		}
+	}
+}
+
+// TestEncodeRecordRefusesUnframeableFields: a string field holding the
+// separator or a newline would not decode back exactly, so EncodeRecord
+// refuses it, and Store.Put counts the refusal as a write error and keeps
+// the record out of the index and the file.
+func TestEncodeRecordRefusesUnframeableFields(t *testing.T) {
+	good := Record{Key: testKey(0), Entry: testEntry(0)}
+	for name, tc := range map[string]struct {
+		mutate  func(*Key)
+		version string
+	}{
+		"space in shape":   {func(k *Key) { k.Shape = "1|3 3|1" }, "v"},
+		"newline in sub":   {func(k *Key) { k.Sub = "sub\n" }, "v"},
+		"space in mode":    {func(k *Key) { k.Mode = "pruned mappings" }, "v"},
+		"newline in stamp": {func(*Key) {}, "v\n2"},
+	} {
+		rec := good
+		tc.mutate(&rec.Key)
+		if data, err := EncodeRecord(rec, tc.version); err == nil {
+			t.Errorf("%s: encoded as %q", name, data)
+		}
+	}
+
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Version: "v-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := testKey(0)
+	bad.Shape = "1|3 3|1"
+	s.Put(bad, testEntry(0))
+	s.Put(testKey(1), testEntry(1))
+	for name, want := range map[string]int64{"evalcache_write_errors_total": 1, "evalcache_records_written_total": 1} {
+		if got := s.Metrics().Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if _, ok := s.Get(bad); ok {
+		t.Error("refused record served from the index")
+	}
+	s2, err := Open(dir, Options{Version: "v-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != 1 || s2.Metrics().Counter("evalcache_corrupt_records_total").Value() != 0 {
+		t.Errorf("reopen: %d records, %d corrupt; want 1, 0", s2.Len(), s2.Metrics().Counter("evalcache_corrupt_records_total").Value())
+	}
+}
+
+// TestMixedFormatStore: a store file that interleaves parent-format JSON
+// lines with fixed-field lines loads every record, and the compaction that
+// one corrupt line forces rewrites every surviving line in the new format.
+func TestMixedFormatStore(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		s.Put(testKey(i), testEntry(i))
+	}
+	path := filepath.Join(dir, dataFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	old := parentLines(t)
+	want := map[Key]Entry{}
+	for i := 0; i < 3; i++ {
+		want[testKey(i)] = testEntry(i)
+		rec, _, err := DecodeRecord(old[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[rec.Key] = rec.Entry
+	}
+	corrupt := []byte(fresh[0])
+	corrupt[len(corrupt)/2] ^= 0xFF
+	mixed := strings.Join([]string{old[0], fresh[0], old[1], string(corrupt), fresh[1], old[2], fresh[2]}, "\n") + "\n"
+	if err := os.WriteFile(path, []byte(mixed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for pass, wantCorrupt := range []int64{1, 0} {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := s.Metrics()
+		if got := m.Counter("evalcache_corrupt_records_total").Value(); got != wantCorrupt {
+			t.Errorf("open %d: %d corrupt records, want %d", pass, got, wantCorrupt)
+		}
+		if got := m.Counter("evalcache_stale_records_total").Value(); got != 0 {
+			t.Errorf("open %d: %d stale records, want 0", pass, got)
+		}
+		if s.Len() != len(want) {
+			t.Fatalf("open %d: %d records, want %d", pass, s.Len(), len(want))
+		}
+		for key, ent := range want {
+			if got, ok := s.Get(key); !ok || got != ent {
+				t.Errorf("open %d: %+v answered %+v (hit %v), want %+v", pass, key, got, ok, ent)
+			}
+		}
+	}
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("compacted file has %d lines, want %d", len(lines), len(want))
+	}
+	for _, line := range lines {
+		if !strings.HasPrefix(line[9:], recordTag+" ") {
+			t.Errorf("compaction kept a line in the old format: %q", line)
+		}
+	}
+}
+
+// TestDecodeRecordAllocs bounds the allocations of decoding one
+// fixed-field line: UnframeLine's payload copy and the four strings of the
+// version stamp and key. The JSON decoder it replaced made 36 for the same
+// record.
+func TestDecodeRecordAllocs(t *testing.T) {
+	data, err := EncodeRecord(Record{Key: testKey(2), Entry: testEntry(2)}, "v-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := string(data)
+	if n := testing.AllocsPerRun(100, func() { DecodeRecord(line) }); n > 5 {
+		t.Errorf("decoding one record line allocates %.0f times, want at most 5", n)
+	}
+}
+
+// FuzzDecodeRecord: DecodeRecord parses bytes another process sent. It must
+// never panic, and any line it accepts must re-encode to a line that decodes
+// to the same record and version.
+func FuzzDecodeRecord(f *testing.F) {
+	data, err := EncodeRecord(Record{Key: testKey(3), Entry: testEntry(3)}, "v-fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range append([]string{strings.TrimSuffix(string(data), "\n")}, parentLines(f)...) {
+		// The payload alone seeds the framed pass below.
+		for _, s := range []string{line, line[9:]} {
+			for _, n := range []int{len(s), len(s) - 1, len(s) / 2, 12, 0} {
+				f.Add(s[:n])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		// Random bytes rarely get past the CRC, so the same bytes also go
+		// through framed as a payload to reach the field parsers.
+		for _, l := range []string{line, string(checkpoint.FrameLine([]byte(line)))} {
+			rec, version, err := DecodeRecord(l)
+			if err != nil {
+				continue
+			}
+			data, err := EncodeRecord(rec, version)
+			if err != nil {
+				t.Fatalf("accepted %q, which does not re-encode: %v", l, err)
+			}
+			again, againVersion, err := DecodeRecord(string(data))
+			if err != nil || again != rec || againVersion != version {
+				t.Fatalf("accepted %q as %+v under %q; its re-encoding %q reads %+v under %q (%v)",
+					l, rec, version, data, again, againVersion, err)
+			}
+		}
+	})
+}

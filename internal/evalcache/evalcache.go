@@ -21,16 +21,16 @@
 // it on first use instead of storing it.
 //
 // Durability follows the checkpoint journal discipline: records are
-// CRC-guarded JSONL lines (framed by checkpoint.FrameLine, so both journals
-// share one torn-write check), appended under an advisory cross-process file
-// lock with a write-then-fsync cadence.
+// CRC-guarded fixed-field lines (framed by checkpoint.FrameLine, so both
+// journals share one torn-write check; see codec.go for the layout),
+// appended under an advisory cross-process file lock with a write-then-fsync
+// cadence. The fleet's /eval responses carry the same lines.
 // Loading tolerates torn tails and corrupt lines — a record that fails its
 // CRC degrades to a cache miss (counted, then physically compacted away),
 // never to a wrong result.
 package evalcache
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,13 +38,14 @@ import (
 	"sync"
 	"time"
 
-	"xdse/internal/checkpoint"
 	"xdse/internal/mapping"
 	"xdse/internal/obs"
 	"xdse/internal/perf"
 )
 
 // dataFile and lockFile name the two on-disk pieces of a cache directory.
+// The data file keeps its .jsonl name from when records were JSON, so
+// existing cache directories keep loading; its lines are no longer JSON.
 const (
 	dataFile = "evalcache.jsonl"
 	lockFile = "evalcache.lock"
@@ -67,34 +68,6 @@ type Key struct {
 	// Salt is the random-mode rng seed (the evaluator's seed folded with
 	// the layer index); zero in the deterministic modes.
 	Salt int64
-}
-
-// Record pairs a content address with its entry — the unit the wire-level
-// APIs (EncodeRecord/DecodeRecord, the fleet protocol) move between
-// processes.
-type Record struct {
-	Key   Key
-	Entry Entry
-}
-
-// EncodeRecord renders one record as a CRC-guarded JSONL line (newline
-// included) under the given cost-model version stamp — the exact on-disk
-// format, exposed so records can travel over the network and be re-verified
-// (CRC and version both) at the receiving end.
-func EncodeRecord(rec Record, version string) ([]byte, error) {
-	return encode(rec.Key, rec.Entry, version, 0)
-}
-
-// DecodeRecord parses one EncodeRecord line (trailing newline optional),
-// verifying the CRC before trusting the payload, and returns the record with
-// the version stamp it was written under. Callers must check the version
-// against their own perf.ModelVersion before installing the entry.
-func DecodeRecord(line string) (Record, string, error) {
-	key, ent, version, _, err := decode(strings.TrimSuffix(line, "\n"))
-	if err != nil {
-		return Record{}, "", err
-	}
-	return Record{Key: key, Entry: ent}, version, nil
 }
 
 // Entry is the decision of one layer mapping search: whether it found a
@@ -382,23 +355,25 @@ func (s *Store) GC(maxAge time.Duration) (int, error) {
 // disk as a CRC'd line appended under the cross-process file lock and
 // fsync'd before the lock is released. A key already present is a no-op (the
 // entry is identical by the determinism contract). Disk failures degrade the
-// store to memory-only for that record — counted and warned, never fatal.
+// store to memory-only for that record — counted and warned, never fatal. A
+// record the line layout cannot carry is refused outright, also counted as
+// a write error, so every indexed record survives a compaction.
 func (s *Store) Put(key Key, ent Entry) {
-	s.mu.Lock()
-	if _, ok := s.idx[key]; ok {
-		s.mu.Unlock()
-		return
-	}
 	at := s.now()
-	s.insert(key, ent, at)
-	s.mu.Unlock()
-
 	data, err := encode(key, ent, s.version, at)
 	if err != nil {
 		s.cWriteErrs.Inc()
 		s.warnf("evalcache: encode: %v", err)
 		return
 	}
+	s.mu.Lock()
+	if _, ok := s.idx[key]; ok {
+		s.mu.Unlock()
+		return
+	}
+	s.insert(key, ent, at)
+	s.mu.Unlock()
+
 	if err := s.appendLocked(data); err != nil {
 		s.cWriteErrs.Inc()
 		s.warnf("evalcache: append: %v", err)
@@ -449,91 +424,4 @@ func (s *Store) insert(key Key, ent Entry, at int64) {
 		s.order = append([]Key(nil), s.order[s.head:]...)
 		s.head = 0
 	}
-}
-
-// wireRecord is the JSON form of one cache line.
-type wireRecord struct {
-	V      string    `json:"v"` // cost-model version stamp
-	Shape  string    `json:"shape"`
-	Sub    string    `json:"sub"`
-	Mode   string    `json:"mode"`
-	Budget int       `json:"budget"`
-	Salt   int64     `json:"salt,omitempty"`
-	At     int64     `json:"at,omitempty"` // last access, unix seconds (0 = pre-GC record)
-	Entry  wireEntry `json:"entry"`
-}
-
-// wireEntry is the search's decision. Lines written before records dropped
-// the derived breakdown also carry "perf", "cost_calls", "lb_pruned" and
-// "warm_fallback"; decoding ignores them, so such lines still load.
-type wireEntry struct {
-	Found    bool    `json:"found"`
-	F        [][]int `json:"f,omitempty"` // tiling factors, [dim][level]
-	DRAMStat int     `json:"dram_stat"`
-	NoCStat  int     `json:"noc_stat"`
-	Trials   int     `json:"trials"`
-}
-
-// encode renders a record as one CRC'd JSONL line (newline included); at is
-// the last-access stamp carried for GC (0 on pure wire-transport lines).
-func encode(key Key, ent Entry, version string, at int64) ([]byte, error) {
-	we := wireEntry{
-		Found:    ent.Found,
-		F:        make([][]int, mapping.NumDims),
-		DRAMStat: int(ent.Mapping.DRAMStationary),
-		NoCStat:  int(ent.Mapping.NoCStationary),
-		Trials:   ent.Trials,
-	}
-	for d := range we.F {
-		we.F[d] = ent.Mapping.F[d][:]
-	}
-	data, err := json.Marshal(wireRecord{
-		V:      version,
-		Shape:  key.Shape,
-		Sub:    key.Sub,
-		Mode:   key.Mode,
-		Budget: key.Trials,
-		Salt:   key.Salt,
-		At:     at,
-		Entry:  we,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.FrameLine(data), nil
-}
-
-// decode parses one line (without its newline), verifying the CRC before
-// trusting anything in the payload; the fourth return is the record's
-// last-access stamp.
-func decode(text string) (Key, Entry, string, int64, error) {
-	fail := func(err error) (Key, Entry, string, int64, error) {
-		return Key{}, Entry{}, "", 0, err
-	}
-	payload, err := checkpoint.UnframeLine(text)
-	if err != nil {
-		return fail(err)
-	}
-	var w wireRecord
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return fail(fmt.Errorf("bad JSON: %w", err))
-	}
-	key := Key{Shape: w.Shape, Sub: w.Sub, Mode: w.Mode, Trials: w.Budget, Salt: w.Salt}
-	ent := Entry{Found: w.Entry.Found, Trials: w.Entry.Trials}
-	if len(w.Entry.F) != int(mapping.NumDims) {
-		return fail(fmt.Errorf("mapping has %d dims, want %d", len(w.Entry.F), mapping.NumDims))
-	}
-	for d, levels := range w.Entry.F {
-		if len(levels) != int(mapping.NumLevels) {
-			return fail(fmt.Errorf("mapping dim %d has %d levels, want %d", d, len(levels), mapping.NumLevels))
-		}
-		copy(ent.Mapping.F[d][:], levels)
-	}
-	if w.Entry.DRAMStat < 0 || w.Entry.DRAMStat >= int(mapping.NumTensors) ||
-		w.Entry.NoCStat < 0 || w.Entry.NoCStat >= int(mapping.NumTensors) {
-		return fail(fmt.Errorf("stationary tensor out of range"))
-	}
-	ent.Mapping.DRAMStationary = mapping.Tensor(w.Entry.DRAMStat)
-	ent.Mapping.NoCStationary = mapping.Tensor(w.Entry.NoCStat)
-	return key, ent, w.V, w.At, nil
 }

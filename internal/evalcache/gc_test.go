@@ -1,51 +1,9 @@
 package evalcache
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
-
-// TestRecordCodecRoundTrip checks that an EncodeRecord line decodes to the
-// same key, entry and version stamp, with or without its trailing newline
-// (the wire transport strips them).
-func TestRecordCodecRoundTrip(t *testing.T) {
-	rec := Record{Key: testKey(3), Entry: testEntry(3)}
-	data, err := EncodeRecord(rec, "v-wire")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(string(data), "\n") {
-		t.Fatalf("encoded record missing trailing newline: %q", data)
-	}
-	for _, line := range []string{string(data), strings.TrimSuffix(string(data), "\n")} {
-		got, version, err := DecodeRecord(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if version != "v-wire" || got != rec {
-			t.Fatalf("wire round trip: got %+v under %q, want %+v under v-wire", got, version, rec)
-		}
-	}
-}
-
-func TestRecordCodecRejectsCorruption(t *testing.T) {
-	rec := Record{Key: testKey(1), Entry: testEntry(1)}
-	data, err := EncodeRecord(rec, "v-wire")
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := string(data)
-	// Flip one payload byte: the CRC must catch it.
-	mid := len(line) / 2
-	corrupt := line[:mid] + "X" + line[mid+1:]
-	if _, _, err := DecodeRecord(corrupt); err == nil {
-		t.Fatal("decode accepted a corrupted record")
-	}
-	if _, _, err := DecodeRecord("not a record at all"); err == nil {
-		t.Fatal("decode accepted garbage")
-	}
-}
 
 func TestGCRetiresByLastAccess(t *testing.T) {
 	dir := t.TempDir()

@@ -11,8 +11,11 @@ import "xdse/internal/obs"
 // version-1 worker would refuse every version-2 request anyway. Version 3
 // ships records without their breakdown, which a version-2 coordinator
 // cannot decode: it would silently drop every record and search each layer
-// itself, so the bump turns that skew into a loud 400.
-const ProtocolVersion = 3
+// itself, so the bump turns that skew into a loud 400. Version 4 ships
+// records as fixed-field lines (the evalcache record codec) in a compact
+// envelope; a version-3 coordinator would count every such line corrupt and
+// search each layer itself, so that skew is a 400 too.
+const ProtocolVersion = 4
 
 // EvalRequest is the body of POST /eval — one shard of a campaign batch.
 // The worker evaluates every point under the given configuration and returns
@@ -39,7 +42,8 @@ type EvalRequest struct {
 }
 
 // EvalResponse is the worker's answer to one shard: the content-addressed
-// layer records (evalcache.EncodeRecord lines) its evaluations produced.
+// layer records (evalcache.EncodeRecord lines) its evaluations produced,
+// sent as compact JSON.
 type EvalResponse struct {
 	// ModelVersion is the worker's perf.ModelVersion, echoed so the
 	// coordinator can re-verify the handshake on every response.

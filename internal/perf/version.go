@@ -3,6 +3,7 @@ package perf
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"xdse/internal/mapping"
 	"xdse/internal/workload"
@@ -22,11 +23,13 @@ const modelVersionSeed = "perf-model-v1"
 // dimensionalities of the mapping space). The persistent evaluation cache
 // stamps each record with this string, so changing any of these inputs
 // silently retires every entry computed under the old model instead of
-// replaying stale costs.
-func ModelVersion() string {
+// replaying stale costs. Its inputs are constants, so it is computed once.
+func ModelVersion() string { return modelVersion() }
+
+var modelVersion = sync.OnceValue(func() string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf(
 		"%s;dma_burst=%g;bytes_per_elem=%g;dims=%d;levels=%d;tensors=%d",
 		modelVersionSeed, dmaBurstSetupCycles, float64(workload.BytesPerElem),
 		int(mapping.NumDims), int(mapping.NumLevels), int(mapping.NumTensors))))
 	return fmt.Sprintf("%x", sum[:8])
-}
+})

@@ -38,18 +38,18 @@ func TestDrainAndResumeFingerprintIdentical(t *testing.T) {
 		Dir:           dir,
 		MaxConcurrent: len(specs), // all jobs in flight at once
 		Warnf:         t.Logf,
-		Faults: func(id string, _ JobSpec) *eval.FaultPolicy {
-			return &eval.FaultPolicy{OnEvaluation: func(ord int) {
-				if ord == 3 {
-					reached <- id
-					<-release
-				}
-			}}
-		},
 	}
 	s, err := New(gate)
 	if err != nil {
 		t.Fatal(err)
+	}
+	s.faults = func(id string, _ JobSpec) *eval.FaultPolicy {
+		return &eval.FaultPolicy{OnEvaluation: func(ord int) {
+			if ord == 3 {
+				reached <- id
+				<-release
+			}
+		}}
 	}
 	ts := httptest.NewServer(s.Handler())
 	s.StartWorkers()
@@ -158,7 +158,7 @@ func TestBootRecoveryFromRunningStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, base := testServer(t, Options{Dir: dir})
+	s, base := testServer(t, Options{Dir: dir}, nil)
 	if got := s.cRecovered.Value(); got != 1 {
 		t.Fatalf("serve_jobs_recovered_total = %d, want 1", got)
 	}
@@ -185,21 +185,17 @@ func TestDrainLeavesQueuedJobsQueued(t *testing.T) {
 	dir := t.TempDir()
 	reached := make(chan string, 1)
 	release := make(chan struct{})
-	s, err := New(Options{
-		Dir:           dir,
-		MaxConcurrent: 1,
-		Warnf:         t.Logf,
-		Faults: func(id string, _ JobSpec) *eval.FaultPolicy {
-			return &eval.FaultPolicy{OnEvaluation: func(ord int) {
-				if ord == 0 {
-					reached <- id
-					<-release
-				}
-			}}
-		},
-	})
+	s, err := New(Options{Dir: dir, MaxConcurrent: 1, Warnf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
+	}
+	s.faults = func(id string, _ JobSpec) *eval.FaultPolicy {
+		return &eval.FaultPolicy{OnEvaluation: func(ord int) {
+			if ord == 0 {
+				reached <- id
+				<-release
+			}
+		}}
 	}
 	ts := httptest.NewServer(s.Handler())
 	s.StartWorkers()
@@ -237,7 +233,7 @@ func TestDrainLeavesQueuedJobsQueued(t *testing.T) {
 	}
 
 	// The next boot finishes both.
-	_, base2 := testServer(t, Options{Dir: dir})
+	_, base2 := testServer(t, Options{Dir: dir}, nil)
 	for _, id := range []string{j1.ID, j2.ID} {
 		done := waitStatus(t, base2, id, StatusDone)
 		if done.Result.Fingerprint != ref.Trace.Fingerprint() {

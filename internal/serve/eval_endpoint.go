@@ -215,7 +215,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if col != nil {
 		resp.Spans = col.Events()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// Compact, unlike writeJSON's indented jobs API: the records are most of
+	// the body, and only the coordinator reads it.
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(resp) //nolint:errcheck // coordinator gone; nothing to do
 }
 
 // evalEndpointMetrics registers the fleet-worker instruments on the service

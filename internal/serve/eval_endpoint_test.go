@@ -50,7 +50,7 @@ func postEval(t *testing.T, base string, req fleet.EvalRequest) *http.Response {
 }
 
 func TestEvalEndpointServesRecords(t *testing.T) {
-	_, base := testServer(t, Options{CacheDir: t.TempDir()})
+	_, base := testServer(t, Options{CacheDir: t.TempDir()}, nil)
 	resp := postEval(t, base, evalReq(2))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -89,7 +89,7 @@ func TestEvalEndpointServesRecords(t *testing.T) {
 }
 
 func TestEvalEndpointRejections(t *testing.T) {
-	_, base := testServer(t, Options{})
+	_, base := testServer(t, Options{}, nil)
 	for _, tc := range []struct {
 		name   string
 		mutate func(*fleet.EvalRequest)
@@ -97,6 +97,8 @@ func TestEvalEndpointRejections(t *testing.T) {
 	}{
 		{"version-skew", func(r *fleet.EvalRequest) { r.ModelVersion = "other" }, http.StatusPreconditionFailed},
 		{"bad-protocol", func(r *fleet.EvalRequest) { r.Protocol = 999 }, http.StatusBadRequest},
+		// A coordinator one protocol behind cannot read this worker's records.
+		{"previous-protocol", func(r *fleet.EvalRequest) { r.Protocol = fleet.ProtocolVersion - 1 }, http.StatusBadRequest},
 		{"unknown-model", func(r *fleet.EvalRequest) { r.Model = "NoSuchNet" }, http.StatusBadRequest},
 		{"unknown-mode", func(r *fleet.EvalRequest) { r.Mode = "psychic-mappings" }, http.StatusBadRequest},
 		{"bad-point", func(r *fleet.EvalRequest) { r.Points = []string{"not a point"} }, http.StatusBadRequest},
@@ -117,7 +119,7 @@ func TestEvalEndpointRejections(t *testing.T) {
 }
 
 func TestEvalEndpointShedsWhenSaturated(t *testing.T) {
-	s, base := testServer(t, Options{EvalConcurrent: 1})
+	s, base := testServer(t, Options{EvalConcurrent: 1}, nil)
 	// Occupy the single slot directly; the next request must shed, not queue.
 	s.evalSem <- struct{}{}
 	defer func() { <-s.evalSem }()
@@ -135,7 +137,7 @@ func TestEvalEndpointShedsWhenSaturated(t *testing.T) {
 }
 
 func TestHealthzCarriesFleetFields(t *testing.T) {
-	_, base := testServer(t, Options{})
+	_, base := testServer(t, Options{}, nil)
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)

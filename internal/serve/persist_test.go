@@ -15,7 +15,7 @@ import (
 // bodies beyond the 1 MiB request cap: the failure is the client exceeding
 // the limit (413), not malformed JSON (400).
 func TestSubmitOversizedBodyIs413(t *testing.T) {
-	_, base := testServer(t, Options{})
+	_, base := testServer(t, Options{}, nil)
 	big := `{"technique":"` + strings.Repeat("x", 2<<20) + `"}`
 	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader([]byte(big)))
 	if err != nil {
@@ -51,7 +51,7 @@ func TestServeSharedCacheAcrossIncarnations(t *testing.T) {
 	cacheDir := t.TempDir()
 	spec := smallSpec("ExplainableDSE-FixDF")
 
-	_, base := testServer(t, Options{CacheDir: cacheDir})
+	_, base := testServer(t, Options{CacheDir: cacheDir}, nil)
 	resp, jf := postJob(t, base, spec)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit = %d", resp.StatusCode)
@@ -62,7 +62,7 @@ func TestServeSharedCacheAcrossIncarnations(t *testing.T) {
 	}
 
 	// Second incarnation: fresh Server and job dir, same cache directory.
-	_, base2 := testServer(t, Options{CacheDir: cacheDir})
+	_, base2 := testServer(t, Options{CacheDir: cacheDir}, nil)
 	resp2, jf2 := postJob(t, base2, spec)
 	if resp2.StatusCode != http.StatusCreated {
 		t.Fatalf("resubmit = %d", resp2.StatusCode)

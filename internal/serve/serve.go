@@ -78,10 +78,6 @@ type Options struct {
 	// EvalTimeout arms each evaluation's watchdog (see eval.Config);
 	// timeouts classify transient and are healed by Retry.
 	EvalTimeout time.Duration
-	// Faults, when non-nil, builds a per-job deterministic fault-injection
-	// policy — the chaos hook the resilience tests drive. No flag sets it,
-	// so a daemon started from the CLI runs without it.
-	Faults func(id string, spec JobSpec) *eval.FaultPolicy
 	// EvalConcurrent bounds concurrently served fleet shards (POST /eval);
 	// requests beyond it are shed with 429 + Retry-After so a coordinator
 	// tries another worker instead of waiting in a queue (default 2).
@@ -172,6 +168,10 @@ type Server struct {
 
 	// chaos, when non-nil, injects Options.Chaos faults around POST /eval.
 	chaos *fleet.ChaosInjector
+
+	// faults, when non-nil, builds a per-job deterministic fault-injection
+	// policy. Only in-package tests set it, between New and StartWorkers.
+	faults func(id string, spec JobSpec) *eval.FaultPolicy
 
 	// Fleet-worker state: shard admission semaphore and the bounded pool of
 	// per-configuration evaluators behind POST /eval (see eval_endpoint.go).
@@ -532,8 +532,8 @@ func (s *Server) jobConfig(j *Job) exp.Config {
 	cfg.Retry = s.opts.Retry
 	cfg.Metrics = s.jobsReg
 	cfg.Cache = s.cache
-	if s.opts.Faults != nil {
-		cfg.Faults = s.opts.Faults(j.ID, j.Spec)
+	if s.faults != nil {
+		cfg.Faults = s.faults(j.ID, j.Spec)
 	}
 	return cfg
 }

@@ -55,8 +55,9 @@ func referenceRun(t *testing.T, spec JobSpec) exp.Run {
 
 // testServer boots a Server over a temp dir with its HTTP API mounted on
 // httptest, returning the server, the base URL, and a cleanup-registered
-// drain.
-func testServer(t *testing.T, opts Options) (*Server, string) {
+// drain. A non-nil faults builds each job's fault-injection policy; it is
+// set before the workers start.
+func testServer(t *testing.T, opts Options, faults func(id string, spec JobSpec) *eval.FaultPolicy) (*Server, string) {
 	t.Helper()
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
@@ -68,6 +69,7 @@ func testServer(t *testing.T, opts Options) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.faults = faults
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	s.StartWorkers()
@@ -140,7 +142,7 @@ func TestServeJobLifecycle(t *testing.T) {
 	spec := smallSpec("ExplainableDSE-FixDF")
 	ref := referenceRun(t, spec)
 
-	_, base := testServer(t, Options{})
+	_, base := testServer(t, Options{}, nil)
 	resp, jf := postJob(t, base, spec)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit = %d", resp.StatusCode)
@@ -182,7 +184,7 @@ func TestServeJobLifecycle(t *testing.T) {
 // /metrics serves a self-consistent Prometheus dump holding both service
 // counters and the completed run's evaluator counters.
 func TestServeEndpointsHealthAndMetrics(t *testing.T) {
-	_, base := testServer(t, Options{})
+	_, base := testServer(t, Options{}, nil)
 	for _, ep := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(base + ep)
 		if err != nil {
@@ -224,7 +226,7 @@ func TestServeEndpointsHealthAndMetrics(t *testing.T) {
 // TestServeSubmitValidation: malformed and invalid specs are rejected with
 // 400 before touching the queue.
 func TestServeSubmitValidation(t *testing.T) {
-	_, base := testServer(t, Options{})
+	_, base := testServer(t, Options{}, nil)
 	cases := []struct {
 		name string
 		body string
@@ -263,17 +265,13 @@ func TestServeLoadShedding(t *testing.T) {
 
 	reached := make(chan string, 4)
 	release := make(chan struct{})
-	s, base := testServer(t, Options{
-		QueueCap:      1,
-		MaxConcurrent: 1,
-		Faults: func(id string, _ JobSpec) *eval.FaultPolicy {
-			return &eval.FaultPolicy{OnEvaluation: func(ord int) {
-				if ord == 0 {
-					reached <- id
-					<-release
-				}
-			}}
-		},
+	s, base := testServer(t, Options{QueueCap: 1, MaxConcurrent: 1}, func(id string, _ JobSpec) *eval.FaultPolicy {
+		return &eval.FaultPolicy{OnEvaluation: func(ord int) {
+			if ord == 0 {
+				reached <- id
+				<-release
+			}
+		}}
 	})
 	defer close(release)
 
@@ -328,15 +326,13 @@ func TestServeLoadShedding(t *testing.T) {
 func TestServeCancel(t *testing.T) {
 	reached := make(chan string, 1)
 	release := make(chan struct{})
-	_, base := testServer(t, Options{
-		Faults: func(id string, _ JobSpec) *eval.FaultPolicy {
-			return &eval.FaultPolicy{OnEvaluation: func(ord int) {
-				if ord == 2 {
-					reached <- id
-					<-release
-				}
-			}}
-		},
+	_, base := testServer(t, Options{}, func(id string, _ JobSpec) *eval.FaultPolicy {
+		return &eval.FaultPolicy{OnEvaluation: func(ord int) {
+			if ord == 2 {
+				reached <- id
+				<-release
+			}
+		}}
 	})
 	defer close(release)
 
@@ -375,13 +371,11 @@ func TestServeCancel(t *testing.T) {
 // TestServeDeadline: a job whose wall-clock deadline expires stops at the
 // next batch boundary with status "deadline", not a hung worker.
 func TestServeDeadline(t *testing.T) {
-	_, base := testServer(t, Options{
-		Faults: func(string, JobSpec) *eval.FaultPolicy {
-			// Every first attempt of evaluation 1 sleeps far past the
-			// deadline; the sleep is context-cancellable, so the deadline
-			// fires promptly.
-			return &eval.FaultPolicy{DelayAt: []int{1}, Delay: time.Hour}
-		},
+	_, base := testServer(t, Options{}, func(string, JobSpec) *eval.FaultPolicy {
+		// Every first attempt of evaluation 1 sleeps far past the
+		// deadline; the sleep is context-cancellable, so the deadline
+		// fires promptly.
+		return &eval.FaultPolicy{DelayAt: []int{1}, Delay: time.Hour}
 	})
 	spec := smallSpec("ExplainableDSE-FixDF")
 	spec.DeadlineMs = 300
@@ -403,14 +397,13 @@ func TestServeChaosFingerprintIdentical(t *testing.T) {
 	s, base := testServer(t, Options{
 		EvalTimeout: time.Second,
 		Retry:       eval.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
-		Faults: func(string, JobSpec) *eval.FaultPolicy {
-			return &eval.FaultPolicy{
-				PanicAt:    []int{1},
-				FailFirstN: map[int]int{2: 2},
-				SlowFirstN: map[int]int{4: 1},
-				Delay:      5 * time.Second,
-			}
-		},
+	}, func(string, JobSpec) *eval.FaultPolicy {
+		return &eval.FaultPolicy{
+			PanicAt:    []int{1},
+			FailFirstN: map[int]int{2: 2},
+			SlowFirstN: map[int]int{4: 1},
+			Delay:      5 * time.Second,
+		}
 	})
 	_, jf := postJob(t, base, spec)
 	done := waitStatus(t, base, jf.ID, StatusDone)

@@ -39,7 +39,7 @@ func postEvalTraced(t *testing.T, base string, req fleet.EvalRequest, sc obs.Spa
 // rpc-prefixed IDs — while an untraced request returns none and takes the
 // identical evaluation path.
 func TestEvalEndpointTracedSpans(t *testing.T) {
-	s, base := testServer(t, Options{CacheDir: t.TempDir()})
+	s, base := testServer(t, Options{CacheDir: t.TempDir()}, nil)
 	sc := obs.SpanContext{Trace: "Tech_Model", Span: "7"}
 	resp := postEvalTraced(t, base, evalReq(2), sc)
 	defer resp.Body.Close()
@@ -103,7 +103,7 @@ func TestEvalEndpointTracedSpans(t *testing.T) {
 // TestJobQueueWaitHistogram pins the enqueue→start latency instrument: a job
 // that runs must contribute one observation to serve_job_queue_wait_seconds.
 func TestJobQueueWaitHistogram(t *testing.T) {
-	s, base := testServer(t, Options{})
+	s, base := testServer(t, Options{}, nil)
 	resp, jf := postJob(t, base, smallSpec("GridSearch-FixDF"))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit status %d", resp.StatusCode)
@@ -130,7 +130,7 @@ func TestJobQueueWaitHistogram(t *testing.T) {
 // Options.Debug the pprof index and /debug/vars serve; without it, the
 // daemon exposes nothing under /debug.
 func TestDebugSurfaceGated(t *testing.T) {
-	_, debugBase := testServer(t, Options{Debug: true})
+	_, debugBase := testServer(t, Options{Debug: true}, nil)
 	resp, err := http.Get(debugBase + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestDebugSurfaceGated(t *testing.T) {
 		t.Error("/debug/vars missing the merged metrics registry")
 	}
 
-	_, plainBase := testServer(t, Options{})
+	_, plainBase := testServer(t, Options{}, nil)
 	off, err := http.Get(plainBase + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestDebugSurfaceGated(t *testing.T) {
 // TestRuntimeSamplerFeedsMetrics checks the periodic sampler folds runtime
 // gauges into /metrics, and that a negative interval disables it.
 func TestRuntimeSamplerFeedsMetrics(t *testing.T) {
-	s, base := testServer(t, Options{RuntimeSample: time.Millisecond})
+	s, base := testServer(t, Options{RuntimeSample: time.Millisecond}, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if s.reg.Gauge("runtime_goroutines").Value() > 0 {
