@@ -339,9 +339,7 @@ func BenchmarkMappingSearch(b *testing.B) {
 	l := workload.ResNet18().Layers[1]
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ctx := perf.NewContext(d, l)
-			cfg := mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 300, BaseValid: ctx.Valid}
-			mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill)
+			perf.SearchPruned(nil, d, l, mapping.GenConfig{MaxN: 300})
 		}
 	})
 	b.Run("random", func(b *testing.B) {

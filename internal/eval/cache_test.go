@@ -307,11 +307,7 @@ func TestLayerEnergyMJRealLayers(t *testing.T) {
 // mappingFor finds any valid mapping of l on d via the pruned enumerator.
 func mappingFor(t *testing.T, d arch.Design, l workload.Layer) mapping.Mapping {
 	t.Helper()
-	ctx := perf.NewContext(d, l)
-	res := mapping.EnumeratePruned(l, mapping.GenConfig{
-		PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(),
-		MinN: 10, MaxN: 200, BaseValid: ctx.Valid,
-	}, ctx.EvaluateFill)
+	res := perf.SearchPruned(nil, d, l, mapping.GenConfig{MinN: 10, MaxN: 200})
 	if !res.Found {
 		t.Fatalf("%s: no valid mapping on test design", l.Name)
 	}
@@ -360,7 +356,7 @@ func TestDeriveAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, l := range workload.ResNet18().Layers[:4] {
-		dec := e.searchLayer(d, l, int64(i))
+		dec := e.searchLayer(d, l, l.ShapeKey(), int64(i))
 		if ent := e.derive(d, l, dec); !dec.Found || !ent.perf.Valid {
 			t.Fatalf("%s: no valid mapping on the test design", l.Name)
 		}

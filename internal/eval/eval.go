@@ -251,6 +251,10 @@ type Evaluator struct {
 	// deduplicated singleflight-style.
 	lcache   fifoMap[layerCacheKey, layerEntry]
 	lflights map[layerCacheKey]*layerFlight
+	// walks is the walk memo of the pruned mapping search, bounded at
+	// walkCap: per layer shape, PEs and buffer capacities, the part of the
+	// mapping space earlier searches walked, which later searches replay.
+	walks fifoMap[walkKey, *perf.Walk]
 
 	// store is the second-level persistent cache (nil when disabled).
 	store *evalcache.Store
@@ -276,6 +280,8 @@ type Evaluator struct {
 	cLMisses    *obs.Counter
 	cLDedups    *obs.Counter
 	cLEvictions *obs.Counter
+	cWalkHits   *obs.Counter
+	cWalkMisses *obs.Counter
 	cPHits      *obs.Counter
 	cPMisses    *obs.Counter
 	cPWrites    *obs.Counter
@@ -411,6 +417,8 @@ func New(cfg Config) *Evaluator {
 		cLMisses:    reg.Counter("eval_layer_searches_total"),
 		cLDedups:    reg.Counter("eval_layer_dedups_total"),
 		cLEvictions: reg.Counter("eval_layer_evictions_total"),
+		cWalkHits:   reg.Counter("eval_walk_memo_hits_total"),
+		cWalkMisses: reg.Counter("eval_walk_memo_misses_total"),
 		cPHits:      reg.Counter("eval_persist_hits_total"),
 		cPMisses:    reg.Counter("eval_persist_misses_total"),
 		cPWrites:    reg.Counter("eval_persist_writes_total"),
@@ -424,6 +432,7 @@ func New(cfg Config) *Evaluator {
 	}
 	e.cache = newFIFOMap[string, *Result](DefaultCacheCap, e.cEvictions)
 	e.lcache = newFIFOMap[layerCacheKey, layerEntry](8*DefaultCacheCap, e.cLEvictions)
+	e.walks = newFIFOMap[walkKey, *perf.Walk](walkCap, nil)
 	return e
 }
 

@@ -5,7 +5,7 @@ import "xdse/internal/obs"
 // fifoMap is a map bounded by first-insertion order: once it holds more than
 // limit keys, the oldest-inserted keys are dropped, each one counted on
 // evicted. Overwriting a present key keeps its place in the queue. It is not
-// safe for concurrent use; the Evaluator guards its two instances with e.mu.
+// safe for concurrent use; the Evaluator guards its three instances with e.mu.
 type fifoMap[K comparable, V any] struct {
 	m       map[K]V
 	order   []K // keys in first-insertion order; order[head:] are live

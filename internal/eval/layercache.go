@@ -33,14 +33,49 @@ type layerEntry struct {
 }
 
 // layerFlight is one in-progress layer search other goroutines can wait on.
-// When the search panics, panicked carries the panic value: waiters re-raise
-// it on their own goroutine so every design joined to the doomed search
-// records the failure itself (instead of deadlocking on a flight that will
-// never close).
+// A goroutine that joins the flight makes done, under e.mu; the searcher
+// settles the flight under e.mu too, and only a joined flight gets a copy of
+// the entry, or the panic value when the search panicked, before done
+// closes. Waiters re-raise a panic on their own goroutine, so every design
+// joined to the doomed search records the failure itself (instead of
+// deadlocking on a flight that will never close). Joins are rare, so a
+// flight nobody joined costs neither a channel nor a copy of the entry.
 type layerFlight struct {
 	done     chan struct{}
-	ent      layerEntry
+	ent      *layerEntry
 	panicked any
+}
+
+// walkKey identifies a walk memo entry: a layer shape and the design
+// parameters its pruned mapping space depends on (see perf.Walk).
+type walkKey struct {
+	shape       string
+	pes, l1, l2 int
+}
+
+// walkCap bounds the walk memo. An exploration searches a key again when it
+// tries a neighbouring design with the same PEs and buffers, and in between
+// it searches every other layer shape of its models once per design. The
+// 11-model suite has 219 shapes, so the memo must hold a few designs' worth:
+// on the 11-model codesign exploration at Workers=1, 128 entries answered
+// no search, 512 answered 53% and 1,024 65%. At default budgets an entry
+// holds a few KiB.
+const walkCap = 512
+
+// walk returns the walk memo entry of layer l, of shape key shape, on designs
+// with d's PEs and buffer capacities, starting it on a miss.
+func (e *Evaluator) walk(shape string, d arch.Design, l workload.Layer) *perf.Walk {
+	key := walkKey{shape: shape, pes: d.PEs, l1: d.L1Bytes, l2: d.L2Bytes()}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if w, ok := e.walks.get(key); ok {
+		e.cWalkHits.Inc()
+		return w
+	}
+	e.cWalkMisses.Inc()
+	w := perf.NewWalk(l, d)
+	e.walks.put(key, w)
+	return w
 }
 
 // layerKeyFor builds the in-memory layer-cache key for one layer of a model
@@ -81,14 +116,18 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 	}
 	if f, ok := e.lflights[key]; ok {
 		e.cLDedups.Inc()
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
+		done := f.done
 		e.mu.Unlock()
-		<-f.done
+		<-done
 		if f.panicked != nil {
 			panic(f.panicked)
 		}
-		return f.ent
+		return *f.ent
 	}
-	f := &layerFlight{done: make(chan struct{})}
+	f := new(layerFlight)
 	e.lflights[key] = f
 	e.mu.Unlock()
 
@@ -99,13 +138,8 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 	if e.store != nil {
 		if dec, ok := e.store.Get(e.persistKey(key)); ok {
 			ent := e.derive(d, l, dec)
-			e.mu.Lock()
-			e.lcache.put(key, ent)
-			delete(e.lflights, key)
-			e.mu.Unlock()
+			e.settle(key, f, &ent, nil)
 			e.cPHits.Inc()
-			f.ent = ent
-			close(f.done)
 			return ent
 		}
 		e.cPMisses.Inc()
@@ -114,27 +148,16 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 	e.cLMisses.Inc()
 
 	// A panicking search must still resolve the flight — waiters would
-	// otherwise block forever — and must not poison the cache: unregister
-	// the flight, hand the panic value to waiters, and re-raise.
+	// otherwise block forever — and must not poison the cache: settle it
+	// with the panic value, and re-raise.
 	defer func() {
 		if rec := recover(); rec != nil {
-			e.mu.Lock()
-			delete(e.lflights, key)
-			e.mu.Unlock()
-			f.panicked = rec
-			close(f.done)
+			e.settle(key, f, nil, rec)
 			panic(rec)
 		}
 	}()
-	ent := e.timedSearchLayer(d, l, salt)
-
-	e.mu.Lock()
-	e.lcache.put(key, ent)
-	delete(e.lflights, key)
-	e.mu.Unlock()
-
-	f.ent = ent
-	close(f.done)
+	ent := e.timedSearchLayer(d, l, key, salt)
+	e.settle(key, f, &ent, nil)
 	if e.store != nil {
 		// Persist after waking waiters: the fsync'd append rides on this
 		// goroutine, never on the joined ones.
@@ -142,6 +165,29 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, sal
 		e.cPWrites.Inc()
 	}
 	return ent
+}
+
+// settle resolves flight f of key: it caches ent (nil after a panic),
+// unregisters the flight, and wakes any waiter with a copy of ent or with
+// the panic value.
+func (e *Evaluator) settle(key layerCacheKey, f *layerFlight, ent *layerEntry, panicked any) {
+	e.mu.Lock()
+	if ent != nil {
+		e.lcache.put(key, *ent)
+	}
+	delete(e.lflights, key)
+	done := f.done
+	if done != nil {
+		if ent != nil {
+			joined := *ent
+			f.ent = &joined
+		}
+		f.panicked = panicked
+	}
+	e.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
 }
 
 // persistKey derives the content address of a layer search in the

@@ -31,6 +31,7 @@
 package evalcache
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -196,6 +197,10 @@ func (s *Store) loadLocked() error {
 		return err
 	}
 	dropped := 0
+	// Damage is reported once per open: a store another build wrote can
+	// hold thousands of lines this one cannot read.
+	var corrupt, torn, firstLine int
+	var firstErr error
 	rest := string(data)
 	lineNo := 0
 	for rest != "" {
@@ -205,7 +210,9 @@ func (s *Store) loadLocked() error {
 			// Torn tail: the signature of a killed writer. Unlike the
 			// checkpoint journal there is no ordering to preserve, so
 			// only this line is lost.
-			s.warnf("evalcache: %s line %d: torn write (no newline), dropping", s.dataPath, lineNo)
+			if torn++; firstErr == nil {
+				firstLine, firstErr = lineNo, errors.New("torn write (no newline)")
+			}
 			s.cCorrupt.Inc()
 			dropped++
 			break
@@ -215,7 +222,9 @@ func (s *Store) loadLocked() error {
 		if err != nil {
 			// Records are independent; a corrupt line costs exactly that
 			// line, and the scan continues at the next newline.
-			s.warnf("evalcache: %s line %d: %v — dropping", s.dataPath, lineNo, err)
+			if corrupt++; firstErr == nil {
+				firstLine, firstErr = lineNo, err
+			}
 			s.cCorrupt.Inc()
 			dropped++
 			continue
@@ -230,6 +239,10 @@ func (s *Store) loadLocked() error {
 		}
 		s.insert(key, ent, at)
 		s.cLoaded.Inc()
+	}
+	if firstErr != nil {
+		s.warnf("evalcache: %s: dropping %d corrupt and %d torn lines; first at line %d: %v",
+			s.dataPath, corrupt, torn, firstLine, firstErr)
 	}
 	if dropped > 0 {
 		if err := s.compactLocked(); err != nil {

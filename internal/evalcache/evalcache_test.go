@@ -1,6 +1,7 @@
 package evalcache
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -202,6 +203,55 @@ func TestTornTailLosesOnlyLastRecord(t *testing.T) {
 	}
 	if _, ok := s2.Get(testKey(2)); ok {
 		t.Error("torn record served as a hit")
+	}
+}
+
+// TestDamageWarnsOncePerOpen: a store with several corrupt lines and a torn
+// tail gives exactly one warning when it opens, naming both counts and the
+// first bad line, while every damaged line still counts as corrupt.
+func TestDamageWarnsOncePerOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Version: "v-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		s.Put(testKey(i), testEntry(i))
+	}
+	path := filepath.Join(dir, dataFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	for _, i := range []int{1, 2, 4} {
+		line := []byte(lines[i])
+		line[len(line)/2] ^= 0xFF
+		lines[i] = string(line)
+	}
+	damaged := strings.Join(lines, "")
+	if err := os.WriteFile(path, []byte(damaged[:len(damaged)-10]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var warnings []string
+	s2, err := Open(dir, Options{Version: "v-test", Warnf: func(format string, args ...any) {
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warnings) != 1 {
+		t.Fatalf("%d warnings, want 1: %q", len(warnings), warnings)
+	}
+	if w := warnings[0]; !strings.Contains(w, "3 corrupt and 1 torn lines") || !strings.Contains(w, "line 2:") {
+		t.Errorf("warning %q does not name 3 corrupt and 1 torn lines, first at line 2", w)
+	}
+	if got := s2.Metrics().Counter("evalcache_corrupt_records_total").Value(); got != 4 {
+		t.Errorf("corrupt counter = %d, want 4", got)
+	}
+	if s2.Len() != 2 {
+		t.Errorf("%d records survive, want 2", s2.Len())
 	}
 }
 

@@ -59,11 +59,24 @@ func benchCost(l workload.Layer) (candidateCost, func(int) float64) {
 }
 
 func benchGenCfg() GenConfig {
-	return GenConfig{PEs: 256, L1Bytes: 512, L2Bytes: 512 * 1024, MinN: 10, MaxN: 400}
+	return GenConfig{MinN: 10, MaxN: 400}
 }
 
-// BenchmarkEnumeratePruned measures the pruned enumeration cold (no bound)
-// and with lower-bound self-pruning.
+// benchWalk starts the walk of the benchmark key: l under 256 PEs, 512 B of
+// RF and 512 KiB of scratchpad.
+func benchWalk(l workload.Layer) *Walk[Mapping] {
+	return NewWalk[Mapping](l, 256, 512, 512*1024)
+}
+
+// enumerate runs the pruned enumeration of layer l under pes PEs and the
+// given RF and scratchpad capacities on a fresh walk, pricing through p.
+func enumerate(l workload.Layer, pes, l1, l2 int, cfg GenConfig, p *CostPricer) Result {
+	return EnumeratePruned(NewWalk[Mapping](l, pes, l1, l2), cfg, p)
+}
+
+// BenchmarkEnumeratePruned measures the pruned enumeration on a fresh walk
+// without a bound (cold) and with lower-bound pruning, and a bounded search
+// replaying a walk an earlier search recorded.
 func BenchmarkEnumeratePruned(b *testing.B) {
 	l := benchLayer()
 	f, lb := benchCost(l)
@@ -71,41 +84,47 @@ func BenchmarkEnumeratePruned(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			EnumeratePruned(l, benchGenCfg(), cost)
+			EnumeratePruned(benchWalk(l), benchGenCfg(), &CostPricer{Layer: l, Cost: cost})
 		}
 	})
 	b.Run("lb-pruned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cfg := benchGenCfg()
-			cfg.CostLB = lb
-			EnumeratePruned(l, cfg, cost)
+			EnumeratePruned(benchWalk(l), benchGenCfg(), &CostPricer{Layer: l, Cost: cost, LB: lb})
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		w, p := benchWalk(l), &CostPricer{Layer: l, Cost: cost, LB: lb}
+		EnumeratePruned(w, benchGenCfg(), p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			EnumeratePruned(w, benchGenCfg(), p)
 		}
 	})
 }
 
-// TestEnumerateAllocsRegression pins the allocation count of one full pruned
-// enumeration after the memo caches are warm. The pre-optimization hot loop
-// allocated per candidate (divisor slices, pickSpread maps, option maps);
-// the de-allocated loop amortizes to a handful of allocations per search.
+// TestEnumerateAllocsRegression pins the allocation count of one pruned
+// enumeration after the memo caches are warm: a search replaying a walk
+// allocates nothing per candidate, and a cold one allocates per base and
+// per chunk of fills, never per candidate. The pre-optimization hot loop
+// allocated per candidate (divisor slices, pickSpread maps, option maps).
 func TestEnumerateAllocsRegression(t *testing.T) {
 	l := benchLayer()
 	f, lb := benchCost(l)
-	cost := perCandidate(f)
-	warmRes := EnumeratePruned(l, benchGenCfg(), cost) // warm the divisor/spread memos
+	p := &CostPricer{Layer: l, Cost: perCandidate(f), LB: lb}
+	w := benchWalk(l)
+	warmRes := EnumeratePruned(w, benchGenCfg(), p) // warm the divisor/spread memos and the walk
 	if !warmRes.Found {
 		t.Fatal("no mapping found")
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		cfg := benchGenCfg()
-		cfg.CostLB = lb
-		EnumeratePruned(l, cfg, cost)
-	})
-	// One enumerator struct plus small constant overhead; hundreds of
-	// candidates are examined, so any per-candidate allocation blows far
-	// past this bound.
-	if allocs > 16 {
-		t.Fatalf("pruned enumeration allocates %.0f times per search; hot loop has regressed", allocs)
+	// Hundreds of candidates are examined, so any per-candidate
+	// allocation blows far past these bounds.
+	if allocs := testing.AllocsPerRun(20, func() { EnumeratePruned(w, benchGenCfg(), p) }); allocs > 16 {
+		t.Fatalf("a replayed pruned enumeration allocates %.0f times per search; hot loop has regressed", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { EnumeratePruned(benchWalk(l), benchGenCfg(), p) }); allocs > coldAllocs {
+		t.Fatalf("a cold pruned enumeration allocates %.0f times per search, want at most %d", allocs, coldAllocs)
 	}
 }
 
@@ -117,10 +136,9 @@ func TestWarmResultMatchesColdSynthetic(t *testing.T) {
 	l := benchLayer()
 	f, lb := benchCost(l)
 	cost := perCandidate(f)
-	full := EnumeratePruned(l, benchGenCfg(), cost)
-	cfg := benchGenCfg()
-	cfg.CostLB = lb
-	pruned := EnumeratePruned(l, cfg, cost)
+	w := benchWalk(l)
+	full := EnumeratePruned(w, benchGenCfg(), &CostPricer{Layer: l, Cost: cost})
+	pruned := EnumeratePruned(w, benchGenCfg(), &CostPricer{Layer: l, Cost: cost, LB: lb})
 	if pruned.Best != full.Best || pruned.Cycles != full.Cycles || pruned.Evaluated != full.Evaluated {
 		t.Fatalf("pruned diverged: unpruned %v/%v/%d pruned %v/%v/%d",
 			full.Best, full.Cycles, full.Evaluated, pruned.Best, pruned.Cycles, pruned.Evaluated)
@@ -132,3 +150,9 @@ func TestWarmResultMatchesColdSynthetic(t *testing.T) {
 		t.Fatalf("pruned run made %d cost calls, unpruned %d; pruning saved nothing", pruned.CostCalls, full.CostCalls)
 	}
 }
+
+// coldAllocs bounds the allocations of TestEnumerateAllocsRegression's cold
+// search: the walk, one record per base it visits and its fill chunks.
+// Walks were introduced at 7, and 8 under -race, where sync.Pool drops
+// some of what it is given.
+const coldAllocs = 10

@@ -110,7 +110,7 @@ func TestEnumeratePrunedFindsValidUnderTinyBuffers(t *testing.T) {
 	// them within budget.
 	l := testLayer()
 	cost := fitCost(l, 64, 8, 64*1024)
-	res := EnumeratePruned(l, GenConfig{PEs: 64, L1Bytes: 8, L2Bytes: 64 * 1024, MaxN: 400}, cost)
+	res := enumerate(l, 64, 8, 64*1024, GenConfig{MaxN: 400}, &CostPricer{Layer: l, Cost: cost})
 	if !res.Found {
 		t.Fatal("pruned enumeration found nothing under tiny buffers")
 	}
@@ -122,7 +122,7 @@ func TestEnumeratePrunedFindsValidUnderTinyBuffers(t *testing.T) {
 func TestEnumeratePrunedPrefersUtilization(t *testing.T) {
 	l := testLayer()
 	cost := fitCost(l, 256, 1024, 1024*1024)
-	res := EnumeratePruned(l, GenConfig{PEs: 256, L1Bytes: 1024, L2Bytes: 1024 * 1024, MaxN: 2000}, cost)
+	res := enumerate(l, 256, 1024, 1024*1024, GenConfig{MaxN: 2000}, &CostPricer{Layer: l, Cost: cost})
 	if !res.Found {
 		t.Fatal("nothing found")
 	}
@@ -137,7 +137,7 @@ func TestEnumeratePrunedBaseValidSkipsEverything(t *testing.T) {
 	l := testLayer()
 	calls := 0
 	cost := perCandidate(func(*Mapping) (float64, bool) { calls++; return 1, true })
-	res := EnumeratePruned(l, GenConfig{PEs: 64, MaxN: 100, BaseValid: func(*Mapping) bool { return false }}, cost)
+	res := enumerate(l, 64, 0, 0, GenConfig{MaxN: 100}, &CostPricer{Layer: l, Cost: cost, BaseValid: func(*Mapping) bool { return false }})
 	if res.Found || calls != 0 {
 		t.Fatalf("BaseValid=false must suppress all evaluations (calls=%d)", calls)
 	}
@@ -209,7 +209,7 @@ func TestEnumeratePrunedEmitsOnlyCoveringMappings(t *testing.T) {
 		}
 		return 1, true
 	})
-	EnumeratePruned(l, GenConfig{PEs: 256, L1Bytes: 512, L2Bytes: 256 * 1024, MaxN: 800}, cost)
+	enumerate(l, 256, 512, 256*1024, GenConfig{MaxN: 800}, &CostPricer{Layer: l, Cost: cost})
 	if bad != 0 {
 		t.Fatalf("%d emitted mappings do not cover the dims", bad)
 	}
@@ -226,7 +226,7 @@ func TestEnumeratePrunedRespectsPEBudget(t *testing.T) {
 		}
 		return 1, true
 	})
-	EnumeratePruned(l, GenConfig{PEs: 128, MaxN: 600}, cost)
+	enumerate(l, 128, 0, 0, GenConfig{MaxN: 600}, &CostPricer{Layer: l, Cost: cost})
 	if over != 0 {
 		t.Fatalf("%d emitted mappings exceed the PE budget", over)
 	}
@@ -344,17 +344,19 @@ func TestWarmProbeSweep(t *testing.T) {
 		cost := sweepCost(lb, q)
 		h := fnv.New64a()
 		for _, buf := range buffers {
+			// One walk serves every search of the key, so the small
+			// budgets record prefixes the large ones extend.
+			w := NewWalk[Mapping](l, 256, buf[0], buf[1])
 			for _, maxN := range []int{40, 400} {
 				for _, ords := range orderings {
-					cfg := GenConfig{PEs: 256, L1Bytes: buf[0], L2Bytes: buf[1], MinN: 10, MaxN: maxN, Orderings: ords}
-					full := EnumeratePruned(l, cfg, perCandidate(func(m *Mapping) (float64, bool) {
+					cfg := GenConfig{MinN: 10, MaxN: maxN, Orderings: ords}
+					full := EnumeratePruned(w, cfg, &CostPricer{Layer: l, Cost: perCandidate(func(m *Mapping) (float64, bool) {
 						fmt.Fprint(h, *m)
 						return cost(m)
-					}))
-					cfg.CostLB = lb
-					pruned := EnumeratePruned(l, cfg, perCandidate(cost))
+					})})
+					pruned := EnumeratePruned(w, cfg, &CostPricer{Layer: l, Cost: perCandidate(cost), LB: lb})
 					if pruned.Best != full.Best || pruned.Cycles != full.Cycles || pruned.Found != full.Found || pruned.Evaluated != full.Evaluated {
-						t.Fatalf("%s %+v: pruned %+v diverged from unpruned %+v", l.Name, cfg, pruned, full)
+						t.Fatalf("%s %v %+v: pruned %+v diverged from unpruned %+v", l.Name, buf, cfg, pruned, full)
 					}
 					fmt.Fprint(h, pruned.CostCalls, pruned.LBPruned)
 				}

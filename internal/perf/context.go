@@ -15,13 +15,18 @@ import (
 // NoC constants — so the enumeration inner loop pays only for what actually
 // varies per candidate.
 //
-// Tier 1 is EvaluateFill, the mapping.Cost of every mapping search: the
-// cycles of one temporal fill (a factor matrix m.F) under a list of
-// stationary-tensor orderings, with no per-operand breakdown. Everything a
-// fill determines on its own — structural validity, buffer fits, refetch
-// products, NoC geometry, DMA bursts — is worked out once per call, the
-// off-chip traffic and DMA time once per DRAM-stationary tensor the list
-// names, and each ordering then costs a handful of multiplications.
+// Tier 1 prices one temporal fill (a factor matrix m.F) under a list of
+// stationary-tensor orderings, cycles only, with no per-operand breakdown.
+// It comes in two halves. The key-fixed half (keyFill) works out what the
+// layer and the fill alone fix: refetch products, RF tiles and DMA bursts,
+// the same on every design with the fill's PEs and buffers. The design half
+// (side, per spatial base, and price) adds the compute time, the NoC links
+// and width, and the bandwidth: the off-chip traffic and DMA time once per
+// DRAM-stationary tensor the list names, and each ordering then costs a
+// handful of multiplications. EvaluateFill, the mapping.Cost of the
+// black-box mappers, runs both halves per call; a pruned search
+// (SearchPruned) records the key-fixed half once per fill in a walk shared
+// by every design of the key, and runs only the design half per search.
 //
 // Tier 2 is EvalContext.Evaluate: the full Breakdown, used for the winning
 // mapping, bottleneck analysis, and mitigation. Both tiers share the same
@@ -52,25 +57,31 @@ type EvalContext struct {
 	l2Bytes int64
 }
 
-// fillState holds every quantity of one valid temporal fill (a factor
-// matrix m.F) that does not depend on the stationary-tensor ordering.
+// fillState is the key-fixed half of Tier 1's state of one valid temporal
+// fill: what the layer and the fill's factor matrix fix, whatever the
+// design's bandwidth, NoC width and links. Every field is integer-valued
+// (see fillRecord).
 type fillState struct {
-	tcomp float64
-
 	// prodIrrDRAM/prodIrrL2 are prodIrrelevant(t, level) for TW and TI
 	// (TO refetch goes through the psum products instead).
-	prodIrrDRAM [mapping.NumTensors]float64
-	prodIrrL2   [mapping.NumTensors]float64
+	prodIrrDRAM [mapping.TO]float64
+	prodIrrL2   [mapping.TO]float64
 	psumDRAM    float64
 	psumL2      float64
+	// bpg is each tensor's RF tile in bytes, the NoC broadcast size of
+	// one group; burst is each tensor's DMA burst size, clamped to one
+	// element.
+	bpg   [mapping.NumTensors]float64
+	burst [mapping.NumTensors]float64
+}
 
-	// Per-operand NoC geometry: groups*bytesPerGroup (the loads divisor),
-	// the time-sharing degree as a float, the per-group broadcast cycles,
-	// and the clamped DMA burst size.
-	groupsBpg [arch.NumOperands]float64
-	sharesF   [arch.NumOperands]float64
-	perGroup  [arch.NumOperands]float64
-	burst     [arch.NumOperands]float64
+// baseSide is the design half of Tier 1's state that a fill's spatial base
+// fixes: the compute time, and each operand's NoC group count and
+// time-sharing degree.
+type baseSide struct {
+	tcomp   float64
+	groupsF [arch.NumOperands]float64
+	sharesF [arch.NumOperands]float64
 }
 
 // dramSide is the part of a candidate's cost that its fill and its
@@ -126,9 +137,8 @@ func (c *EvalContext) init(d arch.Design, l workload.Layer) {
 // CostLowerBound is a certified lower bound on the cycles either tier can
 // report for any valid mapping of the bound layer occupying the given number
 // of spatial PEs: Cycles = max(TComp, ...) >= TComp = paddedMACs/PEsUsed.
-// The pruned enumerator (mapping.GenConfig.CostLB) uses it to skip cost
-// calls that provably cannot beat an incumbent without changing the search
-// result.
+// The pruned search (SearchPruned) uses it to skip pricing candidates that
+// provably cannot beat an incumbent without changing the search result.
 func (c *EvalContext) CostLowerBound(spatialPEs int) float64 {
 	if spatialPEs < 1 {
 		spatialPEs = 1
@@ -207,14 +217,13 @@ func (c *EvalContext) burstBytes(m *mapping.Mapping, t mapping.Tensor) float64 {
 	}
 }
 
-// fits runs the validity checks of mapping m: the factors cover the padded
-// dims, the spatial tiling fits the PEs, the RF and L2 tiles fit their
-// buffers, and no operand needs more time-shared NoC unicast than the
-// design supports. None of them reads the stationary tensors, so validity
-// is a property of the temporal fill. It also returns what the checks
-// computed: the PEs the fill occupies and each operand's NoC group count
-// and time-sharing degree.
-func (c *EvalContext) fits(m *mapping.Mapping) (pes int, groups, shares [arch.NumOperands]int, ok bool) {
+// fits runs the validity checks of mapping m that do not read the design's
+// links: the factors cover the padded dims, the spatial tiling fits the
+// PEs, and the RF and L2 tiles fit their buffers. None of them reads the
+// stationary tensors, so validity is a property of the temporal fill. It
+// also returns what the checks computed: the PEs the fill occupies and
+// each tensor's NoC group count, the links' input (see side).
+func (c *EvalContext) fits(m *mapping.Mapping) (pes int, groups [mapping.NumTensors]int, ok bool) {
 	for dim := mapping.Dim(0); dim < mapping.NumDims; dim++ {
 		prod := 1
 		for lv := mapping.Level(0); lv < mapping.NumLevels; lv++ {
@@ -234,65 +243,66 @@ func (c *EvalContext) fits(m *mapping.Mapping) (pes int, groups, shares [arch.Nu
 	if mapping.L2TileBytes(&c.l, m) > c.l2Bytes {
 		return
 	}
-	for _, op := range arch.Operands {
+	for t := range groups {
 		g := 1
-		mask := c.idxMask[OperandTensor(op)]
 		for dim := mapping.Dim(0); dim < mapping.NumDims; dim++ {
-			if mask&(1<<uint(dim)) != 0 {
+			if c.idxMask[t]&(1<<uint(dim)) != 0 {
 				g *= m.Factor(dim, mapping.LvlSpatial)
 			}
 		}
+		groups[t] = g
+	}
+	return pes, groups, true
+}
+
+// side is the design half of a fill's validity and its base's state: the
+// compute time of a fill occupying pes PEs, and each operand's group count
+// and time-sharing degree from the tensors' group counts. ok is false when
+// an operand needs more time-shared unicast than its NoC supports.
+func (c *EvalContext) side(pes int, groups [mapping.NumTensors]int) (bs baseSide, ok bool) {
+	for _, op := range arch.Operands {
+		g := groups[OperandTensor(op)]
 		sh := (g + c.d.PhysLinks[op] - 1) / c.d.PhysLinks[op]
 		if sh < 1 {
 			sh = 1
 		}
 		if sh > c.d.VirtLinks[op] {
-			return
+			return bs, false
 		}
-		groups[op], shares[op] = g, sh
+		bs.groupsF[op], bs.sharesF[op] = float64(g), float64(sh)
 	}
-	return pes, groups, shares, true
+	bs.tcomp = c.macs / float64(pes)
+	return bs, true
 }
 
 // Valid reports whether mapping m is valid on the bound design, under any
 // stationary ordering. It runs only the validity checks, none of Tier 1's
-// cost precomputes, and allocates nothing; its method value is the pruned
-// enumerator's per-spatial-base probe (mapping.GenConfig.BaseValid).
+// cost precomputes, and allocates nothing.
 func (c *EvalContext) Valid(m *mapping.Mapping) bool {
-	_, _, _, ok := c.fits(m)
+	pes, groups, ok := c.fits(m)
+	if ok {
+		_, ok = c.side(pes, groups)
+	}
 	return ok
 }
 
-// computeFill sets fs to the ordering-independent state of m's temporal
-// fill and reports whether the fill is valid; fs is left partial when it
-// is not.
-func (c *EvalContext) computeFill(m *mapping.Mapping, fs *fillState) bool {
-	pes, groups, shares, ok := c.fits(m)
-	if !ok {
-		return false
-	}
-	fs.tcomp = c.macs / float64(pes)
-
+// keyFill sets fs to the key-fixed state of m's temporal fill, which must
+// be valid.
+func (c *EvalContext) keyFill(m *mapping.Mapping, fs *fillState) {
 	for t := mapping.Tensor(0); t < mapping.TO; t++ {
 		fs.prodIrrDRAM[t] = c.prodIrr(m, t, mapping.LvlDRAM)
 		fs.prodIrrL2[t] = c.prodIrr(m, t, mapping.LvlL2)
 	}
 	fs.psumDRAM = c.psumProd(m, mapping.LvlDRAM)
 	fs.psumL2 = c.psumProd(m, mapping.LvlL2)
-
-	for _, op := range arch.Operands {
-		t := OperandTensor(op)
-		bpg := float64(mapping.RFTileElems(&c.l, m, t)) * workload.BytesPerElem
-		fs.groupsBpg[op] = float64(groups[op]) * bpg
-		fs.sharesF[op] = float64(shares[op])
-		fs.perGroup[op] = math.Ceil(bpg * 8 / c.nocW)
+	for t := mapping.Tensor(0); t < mapping.NumTensors; t++ {
+		fs.bpg[t] = float64(mapping.RFTileElems(&c.l, m, t)) * workload.BytesPerElem
 		burst := c.burstBytes(m, t)
 		if burst < workload.BytesPerElem {
 			burst = workload.BytesPerElem
 		}
-		fs.burst[op] = burst
+		fs.burst[t] = burst
 	}
-	return true
 }
 
 // dram works out the off-chip side of a valid fill with DRAM-stationary
@@ -318,25 +328,48 @@ func (c *EvalContext) dram(fs *fillState, ds mapping.Tensor) dramSide {
 		if bytes <= 0 {
 			continue
 		}
-		s.tdma += bytes/c.bpc + bytes/fs.burst[op]*dmaBurstSetupCycles
+		s.tdma += bytes/c.bpc + bytes/fs.burst[OperandTensor(op)]*dmaBurstSetupCycles
 	}
 	return s
 }
 
-// EvaluateFill is Tier 1, the mapping.Cost of every mapping search: it sets
-// cycles[i] to the latency of m's temporal fill under the stationary pair of
-// orderings[i], bit-identical to Evaluate's Cycles for that candidate, or to
-// +Inf when the candidate is invalid. It reads only the stationary fields
-// of the orderings and ignores m's own. It works out the fill's
-// ordering-independent state once, the off-chip side once per
-// DRAM-stationary tensor the list names, and allocates nothing.
+// EvaluateFill is Tier 1, the mapping.Cost of the black-box mappers: it
+// sets cycles[i] to the latency of m's temporal fill under the stationary
+// pair of orderings[i], bit-identical to Evaluate's Cycles for that
+// candidate, or to +Inf when the candidate is invalid. It reads only the
+// stationary fields of the orderings and ignores m's own. It is the
+// key-fixed half (keyFill) followed by the design half (price), the same
+// two halves a pruned search prices a walk's recorded fills with, and
+// allocates nothing.
 func (c *EvalContext) EvaluateFill(m *mapping.Mapping, orderings []mapping.Mapping, cycles []float64) {
-	var fs fillState
-	if !c.computeFill(m, &fs) {
+	pes, groups, ok := c.fits(m)
+	var bs baseSide
+	if ok {
+		bs, ok = c.side(pes, groups)
+	}
+	if !ok {
 		for i := range orderings {
 			cycles[i] = math.Inf(1)
 		}
 		return
+	}
+	var fs fillState
+	c.keyFill(m, &fs)
+	c.price(&bs, &fs, orderings, cycles)
+}
+
+// price is the design half of Tier 1: it sets cycles[i] to the latency of
+// the valid fill with key-fixed state fs, on a base with design state bs,
+// under the stationary pair of orderings[i]. It works out the off-chip
+// side once per DRAM-stationary tensor the list names, and each ordering
+// then costs a handful of multiplications. Every expression keeps Tier 2's
+// association.
+func (c *EvalContext) price(bs *baseSide, fs *fillState, orderings []mapping.Mapping, cycles []float64) {
+	var groupsBpg, perGroup [arch.NumOperands]float64
+	for _, op := range arch.Operands {
+		bpg := fs.bpg[OperandTensor(op)]
+		groupsBpg[op] = bs.groupsF[op] * bpg
+		perGroup[op] = math.Ceil(bpg * 8 / c.nocW)
 	}
 	var sides [mapping.NumTensors]dramSide
 	var have [mapping.NumTensors]bool
@@ -347,7 +380,7 @@ func (c *EvalContext) EvaluateFill(m *mapping.Mapping, orderings []mapping.Mappi
 			ds = mapping.TO
 		}
 		if !have[ds] {
-			sides[ds], have[ds] = c.dram(&fs, ds), true
+			sides[ds], have[ds] = c.dram(fs, ds), true
 		}
 		side := &sides[ds]
 
@@ -370,13 +403,13 @@ func (c *EvalContext) EvaluateFill(m *mapping.Mapping, orderings []mapping.Mappi
 		noc[arch.OpOWr] = c.sizeB[mapping.TO] * psumNoC
 		noc[arch.OpORd] = c.sizeB[mapping.TO] * (psumNoC - 1)
 
-		cyc := fs.tcomp
+		cyc := bs.tcomp
 		for _, op := range arch.Operands {
 			if noc[op] <= 0 {
 				continue
 			}
-			loads := noc[op] / fs.groupsBpg[op]
-			t := loads * fs.sharesF[op] * fs.perGroup[op]
+			loads := noc[op] / groupsBpg[op]
+			t := loads * bs.sharesF[op] * perGroup[op]
 			if t > cyc {
 				cyc = t
 			}

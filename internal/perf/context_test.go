@@ -134,25 +134,27 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 			d := randDesign(rng)
 			ctx := NewContext(d, l)
 			// slowCost prices each ordering of the fill through a full
-			// Tier-2 Breakdown.
+			// Tier-2 Breakdown. Every fill the walk holds on a base that
+			// passes Valid must be valid: the fast path never rejects one.
 			slowCost := func(m *mapping.Mapping, orderings []mapping.Mapping, cycles []float64) {
 				c := *m
 				for i := range orderings {
 					c.DRAMStationary, c.NoCStationary = orderings[i].DRAMStationary, orderings[i].NoCStationary
-					if b := ctx.Evaluate(c); b.Valid {
-						cycles[i] = b.Cycles
-					} else {
-						cycles[i] = math.Inf(1)
+					b := ctx.Evaluate(c)
+					if !b.Valid {
+						t.Fatalf("%s: the walk emitted an invalid fill on a valid base: %v (%s)", l.Name, c, b.Incompat)
 					}
+					cycles[i] = b.Cycles
 				}
 			}
-			newCfg := func() mapping.GenConfig {
-				return mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 600}
+			cfg := mapping.GenConfig{MaxN: 600}
+			slowWalk := func() *mapping.Walk[mapping.Mapping] {
+				return mapping.NewWalk[mapping.Mapping](l, d.PEs, d.L1Bytes, d.L2Bytes())
 			}
 
 			// Cold: no pruning, every candidate costed.
-			cold := mapping.EnumeratePruned(l, newCfg(), ctx.EvaluateFill)
-			coldRef := mapping.EnumeratePruned(l, newCfg(), slowCost)
+			cold := mapping.EnumeratePruned(NewWalk(l, d), cfg, unbounded{newPricer(d, l)})
+			coldRef := mapping.EnumeratePruned(slowWalk(), cfg, &mapping.CostPricer{Layer: l, Cost: slowCost, BaseValid: ctx.Valid})
 			if cold != coldRef {
 				t.Fatalf("%s: cold fast-path result %+v != slow-path %+v", l.Name, cold, coldRef)
 			}
@@ -161,10 +163,8 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 			}
 
 			// Pruned: the production search, under the lower bound.
-			prunedCfg := newCfg()
-			prunedCfg.CostLB = ctx.CostLowerBound
-			pruned := mapping.EnumeratePruned(l, prunedCfg, ctx.EvaluateFill)
-			prunedRef := mapping.EnumeratePruned(l, prunedCfg, slowCost)
+			pruned := SearchPruned(nil, d, l, cfg)
+			prunedRef := mapping.EnumeratePruned(slowWalk(), cfg, &mapping.CostPricer{Layer: l, Cost: slowCost, BaseValid: ctx.Valid, LB: ctx.CostLowerBound})
 			if pruned != prunedRef {
 				t.Fatalf("%s: pruned fast-path result %+v != slow-path %+v", l.Name, pruned, prunedRef)
 			}
@@ -180,26 +180,26 @@ func TestEnumerateTrajectoryMatchesSlowPath(t *testing.T) {
 }
 
 // TestEnumerateSearchAllocsRealCost pins the allocation count of a full
-// pruned enumeration driven by the real Tier-1 cost (the mapping-package
-// regression test uses a synthetic cost). After the divisor/spread memos are
-// warm, a search over hundreds of candidates must amortize to a handful of
-// allocations — any per-fill allocation in EvaluateFill blows the bound
-// immediately.
+// pruned search priced by the real Tier 1 (the mapping-package regression
+// test uses a synthetic cost). After the divisor/spread memos are warm, a
+// search replaying a walk over hundreds of candidates must amortize to a
+// handful of allocations: any per-fill allocation in the pricer blows the
+// bound immediately. A cold search allocates its walk's records: 7 when
+// walks were introduced, 8 under -race, where sync.Pool drops some of what
+// it is given.
 func TestEnumerateSearchAllocsRealCost(t *testing.T) {
 	l := testLayer()
 	d := testDesign()
-	cfg := mapping.GenConfig{PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(), MaxN: 600}
-	ctx := NewContext(d, l)
-	warm := mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill) // warm the divisor/spread memos
-	if !warm.Found {
+	cfg := mapping.GenConfig{MaxN: 600}
+	w := NewWalk(l, d)
+	if warm := SearchPruned(w, d, l, cfg); !warm.Found { // warm the divisor/spread memos and the walk
 		t.Fatal("no mapping found")
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		c := cfg
-		c.CostLB = ctx.CostLowerBound
-		mapping.EnumeratePruned(l, c, ctx.EvaluateFill)
-	})
-	if allocs > 16 {
-		t.Fatalf("real-cost enumeration allocates %.0f times per search; Tier-1 hot path has regressed", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { SearchPruned(w, d, l, cfg) }); allocs > 16 {
+		t.Fatalf("a replayed real-cost search allocates %.0f times; Tier-1 hot path has regressed", allocs)
+	}
+	const coldAllocs = 10
+	if allocs := testing.AllocsPerRun(20, func() { SearchPruned(nil, d, l, cfg) }); allocs > coldAllocs {
+		t.Fatalf("a cold real-cost search allocates %.0f times, want at most %d", allocs, coldAllocs)
 	}
 }

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"testing"
 
 	"xdse/internal/arch"
@@ -34,20 +35,29 @@ func pruneTestLayers() []workload.Layer {
 	}
 }
 
-func genCfg(d arch.Design, ctx *EvalContext, maxN int) mapping.GenConfig {
-	return mapping.GenConfig{
-		PEs: d.PEs, L1Bytes: d.L1Bytes, L2Bytes: d.L2Bytes(),
-		MinN: 10, MaxN: maxN, BaseValid: ctx.Valid,
-	}
+// searchCfg is the budget of a pruned search of maxN candidates.
+func searchCfg(maxN int) mapping.GenConfig { return mapping.GenConfig{MinN: 10, MaxN: maxN} }
+
+// newPricer returns Tier 1's pricer for one search of layer l on design d.
+func newPricer(d arch.Design, l workload.Layer) *pricer {
+	p := new(pricer)
+	p.c.init(d, l)
+	return p
 }
 
-// prunedSearch is the production search of layer l on design d: the
-// enumeration under the perf model's compute-floor lower bound.
+// unbounded prices like its pricer without the lower bound: it prunes
+// nothing.
+type unbounded struct{ *pricer }
+
+func (u unbounded) Base(b *mapping.Base) (float64, bool) {
+	_, ok := u.pricer.Base(b)
+	return math.Inf(-1), ok
+}
+
+// prunedSearch is the production search of layer l on design d, on a fresh
+// walk: the enumeration under the perf model's compute-floor lower bound.
 func prunedSearch(d arch.Design, l workload.Layer) mapping.Result {
-	ctx := NewContext(d, l)
-	cfg := genCfg(d, ctx, 300)
-	cfg.CostLB = ctx.CostLowerBound
-	return mapping.EnumeratePruned(l, cfg, ctx.EvaluateFill)
+	return SearchPruned(nil, d, l, searchCfg(300))
 }
 
 // TestWarmEnumerationBitIdentical is the pruning contract on the real cost
@@ -58,8 +68,7 @@ func prunedSearch(d arch.Design, l workload.Layer) mapping.Result {
 func TestWarmEnumerationBitIdentical(t *testing.T) {
 	for _, l := range pruneTestLayers() {
 		for i, d := range pruneTestDesigns() {
-			ctx := NewContext(d, l)
-			full := mapping.EnumeratePruned(l, genCfg(d, ctx, 300), ctx.EvaluateFill)
+			full := mapping.EnumeratePruned(NewWalk(l, d), searchCfg(300), unbounded{newPricer(d, l)})
 			pruned := prunedSearch(d, l)
 			if pruned.Best != full.Best || pruned.Cycles != full.Cycles ||
 				pruned.Found != full.Found || pruned.Evaluated != full.Evaluated {
