@@ -10,14 +10,16 @@ import (
 )
 
 // runCacheGC implements `xdse cache-gc -cache-dir DIR -max-age AGE`: open
-// the persistent evaluation store, retire every record whose last access is
-// older than AGE, and compact the journal. Retirement is safe by
+// the persistent evaluation store, retire every record written longer than
+// AGE ago, and compact the journal. A record's age is its write time: reads
+// do not refresh it, so a record campaigns still hit is retired once it is
+// old. Retirement is safe by
 // construction — records are content-addressed sub-results, so a retired
 // record only means a future campaign recomputes that layer.
 func runCacheGC(args []string) int {
 	fs := flag.NewFlagSet("xdse cache-gc", flag.ExitOnError)
 	dir := fs.String("cache-dir", "", "persistent evaluation-cache directory (required)")
-	maxAge := fs.Duration("max-age", 30*24*time.Hour, "retire records last accessed longer ago than this")
+	maxAge := fs.Duration("max-age", 30*24*time.Hour, "retire records written longer ago than this")
 	fs.Parse(args)
 	if *dir == "" || fs.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "usage: xdse cache-gc -cache-dir DIR [-max-age AGE]\n")

@@ -44,8 +44,8 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		os.Exit(runServe(os.Args[2:]))
 	}
-	// `xdse cache-gc` retires cold records from a persistent evaluation
-	// cache by last-access age (see internal/evalcache).
+	// `xdse cache-gc` retires old records from a persistent evaluation
+	// cache by the time they were written (see internal/evalcache).
 	if len(os.Args) > 1 && os.Args[1] == "cache-gc" {
 		os.Exit(runCacheGC(os.Args[2:]))
 	}

@@ -52,26 +52,28 @@ func BenchmarkEvaluateDesign(b *testing.B) {
 	})
 }
 
-// BenchmarkEvaluateLayer measures one layer's mapping search through the
-// evaluator: a cold search on a fresh evaluator every call versus the layer
-// cache answering repeats.
+// BenchmarkEvaluateLayer measures one layer's lookup through the evaluator:
+// a cold search on a fresh evaluator every call versus the record map
+// answering repeats with a derived breakdown.
 func BenchmarkEvaluateLayer(b *testing.B) {
 	s := arch.EdgeSpace()
 	d := s.MustDecode(compatiblePoint(s))
-	l := workload.ResNet18().Layers[1]
+	sub := perf.MappingSubKey(d)
 	b.Run("cold", func(b *testing.B) {
 		cfg := benchEvalConfig(s)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			New(cfg).evaluateLayer(d, perf.MappingSubKey(d), l, 1)
+			e := New(cfg)
+			e.layerResult(d, sub, &e.slots[1])
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		e := New(benchEvalConfig(s))
-		e.evaluateLayer(d, perf.MappingSubKey(d), l, 1) // populate the cache
+		e.layerResult(d, sub, &e.slots[1]) // fill the record map
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.evaluateLayer(d, perf.MappingSubKey(d), l, 1)
+			e.layerResult(d, sub, &e.slots[1])
 		}
 	})
 }

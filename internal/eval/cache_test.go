@@ -192,9 +192,9 @@ func TestDesignMemoEviction(t *testing.T) {
 	}
 }
 
-// TestEvaluateModelBoundsGoroutines checks that a model's layers run on at
-// most Workers goroutines: a many-layer model under Workers=1 must not burst
-// one goroutine per layer.
+// TestEvaluateModelBoundsGoroutines checks that a design's layer searches
+// run on at most Workers goroutines: a many-layer model under Workers=1 must
+// not burst one goroutine per layer.
 func TestEvaluateModelBoundsGoroutines(t *testing.T) {
 	layers := make([]workload.Layer, 64)
 	for i := range layers {
@@ -344,10 +344,9 @@ func TestTierSplitStats(t *testing.T) {
 	}
 }
 
-// TestDeriveAllocatesNothing pins the cost of completing a layer record: a
-// warm campaign derives one breakdown per store hit, so deriving a valid
-// found mapping must keep its perf.EvalContext on the stack and allocate
-// nothing.
+// TestDeriveAllocatesNothing pins the cost of completing a layer record:
+// every layer lookup derives one breakdown, so deriving a valid found mapping
+// must keep its perf.EvalContext on the stack and allocate nothing.
 func TestDeriveAllocatesNothing(t *testing.T) {
 	e := newEval(PrunedMappings)
 	space := e.Config().Space
@@ -355,9 +354,10 @@ func TestDeriveAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, l := range workload.ResNet18().Layers[:4] {
-		dec := e.searchLayer(d, l, l.ShapeKey(), int64(i))
-		if ent := e.derive(d, l, dec); !dec.Found || !ent.perf.Valid {
+	for i := range e.slots[:4] {
+		l := e.slots[i].layer
+		dec := e.searchLayer(d, &e.slots[i])
+		if b := e.derive(d, l, dec); !dec.Found || !b.Valid {
 			t.Fatalf("%s: no valid mapping on the test design", l.Name)
 		}
 		if allocs := testing.AllocsPerRun(10, func() { e.derive(d, l, dec) }); allocs != 0 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"xdse/internal/arch"
-	"xdse/internal/perf"
 	"xdse/internal/workload"
 )
 
@@ -94,10 +93,10 @@ func TestConstraintUtilGuards(t *testing.T) {
 // TestZeroFrequencyDesign pins the LatencyMs = Cycles/FreqMHz guard: a
 // clockless design must read as infinitely slow, not NaN.
 func TestZeroFrequencyDesign(t *testing.T) {
-	e := newEval(FixedDataflow)
-	d := e.Config().Space.MustDecode(compatiblePoint(e.Config().Space))
-	d.FreqMHz = 0
-	me := e.evaluateModel(d, perf.MappingSubKey(d), e.emodel.Estimate(d), workload.ResNet18())
+	s := arch.EdgeSpace()
+	s.FreqMHz = 0
+	e := New(cacheTestConfig(s, FixedDataflow))
+	me := e.Evaluate(compatiblePoint(s)).Models[0]
 	if !math.IsInf(me.LatencyMs, 1) {
 		t.Fatalf("latency at 0 MHz = %v, want +Inf", me.LatencyMs)
 	}

@@ -88,8 +88,8 @@ func EdgeConstraints() Constraints {
 
 // DefaultCacheCap bounds the design-level memo entry count. It is far above
 // any campaign budget in this repository, so eviction only engages on very
-// long-running explorations. The layer-grain cache is bounded at 8x this
-// cap. Unique-design budget accounting is exact under eviction:
+// long-running explorations. The record map of layer decisions is bounded at
+// 8x this cap. Unique-design budget accounting is exact under eviction:
 // re-evaluating an evicted design is counted as a recompute, never as a new
 // unique evaluation.
 const DefaultCacheCap = 32768
@@ -112,19 +112,19 @@ type Config struct {
 	// evaluation setup).
 	Workers int
 	// PersistCache, when non-nil, is the cross-run persistent evaluation
-	// cache (internal/evalcache), slotted under the in-memory layer cache:
-	// layer searches answered neither by memory nor by an in-flight twin are
-	// looked up in the store before the cost model runs, and fresh search
-	// results are appended for future runs and other processes. Results are
-	// bit-identical with or without it — a persist hit replays the exact
-	// entry a cold search would compute. The caller opens the store; the
-	// serve daemon shares one across every job's evaluator.
+	// cache (internal/evalcache), slotted under the in-memory record map:
+	// layer searches the record map does not answer are looked up in the
+	// store before the cost model runs, and fresh decisions are appended for
+	// future runs and other processes. Results are bit-identical with or
+	// without it — a persist hit replays the exact decision a cold search
+	// would reach. The caller opens the store; the serve daemon shares one
+	// across every job's evaluator.
 	PersistCache *evalcache.Store
 	// EvalTimeout, when positive, arms a per-evaluation watchdog: a design
 	// whose evaluation (mapping search included) exceeds the deadline is
 	// charged and memoized as infeasible-with-error instead of hanging the
 	// campaign. The abandoned computation is left to finish in the
-	// background; its layer-cache writes remain valid (they are
+	// background; its record-map writes remain valid (they are
 	// deterministic), only its design result is discarded.
 	EvalTimeout time.Duration
 	// Faults, when non-nil, deterministically injects failures (panics,
@@ -244,13 +244,15 @@ type Evaluator struct {
 	// so unique-design budget accounting stays exact under eviction.
 	seen map[string]bool
 
-	// Layer-grain mapping cache: completed searches keyed by (layer shape,
-	// mapping-relevant design sub-key), bounded at 8x the design-memo cap
-	// (a long-running daemon streams arbitrary layer shapes through one
-	// process; an unbounded cache is a slow leak), and in-flight searches
-	// deduplicated singleflight-style.
-	lcache   fifoMap[layerCacheKey, layerEntry]
-	lflights map[layerCacheKey]*layerFlight
+	// slots are the distinct layer searches of the configured models, and
+	// slotOf[m][i] is the slot of layer i of model m (see newSlots).
+	slots  []slot
+	slotOf [][]int
+	// records is the record map: layer decisions under their content
+	// address — fleet installs, exports, and store hits — bounded at 8x the
+	// design-memo cap (a long-running daemon streams arbitrary layer shapes
+	// through one process; an unbounded map is a slow leak).
+	records fifoMap[evalcache.Key, evalcache.Entry]
 	// walks is the walk memo of the pruned mapping search, bounded at
 	// walkCap: per layer shape, PEs and buffer capacities, the part of the
 	// mapping space earlier searches walked, which later searches replay.
@@ -278,7 +280,6 @@ type Evaluator struct {
 	cRetries    *obs.Counter
 	cLHits      *obs.Counter
 	cLMisses    *obs.Counter
-	cLDedups    *obs.Counter
 	cLEvictions *obs.Counter
 	cWalkHits   *obs.Counter
 	cWalkMisses *obs.Counter
@@ -314,14 +315,14 @@ type Stats struct {
 	// Recomputes counts evaluations of designs seen before but evicted;
 	// they redo real work without charging the unique-design budget.
 	Recomputes int
-	// LayerHits counts layer searches answered from the layer-grain cache.
+	// LayerHits counts layer lookups answered from the record map: installed
+	// fleet records, store hits Prefill copied in, and twin designs (distinct
+	// points that decode to one design). Zero on a local campaign over a
+	// space whose points all decode to distinct designs.
 	LayerHits int
 	// LayerMisses counts layer searches actually run.
 	LayerMisses int
-	// LayerDedups counts layer searches that joined an identical
-	// in-flight search instead of duplicating it.
-	LayerDedups int
-	// LayerEvictions counts entries dropped from the bounded layer cache.
+	// LayerEvictions counts records dropped from the bounded record map.
 	LayerEvictions int
 	// PersistHits counts layer searches answered from the on-disk
 	// persistent cache (a second-level hit: missed in memory, found on
@@ -351,12 +352,12 @@ type Stats struct {
 	// only.
 	CostCalls int64
 	// FullEvals is the number of Tier-2 full-breakdown evaluations
-	// (perf.EvalContext.Evaluate): one per found mapping a layer entry is
-	// derived from — a fresh search's winner, the fixed-dataflow
-	// analytical mapping, or a record answered from the persistent store
-	// or installed from a fleet worker (records carry no breakdown). The
-	// Tier-1/Tier-2 split FullEvals/CostCalls is the fraction of perf-model
-	// work that pays for the complete per-operand factor tree.
+	// (perf.EvalContext.Evaluate): one per layer lookup that found a mapping
+	// — a fresh search's winner, the fixed-dataflow analytical mapping, or a
+	// record answered from the record map or the persistent store (records
+	// carry no breakdown). The Tier-1/Tier-2 split FullEvals/CostCalls is
+	// the fraction of perf-model work that pays for the complete
+	// per-operand factor tree.
 	FullEvals int64
 	// LBPruned counts mapping candidates whose cost call was skipped
 	// because a certified lower bound proved they could not win.
@@ -397,11 +398,10 @@ func New(cfg Config) *Evaluator {
 	}
 	reg := obs.NewRegistry()
 	e := &Evaluator{
-		cfg:      cfg,
-		flights:  make(map[string]*flight),
-		seen:     make(map[string]bool),
-		lflights: make(map[layerCacheKey]*layerFlight),
-		store:    cfg.PersistCache,
+		cfg:     cfg,
+		flights: make(map[string]*flight),
+		seen:    make(map[string]bool),
+		store:   cfg.PersistCache,
 
 		reg:         reg,
 		cEvals:      reg.Counter("eval_design_evaluations_total"),
@@ -415,7 +415,6 @@ func New(cfg Config) *Evaluator {
 		cRetries:    reg.Counter("eval_retries_total"),
 		cLHits:      reg.Counter("eval_layer_cache_hits_total"),
 		cLMisses:    reg.Counter("eval_layer_searches_total"),
-		cLDedups:    reg.Counter("eval_layer_dedups_total"),
 		cLEvictions: reg.Counter("eval_layer_evictions_total"),
 		cWalkHits:   reg.Counter("eval_walk_memo_hits_total"),
 		cWalkMisses: reg.Counter("eval_walk_memo_misses_total"),
@@ -431,7 +430,8 @@ func New(cfg Config) *Evaluator {
 		hLayer:      reg.Histogram("eval_layer_search_seconds", obs.DurationBuckets()),
 	}
 	e.cache = newFIFOMap[string, *Result](DefaultCacheCap, e.cEvictions)
-	e.lcache = newFIFOMap[layerCacheKey, layerEntry](8*DefaultCacheCap, e.cLEvictions)
+	e.records = newFIFOMap[evalcache.Key, evalcache.Entry](8*DefaultCacheCap, e.cLEvictions)
+	e.slots, e.slotOf = newSlots(cfg.Models, cfg.Mode)
 	e.walks = newFIFOMap[walkKey, *perf.Walk](walkCap, nil)
 	return e
 }
@@ -490,7 +490,6 @@ func (e *Evaluator) Stats() Stats {
 		Recomputes:      int(e.cRecomputes.Value()),
 		LayerHits:       int(e.cLHits.Value()),
 		LayerMisses:     int(e.cLMisses.Value()),
-		LayerDedups:     int(e.cLDedups.Value()),
 		LayerEvictions:  int(e.cLEvictions.Value()),
 		PersistHits:     int(e.cPHits.Value()),
 		PersistMisses:   int(e.cPMisses.Value()),
@@ -618,25 +617,26 @@ func (e *Evaluator) evaluate(ctx context.Context, pt arch.Point) *Result {
 		// input — which must degrade gracefully, not kill the campaign.
 		return erroredResult(pt, "malformed design point: "+err.Error())
 	}
-	r := &Result{Point: pt.Clone(), Design: d}
+	// Cancellation is checked once, before any search; a cancelled
+	// evaluation is abandoned wholesale and never cached.
+	if ctx.Err() != nil {
+		return cancelledResult(pt, ctx.Err())
+	}
+	r := &Result{Point: pt.Clone(), Design: d, Models: make([]ModelEval, len(e.cfg.Models))}
 	r.Energy = e.emodel.Estimate(d)
 	r.AreaMM2 = r.Energy.AreaMM2
 	r.PowerW = r.Energy.MaxPowerW
 
-	// The design sub-key is identical for every layer of every model, so
-	// build it once per design here rather than once per layerResult call
-	// (it was ~10% of a fully-warm campaign when rebuilt per layer).
-	sub := perf.MappingSubKey(d)
-	for _, mdl := range e.cfg.Models {
-		// Cancellation is honored at model granularity: a partial
-		// evaluation is abandoned wholesale (never cached), so there is
-		// no half-evaluated Result to corrupt the memo.
-		if ctx.Err() != nil {
-			return cancelledResult(pt, ctx.Err())
+	for mi, mdl := range e.cfg.Models {
+		r.Models[mi] = ModelEval{Model: mdl, Layers: make([]LayerEval, len(mdl.Layers))}
+	}
+	e.searchSlots(d, r.Models)
+	for mi := range r.Models {
+		me := &r.Models[mi]
+		e.finishModel(d, r.Energy, r.Models, mi)
+		for _, le := range me.Layers {
+			r.MapEvaluations += le.MapTrials
 		}
-		me := e.evaluateModel(d, sub, r.Energy, mdl)
-		r.MapEvaluations += sumTrials(me)
-		r.Models = append(r.Models, me)
 		r.LatencyMs += me.LatencyMs
 		r.EnergyMJ += me.EnergyMJ
 	}
@@ -654,44 +654,44 @@ func (e *Evaluator) evaluate(ctx context.Context, pt arch.Point) *Result {
 	return r
 }
 
-func sumTrials(me ModelEval) int {
-	t := 0
-	for _, le := range me.Layers {
-		t += le.MapTrials
-	}
-	return t
-}
-
-func (e *Evaluator) evaluateModel(d arch.Design, sub string, est energy.Estimate, mdl *workload.Model) ModelEval {
-	me := ModelEval{Model: mdl, Layers: make([]LayerEval, len(mdl.Layers))}
-
-	// min(Workers, layers) goroutines pull layer indices, so a stack grown
-	// by one layer's search serves the next layers of the design, and a
-	// 100-layer model under Workers=1 runs on one goroutine.
-	//
-	// A panic on a worker would kill the whole process (panics never cross
-	// goroutines), so each layer's panic value is captured into its own
-	// slot, the worker moves on to the next layer, and the first panic —
-	// by layer order, so the choice is deterministic — is re-raised on the
-	// calling goroutine after the barrier, where protectedEvaluate's
-	// recover converts it into an errored design.
-	panics := make([]any, len(mdl.Layers))
-	layer := func(i int) {
+// searchSlots runs every slot's layer search on design d and puts each
+// outcome in the LayerEval of the slot's first layer in models.
+//
+// min(Workers, slots) goroutines pull slot indices, so a stack grown by one
+// search serves the next searches of the design, and a 100-layer model under
+// Workers=1 runs on one goroutine.
+//
+// A panic on a worker would kill the whole process (panics never cross
+// goroutines), so each slot's panic value is captured into its own entry, the
+// worker moves on to the next slot, and the first panic — by slot order, so
+// the choice is deterministic — is re-raised on the calling goroutine after
+// the barrier, where protectedEvaluate's recover converts it into an errored
+// design.
+func (e *Evaluator) searchSlots(d arch.Design, models []ModelEval) {
+	// The design sub-key is identical for every slot, so it is built once
+	// per design here (it was ~10% of a fully-warm campaign when rebuilt per
+	// layer).
+	sub := perf.MappingSubKey(d)
+	panics := make([]any, len(e.slots))
+	search := func(i int) {
 		defer func() {
 			if rec := recover(); rec != nil {
 				panics[i] = rec
 			}
 		}()
-		me.Layers[i] = e.evaluateLayer(d, sub, mdl.Layers[i], int64(i))
+		s := &e.slots[i]
+		dec, b := e.layerResult(d, sub, s)
+		le := &models[s.model].Layers[s.index]
+		le.Mapping, le.Perf, le.MapTrials = dec.Mapping, b, dec.Trials
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(e.cfg.Workers, len(mdl.Layers)) {
+	for range min(e.cfg.Workers, len(e.slots)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(mdl.Layers); i = int(next.Add(1)) - 1 {
-				layer(i)
+			for i := int(next.Add(1)) - 1; i < len(e.slots); i = int(next.Add(1)) - 1 {
+				search(i)
 			}
 		}()
 	}
@@ -701,18 +701,28 @@ func (e *Evaluator) evaluateModel(d arch.Design, sub string, est energy.Estimate
 			panic(rec)
 		}
 	}
+}
 
-	for i := range me.Layers {
-		me.Layers[i].EnergyMJ = layerEnergyMJ(est, me.Layers[i])
+// finishModel completes models[mi] after searchSlots: every layer that is not
+// its slot's first copies the first's outcome, each layer scales its cycles
+// and energy by its own multiplicity, and the model totals and throughput
+// constraint follow.
+func (e *Evaluator) finishModel(d arch.Design, est energy.Estimate, models []ModelEval, mi int) {
+	me := &models[mi]
+	for li := range me.Layers {
+		le := &me.Layers[li]
+		if s := &e.slots[e.slotOf[mi][li]]; s.model != mi || s.index != li {
+			first := &models[s.model].Layers[s.index]
+			le.Mapping, le.Perf, le.MapTrials = first.Mapping, first.Perf, first.MapTrials
+		}
+		le.Layer = me.Model.Layers[li]
+		le.TotalCycles = le.Perf.Cycles * float64(max(le.Layer.Mult, 1))
+		le.EnergyMJ = layerEnergyMJ(est, *le)
 	}
 	for _, le := range me.Layers {
 		if !le.Perf.Valid {
 			me.Incompatible = true
-			n := le.Perf.IncompatCount
-			if n < 1 {
-				n = 1
-			}
-			me.IncompatSeverity += float64(n)
+			me.IncompatSeverity += float64(max(le.Perf.IncompatCount, 1))
 			continue
 		}
 		me.Cycles += le.TotalCycles
@@ -732,20 +742,7 @@ func (e *Evaluator) evaluateModel(d arch.Design, sub string, est energy.Estimate
 		// bottleneck trees into NaN.
 		me.LatencyMs = math.Inf(1)
 	}
-	me.MeetsThroughput = me.LatencyMs <= mdl.MaxLatencyMs
-	return me
-}
-
-func (e *Evaluator) evaluateLayer(d arch.Design, sub string, l workload.Layer, salt int64) LayerEval {
-	le := LayerEval{Layer: l}
-	ent := e.layerResult(d, sub, l, salt)
-	le.Mapping, le.Perf, le.MapTrials = ent.Mapping, ent.perf, ent.Trials
-	mult := l.Mult
-	if mult < 1 {
-		mult = 1
-	}
-	le.TotalCycles = le.Perf.Cycles * float64(mult)
-	return le
+	me.MeetsThroughput = me.LatencyMs <= me.Model.MaxLatencyMs
 }
 
 // layerEnergyMJ integrates the layer's access counts against the design's

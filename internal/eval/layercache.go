@@ -1,49 +1,57 @@
 package eval
 
 import (
+	"time"
+
 	"xdse/internal/arch"
 	"xdse/internal/evalcache"
 	"xdse/internal/perf"
 	"xdse/internal/workload"
 )
 
-// layerCacheKey identifies one layer-grain mapping-search result: the
-// canonical layer shape, the design sub-key of exactly the parameters the
-// perf model reads (perf.MappingSubKey), and — in RandomMappings mode only —
-// the layer's seed salt, because the random search's rng is derived from the
-// layer index.
-type layerCacheKey struct {
+// slot is one distinct layer search of the evaluator's models: the first
+// layer, in model order, with a given shape key. In RandomMappings mode a slot
+// is a shape key at one layer index, because the random search seeds its rng
+// from the index. evaluate searches each slot once per design, and every
+// other layer of the slot copies its outcome.
+type slot struct {
+	layer workload.Layer
+	// shape is layer.ShapeKey(), built once at New.
 	shape string
-	sub   string
-	salt  int64
+	// model and index locate the slot's first layer: its LayerEval holds
+	// the outcome the slot's other layers copy. In RandomMappings mode
+	// index is also the salt of the search's rng seed.
+	model, index int
 }
 
-// layerEntry is the shape-invariant outcome of a layer's search: the
-// decision, as stored and shipped, plus the Tier-2 breakdown derive
-// computes from it. The caller re-attaches the concrete Layer (whose Name
-// and Mult are not part of the shape key) and re-derives
-// multiplicity-scaled totals.
-type layerEntry struct {
-	evalcache.Entry
-	perf perf.Breakdown
-	// derived is false only for an installed record not yet looked up; its
-	// breakdown is derived on the first layerResult hit, where the design
-	// and the layer are at hand.
-	derived bool
-}
-
-// layerFlight is one in-progress layer search other goroutines can wait on.
-// A goroutine that joins the flight makes done, under e.mu; the searcher
-// settles the flight under e.mu too, and only a joined flight gets a copy of
-// the entry, or the panic value when the search panicked, before done
-// closes. Waiters re-raise a panic on their own goroutine, so every design
-// joined to the doomed search records the failure itself (instead of
-// deadlocking on a flight that will never close). Joins are rare, so a
-// flight nobody joined costs neither a channel nor a copy of the entry.
-type layerFlight struct {
-	done     chan struct{}
-	ent      *layerEntry
-	panicked any
+// newSlots works out the distinct layer searches of models under mode: the
+// slots, in order of first appearance, and per model and layer the index of
+// the layer's slot.
+func newSlots(models []*workload.Model, mode MapperMode) ([]slot, [][]int) {
+	type id struct {
+		shape string
+		index int
+	}
+	first := make(map[id]int)
+	var slots []slot
+	slotOf := make([][]int, len(models))
+	for mi, mdl := range models {
+		slotOf[mi] = make([]int, len(mdl.Layers))
+		for li, l := range mdl.Layers {
+			k := id{shape: l.ShapeKey()}
+			if mode == RandomMappings {
+				k.index = li
+			}
+			si, ok := first[k]
+			if !ok {
+				si = len(slots)
+				first[k] = si
+				slots = append(slots, slot{layer: l, shape: k.shape, model: mi, index: li})
+			}
+			slotOf[mi][li] = si
+		}
+	}
+	return slots, slotOf
 }
 
 // walkKey identifies a walk memo entry: a layer shape and the design
@@ -78,125 +86,61 @@ func (e *Evaluator) walk(shape string, d arch.Design, l workload.Layer) *perf.Wa
 	return w
 }
 
-// layerKeyFor builds the in-memory layer-cache key for one layer of a model
-// on a design with sub-key sub. The salt participates in RandomMappings mode
-// only: the random search's rng is seeded from the layer index, so equal
-// shapes at different indices draw different mappings. Caller need not hold
-// e.mu.
-func (e *Evaluator) layerKeyFor(l workload.Layer, sub string, salt int64) layerCacheKey {
-	key := layerCacheKey{shape: l.ShapeKey(), sub: sub}
-	if e.cfg.Mode == RandomMappings {
-		key.salt = salt
-	}
-	return key
-}
-
-// layerResult returns the mapping-search outcome for layer l on design d,
-// answering from the layer-grain cache when the (shape, sub-key) pair has
-// been searched before, joining an identical in-flight search when one is
-// running, then probing the persistent cross-run store (when attached), and
-// only then running the search. Every path returns bit-identical search
-// outcomes.
-func (e *Evaluator) layerResult(d arch.Design, sub string, l workload.Layer, salt int64) layerEntry {
-	key := e.layerKeyFor(l, sub, salt)
+// layerResult returns slot s's decision on design d, of sub-key sub, and the
+// Tier-2 breakdown derived from it. It answers from the record map, then from
+// the persistent cross-run store (when attached), and only then runs the
+// search; every path returns the decision a search would. Store hits and
+// fresh decisions go into the record map, where RecordsFor exports them. A
+// search that panics stores nothing, so the next evaluation searches again.
+func (e *Evaluator) layerResult(d arch.Design, sub string, s *slot) (evalcache.Entry, perf.Breakdown) {
+	key := e.persistKey(s.shape, sub, int64(s.index))
 	e.mu.Lock()
-	if ent, ok := e.lcache.get(key); ok {
-		e.cLHits.Inc()
-		e.mu.Unlock()
-		if !ent.derived {
-			// An installed record's first use: derive its breakdown once
-			// and keep it. A concurrent twin may derive it too; both
-			// compute the same entry.
-			ent = e.derive(d, l, ent.Entry)
-			e.mu.Lock()
-			e.lcache.put(key, ent)
-			e.mu.Unlock()
-		}
-		return ent
-	}
-	if f, ok := e.lflights[key]; ok {
-		e.cLDedups.Inc()
-		if f.done == nil {
-			f.done = make(chan struct{})
-		}
-		done := f.done
-		e.mu.Unlock()
-		<-done
-		if f.panicked != nil {
-			panic(f.panicked)
-		}
-		return *f.ent
-	}
-	f := new(layerFlight)
-	e.lflights[key] = f
+	dec, ok := e.records.get(key)
 	e.mu.Unlock()
-
-	// Second-level probe: a search completed by a previous run — or by
-	// another job or process sharing the cache directory — answers from
-	// disk and never reaches the cost model. The singleflight above
-	// already collapses concurrent in-process probes of the same key.
+	if ok {
+		e.cLHits.Inc()
+		return dec, e.derive(d, s.layer, dec)
+	}
+	// A search completed by a previous run — or by another job or process
+	// sharing the cache directory — answers from disk and never reaches the
+	// cost model.
 	if e.store != nil {
-		if dec, ok := e.store.Get(e.persistKey(key)); ok {
-			ent := e.derive(d, l, dec)
-			e.settle(key, f, &ent, nil)
+		if dec, ok := e.store.Get(key); ok {
 			e.cPHits.Inc()
-			return ent
+			e.remember(key, dec)
+			return dec, e.derive(d, s.layer, dec)
 		}
 		e.cPMisses.Inc()
 	}
 
 	e.cLMisses.Inc()
-
-	// A panicking search must still resolve the flight — waiters would
-	// otherwise block forever — and must not poison the cache: settle it
-	// with the panic value, and re-raise.
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.settle(key, f, nil, rec)
-			panic(rec)
-		}
-	}()
-	ent := e.timedSearchLayer(d, l, key, salt)
-	e.settle(key, f, &ent, nil)
+	start := time.Now()
+	dec = e.searchLayer(d, s)
+	b := e.derive(d, s.layer, dec)
+	e.hLayer.ObserveDuration(time.Since(start))
+	e.remember(key, dec)
 	if e.store != nil {
-		// Persist after waking waiters: the fsync'd append rides on this
-		// goroutine, never on the joined ones.
-		e.store.Put(e.persistKey(key), ent.Entry)
+		e.store.Put(key, dec)
 		e.cPWrites.Inc()
 	}
-	return ent
+	return dec, b
 }
 
-// settle resolves flight f of key: it caches ent (nil after a panic),
-// unregisters the flight, and wakes any waiter with a copy of ent or with
-// the panic value.
-func (e *Evaluator) settle(key layerCacheKey, f *layerFlight, ent *layerEntry, panicked any) {
+// remember puts decision dec under key in the record map.
+func (e *Evaluator) remember(key evalcache.Key, dec evalcache.Entry) {
 	e.mu.Lock()
-	if ent != nil {
-		e.lcache.put(key, *ent)
-	}
-	delete(e.lflights, key)
-	done := f.done
-	if done != nil {
-		if ent != nil {
-			joined := *ent
-			f.ent = &joined
-		}
-		f.panicked = panicked
-	}
+	e.records.put(key, dec)
 	e.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
 }
 
-// persistKey derives the content address of a layer search in the
-// cross-run store: the in-memory cache key plus everything that is implicit
-// within one evaluator but varies across runs — the mapper mode, the search
-// budget, and (in random mode) the fully-resolved rng seed. The cost-model
-// version is stamped per record by the store itself.
-func (e *Evaluator) persistKey(key layerCacheKey) evalcache.Key {
-	pk := evalcache.Key{Shape: key.shape, Sub: key.sub, Mode: e.cfg.Mode.String()}
+// persistKey is the content address of a layer decision, the one key of the
+// record map, the cross-run store and the fleet wire: the layer shape, the
+// design sub-key, and what is fixed within one evaluator but varies across
+// runs — the mapper mode, the search budget, and (in random mode) the
+// fully-resolved rng seed of the layer at index salt. The cost-model version
+// is stamped per record by the store itself.
+func (e *Evaluator) persistKey(shape, sub string, salt int64) evalcache.Key {
+	pk := evalcache.Key{Shape: shape, Sub: sub, Mode: e.cfg.Mode.String()}
 	switch e.cfg.Mode {
 	case RandomMappings:
 		// The random search draws from rand.NewSource(Seed*1_000_003+salt)
@@ -204,7 +148,7 @@ func (e *Evaluator) persistKey(key layerCacheKey) evalcache.Key {
 		// seed — two runs with different Config.Seed must not share
 		// random-mode entries.
 		pk.Trials = e.cfg.MapTrials
-		pk.Salt = e.cfg.Seed*1_000_003 + key.salt
+		pk.Salt = e.cfg.Seed*1_000_003 + salt
 	case PrunedMappings:
 		pk.Trials = e.cfg.MapTrials
 	default:
@@ -214,22 +158,20 @@ func (e *Evaluator) persistKey(key layerCacheKey) evalcache.Key {
 	return pk
 }
 
-// derive completes a layer search's decision with its Tier-2 breakdown. The
-// breakdown is a pure function of the design's sub-key, the layer shape and
-// the decision, so records carry only the decision, and every path — a
-// fresh search, a store hit, Prefill, an installed record on first use —
-// derives the breakdown here, once per cached entry. The context is built
-// per call and stays on the stack.
-func (e *Evaluator) derive(d arch.Design, l workload.Layer, dec evalcache.Entry) layerEntry {
-	ent := layerEntry{Entry: dec, derived: true}
+// derive completes decision dec of layer l on design d with its Tier-2
+// breakdown. The breakdown is a pure function of the design's sub-key, the
+// layer shape and the decision, so records carry only the decision and every
+// lookup derives the breakdown here (~2 µs). The context stays on the stack.
+func (e *Evaluator) derive(d arch.Design, l workload.Layer, dec evalcache.Entry) perf.Breakdown {
+	var b perf.Breakdown
 	switch {
 	case dec.Found:
-		ent.perf = perf.NewContext(d, l).Evaluate(dec.Mapping)
 		e.cFullEvals.Inc()
+		b = perf.NewContext(d, l).Evaluate(dec.Mapping)
 	case e.cfg.Mode == RandomMappings:
-		ent.perf.Incompat = "no valid mapping found by random search"
+		b.Incompat = "no valid mapping found by random search"
 	case e.cfg.Mode == PrunedMappings:
-		ent.perf.Incompat = "no valid mapping in pruned space"
+		b.Incompat = "no valid mapping in pruned space"
 	}
-	return ent
+	return b
 }

@@ -2,105 +2,125 @@ package eval
 
 import (
 	"testing"
-	"time"
 
 	"xdse/internal/arch"
-	"xdse/internal/perf"
 	"xdse/internal/workload"
 )
 
-// flightSetup returns a design and two layers of ResNet18 on it, with the
-// design's sub-key.
-func flightSetup(t *testing.T, e *Evaluator) (arch.Design, string, workload.Layer, workload.Layer) {
-	t.Helper()
-	d, err := e.Config().Space.Decode(compatiblePoint(e.Config().Space))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := workload.ResNet18().Layers
-	return d, perf.MappingSubKey(d), ls[1], ls[2]
-}
-
-// startFlight registers a flight for key as layerResult does before it
-// searches, so the test can play the searcher.
-func startFlight(e *Evaluator, key layerCacheKey) *layerFlight {
-	f := new(layerFlight)
-	e.mu.Lock()
-	e.lflights[key] = f
-	e.mu.Unlock()
-	return f
-}
-
-// waitJoined waits until a goroutine has joined flight f.
-func waitJoined(t *testing.T, e *Evaluator, f *layerFlight) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		e.mu.Lock()
-		joined := f.done != nil
-		e.mu.Unlock()
-		if joined {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no goroutine joined the flight")
+// distinctShapes counts the distinct shape keys among the layers of models.
+func distinctShapes(models ...*workload.Model) int {
+	seen := make(map[string]bool)
+	for _, m := range models {
+		for _, l := range m.Layers {
+			seen[l.ShapeKey()] = true
 		}
 	}
+	return len(seen)
 }
 
-// TestLayerFlightJoinReceivesEntry: a layer asked for while its search is in
-// flight joins the flight and gets the searcher's entry, which is cached;
-// a flight nobody joined gets neither a channel nor a copy of the entry.
-func TestLayerFlightJoinReceivesEntry(t *testing.T) {
-	e := newEval(PrunedMappings)
-	d, sub, l, other := flightSetup(t, e)
-	key := e.layerKeyFor(l, sub, 1)
-	f := startFlight(e, key)
-	got := make(chan layerEntry, 1)
-	go func() { got <- e.layerResult(d, sub, l, 1) }()
-	waitJoined(t, e, f)
-	want := e.timedSearchLayer(d, l, key, 1)
-	e.settle(key, f, &want, nil)
-	if g := <-got; g != want {
-		t.Fatalf("the waiter got %+v, the searcher found %+v", g.Entry, want.Entry)
+// TestSlotsSearchEachShapeOnce: on Transformer (22 layers, 7 shapes) a design
+// runs one search per distinct shape at any worker count, and every layer —
+// its slot's first or a copy of it — carries the mapping, breakdown and
+// trials that a fresh evaluator over that layer alone finds.
+func TestSlotsSearchEachShapeOnce(t *testing.T) {
+	mdl := workload.Transformer()
+	shapes := distinctShapes(mdl)
+	if len(mdl.Layers) != 22 || shapes != 7 {
+		t.Fatalf("Transformer has %d layers of %d shapes, want 22 of 7", len(mdl.Layers), shapes)
 	}
-	if e.Stats().LayerDedups != 1 {
-		t.Errorf("LayerDedups = %d, want 1", e.Stats().LayerDedups)
-	}
-	if ent := e.layerResult(d, sub, l, 1); ent != want || e.Stats().LayerHits != 1 {
-		t.Errorf("the settled entry is not answered from the layer cache (hits %d)", e.Stats().LayerHits)
-	}
-
-	okey := e.layerKeyFor(other, sub, 2)
-	lone := startFlight(e, okey)
-	ent := e.timedSearchLayer(d, other, okey, 2)
-	e.settle(okey, lone, &ent, nil)
-	if lone.done != nil || lone.ent != nil {
-		t.Error("a flight nobody joined was handed the entry")
+	for _, workers := range []int{1, 4} {
+		cfg := cacheTestConfig(arch.EdgeSpace(), PrunedMappings)
+		cfg.Models = []*workload.Model{mdl}
+		cfg.Workers = workers
+		e := New(cfg)
+		pts := campaignPoints(cfg.Space, 2)
+		for i, pt := range pts {
+			r := e.Evaluate(pt)
+			if r.Err != "" {
+				t.Fatalf("workers %d: %s", workers, r.Err)
+			}
+			if got := e.Stats().LayerMisses; got != (i+1)*shapes {
+				t.Fatalf("workers %d: %d searches after %d designs, want %d", workers, got, i+1, (i+1)*shapes)
+			}
+			for li, l := range mdl.Layers {
+				one := cfg
+				one.Models = []*workload.Model{{Name: l.Name, Layers: []workload.Layer{l}, MaxLatencyMs: mdl.MaxLatencyMs}}
+				want := New(one).Evaluate(pt).Models[0].Layers[0]
+				got := r.Models[0].Layers[li]
+				if got.Layer != l || got.Mapping != want.Mapping || got.Perf != want.Perf || got.MapTrials != want.MapTrials {
+					t.Fatalf("workers %d, design %d, layer %d (%s): the slot's outcome differs from a fresh search of the layer",
+						workers, i, li, l.Name)
+				}
+			}
+		}
+		if hits := e.Stats().LayerHits; hits != 0 {
+			t.Errorf("workers %d: %d record-map hits over distinct designs, want 0", workers, hits)
+		}
 	}
 }
 
-// TestLayerFlightPanicReachesWaiter: when the search a waiter joined panics,
-// the waiter re-raises the panic value on its own goroutine, and the layer
-// is not cached: the next request searches again.
-func TestLayerFlightPanicReachesWaiter(t *testing.T) {
-	e := newEval(PrunedMappings)
-	d, sub, l, _ := flightSetup(t, e)
-	key := e.layerKeyFor(l, sub, 1)
-	f := startFlight(e, key)
-	recovered := make(chan any, 1)
-	go func() {
-		defer func() { recovered <- recover() }()
-		e.layerResult(d, sub, l, 1)
-	}()
-	waitJoined(t, e, f)
-	e.settle(key, f, nil, "search exploded")
-	if r := <-recovered; r != "search exploded" {
-		t.Fatalf("the waiter recovered %v, want the searcher's panic", r)
+// TestSlotsShareAcrossModels: on the §4.4 shared accelerator (ResNet18 and
+// ResNet50 on one design), a shape both models contain is searched once per
+// design, and both models' layers of that shape carry its outcome.
+func TestSlotsShareAcrossModels(t *testing.T) {
+	r18, r50 := workload.ResNet18(), workload.ResNet50()
+	e := newEval(PrunedMappings, r18, r50)
+	common := distinctShapes(r18) + distinctShapes(r50) - distinctShapes(r18, r50)
+	if common != 5 {
+		t.Fatalf("ResNet18 and ResNet50 share %d shapes, want 5", common)
 	}
-	before := e.Stats().LayerMisses
-	e.layerResult(d, sub, l, 1)
-	if got := e.Stats().LayerMisses; got != before+1 {
-		t.Errorf("after a panicked search the layer was answered without searching (misses %d, want %d)", got, before+1)
+	r := e.Evaluate(compatiblePoint(e.Config().Space))
+	if got, want := e.Stats().LayerMisses, distinctShapes(r18, r50); got != want {
+		t.Fatalf("%d searches, want one per distinct shape of both models (%d)", got, want)
+	}
+	byShape := make(map[string]LayerEval)
+	for _, le := range r.Models[0].Layers {
+		byShape[le.Layer.ShapeKey()] = le
+	}
+	shared := 0
+	for _, le := range r.Models[1].Layers {
+		if first, ok := byShape[le.Layer.ShapeKey()]; ok {
+			shared++
+			if le.Mapping != first.Mapping || le.Perf != first.Perf || le.MapTrials != first.MapTrials {
+				t.Errorf("%s: ResNet50's layer differs from ResNet18's layer of the same shape", le.Layer.Name)
+			}
+		}
+	}
+	if shared != common {
+		t.Errorf("%d ResNet50 layers share a ResNet18 shape, want %d", shared, common)
+	}
+}
+
+// TestSlotsRandomModeKeepIndex: the random search seeds its rng from the
+// layer index, so in RandomMappings mode one shape at two layer indices is
+// two slots with two searches, keyed by the two resolved seeds; in the other
+// modes it is one slot.
+func TestSlotsRandomModeKeepIndex(t *testing.T) {
+	l := workload.ResNet18().Layers[1]
+	twice := &workload.Model{Name: "twice", Layers: []workload.Layer{l, l}, MaxLatencyMs: 100}
+	twice.Layers[1].Name += "-again"
+	for _, tc := range []struct {
+		mode  MapperMode
+		slots int
+	}{{FixedDataflow, 1}, {RandomMappings, 2}, {PrunedMappings, 1}} {
+		e := newEval(tc.mode, twice)
+		pt := compatiblePoint(e.Config().Space)
+		e.Evaluate(pt)
+		if len(e.slots) != tc.slots || e.Stats().LayerMisses != tc.slots {
+			t.Errorf("%v: %d slots and %d searches, want %d", tc.mode, len(e.slots), e.Stats().LayerMisses, tc.slots)
+		}
+		recs := e.RecordsFor(pt)
+		if len(recs) != tc.slots {
+			t.Fatalf("%v: %d records exported, want %d", tc.mode, len(recs), tc.slots)
+		}
+		if tc.mode != RandomMappings {
+			continue
+		}
+		for i, rec := range recs {
+			if want := e.Config().Seed*1_000_003 + int64(i); rec.Key.Salt != want {
+				t.Errorf("random mode: record %d salted %d, want %d", i, rec.Key.Salt, want)
+			}
+		}
 	}
 }
 

@@ -240,8 +240,8 @@ func TestPersistCacheConcurrentEvaluators(t *testing.T) {
 }
 
 // TestCachesBounded is the memory-leak regression test for the evaluator's
-// two bounded maps: the design memo stays within its cap, and the layer
-// cache within 8x that cap, however many distinct keys stream through a
+// two bounded maps: the design memo stays within its cap, and the record
+// map within 8x that cap, however many distinct keys stream through a
 // long-running evaluator. Each keeps the newest keys, and counts every drop
 // in its Stats field. The caps are lowered from DefaultCacheCap to 1 and 8
 // so a few keys reach them.
@@ -266,19 +266,19 @@ func TestCachesBounded(t *testing.T) {
 			name:  "layer cache",
 			limit: 8,
 			fill: func(e *Evaluator, i int) {
-				e.lcache.put(layerCacheKey{shape: "shape", sub: fmt.Sprint(i)}, layerEntry{})
+				e.records.put(evalcache.Key{Shape: "shape", Sub: fmt.Sprint(i)}, evalcache.Entry{})
 			},
 			has: func(e *Evaluator, i int) bool {
-				_, ok := e.lcache.get(layerCacheKey{shape: "shape", sub: fmt.Sprint(i)})
+				_, ok := e.records.get(evalcache.Key{Shape: "shape", Sub: fmt.Sprint(i)})
 				return ok
 			},
-			size:    func(e *Evaluator) int { return len(e.lcache.m) },
+			size:    func(e *Evaluator) int { return len(e.records.m) },
 			evicted: func(st Stats) int { return st.LayerEvictions },
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(cacheTestConfig(spaceWithDummyParam(2), PrunedMappings))
-			e.cache.limit, e.lcache.limit = 1, 8
+			e.cache.limit, e.records.limit = 1, 8
 			const n = 50
 			e.mu.Lock()
 			for i := 0; i < n; i++ {

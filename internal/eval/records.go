@@ -30,15 +30,14 @@ func (e *Evaluator) Memoized(pt arch.Point) bool {
 	return ok
 }
 
-// RecordsFor returns the content-addressed layer-search records this
-// evaluator currently holds for design point pt — one per unique
-// (layer shape, sub-key[, salt]) across the configured models, keyed exactly
-// as the persistent store would key them. This is the worker half of the
-// fleet protocol: after evaluating pt, a worker exports the layer records so
-// the coordinator can install them and replay the design evaluation locally,
-// bit-identically, from cache hits alone. Entries not (or no longer) in the
-// layer cache are simply absent — the coordinator recomputes those layers
-// itself, so a partial export degrades to extra local work, never wrongness.
+// RecordsFor returns the content-addressed layer records this evaluator
+// currently holds for design point pt — one per slot, keyed exactly as the
+// persistent store keys them. This is the worker half of the fleet protocol:
+// after evaluating pt, a worker exports the records so the coordinator can
+// install them and replay the design evaluation locally, bit-identically,
+// from record-map hits alone. Records not (or no longer) in the record map
+// are simply absent — the coordinator recomputes those layers itself, so a
+// partial export degrades to extra local work, never wrongness.
 func (e *Evaluator) RecordsFor(pt arch.Point) []evalcache.Record {
 	d, err := e.cfg.Space.Decode(pt)
 	if err != nil {
@@ -46,63 +45,52 @@ func (e *Evaluator) RecordsFor(pt arch.Point) []evalcache.Record {
 	}
 	sub := perf.MappingSubKey(d)
 	var out []evalcache.Record
-	seen := make(map[layerCacheKey]bool)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, mdl := range e.cfg.Models {
-		for i := range mdl.Layers {
-			key := e.layerKeyFor(mdl.Layers[i], sub, int64(i))
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			ent, ok := e.lcache.get(key)
-			if !ok {
-				continue
-			}
-			out = append(out, evalcache.Record{Key: e.persistKey(key), Entry: ent.Entry})
+	for i := range e.slots {
+		key := e.persistKey(e.slots[i].shape, sub, int64(e.slots[i].index))
+		if dec, ok := e.records.get(key); ok {
+			out = append(out, evalcache.Record{Key: key, Entry: dec})
 		}
 	}
 	return out
 }
 
-// InstallRecords seeds the evaluator's layer-grain cache (and the attached
+// InstallRecords seeds the evaluator's record map (and the attached
 // persistent store, when one exists) with content-addressed records computed
 // elsewhere — the coordinator half of the fleet protocol. Each record's key
-// is inverted to this evaluator's in-memory cache key and then re-derived
-// through persistKey; a record that does not round-trip (different mode,
-// trial budget, or random-mode seed) is skipped, so a mis-addressed or
+// must be one persistKey builds here: a record addressed to a different mode,
+// trial budget, or random-mode seed is skipped, so a mis-addressed or
 // stale-configuration record can never answer a local search. Installed
 // decisions are exactly what a local search would have produced (the
-// content-address contract), and each one's breakdown is derived on its
-// first layerResult lookup, so subsequent evaluations answering from them
-// are bit-identical to evaluations that never saw the records. Returns the
-// number of records newly installed.
+// content-address contract), and each lookup derives its breakdown, so
+// evaluations answering from them are bit-identical to evaluations that
+// never saw the records. Returns the number of records newly installed.
 func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 	n := 0
 	for _, rec := range recs {
-		key := layerCacheKey{shape: rec.Key.Shape, sub: rec.Key.Sub}
+		var salt int64
 		if e.cfg.Mode == RandomMappings {
 			// persistKey resolves salt as Seed*1_000_003 + layer index;
-			// invert it so the in-memory key carries the layer index again.
-			// The decomposition is unique only while the index stays below
-			// the multiplier, so an out-of-range result means the record
-			// was keyed under a different seed — reject it (the plain
-			// round-trip below cannot see a seed delta: the salt absorbs it).
-			key.salt = rec.Key.Salt - e.cfg.Seed*1_000_003
-			if key.salt < 0 || key.salt >= 1_000_003 {
+			// invert it to the layer index. The decomposition is unique only
+			// while the index stays below the multiplier, so an out-of-range
+			// result means the record was keyed under a different seed —
+			// reject it (the plain round-trip below cannot see a seed delta:
+			// the salt absorbs it).
+			salt = rec.Key.Salt - e.cfg.Seed*1_000_003
+			if salt < 0 || salt >= 1_000_003 {
 				continue
 			}
 		}
-		if e.persistKey(key) != rec.Key {
+		if e.persistKey(rec.Key.Shape, rec.Key.Sub, salt) != rec.Key {
 			continue
 		}
 		e.mu.Lock()
-		if _, ok := e.lcache.get(key); ok {
+		if _, ok := e.records.get(rec.Key); ok {
 			e.mu.Unlock()
 			continue
 		}
-		e.lcache.put(key, layerEntry{Entry: rec.Entry})
+		e.records.put(rec.Key, rec.Entry)
 		e.mu.Unlock()
 		if e.store != nil {
 			e.store.Put(rec.Key, rec.Entry)
@@ -113,12 +101,11 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 }
 
 // Prefill reports whether pt's evaluation can run entirely from local layer
-// records: every layer key RecordsFor would export is either in the layer
-// cache or in the attached persistent store. Store hits are derived and
-// installed into the layer cache exactly as layerResult's store probe
-// installs them, and counted as persist hits. It stops at the first layer
-// neither holds, so a point that needs a search costs one key derivation.
-// This is the fleet coordinator's local-first filter: a coordinator
+// records: every slot's record is either in the record map or in the attached
+// persistent store. Store hits are copied into the record map, not derived
+// (the evaluation derives every lookup), and counted as persist hits. It stops
+// at the first slot neither holds, so a point that needs a search costs one
+// key. This is the fleet coordinator's local-first filter: a coordinator
 // restarted over the same store finds everything it already evaluated here
 // and dispatches none of it.
 func (e *Evaluator) Prefill(pt arch.Point) bool {
@@ -127,28 +114,23 @@ func (e *Evaluator) Prefill(pt arch.Point) bool {
 		return false
 	}
 	sub := perf.MappingSubKey(d)
-	for _, mdl := range e.cfg.Models {
-		for i := range mdl.Layers {
-			key := e.layerKeyFor(mdl.Layers[i], sub, int64(i))
-			e.mu.Lock()
-			_, ok := e.lcache.get(key)
-			e.mu.Unlock()
-			if ok {
-				continue
-			}
-			if e.store == nil {
-				return false
-			}
-			dec, ok := e.store.Get(e.persistKey(key))
-			if !ok {
-				return false
-			}
-			ent := e.derive(d, mdl.Layers[i], dec)
-			e.mu.Lock()
-			e.lcache.put(key, ent)
-			e.mu.Unlock()
-			e.cPHits.Inc()
+	for i := range e.slots {
+		key := e.persistKey(e.slots[i].shape, sub, int64(e.slots[i].index))
+		e.mu.Lock()
+		_, ok := e.records.get(key)
+		e.mu.Unlock()
+		if ok {
+			continue
 		}
+		if e.store == nil {
+			return false
+		}
+		dec, ok := e.store.Get(key)
+		if !ok {
+			return false
+		}
+		e.remember(key, dec)
+		e.cPHits.Inc()
 	}
 	return true
 }

@@ -92,9 +92,9 @@ func TestRecordsRoundTripBitIdentical(t *testing.T) {
 
 // TestInstalledRecordsConcurrentFirstUse races goroutines over designs
 // whose layers all answer from installed records (run under -race in CI).
-// Twin designs share sub-keys, so several goroutines may complete the same
-// installed entry at once; each must still see the breakdown a local search
-// would have produced.
+// Twin designs share sub-keys, so several goroutines may derive from the
+// same installed record at once; each must still see the breakdown a local
+// search would have produced.
 func TestInstalledRecordsConcurrentFirstUse(t *testing.T) {
 	s := spaceWithDummyParam(3)
 	pts := campaignPoints(s, 9)
@@ -164,7 +164,7 @@ func TestPrefill(t *testing.T) {
 	if st := coord.Stats(); st.PersistHits != len(recs) {
 		t.Fatalf("Prefill counted %d persist hits, want %d", st.PersistHits, len(recs))
 	}
-	// The second call answers from the layer cache alone.
+	// The second call answers from the record map alone.
 	if !coord.Prefill(pt) {
 		t.Fatal("Prefill false on its own installed records")
 	}
@@ -176,7 +176,7 @@ func TestPrefill(t *testing.T) {
 		t.Fatalf("prefilled evaluator: %d layer searches, %d persist hits; want 0, %d", st.LayerMisses, st.PersistHits, len(recs))
 	}
 
-	// No store attached: nothing beyond the layer cache is local.
+	// No store attached: nothing beyond the record map is local.
 	if New(cacheTestConfig(s, PrunedMappings)).Prefill(pt) {
 		t.Fatal("storeless evaluator claims a point it never evaluated")
 	}

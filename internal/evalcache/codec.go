@@ -69,7 +69,7 @@ func fieldOK(s string) bool {
 }
 
 // encode renders a record as one CRC'd line (newline included); at is the
-// last-access stamp carried for GC (0 on pure wire-transport lines).
+// write stamp carried for GC (0 on pure wire-transport lines).
 func encode(key Key, ent Entry, version string, at int64) ([]byte, error) {
 	for _, s := range [...]string{version, key.Mode, key.Shape, key.Sub} {
 		if !fieldOK(s) {
@@ -105,7 +105,7 @@ func encode(key Key, ent Entry, version string, at int64) ([]byte, error) {
 
 // decode parses one line (without its newline), verifying the CRC before
 // trusting anything in the payload; the fourth return is the record's
-// last-access stamp. The strings of the returned Key are copies, so the key
+// write stamp. The strings of the returned Key are copies, so the key
 // does not keep the line alive.
 func decode(text string) (Key, Entry, string, int64, error) {
 	payload, err := checkpoint.UnframeLine(text)
@@ -220,7 +220,7 @@ type wireRecord struct {
 	Mode   string    `json:"mode"`
 	Budget int       `json:"budget"`
 	Salt   int64     `json:"salt"`
-	At     int64     `json:"at"` // last access, unix seconds (0 = pre-GC record)
+	At     int64     `json:"at"` // write stamp, unix seconds (0 = pre-GC record)
 	Entry  wireEntry `json:"entry"`
 }
 

@@ -52,7 +52,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Store lines carry a last-access stamp; EncodeRecord's carry zero.
+	// Store lines carry a write stamp; EncodeRecord's carry zero.
 	rec := Record{Key: testKey(1), Entry: testEntry(1)}
 	data, err := encode(rec.Key, rec.Entry, "v-store", 1_700_000_000)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestEncodeRecordRefusesUnframeableFields(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "v-test"})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestEncodeRecordRefusesUnframeableFields(t *testing.T) {
 	if _, ok := s.Get(bad); ok {
 		t.Error("refused record served from the index")
 	}
-	s2, err := Open(dir, Options{Version: "v-test"})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

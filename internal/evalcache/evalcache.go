@@ -1,7 +1,7 @@
 // Package evalcache is the cross-run persistent half of the two-level
 // evaluation cache: a content-addressed, on-disk store of completed
-// layer-grain mapping-search results. The in-memory layer cache of
-// internal/eval answers repeats within one evaluator; this store answers
+// layer-grain mapping-search results. The in-memory record map of
+// internal/eval holds one evaluator's decisions; this store answers
 // repeats across runs, jobs, and processes sharing a cache directory, so an
 // identical sub-evaluation submitted tomorrow — or by another daemon worker
 // — hits disk instead of the cost model.
@@ -88,9 +88,6 @@ const maxIndexEntries = 1 << 20
 
 // Options tunes a Store.
 type Options struct {
-	// Version stamps written records and retires read records that carry a
-	// different stamp. Empty selects perf.ModelVersion().
-	Version string
 	// Registry receives the store's counters (loads, corrupt, stale,
 	// writes, write errors, index evictions). Nil selects a private one.
 	Registry *obs.Registry
@@ -107,8 +104,8 @@ type Store struct {
 	dir      string
 	dataPath string
 	lockPath string
-	version  string
-	maxN     int // index bound, maxIndexEntries outside tests
+	version  string // perf.ModelVersion(), stamped on and required of records
+	maxN     int    // index bound, maxIndexEntries outside tests
 	warnf    func(format string, args ...any)
 
 	reg        *obs.Registry
@@ -120,15 +117,15 @@ type Store struct {
 	cEvicted   *obs.Counter
 	cGCRetired *obs.Counter
 
-	// now supplies last-access timestamps (unix seconds); tests override it
-	// to drive GC deterministically.
+	// now supplies write stamps (unix seconds); tests override it to drive
+	// GC deterministically.
 	now func() int64
 
-	mu    sync.Mutex
-	idx   map[Key]Entry
-	atime map[Key]int64 // last access (unix seconds), the GC currency
-	order []Key
-	head  int
+	mu      sync.Mutex
+	idx     map[Key]Entry
+	written map[Key]int64 // write stamp (unix seconds), the GC currency
+	order   []Key
+	head    int
 }
 
 // Open opens (creating if needed) the persistent cache in dir, loading every
@@ -139,10 +136,6 @@ type Store struct {
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
-	}
-	version := opts.Version
-	if version == "" {
-		version = perf.ModelVersion()
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -156,7 +149,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		dataPath: filepath.Join(dir, dataFile),
 		lockPath: filepath.Join(dir, lockFile),
-		version:  version,
+		version:  perf.ModelVersion(),
 		maxN:     maxIndexEntries,
 		warnf:    warnf,
 
@@ -171,8 +164,8 @@ func Open(dir string, opts Options) (*Store, error) {
 
 		now: func() int64 { return time.Now().Unix() },
 
-		idx:   make(map[Key]Entry),
-		atime: make(map[Key]int64),
+		idx:     make(map[Key]Entry),
+		written: make(map[Key]int64),
 	}
 	unlock, err := lockedFile(s.lockPath)
 	if err != nil {
@@ -264,7 +257,7 @@ func (s *Store) compactLocked() error {
 	}
 	for i := s.head; i < len(s.order); i++ {
 		key := s.order[i]
-		data, err := encode(key, s.idx[key], s.version, s.atime[key])
+		data, err := encode(key, s.idx[key], s.version, s.written[key])
 		if err == nil {
 			_, err = tmp.Write(data)
 		}
@@ -301,27 +294,22 @@ func (s *Store) Len() int {
 	return len(s.idx)
 }
 
-// Get answers a lookup from the in-memory index. Records appended by other
-// processes after this store opened are not visible until a reopen — the
-// cost is a recompute plus a harmless duplicate append, never wrongness.
+// Get answers a lookup from the in-memory index; it only reads. Records
+// appended by other processes after this store opened are not visible until
+// a reopen — the cost is a recompute plus a harmless duplicate append, never
+// wrongness.
 func (s *Store) Get(key Key) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ent, ok := s.idx[key]
-	if ok {
-		// A hit refreshes the record's last-access stamp so GC retires by
-		// usefulness, not by write age. The refresh reaches disk at the next
-		// compaction; losing it merely ages the record back toward its last
-		// persisted stamp.
-		s.atime[key] = s.now()
-	}
 	return ent, ok
 }
 
-// GC retires every record whose last access is older than maxAge, then
-// compacts the file so the retired lines are physically gone, all under the
-// cross-process lock. Access times refresh on Get hits and persist
-// through compactions; records written before access stamps existed carry a
+// GC retires every record written longer than maxAge ago, then compacts the
+// file so the retired lines are physically gone, all under the cross-process
+// lock. A record's write stamp is set by the Put that first appended it and
+// carried unchanged through compactions; lookups never move it, so GC retires
+// by write age, not by use. Records written before stamps existed carry a
 // zero stamp and are always GC-eligible. Returns the number of records
 // retired. maxAge must be positive — a zero or negative age would silently
 // empty the store.
@@ -342,12 +330,12 @@ func (s *Store) GC(maxAge time.Duration) (int, error) {
 	keep := make([]Key, 0, len(s.order)-s.head)
 	for i := s.head; i < len(s.order); i++ {
 		key := s.order[i]
-		if s.atime[key] >= cutoff {
+		if s.written[key] >= cutoff {
 			keep = append(keep, key)
 			continue
 		}
 		delete(s.idx, key)
-		delete(s.atime, key)
+		delete(s.written, key)
 		retired++
 	}
 	s.order, s.head = keep, 0
@@ -424,13 +412,13 @@ func (s *Store) appendLocked(data []byte) error {
 // holds s.mu (or has exclusive access during load).
 func (s *Store) insert(key Key, ent Entry, at int64) {
 	s.idx[key] = ent
-	s.atime[key] = at
+	s.written[key] = at
 	s.order = append(s.order, key)
 	for len(s.idx) > s.maxN {
 		old := s.order[s.head]
 		s.head++
 		delete(s.idx, old)
-		delete(s.atime, old)
+		delete(s.written, old)
 		s.cEvicted.Inc()
 	}
 	if s.head > len(s.order)/2 && s.head > 64 {

@@ -33,14 +33,14 @@ func testKey(i int) Key {
 // reproduces every entry exactly from disk alone.
 func TestRoundTripBitExact(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "v-test"})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		s.Put(testKey(i), testEntry(i))
 	}
-	s2, err := Open(dir, Options{Version: "v-test"})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestParentFormatLinesLoad(t *testing.T) {
 
 func TestDuplicatePutIsNoop(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "v-test"})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDuplicatePutIsNoop(t *testing.T) {
 // and the damage is compacted away so the next open is clean.
 func TestCorruptRecordIsMissNeverWrong(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "v-test"})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCorruptRecordIsMissNeverWrong(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir, Options{Version: "v-test"})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("open over corrupt file must succeed, got %v", err)
 	}
@@ -164,7 +164,7 @@ func TestCorruptRecordIsMissNeverWrong(t *testing.T) {
 		}
 	}
 	// Compaction rewrote the file: a third open sees no corruption.
-	s3, err := Open(dir, Options{Version: "v-test"})
+	s3, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCorruptRecordIsMissNeverWrong(t *testing.T) {
 // TestTornTailLosesOnlyLastRecord simulates a writer killed mid-append.
 func TestTornTailLosesOnlyLastRecord(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "v-test"})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestTornTailLosesOnlyLastRecord(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, Options{Version: "v-test"})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestTornTailLosesOnlyLastRecord(t *testing.T) {
 // first bad line, while every damaged line still counts as corrupt.
 func TestDamageWarnsOncePerOpen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "v-test"})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestDamageWarnsOncePerOpen(t *testing.T) {
 	}
 
 	var warnings []string
-	s2, err := Open(dir, Options{Version: "v-test", Warnf: func(format string, args ...any) {
+	s2, err := Open(dir, Options{Warnf: func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 	}})
 	if err != nil {
@@ -255,33 +255,43 @@ func TestDamageWarnsOncePerOpen(t *testing.T) {
 	}
 }
 
-// TestStaleVersionRetired checks that records written under another
-// cost-model version read as misses and are physically retired.
+// TestStaleVersionRetired checks that a record written under another
+// cost-model version reads as a miss and is physically retired: the open
+// that drops it compacts it out of the file and keeps the current record.
 func TestStaleVersionRetired(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "model-a"})
-	if err != nil {
+	var file []byte
+	for _, rec := range []struct {
+		key     Key
+		version string
+	}{{testKey(0), "model-other"}, {testKey(1), perf.ModelVersion()}} {
+		line, err := encode(rec.key, testEntry(0), rec.version, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file = append(file, line...)
+	}
+	path := filepath.Join(dir, dataFile)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s.Put(testKey(0), testEntry(0))
 
-	s2, err := Open(dir, Options{Version: "model-b"})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 0 {
-		t.Fatalf("stale records loaded: Len = %d", s2.Len())
+	if _, ok := s.Get(testKey(0)); ok || s.Len() != 1 {
+		t.Fatalf("stale record loaded: Len = %d", s.Len())
 	}
-	if got := s2.Metrics().Counter("evalcache_stale_records_total").Value(); got != 1 {
+	if got := s.Metrics().Counter("evalcache_stale_records_total").Value(); got != 1 {
 		t.Errorf("stale counter = %d, want 1", got)
 	}
-	// The model-b open compacted the model-a record out of the file.
-	s3, err := Open(dir, Options{Version: "model-a"})
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Len() != 0 {
-		t.Errorf("retired record resurrected: Len = %d", s3.Len())
+	if strings.Contains(string(data), "model-other") || strings.Count(string(data), "\n") != 1 {
+		t.Errorf("the open did not compact the stale record away:\n%s", data)
 	}
 }
 
@@ -300,7 +310,7 @@ func TestDefaultVersionIsModelVersion(t *testing.T) {
 // everything for the next open.
 func TestIndexBound(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "v-test"})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +324,7 @@ func TestIndexBound(t *testing.T) {
 	if got := s.Metrics().Counter("evalcache_index_evictions_total").Value(); got != 6 {
 		t.Errorf("evictions = %d, want 6", got)
 	}
-	s2, err := Open(dir, Options{Version: "v-test"})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,11 +339,11 @@ func TestIndexBound(t *testing.T) {
 // intact: every record written by either store loads CRC-clean.
 func TestConcurrentStoresShareDirectory(t *testing.T) {
 	dir := t.TempDir()
-	sa, err := Open(dir, Options{Version: "v-test"})
+	sa, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := Open(dir, Options{Version: "v-test"})
+	sb, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +361,7 @@ func TestConcurrentStoresShareDirectory(t *testing.T) {
 	}
 	wg.Wait()
 
-	s2, err := Open(dir, Options{Version: "v-test"})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,26 +5,32 @@ import (
 	"time"
 )
 
-func TestGCRetiresByLastAccess(t *testing.T) {
+// TestGCRetiresByWriteAge: GC retires records by the stamp of the Put that
+// wrote them. Lookups do not move the stamp, so records read after they
+// were written are retired with the rest of their age.
+func TestGCRetiresByWriteAge(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Version: "v-test"})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deterministic clock: records 0..4 written at t=0, then 2 and 4
-	// accessed at t=1000.
+	// Deterministic clock: records 0, 1 and 3 written at t=0, 2 and 4 at
+	// t=1000; every record is read at t=1000.
 	clock := int64(0)
 	s.now = func() int64 { return clock }
-	for i := 0; i < 5; i++ {
+	for _, i := range []int{0, 1, 3} {
 		s.Put(testKey(i), testEntry(i))
 	}
 	clock = 1000
 	for _, i := range []int{2, 4} {
+		s.Put(testKey(i), testEntry(i))
+	}
+	for i := 0; i < 5; i++ {
 		if _, ok := s.Get(testKey(i)); !ok {
-			t.Fatalf("warm-up Get(%d) missed", i)
+			t.Fatalf("Get(%d) missed", i)
 		}
 	}
-	// At t=1500, a 600s horizon retires everything last touched at t=0.
+	// At t=1500, a 600s horizon retires everything written at t=0.
 	clock = 1500
 	retired, err := s.GC(600 * time.Second)
 	if err != nil {
@@ -45,8 +51,8 @@ func TestGCRetiresByLastAccess(t *testing.T) {
 		}
 	}
 	// The retirement must be durable: a fresh store sees only the kept
-	// records, with their access stamps intact.
-	s2, err := Open(dir, Options{Version: "v-test"})
+	// records, with their write stamps intact.
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +63,14 @@ func TestGCRetiresByLastAccess(t *testing.T) {
 		if _, ok := s2.Get(testKey(i)); !ok {
 			t.Fatalf("kept record %d missing after reopen", i)
 		}
+		if s2.written[testKey(i)] != 1000 {
+			t.Errorf("kept record %d reopened with stamp %d, want its write time 1000", i, s2.written[testKey(i)])
+		}
 	}
 }
 
 func TestGCRejectsNonPositiveAge(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{Version: "v-test"})
+	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +83,7 @@ func TestGCRejectsNonPositiveAge(t *testing.T) {
 }
 
 func TestGCKeepsEverythingWithinAge(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{Version: "v-test"})
+	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

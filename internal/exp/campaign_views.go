@@ -128,7 +128,7 @@ func ReportTable3(cfg Config, c *Campaign) {
 // ReportEvalStats renders the evaluation-layer instrumentation of a
 // campaign, aggregated per technique across models: unique design
 // evaluations, memoized cache hits (with memo evictions), in-flight
-// deduplications under the batch pool, layer-grain mapping-cache and
+// deduplications under the batch pool, layer record-map and
 // persistent-store hits, mapping-search trials against actual cost-model
 // calls, evaluation wall time, batch-layer activity, budget-free
 // repeat acquisitions, and recovered evaluation panics (non-zero means

@@ -9,7 +9,7 @@
 //
 // Robustness model:
 //   - Prepare is local-first: a point whose every layer record the local
-//     evaluator already holds (layer cache or persistent store) is never
+//     evaluator already holds (record map or persistent store) is never
 //     dispatched, so a coordinator restarted over the same cache directory
 //     resumes without re-dispatching what it already merged.
 //   - A batch's fresh points are dealt round-robin into shards, and each
@@ -225,7 +225,7 @@ func (c *Coordinator) recordFault(msg string) {
 	c.faults = append(c.faults, msg)
 }
 
-// Prepare returns a search.Problem.Prepare hook that warms ev's layer cache
+// Prepare returns a search.Problem.Prepare hook that warms ev's record map
 // from the fleet before each batch: it drops the batch's points ev can
 // already answer (memoized, or every layer record local — eval.Prefill),
 // deals the rest into shards, dispatches each shard, and installs

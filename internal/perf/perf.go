@@ -111,8 +111,9 @@ func MappingSubKey(d arch.Design) string {
 	if g := gcd(num, den); g > 1 {
 		num, den = num/g, den/g
 	}
-	// Built with strconv appends rather than fmt (this runs once per layer
-	// search and showed up at ~10% of a warm campaign under fmt). The byte
+	// Built with strconv appends rather than fmt (this runs once per design
+	// evaluation, and once per layer search it showed up at ~10% of a warm
+	// campaign under fmt). The byte
 	// layout is identical to the original
 	// "pe%d,l1:%d,l2:%d,noc%d,bpc%d/%d" + ",%v:%dx%d" format — persisted
 	// cache records key on this string, so the layout must not change

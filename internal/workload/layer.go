@@ -128,8 +128,9 @@ func (l Layer) OutputElems() int64 {
 // given design.
 func (l Layer) ShapeKey() string {
 	n := l.normalized()
-	// Built with strconv appends rather than fmt (this runs once per layer
-	// per design evaluation and fmt showed up in warm-campaign profiles).
+	// Built with strconv appends rather than fmt (fmt showed up in
+	// warm-campaign profiles when this ran once per layer per design; the
+	// evaluator now builds it once per distinct layer, at eval.New).
 	// The byte layout is identical to the original
 	// "%d|%d,%d,%d,%d,%d,%d|%d" format — persisted cache records key on
 	// this string, so the layout must not change without retiring them.
