@@ -88,10 +88,10 @@ func EdgeConstraints() Constraints {
 
 // DefaultCacheCap bounds the design-level memo entry count. It is far above
 // any campaign budget in this repository, so eviction only engages on very
-// long-running explorations. The record map of layer decisions is bounded at
-// 8x this cap. Unique-design budget accounting is exact under eviction:
-// re-evaluating an evicted design is counted as a recompute, never as a new
-// unique evaluation.
+// long-running explorations. The record map of installed layer decisions is
+// bounded at 8x this cap. Unique-design budget accounting is exact under
+// eviction: re-evaluating an evicted design is counted as a recompute, never
+// as a new unique evaluation.
 const DefaultCacheCap = 32768
 
 // Config parameterizes an Evaluator.
@@ -112,20 +112,20 @@ type Config struct {
 	// evaluation setup).
 	Workers int
 	// PersistCache, when non-nil, is the cross-run persistent evaluation
-	// cache (internal/evalcache), slotted under the in-memory record map:
-	// layer searches the record map does not answer are looked up in the
-	// store before the cost model runs, and fresh decisions are appended for
-	// future runs and other processes. Results are bit-identical with or
-	// without it — a persist hit replays the exact decision a cold search
-	// would reach. The caller opens the store; the serve daemon shares one
+	// cache (internal/evalcache), slotted under the record map of installed
+	// fleet records: layer searches no installed record answers are looked
+	// up in the store before the cost model runs, and fresh decisions are
+	// appended for future runs, other processes and twin designs. Results
+	// are bit-identical with or without it — a persist hit replays the exact
+	// decision a cold search would reach. The caller opens the store; the serve daemon shares one
 	// across every job's evaluator.
 	PersistCache *evalcache.Store
 	// EvalTimeout, when positive, arms a per-evaluation watchdog: a design
 	// whose evaluation (mapping search included) exceeds the deadline is
 	// charged and memoized as infeasible-with-error instead of hanging the
 	// campaign. The abandoned computation is left to finish in the
-	// background; its record-map writes remain valid (they are
-	// deterministic), only its design result is discarded.
+	// background; its store writes remain valid (they are deterministic),
+	// only its design result is discarded.
 	EvalTimeout time.Duration
 	// Faults, when non-nil, deterministically injects failures (panics,
 	// errors, delays) at chosen unique-evaluation ordinals — the
@@ -152,6 +152,10 @@ type LayerEval struct {
 	EnergyMJ float64
 	// MapTrials is the number of mappings examined for this layer.
 	MapTrials int
+	// Found is the layer decision's found bit: the search found a mapping.
+	// Perf.Valid cannot stand in for it, because FixedDataflow's one mapping
+	// counts as found even when it is invalid.
+	Found bool
 }
 
 // ModelEval is one workload's evaluation on a design.
@@ -248,10 +252,11 @@ type Evaluator struct {
 	// slotOf[m][i] is the slot of layer i of model m (see newSlots).
 	slots  []slot
 	slotOf [][]int
-	// records is the record map: layer decisions under their content
-	// address — fleet installs, exports, and store hits — bounded at 8x the
-	// design-memo cap (a long-running daemon streams arbitrary layer shapes
-	// through one process; an unbounded map is a slow leak).
+	// records is the record map: layer decisions a fleet coordinator
+	// installed (InstallRecords is its one writer) under their content
+	// address, bounded at 8x the design-memo cap (a long-running coordinator
+	// streams arbitrary layer shapes through one process; an unbounded map is
+	// a slow leak). A design's own decisions live in its Result.
 	records fifoMap[evalcache.Key, evalcache.Entry]
 	// walks is the walk memo of the pruned mapping search, bounded at
 	// walkCap: per layer shape, PEs and buffer capacities, the part of the
@@ -315,18 +320,19 @@ type Stats struct {
 	// Recomputes counts evaluations of designs seen before but evicted;
 	// they redo real work without charging the unique-design budget.
 	Recomputes int
-	// LayerHits counts layer lookups answered from the record map: installed
-	// fleet records, store hits Prefill copied in, and twin designs (distinct
-	// points that decode to one design). Zero on a local campaign over a
-	// space whose points all decode to distinct designs.
+	// LayerHits counts layer lookups answered from the record map, that is
+	// from records a fleet coordinator installed. Zero on a local campaign.
 	LayerHits int
 	// LayerMisses counts layer searches actually run.
 	LayerMisses int
-	// LayerEvictions counts records dropped from the bounded record map.
+	// LayerEvictions counts installed records dropped from the bounded
+	// record map.
 	LayerEvictions int
 	// PersistHits counts layer searches answered from the on-disk
-	// persistent cache (a second-level hit: missed in memory, found on
-	// disk, cost model never ran).
+	// persistent cache (a second-level hit: no installed record, found on
+	// disk, cost model never ran). It includes twin designs (distinct
+	// points that decode to one design) answering from their own run's
+	// writes.
 	PersistHits int
 	// PersistMisses counts layer searches that probed the persistent cache
 	// and found nothing (always at most LayerMisses; zero when no cache
@@ -354,10 +360,10 @@ type Stats struct {
 	// FullEvals is the number of Tier-2 full-breakdown evaluations
 	// (perf.EvalContext.Evaluate): one per layer lookup that found a mapping
 	// — a fresh search's winner, the fixed-dataflow analytical mapping, or a
-	// record answered from the record map or the persistent store (records
-	// carry no breakdown). The Tier-1/Tier-2 split FullEvals/CostCalls is
-	// the fraction of perf-model work that pays for the complete
-	// per-operand factor tree.
+	// record answered from an installed record or the persistent store
+	// (records carry no breakdown). The Tier-1/Tier-2 split
+	// FullEvals/CostCalls is the fraction of perf-model work that pays for
+	// the complete per-operand factor tree.
 	FullEvals int64
 	// LBPruned counts mapping candidates whose cost call was skipped
 	// because a certified lower bound proved they could not win.
@@ -682,7 +688,7 @@ func (e *Evaluator) searchSlots(d arch.Design, models []ModelEval) {
 		s := &e.slots[i]
 		dec, b := e.layerResult(d, sub, s)
 		le := &models[s.model].Layers[s.index]
-		le.Mapping, le.Perf, le.MapTrials = dec.Mapping, b, dec.Trials
+		le.Mapping, le.Perf, le.MapTrials, le.Found = dec.Mapping, b, dec.Trials, dec.Found
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -713,7 +719,7 @@ func (e *Evaluator) finishModel(d arch.Design, est energy.Estimate, models []Mod
 		le := &me.Layers[li]
 		if s := &e.slots[e.slotOf[mi][li]]; s.model != mi || s.index != li {
 			first := &models[s.model].Layers[s.index]
-			le.Mapping, le.Perf, le.MapTrials = first.Mapping, first.Perf, first.MapTrials
+			le.Mapping, le.Perf, le.MapTrials, le.Found = first.Mapping, first.Perf, first.MapTrials, first.Found
 		}
 		le.Layer = me.Model.Layers[li]
 		le.TotalCycles = le.Perf.Cycles * float64(max(le.Layer.Mult, 1))

@@ -87,11 +87,13 @@ func (e *Evaluator) walk(shape string, d arch.Design, l workload.Layer) *perf.Wa
 }
 
 // layerResult returns slot s's decision on design d, of sub-key sub, and the
-// Tier-2 breakdown derived from it. It answers from the record map, then from
-// the persistent cross-run store (when attached), and only then runs the
-// search; every path returns the decision a search would. Store hits and
-// fresh decisions go into the record map, where RecordsFor exports them. A
-// search that panics stores nothing, so the next evaluation searches again.
+// Tier-2 breakdown derived from it. It answers from the records a fleet
+// coordinator installed, then from the persistent cross-run store (when
+// attached), and only then runs the search; every path returns the decision a
+// search would. It writes no record map: the design's Result holds the
+// decision, and Records exports it from there. A fresh decision is appended
+// to the store; a search that panics appends nothing, so the next evaluation
+// searches again.
 func (e *Evaluator) layerResult(d arch.Design, sub string, s *slot) (evalcache.Entry, perf.Breakdown) {
 	key := e.persistKey(s.shape, sub, int64(s.index))
 	e.mu.Lock()
@@ -102,12 +104,11 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, s *slot) (evalcache.E
 		return dec, e.derive(d, s.layer, dec)
 	}
 	// A search completed by a previous run — or by another job or process
-	// sharing the cache directory — answers from disk and never reaches the
-	// cost model.
+	// sharing the cache directory, or by a twin design of this run — answers
+	// from disk and never reaches the cost model.
 	if e.store != nil {
 		if dec, ok := e.store.Get(key); ok {
 			e.cPHits.Inc()
-			e.remember(key, dec)
 			return dec, e.derive(d, s.layer, dec)
 		}
 		e.cPMisses.Inc()
@@ -118,19 +119,11 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, s *slot) (evalcache.E
 	dec = e.searchLayer(d, s)
 	b := e.derive(d, s.layer, dec)
 	e.hLayer.ObserveDuration(time.Since(start))
-	e.remember(key, dec)
 	if e.store != nil {
 		e.store.Put(key, dec)
 		e.cPWrites.Inc()
 	}
 	return dec, b
-}
-
-// remember puts decision dec under key in the record map.
-func (e *Evaluator) remember(key evalcache.Key, dec evalcache.Entry) {
-	e.mu.Lock()
-	e.records.put(key, dec)
-	e.mu.Unlock()
 }
 
 // persistKey is the content address of a layer decision, the one key of the

@@ -104,12 +104,11 @@ func TestSlotsRandomModeKeepIndex(t *testing.T) {
 		slots int
 	}{{FixedDataflow, 1}, {RandomMappings, 2}, {PrunedMappings, 1}} {
 		e := newEval(tc.mode, twice)
-		pt := compatiblePoint(e.Config().Space)
-		e.Evaluate(pt)
+		r := e.Evaluate(compatiblePoint(e.Config().Space))
 		if len(e.slots) != tc.slots || e.Stats().LayerMisses != tc.slots {
 			t.Errorf("%v: %d slots and %d searches, want %d", tc.mode, len(e.slots), e.Stats().LayerMisses, tc.slots)
 		}
-		recs := e.RecordsFor(pt)
+		recs := e.Records(r)
 		if len(recs) != tc.slots {
 			t.Fatalf("%v: %d records exported, want %d", tc.mode, len(recs), tc.slots)
 		}

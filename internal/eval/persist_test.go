@@ -189,16 +189,20 @@ func TestPersistCacheSeedIsolation(t *testing.T) {
 		first.Evaluate(pt)
 	}
 	// A seed-2 run over the same directory must reproduce the uncached
-	// seed-2 results, not replay seed-1 entries.
+	// seed-2 results, not replay seed-1 entries. Its twins hit its own
+	// writes, so it must hit the store exactly as often as a seed-2 run over
+	// an empty store.
 	uncached := New(seedCfg(2))
 	shared := newOver(t, seedCfg(2), dir)
+	empty := newOver(t, seedCfg(2), t.TempDir())
 	for _, pt := range pts {
 		if err := resultsEquivalent(uncached.Evaluate(pt), shared.Evaluate(pt)); err != nil {
 			t.Fatalf("seed-2 run contaminated by seed-1 cache at %v: %v", pt.Key(), err)
 		}
+		empty.Evaluate(pt)
 	}
-	if st := shared.Stats(); st.PersistHits != 0 {
-		t.Errorf("seed-2 run hit %d seed-1 entries", st.PersistHits)
+	if got, want := shared.Stats().PersistHits, empty.Stats().PersistHits; got != want {
+		t.Errorf("seed-2 run hit the seed-1 store %d times, want %d as over an empty store", got, want)
 	}
 }
 
@@ -240,11 +244,11 @@ func TestPersistCacheConcurrentEvaluators(t *testing.T) {
 }
 
 // TestCachesBounded is the memory-leak regression test for the evaluator's
-// two bounded maps: the design memo stays within its cap, and the record
-// map within 8x that cap, however many distinct keys stream through a
-// long-running evaluator. Each keeps the newest keys, and counts every drop
-// in its Stats field. The caps are lowered from DefaultCacheCap to 1 and 8
-// so a few keys reach them.
+// two bounded maps: the design memo stays within its cap, and the install
+// map (the record map of installed fleet records) within 8x that cap,
+// however many distinct keys stream through a long-running evaluator. Each
+// keeps the newest keys, and counts every drop in its Stats field. The caps
+// are lowered from DefaultCacheCap to 1 and 8 so a few keys reach them.
 func TestCachesBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -263,7 +267,7 @@ func TestCachesBounded(t *testing.T) {
 			evicted: func(st Stats) int { return st.Evictions },
 		},
 		{
-			name:  "layer cache",
+			name:  "install map",
 			limit: 8,
 			fill: func(e *Evaluator, i int) {
 				e.records.put(evalcache.Key{Shape: "shape", Sub: fmt.Sprint(i)}, evalcache.Entry{})

@@ -30,27 +30,27 @@ func (e *Evaluator) Memoized(pt arch.Point) bool {
 	return ok
 }
 
-// RecordsFor returns the content-addressed layer records this evaluator
-// currently holds for design point pt — one per slot, keyed exactly as the
-// persistent store keys them. This is the worker half of the fleet protocol:
-// after evaluating pt, a worker exports the records so the coordinator can
-// install them and replay the design evaluation locally, bit-identically,
-// from record-map hits alone. Records not (or no longer) in the record map
-// are simply absent — the coordinator recomputes those layers itself, so a
-// partial export degrades to extra local work, never wrongness.
-func (e *Evaluator) RecordsFor(pt arch.Point) []evalcache.Record {
-	d, err := e.cfg.Space.Decode(pt)
-	if err != nil {
+// Records returns the content-addressed layer records of r, a result of this
+// evaluator: one per slot, keyed exactly as the persistent store keys them,
+// holding the decision r's slot layer carries. This is the worker half of the
+// fleet protocol: after evaluating a point, a worker exports the records of
+// its Result so the coordinator can install them and replay the design
+// evaluation locally, bit-identically, from record-map hits alone. An errored
+// or cancelled result holds no decisions and exports nothing; the coordinator
+// recomputes those layers itself, so a missing export degrades to extra local
+// work, never wrongness.
+func (e *Evaluator) Records(r *Result) []evalcache.Record {
+	if r.Err != "" || r.Cancelled {
 		return nil
 	}
-	sub := perf.MappingSubKey(d)
-	var out []evalcache.Record
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	sub := perf.MappingSubKey(r.Design)
+	out := make([]evalcache.Record, len(e.slots))
 	for i := range e.slots {
-		key := e.persistKey(e.slots[i].shape, sub, int64(e.slots[i].index))
-		if dec, ok := e.records.get(key); ok {
-			out = append(out, evalcache.Record{Key: key, Entry: dec})
+		s := &e.slots[i]
+		le := &r.Models[s.model].Layers[s.index]
+		out[i] = evalcache.Record{
+			Key:   e.persistKey(s.shape, sub, int64(s.index)),
+			Entry: evalcache.Entry{Found: le.Found, Mapping: le.Mapping, Trials: le.MapTrials},
 		}
 	}
 	return out
@@ -58,14 +58,15 @@ func (e *Evaluator) RecordsFor(pt arch.Point) []evalcache.Record {
 
 // InstallRecords seeds the evaluator's record map (and the attached
 // persistent store, when one exists) with content-addressed records computed
-// elsewhere — the coordinator half of the fleet protocol. Each record's key
-// must be one persistKey builds here: a record addressed to a different mode,
-// trial budget, or random-mode seed is skipped, so a mis-addressed or
-// stale-configuration record can never answer a local search. Installed
-// decisions are exactly what a local search would have produced (the
-// content-address contract), and each lookup derives its breakdown, so
-// evaluations answering from them are bit-identical to evaluations that
-// never saw the records. Returns the number of records newly installed.
+// elsewhere — the coordinator half of the fleet protocol, and the record map's
+// one writer. Each record's key must be one persistKey builds here: a record
+// addressed to a different mode, trial budget, or random-mode seed is skipped,
+// so a mis-addressed or stale-configuration record can never answer a local
+// search. Installed decisions are exactly what a local search would have
+// produced (the content-address contract), and each lookup derives its
+// breakdown, so evaluations answering from them are bit-identical to
+// evaluations that never saw the records. Returns the number of records newly
+// installed.
 func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 	n := 0
 	for _, rec := range recs {
@@ -100,15 +101,15 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 	return n
 }
 
-// Prefill reports whether pt's evaluation can run entirely from local layer
-// records: every slot's record is either in the record map or in the attached
-// persistent store. Store hits are copied into the record map, not derived
-// (the evaluation derives every lookup), and counted as persist hits. It stops
-// at the first slot neither holds, so a point that needs a search costs one
-// key. This is the fleet coordinator's local-first filter: a coordinator
-// restarted over the same store finds everything it already evaluated here
-// and dispatches none of it.
-func (e *Evaluator) Prefill(pt arch.Point) bool {
+// HasRecords reports whether pt's evaluation can run entirely from local
+// layer records: every slot's record is either installed in the record map or
+// in the attached persistent store. It is a query: it copies and counts
+// nothing, and the evaluation that follows reads the store again and counts
+// its hits. It stops at the first slot neither holds, so a point that needs a
+// search costs one key. This is the fleet coordinator's local-first filter: a
+// coordinator restarted over the same store finds everything it already
+// installed there and dispatches none of it.
+func (e *Evaluator) HasRecords(pt arch.Point) bool {
 	d, err := e.cfg.Space.Decode(pt)
 	if err != nil {
 		return false
@@ -125,12 +126,9 @@ func (e *Evaluator) Prefill(pt arch.Point) bool {
 		if e.store == nil {
 			return false
 		}
-		dec, ok := e.store.Get(key)
-		if !ok {
+		if _, ok := e.store.Get(key); !ok {
 			return false
 		}
-		e.remember(key, dec)
-		e.cPHits.Inc()
 	}
 	return true
 }

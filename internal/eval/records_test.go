@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"xdse/internal/arch"
 	"xdse/internal/evalcache"
 )
 
@@ -47,8 +49,9 @@ func TestRecordsRoundTripBitIdentical(t *testing.T) {
 			var want []*Result
 			var wire []string
 			for _, pt := range pts {
-				want = append(want, worker.Evaluate(pt))
-				for _, rec := range worker.RecordsFor(pt) {
+				r := worker.Evaluate(pt)
+				want = append(want, r)
+				for _, rec := range worker.Records(r) {
 					data, err := evalcache.EncodeRecord(rec, "v-test")
 					if err != nil {
 						t.Fatal(err)
@@ -90,6 +93,54 @@ func TestRecordsRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRecordMapHoldsOnlyInstalls: a local campaign, cold or warm over a
+// store, writes nothing to the record map, because each design's Result holds
+// its decisions; and Records exports nothing for an errored or a cancelled
+// result.
+func TestRecordMapHoldsOnlyInstalls(t *testing.T) {
+	s := arch.EdgeSpace()
+	pts := campaignPoints(s, 6)
+	cfg := cacheTestConfig(s, PrunedMappings)
+	dir := t.TempDir()
+	for _, run := range []string{"cold", "warm"} {
+		e := newOver(t, cfg, dir)
+		for _, pt := range pts {
+			r := e.Evaluate(pt)
+			if r.Err != "" {
+				t.Fatalf("%s: %s", run, r.Err)
+			}
+			if n := len(e.Records(r)); n != len(e.slots) {
+				t.Fatalf("%s: %d records exported, want one per slot (%d)", run, n, len(e.slots))
+			}
+		}
+		st := e.Stats()
+		if warm := run == "warm"; warm != (st.LayerMisses == 0) || warm != (st.PersistHits > 0) {
+			t.Fatalf("%s: %d searches and %d store hits", run, st.LayerMisses, st.PersistHits)
+		}
+		if n := len(e.records.m); n != 0 {
+			t.Errorf("%s campaign left %d decisions in the record map, want 0", run, n)
+		}
+	}
+
+	e := New(cfg)
+	bad := e.Evaluate(arch.Point{0})
+	if bad.Err == "" {
+		t.Fatal("a malformed point evaluated without error")
+	}
+	if recs := e.Records(bad); recs != nil {
+		t.Errorf("an errored result exported %d records", len(recs))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gone := e.EvaluateCtx(ctx, pts[0])
+	if !gone.Cancelled {
+		t.Fatal("evaluation under a cancelled context not cancelled")
+	}
+	if recs := e.Records(gone); recs != nil {
+		t.Errorf("a cancelled result exported %d records", len(recs))
+	}
+}
+
 // TestInstalledRecordsConcurrentFirstUse races goroutines over designs
 // whose layers all answer from installed records (run under -race in CI).
 // Twin designs share sub-keys, so several goroutines may derive from the
@@ -103,8 +154,9 @@ func TestInstalledRecordsConcurrentFirstUse(t *testing.T) {
 	var want []*Result
 	var recs []evalcache.Record
 	for _, pt := range pts {
-		want = append(want, worker.Evaluate(pt))
-		recs = append(recs, worker.RecordsFor(pt)...)
+		r := worker.Evaluate(pt)
+		want = append(want, r)
+		recs = append(recs, worker.Records(r)...)
 	}
 	coord := New(cfg)
 	coord.InstallRecords(recs)
@@ -128,11 +180,12 @@ func TestInstalledRecordsConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestPrefill is the coordinator's local-first contract: a fresh evaluator
+// TestHasRecords is the coordinator's local-first contract: a fresh evaluator
 // over a persistent store reports a point answerable only once every layer
-// record RecordsFor exports is in the store, and then evaluates it
-// bit-identically without running a single layer search.
-func TestPrefill(t *testing.T) {
+// record Records exports is in the store, and then evaluates it
+// bit-identically without running a single layer search. The query itself
+// copies and counts nothing; the evaluation counts the store hits.
+func TestHasRecords(t *testing.T) {
 	s := spaceWithDummyParam(3)
 	pt := campaignPoints(s, 1)[0]
 	cfg := cacheTestConfig(s, PrunedMappings)
@@ -140,44 +193,51 @@ func TestPrefill(t *testing.T) {
 
 	worker := New(cacheTestConfig(s, PrunedMappings))
 	want := worker.Evaluate(pt)
-	recs := worker.RecordsFor(pt)
+	recs := worker.Records(want)
 	if len(recs) < 2 {
 		t.Fatalf("%d records exported, want at least 2", len(recs))
 	}
-	if newOver(t, cfg, dir).Prefill(pt) {
-		t.Fatal("Prefill true over an empty store")
+	if newOver(t, cfg, dir).HasRecords(pt) {
+		t.Fatal("HasRecords true over an empty store")
 	}
 
 	// Every layer but one in the store: still not answerable locally.
 	if n := newOver(t, cfg, dir).InstallRecords(recs[:len(recs)-1]); n != len(recs)-1 {
 		t.Fatalf("installed %d of %d records", n, len(recs)-1)
 	}
-	if newOver(t, cfg, dir).Prefill(pt) {
-		t.Fatal("Prefill true with one layer record missing from the store")
+	if newOver(t, cfg, dir).HasRecords(pt) {
+		t.Fatal("HasRecords true with one layer record missing from the store")
 	}
 
 	newOver(t, cfg, dir).InstallRecords(recs[len(recs)-1:])
 	coord := newOver(t, cfg, dir)
-	if !coord.Prefill(pt) {
-		t.Fatal("Prefill false with every layer record in the store")
+	for range 2 {
+		if !coord.HasRecords(pt) {
+			t.Fatal("HasRecords false with every layer record in the store")
+		}
 	}
-	if st := coord.Stats(); st.PersistHits != len(recs) {
-		t.Fatalf("Prefill counted %d persist hits, want %d", st.PersistHits, len(recs))
+	if st := coord.Stats(); st.PersistHits != 0 || st.LayerHits != 0 {
+		t.Fatalf("HasRecords counted %d persist hits and %d record-map hits, want 0", st.PersistHits, st.LayerHits)
 	}
-	// The second call answers from the record map alone.
-	if !coord.Prefill(pt) {
-		t.Fatal("Prefill false on its own installed records")
+	if n := len(coord.records.m); n != 0 {
+		t.Fatalf("HasRecords copied %d records into the record map, want 0", n)
 	}
 	got := coord.Evaluate(pt)
 	if err := resultsEquivalent(want, got); err != nil {
-		t.Fatalf("prefilled evaluation differs: %v", err)
+		t.Fatalf("evaluation over the store differs: %v", err)
 	}
 	if st := coord.Stats(); st.LayerMisses != 0 || st.PersistHits != len(recs) {
-		t.Fatalf("prefilled evaluator: %d layer searches, %d persist hits; want 0, %d", st.LayerMisses, st.PersistHits, len(recs))
+		t.Fatalf("evaluation over the store: %d layer searches, %d persist hits; want 0, %d", st.LayerMisses, st.PersistHits, len(recs))
 	}
 
+	// An installed record is local without a store.
+	installed := New(cacheTestConfig(s, PrunedMappings))
+	installed.InstallRecords(recs)
+	if !installed.HasRecords(pt) {
+		t.Fatal("HasRecords false on installed records")
+	}
 	// No store attached: nothing beyond the record map is local.
-	if New(cacheTestConfig(s, PrunedMappings)).Prefill(pt) {
+	if New(cacheTestConfig(s, PrunedMappings)).HasRecords(pt) {
 		t.Fatal("storeless evaluator claims a point it never evaluated")
 	}
 }
@@ -191,8 +251,7 @@ func TestInstallRecordsRejectsMismatched(t *testing.T) {
 	pt := campaignPoints(s, 1)[0]
 	cfg := cacheTestConfig(s, PrunedMappings)
 	worker := New(cfg)
-	worker.Evaluate(pt)
-	recs := worker.RecordsFor(pt)
+	recs := worker.Records(worker.Evaluate(pt))
 	if len(recs) == 0 {
 		t.Fatal("no records exported")
 	}
@@ -216,8 +275,7 @@ func TestInstallRecordsRejectsMismatched(t *testing.T) {
 	t.Run("wrong-seed-random-mode", func(t *testing.T) {
 		rcfg := cacheTestConfig(s, RandomMappings)
 		rworker := New(rcfg)
-		rworker.Evaluate(pt)
-		rrecs := rworker.RecordsFor(pt)
+		rrecs := rworker.Records(rworker.Evaluate(pt))
 		if len(rrecs) == 0 {
 			t.Fatal("no random-mode records exported")
 		}

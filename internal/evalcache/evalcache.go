@@ -1,10 +1,11 @@
 // Package evalcache is the cross-run persistent half of the two-level
 // evaluation cache: a content-addressed, on-disk store of completed
-// layer-grain mapping-search results. The in-memory record map of
-// internal/eval holds one evaluator's decisions; this store answers
-// repeats across runs, jobs, and processes sharing a cache directory, so an
-// identical sub-evaluation submitted tomorrow — or by another daemon worker
-// — hits disk instead of the cost model.
+// layer-grain mapping-search results. In memory, internal/eval keeps a
+// design's decisions in its Result and the records a fleet coordinator
+// installed in its record map; this store answers repeats across designs,
+// runs, jobs, and processes sharing a cache directory, so an identical
+// sub-evaluation submitted tomorrow — or by another daemon worker — hits disk
+// instead of the cost model.
 //
 // Content addressing: a record is keyed by everything the search result
 // depends on — the layer's canonical shape (workload.Layer.ShapeKey), the

@@ -188,6 +188,54 @@ func TestKillWorkerMidCampaignBitIdentical(t *testing.T) {
 	}
 }
 
+// TestInstalledRecordsAnswerCoordinator covers the export path that
+// fingerprints alone cannot: a worker that exported nothing would still match
+// them, because the coordinator would search every layer itself. Over two
+// workers with hedging off, in every mapper mode, the coordinator answers a
+// layer from an installed record exactly once per record installed, and those
+// answers plus its own searches are the single-node run's searches.
+func TestInstalledRecordsAnswerCoordinator(t *testing.T) {
+	model := workload.ByName("ResNet18")
+	for _, m := range modes {
+		t.Run(m.tech, func(t *testing.T) {
+			tech, ok := exp.TechniqueByName(m.tech)
+			if !ok {
+				t.Fatalf("unknown technique %q", m.tech)
+			}
+			ref := exp.RunOne(context.Background(), testConfig(), tech, model, testBudget)
+			if ref.Err != "" {
+				t.Fatalf("reference run failed: %s", ref.Err)
+			}
+			ts1, _ := startWorker(t)
+			ts2, _ := startWorker(t)
+			c, err := fleet.New([]string{ts1.Listener.Addr().String(), ts2.Listener.Addr().String()}, calmOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			waitHealthy(t, c, 2)
+			cfg := testConfig()
+			cfg.Fleet = c
+			got := exp.RunOne(context.Background(), cfg, tech, model, testBudget)
+			if got.Err != "" {
+				t.Fatalf("fleet run failed: %s", got.Err)
+			}
+			if got.Trace.Fingerprint() != ref.Trace.Fingerprint() {
+				t.Fatal("fleet campaign fingerprint differs from the single-node reference")
+			}
+			hits, searches := got.Stats.LayerHits, got.Stats.LayerMisses
+			installed := c.Metrics().Counter("fleet_records_installed_total").Value()
+			if hits == 0 || int64(hits) != installed {
+				t.Errorf("%d layers answered from installed records, %d records installed; want equal and above 0", hits, installed)
+			}
+			if hits+searches != ref.Stats.LayerMisses {
+				t.Errorf("%d installed answers + %d coordinator searches, want the single-node run's %d searches",
+					hits, searches, ref.Stats.LayerMisses)
+			}
+		})
+	}
+}
+
 // TestDegradedNoWorkersBitIdentical: with nothing listening anywhere, the
 // coordinator degrades to pure local execution — same fingerprint, and not
 // one shard dispatched.

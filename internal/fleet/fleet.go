@@ -227,7 +227,7 @@ func (c *Coordinator) recordFault(msg string) {
 
 // Prepare returns a search.Problem.Prepare hook that warms ev's record map
 // from the fleet before each batch: it drops the batch's points ev can
-// already answer (memoized, or every layer record local — eval.Prefill),
+// already answer (memoized, or every layer record local — eval.HasRecords),
 // deals the rest into shards, dispatches each shard, and installs
 // the returned content-addressed records. The hook is result neutral — the
 // batch's evaluations run locally afterwards and are bit-identical whether
@@ -252,7 +252,7 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 			}
 			seen[k] = true
 			c.cPoints.Inc()
-			if ev.Prefill(pt) {
+			if ev.HasRecords(pt) {
 				c.cLocalPts.Inc()
 				continue
 			}

@@ -77,10 +77,10 @@ func (s *Server) evaluatorFor(model *workload.Model, mode eval.MapperMode, trial
 
 // handleEval serves one fleet shard: validate the protocol and model-version
 // handshake, evaluate every point through a pooled evaluator, and return the
-// content-addressed layer records the evaluations produced. Admission
-// mirrors the jobs API: draining → 503 + Retry-After, concurrency saturated
-// → 429 + Retry-After, malformed or mismatched requests → 4xx (permanent for
-// the coordinator), version skew → 412.
+// content-addressed layer records of the Results the evaluations returned.
+// Admission mirrors the jobs API: draining → 503 + Retry-After, concurrency
+// saturated → 429 + Retry-After, malformed or mismatched requests → 4xx
+// (permanent for the coordinator), version skew → 412.
 //
 // A request carrying an obs.TraceHeader gets worker-side spans — queue wait,
 // one span per evaluated point, record export — parented under the
@@ -175,7 +175,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	s.cEvalShards.Inc()
 	ev := s.evaluatorFor(model, mode, req.MapTrials, req.Seed)
 	evCtx := obs.ContextWithSpan(r.Context(), tr, parent)
-	evaluated := 0
+	results := make([]*eval.Result, 0, len(pts))
 	for _, pt := range pts {
 		// The request context carries the coordinator's attempt: one that
 		// times out, loses a hedge race, or dies cancels it, and the worker
@@ -184,14 +184,17 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		if evCtx.Err() != nil {
 			break
 		}
-		ev.EvaluateCtx(evCtx, pt)
-		evaluated++
+		// A cancelled result (this attempt's, or a cancelled evaluation of the
+		// same point that this one joined) holds no decisions to export.
+		if res := ev.EvaluateCtx(evCtx, pt); !res.Cancelled {
+			results = append(results, res)
+		}
 	}
 	csp := tr.StartChild(parent, obs.SpanCache, "export")
 	var lines []string
 	seen := make(map[evalcache.Key]bool)
-	for _, pt := range pts[:evaluated] {
-		for _, rec := range ev.RecordsFor(pt) {
+	for _, res := range results {
+		for _, rec := range ev.Records(res) {
 			if seen[rec.Key] {
 				continue
 			}
@@ -205,12 +208,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	csp.Points = len(lines)
 	csp.End()
-	s.cEvalPoints.Add(int64(evaluated))
+	s.cEvalPoints.Add(int64(len(results)))
 	s.cEvalRecords.Add(int64(len(lines)))
 	resp := fleet.EvalResponse{
 		ModelVersion: perf.ModelVersion(),
 		Records:      lines,
-		Evaluated:    evaluated,
+		Evaluated:    len(results),
 	}
 	if col != nil {
 		resp.Spans = col.Events()
