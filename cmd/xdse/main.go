@@ -9,6 +9,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -255,7 +256,7 @@ func main() {
 		return
 	}
 	if *explore {
-		if err := runExplore(ctx, cfg, *spec, *mode, *quiet); err != nil {
+		if err := runExplore(ctx, cfg, *spec, *mode, *quiet, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "xdse: %v\n", err)
 			os.Exit(1)
 		}
@@ -456,8 +457,8 @@ func filterEvents(events []obs.Event, run string, sinceStep int) []obs.Event {
 
 // runExplore performs one ad-hoc Explainable-DSE exploration over a
 // (possibly user-specified) design space, printing the bottleneck reasoning
-// behind every acquisition.
-func runExplore(ctx context.Context, cfg exp.Config, specPath, mode string, quiet bool) error {
+// behind every acquisition to w.
+func runExplore(ctx context.Context, cfg exp.Config, specPath, mode string, quiet bool, w io.Writer) error {
 	specText := arch.EdgeSpaceSpec
 	if specPath != "" {
 		data, err := os.ReadFile(specPath)
@@ -478,7 +479,7 @@ func runExplore(ctx context.Context, cfg exp.Config, specPath, mode string, quie
 		Make: func(space *arch.Space, cons eval.Constraints) search.Optimizer {
 			ex := dse.New(accelmodel.New(space, cons))
 			if !quiet {
-				ex.Opts.Log = os.Stdout
+				ex.Opts.Log = w
 			}
 			return ex
 		},
@@ -495,21 +496,21 @@ func runExplore(ctx context.Context, cfg exp.Config, specPath, mode string, quie
 	for i, m := range cfg.Models {
 		names[i] = m.Name
 	}
-	fmt.Printf("exploring %v over %s designs (%s, budget %d)\n\n", names, space.Size(), mode, cfg.Budget)
+	fmt.Fprintf(w, "exploring %v over %s designs (%s, budget %d)\n\n", names, space.Size(), mode, cfg.Budget)
 
 	run := exp.RunModels(ctx, cfg, tech, cfg.Models, cfg.Budget)
 	tr := run.Trace
 	if run.Interrupted {
-		fmt.Printf("\ninterrupted after %d designs; partial results below\n", tr.Evaluations)
+		fmt.Fprintf(w, "\ninterrupted after %d designs; partial results below\n", tr.Evaluations)
 	}
-	fmt.Printf("\n%d designs evaluated, %.0f%% of acquisitions feasible\n",
+	fmt.Fprintf(w, "\n%d designs evaluated, %.0f%% of acquisitions feasible\n",
 		tr.Evaluations, tr.FeasibleFraction()*100)
 	r := run.Best()
 	if r == nil {
-		fmt.Println("no feasible design found")
+		fmt.Fprintln(w, "no feasible design found")
 		return nil
 	}
-	fmt.Printf("best: %v\n  latency %.2f ms | area %.1f mm^2 | power %.2f W\n",
+	fmt.Fprintf(w, "best: %v\n  latency %.2f ms | area %.1f mm^2 | power %.2f W\n",
 		r.Design, r.LatencyMs, r.AreaMM2, r.PowerW)
 	return nil
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -55,15 +58,53 @@ func TestParseDesignErrors(t *testing.T) {
 
 func TestRunExploreRejectsBadMode(t *testing.T) {
 	cfg := testConfig()
-	if err := runExplore(context.Background(), cfg, "", "warp", true); err == nil || !strings.Contains(err.Error(), "mode") {
+	if err := runExplore(context.Background(), cfg, "", "warp", true, io.Discard); err == nil || !strings.Contains(err.Error(), "mode") {
 		t.Fatalf("bad mode accepted: %v", err)
 	}
 }
 
 func TestRunExploreRejectsMissingSpec(t *testing.T) {
 	cfg := testConfig()
-	if err := runExplore(context.Background(), cfg, "/nonexistent/spec", "fixdf", true); err == nil {
+	if err := runExplore(context.Background(), cfg, "/nonexistent/spec", "fixdf", true, io.Discard); err == nil {
 		t.Fatal("missing spec file accepted")
+	}
+}
+
+// TestExploreLogGolden pins the explanation log of `xdse -explore` byte for
+// byte against logs recorded before the engine reused an incumbent's
+// analysis across stalled attempts and rendered its trees without fmt. The
+// ResNet18 runs end in stalled attempts, fixdf walks the incompatible-mapping
+// path, and the 11-model codesign run walks the constraint path.
+func TestExploreLogGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden, mode string
+		models       []*workload.Model
+	}{
+		{"explore-codesign-ResNet18.log", "codesign", []*workload.Model{workload.ResNet18()}},
+		{"explore-fixdf-ResNet18.log", "fixdf", []*workload.Model{workload.ResNet18()}},
+		{"explore-codesign-suite.log", "codesign", workload.Suite()},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := exp.Default()
+			cfg.Models = tc.models
+			var got bytes.Buffer
+			if err := runExplore(context.Background(), cfg, "", tc.mode, false, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < len(gl) && i < len(wl); i++ {
+					if gl[i] != wl[i] {
+						t.Fatalf("log differs from testdata/%s at line %d:\n got %q\nwant %q", tc.golden, i+1, gl[i], wl[i])
+					}
+				}
+				t.Fatalf("log has %d lines, testdata/%s has %d", len(gl), tc.golden, len(wl))
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ package accelmodel
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"xdse/internal/arch"
@@ -30,43 +31,98 @@ const (
 	FactorDMA     = "T_dma"
 )
 
+// operandNames holds the strings one operand's factor nodes and
+// parameters are named by.
+type operandNames struct {
+	noc, dma, dram string // factor nodes: T_noc_W, T_dma_W, E_dram_W
+	phys, virt     string // space parameters: phys_unicast_W, virt_unicast_W
+	nocParams      []string
+}
+
+// opNames is built once, so no tree, mitigation or parameter lookup
+// formats an operand's names.
+var opNames = func() (t [arch.NumOperands]operandNames) {
+	for _, op := range arch.Operands {
+		s, n := op.String(), &t[op]
+		n.noc, n.dma, n.dram = "T_noc_"+s, "T_dma_"+s, "E_dram_"+s
+		n.phys, n.virt = "phys_unicast_"+s, "virt_unicast_"+s
+		n.nocParams = []string{"noc_width_bits", n.phys, n.virt, "L1_bytes"}
+	}
+	return t
+}()
+
+// The dictionary entries (Fig. 7b) shared by every tree. Each has len ==
+// cap, so WithParams on a node holding one copies it instead of writing
+// into the shared array.
+var (
+	pesParams = []string{"PEs"}
+	l1Params  = []string{"L1_bytes"}
+	l2Params  = []string{"L2_KB"}
+	dmaParams = []string{"offchip_MBps", "L2_KB"}
+	// componentParams is the area/power trees' dictionary; control has
+	// no parameter.
+	componentParams = [energy.NumComponents][]string{
+		energy.CompPEs: pesParams,
+		energy.CompRF:  {"L1_bytes", "PEs"},
+		energy.CompL2:  l2Params,
+		energy.CompNoC: {"noc_width_bits", opNames[arch.OpW].phys, opNames[arch.OpI].phys, opNames[arch.OpORd].phys, opNames[arch.OpOWr].phys},
+		energy.CompDMA: {"offchip_MBps"},
+	}
+)
+
 // nocFactor names the per-operand NoC factor node.
-func nocFactor(op arch.Operand) string { return "T_noc_" + op.String() }
+func nocFactor(op arch.Operand) string { return opNames[op].noc }
 
 // dmaFactor names the per-operand DMA factor node.
-func dmaFactor(op arch.Operand) string { return "T_dma_" + op.String() }
+func dmaFactor(op arch.Operand) string { return opNames[op].dma }
+
+// arena hands out the nodes and child lists of one tree from two slabs
+// sized up front, so a tree costs two allocations whatever its size.
+type arena struct {
+	nodes []bottleneck.Node
+	kids  []*bottleneck.Node
+}
+
+func newArena(nodes, kids int) arena {
+	return arena{make([]bottleneck.Node, 0, nodes), make([]*bottleneck.Node, 0, kids)}
+}
+
+// node adds a factor combining children with op; a leaf (no children)
+// holds value, an interior node gets its value from Eval.
+func (a *arena) node(name string, op bottleneck.Op, value float64, params []string, children ...*bottleneck.Node) *bottleneck.Node {
+	a.nodes = append(a.nodes, bottleneck.Node{Name: name, Op: op, Value: value, Params: params})
+	n := &a.nodes[len(a.nodes)-1]
+	if len(children) > 0 {
+		k := len(a.kids)
+		a.kids = append(a.kids, children...)
+		n.Children = a.kids[k:len(a.kids):len(a.kids)]
+	}
+	return n
+}
 
 // LatencyTree builds the populated Fig. 8 bottleneck tree for one layer
 // evaluation: latency = max(computation, per-operand NoC communication,
 // additive DMA), with parameter associations at each factor.
 func LatencyTree(le eval.LayerEval, d arch.Design) *bottleneck.Node {
 	b := le.Perf
+	a := newArena(6+2*arch.NumOperands, 5+2*arch.NumOperands)
 
-	comp := bottleneck.Div(FactorComp,
-		bottleneck.NewLeaf("MACs", b.MACs),
-		bottleneck.NewLeaf("PEs_used", float64(b.PEsUsed)),
-	).WithParams("PEs")
+	comp := a.node(FactorComp, bottleneck.DivOp, 0, pesParams,
+		a.node("MACs", bottleneck.Leaf, b.MACs, nil),
+		a.node("PEs_used", bottleneck.Leaf, float64(b.PEsUsed), nil))
 
-	var nocKids []*bottleneck.Node
+	var nocKids, dmaKids [arch.NumOperands]*bottleneck.Node
 	for _, op := range arch.Operands {
-		n := bottleneck.NewLeaf(nocFactor(op), b.TNoC[op]).
-			WithParams("noc_width_bits",
-				fmt.Sprintf("phys_unicast_%v", op),
-				fmt.Sprintf("virt_unicast_%v", op),
-				"L1_bytes")
-		nocKids = append(nocKids, n)
+		nocKids[op] = a.node(opNames[op].noc, bottleneck.Leaf, b.TNoC[op], opNames[op].nocParams)
 	}
-	noc := bottleneck.Max(FactorNoC, nocKids...)
+	noc := a.node(FactorNoC, bottleneck.MaxOp, 0, nil, nocKids[:]...)
 
-	var dmaKids []*bottleneck.Node
 	for _, op := range arch.Operands {
-		n := bottleneck.NewLeaf(dmaFactor(op), b.TDMAOp[op]).
-			WithParams("offchip_MBps", "L2_KB")
-		dmaKids = append(dmaKids, n)
+		dmaKids[op] = a.node(opNames[op].dma, bottleneck.Leaf, b.TDMAOp[op], dmaParams)
 	}
-	dma := bottleneck.Add(FactorDMA, dmaKids...).WithParams("offchip_MBps", "L2_KB")
+	dma := a.node(FactorDMA, bottleneck.AddOp, 0, dmaParams, dmaKids[:]...)
 
-	return bottleneck.Max(FactorLatency, comp, noc, dma)
+	return a.node(FactorLatency, bottleneck.MaxOp, 0, nil, comp, noc, dma)
 }
 
 // AreaTree builds the additive area bottleneck tree from the energy model's
@@ -81,20 +137,12 @@ func PowerTree(est energy.Estimate) *bottleneck.Node {
 }
 
 func componentTree(name string, byComp [energy.NumComponents]float64) *bottleneck.Node {
-	params := map[energy.Component][]string{
-		energy.CompPEs: {"PEs"},
-		energy.CompRF:  {"L1_bytes", "PEs"},
-		energy.CompL2:  {"L2_KB"},
-		energy.CompNoC: {"noc_width_bits", "phys_unicast_W", "phys_unicast_I", "phys_unicast_Ord", "phys_unicast_Owr"},
-		energy.CompDMA: {"offchip_MBps"},
-	}
-	var kids []*bottleneck.Node
+	a := newArena(1+int(energy.NumComponents), int(energy.NumComponents))
+	var kids [energy.NumComponents]*bottleneck.Node
 	for c := energy.Component(0); c < energy.NumComponents; c++ {
-		n := bottleneck.NewLeaf(c.String(), byComp[c])
-		n.Params = params[c]
-		kids = append(kids, n)
+		kids[c] = a.node(c.String(), bottleneck.Leaf, byComp[c], componentParams[c])
 	}
-	return bottleneck.Add(name, kids...)
+	return a.node(name, bottleneck.AddOp, 0, nil, kids[:]...)
 }
 
 // Model is the DNN-accelerator domain model consumed by the Explainable-DSE
@@ -142,9 +190,14 @@ func subRef(r *eval.Result, i int) (mi, li int) {
 // mitigated first.
 func (m *Model) SubCosts(raw any) []float64 {
 	r := raw.(*eval.Result)
-	var out []float64
+	n := 0
 	for _, me := range r.Models {
-		for _, le := range me.Layers {
+		n += len(me.Layers)
+	}
+	out := make([]float64, 0, n)
+	for _, me := range r.Models {
+		for i := range me.Layers {
+			le := &me.Layers[i] // a LayerEval is too large to copy per layer
 			c := le.TotalCycles
 			if m.Objective == eval.MinEnergy {
 				c = le.EnergyMJ
@@ -172,9 +225,19 @@ func (m *Model) MitigateObjective(raw any, sub, maxBottlenecks int) ([]search.Pr
 		return m.mitigateIncompatible(le, r.Design)
 	}
 	if m.Objective == eval.MinEnergy {
-		return m.mitigateObjectiveEnergy(r, le, maxBottlenecks)
+		return explainTree(EnergyTree(le, r.Energy), maxBottlenecks, func(bn bottleneck.Bottleneck) []search.Prediction {
+			return m.mitigateEnergy(bn, le, r.Design)
+		})
 	}
-	root := LatencyTree(le, r.Design)
+	return explainTree(LatencyTree(le, r.Design), maxBottlenecks, func(bn bottleneck.Bottleneck) []search.Prediction {
+		return m.mitigate(bn, le, r.Design)
+	})
+}
+
+// explainTree analyzes up to maxBottlenecks bottlenecks of root, predicts
+// their mitigations with mitigate, and returns the predictions with the
+// explanation: the rendered tree, then one mitigation line per prediction.
+func explainTree(root *bottleneck.Node, maxBottlenecks int, mitigate func(bottleneck.Bottleneck) []search.Prediction) ([]search.Prediction, string) {
 	bns := bottleneck.Analyze(root, maxBottlenecks)
 
 	var preds []search.Prediction
@@ -190,15 +253,30 @@ func (m *Model) MitigateObjective(raw any, sub, maxBottlenecks int) ([]search.Pr
 			// rejects it once constraints can't afford more.
 			bn.Scaling = 2
 		}
-		ps := m.mitigate(bn, le, r.Design)
+		ps := mitigate(bn)
 		stampProvenance(ps, bn)
 		for _, p := range ps {
-			fmt.Fprintf(&explain, "mitigate %s (%.0f%%, s=%.2f): %s\n",
-				bn.Factor.Name, bn.Contribution*100, bn.Scaling, p.Why)
+			writeMitigation(&explain, bn, p.Why)
 		}
 		preds = append(preds, ps...)
 	}
 	return preds, explain.String()
+}
+
+// writeMitigation writes the explanation line of one prediction made while
+// mitigating bn, formatted as fmt's "mitigate %s (%.0f%%, s=%.2f): %s\n"
+// of the factor, its contribution in percent, the scaling and why.
+func writeMitigation(b *strings.Builder, bn bottleneck.Bottleneck, why string) {
+	var num [32]byte
+	b.WriteString("mitigate ")
+	b.WriteString(bn.Factor.Name)
+	b.WriteString(" (")
+	b.Write(strconv.AppendFloat(num[:0], bn.Contribution*100, 'f', 0, 64))
+	b.WriteString("%, s=")
+	b.Write(strconv.AppendFloat(num[:0], bn.Scaling, 'f', 2, 64))
+	b.WriteString("): ")
+	b.WriteString(why)
+	b.WriteByte('\n')
 }
 
 // stampProvenance fills the trace-provenance fields of predictions produced
@@ -225,7 +303,7 @@ func (m *Model) mitigateIncompatible(le eval.LayerEval, d arch.Design) ([]search
 	b := le.Perf
 	for _, op := range arch.Operands {
 		if b.VirtNeeded[op] > d.VirtLinks[op] {
-			if idx, ok := m.paramIndex(fmt.Sprintf("virt_unicast_%v", op)); ok {
+			if idx, ok := m.paramIndex(opNames[op].virt); ok {
 				preds = append(preds, search.Prediction{
 					Param: idx, Value: b.VirtNeeded[op],
 					Factor: "incompatible", Rule: "incompat-virt",
@@ -328,7 +406,7 @@ func (m *Model) predictSpatialEnable(s float64, le eval.LayerEval, d arch.Design
 		// mitigation, demand-clamped to the actual group count).
 		shares := (desired + links - 1) / links
 		if shares > d.VirtLinks[op] {
-			idx, ok := m.paramIndex(fmt.Sprintf("virt_unicast_%v", op))
+			idx, ok := m.paramIndex(opNames[op].virt)
 			if !ok {
 				continue
 			}
@@ -338,7 +416,7 @@ func (m *Model) predictSpatialEnable(s float64, le eval.LayerEval, d arch.Design
 					Param: idx, Value: shares, Rule: "spatial-virt",
 					Why: fmt.Sprintf("only %d/%d PEs mappable: raise %v time-shared unicast to %d for %d-way parallelism", b.PEsUsed, d.PEs, op, shares, desired),
 				})
-			} else if lidx, ok := m.paramIndex(fmt.Sprintf("phys_unicast_%v", op)); ok {
+			} else if lidx, ok := m.paramIndex(opNames[op].phys); ok {
 				want := (desired + maxVirt - 1) / maxVirt
 				if want > d.PhysLinks[op] {
 					preds = append(preds, search.Prediction{
@@ -375,7 +453,7 @@ func (m *Model) predictNoC(s float64, op arch.Operand, le eval.LayerEval, d arch
 	}
 
 	// Physical unicast links, clamped to the concurrent-group demand.
-	if idx, ok := m.paramIndex(fmt.Sprintf("phys_unicast_%v", op)); ok {
+	if idx, ok := m.paramIndex(opNames[op].phys); ok {
 		maxLinks := float64(b.NoCGroups[op])
 		want := math.Min(float64(d.PhysLinks[op])*s, maxLinks)
 		if want > float64(d.PhysLinks[op]) {
@@ -387,7 +465,7 @@ func (m *Model) predictNoC(s float64, op arch.Operand, le eval.LayerEval, d arch
 	}
 
 	// Time-shared (virtual) unicast to admit more spatial parallelism.
-	if idx, ok := m.paramIndex(fmt.Sprintf("virt_unicast_%v", op)); ok {
+	if idx, ok := m.paramIndex(opNames[op].virt); ok {
 		if need := b.VirtNeeded[op]; need > 1 && need > d.VirtLinks[op]/2 {
 			preds = append(preds, search.Prediction{
 				Param: idx, Value: 2 * need, Rule: "noc-virt",
@@ -495,15 +573,33 @@ func (m *Model) MitigateConstraints(raw any) ([]search.Prediction, string) {
 					p := search.Prediction{
 						Param: idx, Value: want, Reduce: true,
 						Factor: v.label, Scaling: v.s, Rule: "shrink",
-						Why: fmt.Sprintf("%s violated (%.2fx): shrink %s %d -> %d", v.label, v.s, name, cur, want),
+						Why: shrinkWhy(v.label, v.s, name, cur, want),
 					}
-					fmt.Fprintf(&explain, "%s\n", p.Why)
+					explain.WriteString(p.Why)
+					explain.WriteByte('\n')
 					preds = append(preds, p)
 				}
 			}
 		}
 	}
 	return preds, explain.String()
+}
+
+// shrinkWhy is the reason of one constraint shrink, formatted as fmt's
+// "%s violated (%.2fx): shrink %s %d -> %d" of the violated constraint, its
+// excess, the parameter and its current and predicted values.
+func shrinkWhy(label string, s float64, name string, cur, want int) string {
+	var buf [128]byte
+	b := append(buf[:0], label...)
+	b = append(b, " violated ("...)
+	b = strconv.AppendFloat(b, s, 'f', 2, 64)
+	b = append(b, "x): shrink "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(cur), 10)
+	b = append(b, " -> "...)
+	b = strconv.AppendInt(b, int64(want), 10)
+	return string(b)
 }
 
 // currentPhysical returns the physical value of parameter idx in design d.
@@ -521,10 +617,10 @@ func (m *Model) currentPhysical(idx int, d arch.Design) int {
 		return d.NoCWidthBits
 	}
 	for _, op := range arch.Operands {
-		if m.Space.Params[idx].Name == fmt.Sprintf("phys_unicast_%v", op) {
+		if m.Space.Params[idx].Name == opNames[op].phys {
 			return d.PhysLinks[op]
 		}
-		if m.Space.Params[idx].Name == fmt.Sprintf("virt_unicast_%v", op) {
+		if m.Space.Params[idx].Name == opNames[op].virt {
 			return d.VirtLinks[op]
 		}
 	}

@@ -3,7 +3,6 @@ package accelmodel
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"xdse/internal/arch"
 	"xdse/internal/bottleneck"
@@ -29,32 +28,30 @@ const (
 )
 
 // energyDRAMFactor names the per-operand DRAM-energy factor node.
-func energyDRAMFactor(op arch.Operand) string { return "E_dram_" + op.String() }
+func energyDRAMFactor(op arch.Operand) string { return opNames[op].dram }
 
 // EnergyTree builds the additive energy bottleneck tree of one layer
 // execution (picojoules for a single occurrence).
 func EnergyTree(le eval.LayerEval, est energy.Estimate) *bottleneck.Node {
 	b := le.Perf
+	a := newArena(5+arch.NumOperands, 4+arch.NumOperands)
 
-	mac := bottleneck.NewLeaf(FactorEMac, b.MACs*est.MACPJ)
-	rf := bottleneck.NewLeaf(FactorERF, 3*b.MACs*est.RFAccessPJ)
+	mac := a.node(FactorEMac, bottleneck.Leaf, b.MACs*est.MACPJ, nil)
+	rf := a.node(FactorERF, bottleneck.Leaf, 3*b.MACs*est.RFAccessPJ, nil)
 
 	var noc float64
 	for _, op := range arch.Operands {
 		noc += b.DataNoC[op]
 	}
-	l2noc := bottleneck.NewLeaf(FactorEL2NoC, noc/2*est.L2AccessPJ+noc*est.NoCPerByte).
-		WithParams("L1_bytes")
+	l2noc := a.node(FactorEL2NoC, bottleneck.Leaf, noc/2*est.L2AccessPJ+noc*est.NoCPerByte, l1Params)
 
-	var dramKids []*bottleneck.Node
+	var dramKids [arch.NumOperands]*bottleneck.Node
 	for _, op := range arch.Operands {
-		dramKids = append(dramKids,
-			bottleneck.NewLeaf(energyDRAMFactor(op), b.DataOffchip[op]*est.DRAMPerByte).
-				WithParams("L2_KB"))
+		dramKids[op] = a.node(opNames[op].dram, bottleneck.Leaf, b.DataOffchip[op]*est.DRAMPerByte, l2Params)
 	}
-	dram := bottleneck.Add(FactorEDRAM, dramKids...).WithParams("L2_KB")
+	dram := a.node(FactorEDRAM, bottleneck.AddOp, 0, l2Params, dramKids[:]...)
 
-	return bottleneck.Add(FactorEnergy, mac, rf, l2noc, dram)
+	return a.node(FactorEnergy, bottleneck.AddOp, 0, nil, mac, rf, l2noc, dram)
 }
 
 // mitigateEnergy applies the energy-specific mitigation subroutines: DRAM
@@ -157,31 +154,4 @@ func (m *Model) predictRFGrowth(s float64, op arch.Operand, le eval.LayerEval, d
 		Param: idx, Value: int(math.Ceil(newRF)), Rule: "rf-grow",
 		Why: fmt.Sprintf("NoC-traffic-bound on %v: grow RF %dB -> %.0fB for %.2fx more reuse", op, d.L1Bytes, newRF, target),
 	}}
-}
-
-// mitigateObjectiveEnergy is the MinEnergy analysis path: it analyzes the
-// additive energy tree of the sub-function and aggregates the predictions.
-func (m *Model) mitigateObjectiveEnergy(r *eval.Result, le eval.LayerEval, maxBottlenecks int) ([]search.Prediction, string) {
-	root := EnergyTree(le, r.Energy)
-	bns := bottleneck.Analyze(root, maxBottlenecks)
-
-	var preds []search.Prediction
-	var explain strings.Builder
-	explain.WriteString(bottleneck.Render(root))
-	for i, bn := range bns {
-		if bn.Scaling <= 1.001 {
-			if i > 0 {
-				continue
-			}
-			bn.Scaling = 2
-		}
-		ps := m.mitigateEnergy(bn, le, r.Design)
-		stampProvenance(ps, bn)
-		for _, p := range ps {
-			fmt.Fprintf(&explain, "mitigate %s (%.0f%%, s=%.2f): %s\n",
-				bn.Factor.Name, bn.Contribution*100, bn.Scaling, p.Why)
-		}
-		preds = append(preds, ps...)
-	}
-	return preds, explain.String()
 }

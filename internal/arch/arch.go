@@ -209,16 +209,18 @@ func (pt Point) Equal(o Point) bool {
 	return true
 }
 
-// Key returns a compact string key for use in evaluation caches.
+// Key returns a compact string key for use in evaluation caches: the
+// decimal indices joined by commas.
 func (pt Point) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range pt {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // ParseKey inverts Point.Key, rebuilding the point from its cache-key form.

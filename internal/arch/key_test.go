@@ -1,6 +1,9 @@
 package arch
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -67,6 +70,57 @@ func TestParseKeyRoundTrip(t *testing.T) {
 		}
 		if !got.Equal(pt) {
 			t.Errorf("ParseKey(Key(%v)) = %v", pt, got)
+		}
+	}
+}
+
+// keyFmt is the fmt-based Point.Key that the strconv form replaced, kept as
+// its reference: journals and caches written by either must agree.
+func keyFmt(pt Point) string {
+	var b strings.Builder
+	for i, v := range pt {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", v)
+	}
+	return b.String()
+}
+
+func TestKeyMatchesFmtReference(t *testing.T) {
+	s := EdgeSpace()
+	rng := rand.New(rand.NewSource(29))
+	pts := []Point{
+		nil, {}, {0}, {-1}, {math.MaxInt64, math.MinInt64},
+		make(Point, 40), // longer than Key's stack buffer
+	}
+	for i := range pts[len(pts)-1] {
+		pts[len(pts)-1][i] = math.MaxInt32 - i
+	}
+	for range 2000 {
+		pts = append(pts, s.Random(rng))
+	}
+	for range 500 {
+		pt := make(Point, rng.Intn(20))
+		for i := range pt {
+			pt[i] = rng.Intn(1<<20) - 1<<19
+		}
+		pts = append(pts, pt)
+	}
+	for _, pt := range pts {
+		key := pt.Key()
+		if want := keyFmt(pt); key != want {
+			t.Fatalf("Key(%v) = %q, want %q", pt, key, want)
+		}
+		if len(pt) == 0 {
+			continue // ParseKey rejects the empty key
+		}
+		got, err := ParseKey(key)
+		if err != nil {
+			t.Fatalf("ParseKey(%q): %v", key, err)
+		}
+		if !got.Equal(pt) {
+			t.Fatalf("ParseKey(Key(%v)) = %v", pt, got)
 		}
 	}
 }

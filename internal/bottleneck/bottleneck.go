@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -340,29 +341,103 @@ func criticalChild(n *Node) *Node {
 
 // Render pretty-prints the evaluated tree with values and contributions —
 // the explainability artifact the DSE can show designers for every
-// acquisition decision.
+// acquisition decision. Each node is one line: its name indented two spaces
+// per level, " [op]" for interior nodes, " = " and the value to 4
+// significant digits (fmt's %.4g), " (p%)" with its Contributions share to
+// one decimal (%.1f), and " params=[a b]" when it has parameters. The lines
+// are appended with strconv; no fmt runs.
 func Render(root *Node) string {
 	root.Eval()
-	contrib := Contributions(root)
 	var b strings.Builder
-	var rec func(n *Node, depth int)
-	rec = func(n *Node, depth int) {
-		fmt.Fprintf(&b, "%s%s", strings.Repeat("  ", depth), n.Name)
-		if n.Op != Leaf {
-			fmt.Fprintf(&b, " [%s]", n.Op)
+	b.Grow(1024)
+	var num [32]byte
+	var rec func(n *Node, depth int, contrib float64, hasContrib bool)
+	rec = func(n *Node, depth int, contrib float64, hasContrib bool) {
+		for range depth {
+			b.WriteString("  ")
 		}
-		fmt.Fprintf(&b, " = %.4g", n.Value)
-		if c, ok := contrib[n]; ok {
-			fmt.Fprintf(&b, " (%.1f%%)", c*100)
+		b.WriteString(n.Name)
+		if n.Op != Leaf {
+			b.WriteString(" [")
+			b.WriteString(n.Op.String())
+			b.WriteByte(']')
+		}
+		b.WriteString(" = ")
+		b.Write(strconv.AppendFloat(num[:0], n.Value, 'g', 4, 64))
+		if hasContrib {
+			b.WriteString(" (")
+			b.Write(appendTenths(num[:0], contrib*100))
+			b.WriteString("%)")
 		}
 		if len(n.Params) > 0 {
-			fmt.Fprintf(&b, " params=%v", n.Params)
+			b.WriteString(" params=[")
+			for i, p := range n.Params {
+				if i > 0 {
+					b.WriteByte(' ')
+				}
+				b.WriteString(p)
+			}
+			b.WriteByte(']')
 		}
 		b.WriteByte('\n')
+		// Children's shares follow Contributions exactly: proportional at
+		// add/max/min nodes, inherited at mul/div nodes, none below a leaf.
 		for _, c := range n.Children {
-			rec(c, depth+1)
+			cc, has := 0.0, false
+			if hasContrib {
+				switch n.Op {
+				case AddOp, MaxOp, MinOp:
+					if total := n.Value; total != 0 {
+						cc = contrib * c.Value / total
+					}
+					has = true
+				case MulOp, DivOp:
+					cc, has = contrib, true
+				}
+			}
+			rec(c, depth+1, cc, has)
 		}
 	}
-	rec(root, 0)
+	rec(root, 0, 1, true)
 	return b.String()
+}
+
+// appendTenths appends v formatted as strconv.AppendFloat(dst, v, 'f', 1,
+// 64) does. strconv takes its arbitrary-precision path for every 'f' with a
+// precision, which dominated Render; here 10·|v| is rounded to an integer,
+// ties to even, in exact 64-bit arithmetic whenever it is below 2^64.
+// Anything else goes to strconv.
+func appendTenths(dst []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	exp, mant := int(bits>>52&0x7ff), bits&(1<<52-1)
+	if exp == 0x7ff {
+		return strconv.AppendFloat(dst, v, 'f', 1, 64)
+	}
+	if exp == 0 {
+		exp = 1 // subnormal
+	} else {
+		mant |= 1 << 52
+	}
+	// |v| = mant·2^e, so 10·|v| = p·2^e with p < 2^57.
+	p, e := mant*10, exp-1075
+	var q uint64
+	switch {
+	case e >= 0:
+		if e >= 64 || p > math.MaxUint64>>e {
+			return strconv.AppendFloat(dst, v, 'f', 1, 64)
+		}
+		q = p << e
+	case e > -64:
+		s := uint(-e)
+		q = p >> s
+		rem, half := p&(1<<s-1), uint64(1)<<(s-1)
+		if rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+	} // e <= -64: p < 2^57 < half, so q rounds to 0
+	if bits>>63 != 0 {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, q/10, 10)
+	return append(dst, '.', byte('0'+q%10))
 }

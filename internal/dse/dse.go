@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,6 +28,12 @@ import (
 // and constraint-violation mitigation. internal/accelmodel implements it
 // for DNN accelerators; examples/customdomain implements it for a different
 // domain to demonstrate the decoupling.
+//
+// Every method must be deterministic in raw: the same payload always yields
+// the same costs, predictions and explanation. The engine analyzes an
+// incumbent once and reuses that analysis for every attempt the incumbent
+// stands through, so a model that drifts between calls would see its later
+// answers ignored. The engine never mutates the returned predictions.
 type DomainModel interface {
 	// SubCosts returns the objective contribution of each sub-function
 	// (e.g. per-unique-layer total cycles) for an evaluated solution.
@@ -221,14 +228,25 @@ func (e *Explorer) runFrom(p *search.Problem, t *search.Trace, initial arch.Poin
 	// solution stops that parameter's range).
 	blocked := map[dirKey]bool{}
 
+	// an is the incumbent's analysis: nothing an attempt does changes it
+	// until a new solution is adopted, so an attempt after a stalled one
+	// re-emits it instead of asking the model again.
+	var an *analysis
 	stale := 0
 	for attempt := 1; ; attempt++ {
 		em.Emit(obs.Event{Kind: obs.KindStepStarted, Restart: restart, Attempt: attempt})
-		preds, explain := e.analyze(o, em, restart, attempt, curCosts)
-		if explain != "" {
+		if an == nil {
+			an = e.analyze(o, em.Enabled(), restart, curCosts)
+		}
+		preds := an.preds
+		for _, ev := range an.factors {
+			ev.Attempt = attempt
+			em.Emit(ev)
+		}
+		if an.explain != "" {
 			em.Emit(obs.Event{
 				Kind: obs.KindNote, Restart: restart, Attempt: attempt,
-				Text: fmt.Sprintf("--- attempt %d ---\n%s", attempt, explain),
+				Text: "--- attempt " + strconv.Itoa(attempt) + " ---\n" + an.explain,
 			})
 		}
 		if em.Enabled() {
@@ -328,6 +346,7 @@ func (e *Explorer) runFrom(p *search.Problem, t *search.Trace, initial arch.Poin
 			}
 			cur, curCosts = next, nextCosts
 			curCosts.Raw = search.ResolveRaw(curCosts.Raw)
+			an = nil
 			stale = 0
 			// A new solution re-opens previously blocked ranges.
 			blocked = map[dirKey]bool{}
@@ -369,42 +388,52 @@ func (e *Explorer) runFrom(p *search.Problem, t *search.Trace, initial arch.Poin
 	}
 }
 
+// analysis is the bottleneck analysis of one incumbent: the aggregated
+// predictions its attempts acquire from and, when events are enabled, the
+// explanation text and the per-sub-function factor events (their Attempt
+// is stamped as each attempt emits them).
+type analysis struct {
+	preds   []search.Prediction
+	explain string
+	factors []obs.Event
+}
+
 // analyze performs the per-sub-function bottleneck analysis and §4.4
-// aggregation, returning the final predictions for this attempt along with
-// the rendered explanation (built only when em is enabled — it feeds the
-// note event and the text log, nothing else). Structured
-// bottleneck/constraint events are emitted as the analysis walks the
-// sub-functions; both mitigation paths share one emission helper, so the
-// objective and constraint explanations no longer have duplicated
-// formatting code.
-func (e *Explorer) analyze(o Options, em *obs.Emitter, restart, attempt int, costs search.Costs) ([]search.Prediction, string) {
-	var explain strings.Builder
+// aggregation of the solution with the given costs. The explanation and
+// the bottleneck/constraint events are built only when explain is set —
+// they feed the note event, the text log and the sinks, nothing else.
+// Both mitigation paths share one event helper.
+func (e *Explorer) analyze(o Options, explain bool, restart int, costs search.Costs) *analysis {
+	an := &analysis{}
+	var text strings.Builder
 
 	// Unmet area/power constraints take priority: reach feasible
 	// subspaces first (§4.6 and footnote 4).
 	if !costs.MeetsAreaPower {
 		preds, ex := e.Model.MitigateConstraints(costs.Raw)
 		if len(preds) > 0 {
-			if em.Enabled() {
-				explain.WriteString("constraint mitigation:\n")
-				explain.WriteString(ex)
-				emitFactors(em, obs.KindConstraintMitigation, restart, attempt, -1, preds)
+			if explain {
+				text.WriteString("constraint mitigation:\n")
+				text.WriteString(ex)
+				an.factors = factorEvents(an.factors, obs.KindConstraintMitigation, restart, -1, preds)
+				an.explain = text.String()
 			}
-			return e.aggregate(o, preds), explain.String()
+			an.preds = e.aggregate(o, preds)
+			return an
 		}
 	}
 
 	subCosts := e.Model.SubCosts(costs.Raw)
 	l := len(subCosts)
 	if l == 0 {
-		return nil, ""
+		return an
 	}
 	total := 0.0
 	for _, c := range subCosts {
 		total += c
 	}
 	if total <= 0 {
-		return nil, ""
+		return an
 	}
 	threshold := o.ThresholdScale * (1.0 / float64(l))
 
@@ -416,6 +445,7 @@ func (e *Explorer) analyze(o Options, em *obs.Emitter, restart, attempt int, cos
 	sort.Slice(idx, func(a, b int) bool { return subCosts[idx[a]] > subCosts[idx[b]] })
 
 	var preds []search.Prediction
+	var num [32]byte
 	taken := 0
 	for _, i := range idx {
 		if taken >= o.TopK {
@@ -426,23 +456,31 @@ func (e *Explorer) analyze(o Options, em *obs.Emitter, restart, attempt int, cos
 			break
 		}
 		ps, ex := e.Model.MitigateObjective(costs.Raw, i, o.MaxBottlenecksPerSub)
-		if em.Enabled() {
+		if explain {
 			if ex != "" {
-				fmt.Fprintf(&explain, "sub-function %d (%.1f%% of cost):\n%s", i, frac*100, ex)
+				text.WriteString("sub-function ")
+				text.Write(strconv.AppendInt(num[:0], int64(i), 10))
+				text.WriteString(" (")
+				text.Write(strconv.AppendFloat(num[:0], frac*100, 'f', 1, 64))
+				text.WriteString("% of cost):\n")
+				text.WriteString(ex)
 			}
-			emitFactors(em, obs.KindBottleneckIdentified, restart, attempt, i, ps)
+			an.factors = factorEvents(an.factors, obs.KindBottleneckIdentified, restart, i, ps)
 		}
 		preds = append(preds, ps...)
 		taken++
 	}
-	return e.aggregate(o, preds), explain.String()
+	an.preds = e.aggregate(o, preds)
+	an.explain = text.String()
+	return an
 }
 
-// emitFactors emits one structured event per distinct bottleneck factor (or
-// violated constraint) named in a prediction set — the shared provenance
-// path of the objective and constraint mitigation analyses. sub is the
-// sub-function index, or -1 for whole-solution constraint mitigation.
-func emitFactors(em *obs.Emitter, kind obs.Kind, restart, attempt, sub int, preds []search.Prediction) {
+// factorEvents appends one structured event per distinct bottleneck factor
+// (or violated constraint) named in a prediction set — the shared
+// provenance path of the objective and constraint mitigation analyses. sub
+// is the sub-function index, or -1 for whole-solution constraint
+// mitigation. The events carry no attempt yet.
+func factorEvents(evs []obs.Event, kind obs.Kind, restart, sub int, preds []search.Prediction) []obs.Event {
 	var seen map[string]bool
 	for _, pr := range preds {
 		if pr.Factor == "" || seen[pr.Factor] {
@@ -453,14 +491,15 @@ func emitFactors(em *obs.Emitter, kind obs.Kind, restart, attempt, sub int, pred
 		}
 		seen[pr.Factor] = true
 		ev := obs.Event{
-			Kind: kind, Restart: restart, Attempt: attempt,
+			Kind: kind, Restart: restart,
 			Factor: pr.Factor, Contribution: obs.Float(pr.Contribution), Scaling: obs.Float(pr.Scaling),
 		}
 		if sub >= 0 {
 			ev.Sub = sub
 		}
-		em.Emit(ev)
+		evs = append(evs, ev)
 	}
+	return evs
 }
 
 // aggregate collapses multiple predicted values per parameter (§4.4i).

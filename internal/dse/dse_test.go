@@ -89,12 +89,16 @@ func (m *toyModel) MitigateObjective(raw any, sub, k int) ([]search.Prediction, 
 		if s <= 1.001 {
 			s = 2
 		}
+		pr := search.Prediction{Factor: bn.Factor.Name, Contribution: bn.Contribution, Scaling: s}
 		switch bn.Factor.Name {
 		case "T_comp":
-			preds = append(preds, search.Prediction{Param: arch.PPEs, Value: int(s * float64(ev.pes)), Why: "compute bound"})
+			pr.Param, pr.Value, pr.Why = arch.PPEs, int(s*float64(ev.pes)), "compute bound"
 		case "T_dma":
-			preds = append(preds, search.Prediction{Param: arch.PBW, Value: int(s * float64(ev.bw)), Why: "DMA bound"})
+			pr.Param, pr.Value, pr.Why = arch.PBW, int(s*float64(ev.bw)), "DMA bound"
+		default:
+			continue
 		}
+		preds = append(preds, pr)
 	}
 	return preds, bottleneck.Render(root)
 }
@@ -105,7 +109,7 @@ func (m *toyModel) MitigateConstraints(raw any) ([]search.Prediction, string) {
 		return nil, ""
 	}
 	return []search.Prediction{
-		{Param: arch.PPEs, Value: ev.pes / 2, Reduce: true, Why: "area over"},
+		{Param: arch.PPEs, Value: ev.pes / 2, Reduce: true, Factor: "area", Scaling: ev.area / m.areaCap, Why: "area over"},
 	}, "area bottleneck: PE array"
 }
 
