@@ -17,13 +17,13 @@ package checkpoint
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 
 	"xdse/internal/search"
@@ -98,17 +98,17 @@ func FrameLine(payload []byte) []byte {
 // UnframeLine verifies one framed line (without its trailing newline) and
 // returns the payload. A short line, malformed CRC field, or checksum
 // mismatch — the signatures of a torn or corrupted write — is an error;
-// callers treat it as end-of-intact-data, not as fatal.
-func UnframeLine(text string) ([]byte, error) {
-	if len(text) < 9 || text[8] != ' ' {
-		return nil, fmt.Errorf("checkpoint: malformed line %q", truncateForErr(text))
+// callers treat it as end-of-intact-data, not as fatal. The CRC is checked
+// over the line where it lies, and the payload is a sub-slice of line.
+func UnframeLine(line []byte) ([]byte, error) {
+	if len(line) < 9 || line[8] != ' ' {
+		return nil, fmt.Errorf("checkpoint: malformed line %q", truncateForErr(string(line)))
 	}
-	want, err := strconv.ParseUint(text[:8], 16, 32)
+	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: bad CRC field: %w", err)
 	}
-	// One copy serves both the checksum and the caller.
-	payload := []byte(text[9:])
+	payload := line[9:]
 	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
 		return nil, fmt.Errorf("checkpoint: CRC mismatch (want %08x, got %08x)", want, got)
 	}
@@ -135,7 +135,7 @@ func encode(r Record) ([]byte, error) {
 
 // decode parses one journal line (without its trailing newline), verifying
 // the CRC before trusting the payload.
-func decode(text string) (Record, error) {
+func decode(text []byte) (Record, error) {
 	payload, err := UnframeLine(text)
 	if err != nil {
 		return Record{}, err
@@ -256,16 +256,13 @@ func Load(dir string, warnf func(format string, args ...any)) ([]Record, error) 
 		if err != nil {
 			return nil, err
 		}
-		rest := string(data)
-		lineNo := 0
-		for rest != "" {
-			lineNo++
-			text, tail, complete := strings.Cut(rest, "\n")
+		for lineNo := 1; len(data) > 0; lineNo++ {
+			text, tail, complete := bytes.Cut(data, []byte{'\n'})
 			if !complete {
 				warn("checkpoint: %s/%s line %d: torn write (no newline), dropping", dir, name, lineNo)
 				break
 			}
-			rest = tail
+			data = tail
 			rec, err := decode(text)
 			if err != nil {
 				warn("checkpoint: %s/%s line %d: %v — dropping this and later lines", dir, name, lineNo, err)

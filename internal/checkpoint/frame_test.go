@@ -22,8 +22,7 @@ func TestFrameLineRoundTrip(t *testing.T) {
 		if string(line) != tc.line {
 			t.Fatalf("FrameLine(%q) = %q, want %q", payload, line, tc.line)
 		}
-		text := string(line[:len(line)-1])
-		got, err := UnframeLine(text)
+		got, err := UnframeLine(line[:len(line)-1])
 		if err != nil {
 			t.Fatalf("UnframeLine(FrameLine(%q)): %v", payload, err)
 		}
@@ -44,8 +43,22 @@ func TestUnframeLineRejects(t *testing.T) {
 		"payload bit flip": good[:len(good)-1] + "x",
 	}
 	for name, text := range cases {
-		if _, err := UnframeLine(text); err == nil {
+		if _, err := UnframeLine([]byte(text)); err == nil {
 			t.Errorf("%s: UnframeLine(%q) accepted", name, text)
 		}
+	}
+}
+
+// TestUnframeLineInPlace: UnframeLine checks a line where it lies and
+// returns its payload as a sub-slice of the line, copying nothing.
+func TestUnframeLineInPlace(t *testing.T) {
+	framed := FrameLine([]byte("payload with spaces"))
+	line := framed[:len(framed)-1]
+	payload, err := UnframeLine(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(payload) != "payload with spaces" || &payload[0] != &line[9] {
+		t.Fatalf("UnframeLine returned %q, not the line's own payload bytes", payload)
 	}
 }

@@ -55,7 +55,7 @@ func EncodeRecord(rec Record, version string) ([]byte, error) {
 // the version stamp it was written under. Callers must check the version
 // against their own perf.ModelVersion before installing the entry.
 func DecodeRecord(line string) (Record, string, error) {
-	key, ent, version, _, err := decode(strings.TrimSuffix(line, "\n"))
+	key, ent, version, _, err := decode([]byte(strings.TrimSuffix(line, "\n")), nil)
 	if err != nil {
 		return Record{}, "", err
 	}
@@ -105,112 +105,158 @@ func encode(key Key, ent Entry, version string, at int64) ([]byte, error) {
 
 // decode parses one line (without its newline), verifying the CRC before
 // trusting anything in the payload; the fourth return is the record's
-// write stamp. The strings of the returned Key are copies, so the key
-// does not keep the line alive.
-func decode(text string) (Key, Entry, string, int64, error) {
-	payload, err := checkpoint.UnframeLine(text)
+// write stamp. strs interns the strings of the key and the version across
+// the lines of one load (nil copies each); either way they are copies, so
+// the key does not keep the line alive.
+func decode(line []byte, strs map[string]string) (Key, Entry, string, int64, error) {
+	payload, err := checkpoint.UnframeLine(line)
 	if err != nil {
 		return Key{}, Entry{}, "", 0, err
 	}
 	if len(payload) > 0 && payload[0] == '{' {
 		return decodeJSON(payload)
 	}
-	return decodeFields(payload)
+	return decodeFields(payload, strs)
 }
 
-// decodeFields parses a fixed-field payload.
-func decodeFields(payload []byte) (Key, Entry, string, int64, error) {
-	fail := func(format string, args ...any) (Key, Entry, string, int64, error) {
-		return Key{}, Entry{}, "", 0, fmt.Errorf("record: "+format, args...)
+// decodeFields parses a fixed-field payload in one left-to-right pass. It
+// refuses a wrong field or factor count, an unknown tag, found other than
+// 0 or 1, an integer that is not an optional '-' and 1 to 19 digits within
+// its bit size, a stationary tensor out of range and a newline anywhere.
+func decodeFields(payload []byte, strs map[string]string) (Key, Entry, string, int64, error) {
+	r := fieldReader{rest: payload}
+	if tag := r.str(); r.err == nil && string(tag) != recordTag {
+		r.fail("unknown tag %q", tag)
 	}
-	var f [recordFields][]byte
-	if !split(f[:], payload, ' ') {
-		return fail("want %d space-separated fields", recordFields)
-	}
-	if string(f[0]) != recordTag {
-		return fail("unknown tag %q", f[0])
-	}
-	if bytes.IndexByte(payload, '\n') >= 0 {
-		return fail("newline inside the line")
-	}
-	var factors [numFactors][]byte
-	if !split(factors[:], f[9], ',') {
-		return fail("want %d comma-separated tiling factors", numFactors)
-	}
+	version, mode := r.str(), r.str()
+	budget, salt, at := r.num(' ', strconv.IntSize), r.num(' ', 64), r.num(' ', 64)
+	shape, sub := r.str(), r.str()
 	var ent Entry
-	switch string(f[8]) {
-	case "0":
-	case "1":
+	switch found := r.str(); {
+	case r.err != nil:
+	case string(found) == "1":
 		ent.Found = true
-	default:
-		return fail("found is %q, want 0 or 1", f[8])
+	case string(found) != "0":
+		r.fail("found is %q, want 0 or 1", found)
 	}
-
-	ok := true
-	num := func(b []byte, bitSize int) int64 {
-		v, good := parseInt(b, bitSize)
-		ok = ok && good
-		return v
+	for i := range numFactors {
+		sep := byte(',')
+		if i == numFactors-1 {
+			sep = ' '
+		}
+		ent.Mapping.F[i/int(mapping.NumLevels)][i%int(mapping.NumLevels)] = int(r.num(sep, strconv.IntSize))
 	}
-	budget, salt, at := num(f[3], strconv.IntSize), num(f[4], 64), num(f[5], 64)
-	for i, tok := range factors {
-		ent.Mapping.F[i/int(mapping.NumLevels)][i%int(mapping.NumLevels)] = int(num(tok, strconv.IntSize))
+	dram, noc := r.num(' ', 64), r.num(' ', 64)
+	ent.Trials = int(r.num(0, strconv.IntSize))
+	if r.err == nil && (!tensorOK(dram) || !tensorOK(noc)) {
+		r.fail("stationary tensor out of range")
 	}
-	dram, noc := num(f[10], 64), num(f[11], 64)
-	ent.Trials = int(num(f[12], strconv.IntSize))
-	if !ok {
-		return fail("malformed integer")
-	}
-	if !tensorOK(dram) || !tensorOK(noc) {
-		return fail("stationary tensor out of range")
+	if r.err != nil {
+		return Key{}, Entry{}, "", 0, r.err
 	}
 	ent.Mapping.DRAMStationary = mapping.Tensor(dram)
 	ent.Mapping.NoCStationary = mapping.Tensor(noc)
-	key := Key{Shape: string(f[6]), Sub: string(f[7]), Mode: string(f[2]), Trials: int(budget), Salt: salt}
-	return key, ent, string(f[1]), at, nil
+	key := Key{Shape: intern(strs, shape), Sub: intern(strs, sub), Mode: intern(strs, mode), Trials: int(budget), Salt: salt}
+	return key, ent, intern(strs, version), at, nil
 }
 
-// split cuts b at every sep into dst and reports whether it held exactly
-// len(dst) pieces.
-func split(dst [][]byte, b []byte, sep byte) bool {
-	for i := range dst {
-		j := bytes.IndexByte(b, sep)
-		if j < 0 {
-			dst[i] = b
-			return i == len(dst)-1
-		}
-		dst[i], b = b[:j], b[j+1:]
+// fieldReader walks a fixed-field payload. Each read consumes one field and
+// the separator after it; the first misfit sets err, and every read after
+// it returns a zero value.
+type fieldReader struct {
+	rest []byte
+	err  error
+}
+
+func (r *fieldReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("record: "+format, args...)
 	}
-	return false
+}
+
+// misplaced fails on a separator or line end where the layout has another.
+func (r *fieldReader) misplaced() {
+	r.fail("want %d space-separated fields with %d comma-separated tiling factors", recordFields, numFactors)
+}
+
+// str reads a string field: every byte up to the next space, none of them
+// a newline.
+func (r *fieldReader) str() []byte {
+	if r.err != nil {
+		return nil
+	}
+	i := bytes.IndexByte(r.rest, ' ')
+	if i < 0 {
+		r.misplaced()
+		return nil
+	}
+	f := r.rest[:i]
+	if bytes.IndexByte(f, '\n') >= 0 {
+		r.fail("newline inside the line")
+		return nil
+	}
+	r.rest = r.rest[i+1:]
+	return f
+}
+
+// num reads a decimal integer of the given bit size, an optional '-' and 1
+// to 19 digits, and then sep, or the payload's end when sep is 0. A line
+// holds 29 integers, and decoding them through strconv.ParseInt instead
+// takes about a third longer.
+func (r *fieldReader) num(sep byte, bitSize int) int64 {
+	if r.err != nil {
+		return 0
+	}
+	b := r.rest
+	neg := len(b) > 0 && b[0] == '-'
+	i := 0
+	if neg {
+		i = 1
+	}
+	var n uint64 // 19 digits cannot overflow a uint64; more are refused
+	start := i
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		n = n*10 + uint64(b[i]-'0')
+	}
+	switch {
+	case i == len(b) && sep == 0:
+		r.rest = b[i:]
+	case i < len(b) && sep != 0 && b[i] == sep:
+		r.rest = b[i+1:]
+	case i == len(b) || b[i] == ' ' || b[i] == ',':
+		r.misplaced()
+		return 0
+	default:
+		r.fail("malformed integer")
+		return 0
+	}
+	limit := uint64(1) << (bitSize - 1)
+	if digits := i - start; digits == 0 || digits > 19 || n > limit || n == limit && !neg {
+		r.fail("malformed integer")
+		return 0
+	}
+	if neg {
+		return -int64(n)
+	}
+	return int64(n)
+}
+
+// intern returns b as a string shared through strs, which one load keeps
+// across its lines: a design's layer records share one Sub, and shapes
+// repeat across designs. A nil strs copies b.
+func intern(strs map[string]string, b []byte) string {
+	if s, ok := strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if strs != nil {
+		strs[s] = s
+	}
+	return s
 }
 
 // tensorOK reports whether v names a mapping tensor.
 func tensorOK(v int64) bool { return v >= 0 && v < int64(mapping.NumTensors) }
-
-// parseInt parses a decimal integer of the given bit size: an optional '-'
-// and 1 to 19 digits. A line holds 29 integers, and decoding one through
-// strconv.ParseInt instead takes about a third longer.
-func parseInt(b []byte, bitSize int) (int64, bool) {
-	neg := len(b) > 0 && b[0] == '-'
-	if neg {
-		b = b[1:]
-	}
-	if len(b) == 0 || len(b) > 19 {
-		return 0, false
-	}
-	var n uint64 // 19 digits cannot overflow a uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + uint64(c-'0')
-	}
-	limit := uint64(1) << (bitSize - 1)
-	if neg {
-		return -int64(n), n <= limit
-	}
-	return int64(n), n < limit
-}
 
 // wireRecord is the JSON form of one cache line, as earlier builds wrote it.
 type wireRecord struct {

@@ -58,7 +58,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, ent, version, at, err := decode(strings.TrimSuffix(string(data), "\n"))
+	key, ent, version, at, err := decode(data[:len(data)-1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,32 +83,40 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 	if _, _, err := DecodeRecord("not a record at all"); err == nil {
 		t.Fatal("decode accepted garbage")
 	}
-	// Well-framed payloads the layout does not allow.
-	payload := strings.TrimSuffix(line[9:], "\n")
+	for _, c := range malformedPayloads(strings.TrimSuffix(line[9:], "\n")) {
+		if _, _, err := DecodeRecord(string(checkpoint.FrameLine([]byte(c[1])))); err == nil {
+			t.Errorf("%s: decode accepted %q", c[0], c[1])
+		}
+	}
+}
+
+// malformedPayloads returns well-framed payloads the layout does not allow,
+// each one edit away from the valid payload given, as (name, payload) pairs.
+func malformedPayloads(payload string) [][2]string {
 	fields := strings.Split(payload, " ")
 	swap := func(i int, v string) string {
 		f := append([]string(nil), fields...)
 		f[i] = v
 		return strings.Join(f, " ")
 	}
-	for name, p := range map[string]string{
-		"unknown tag":       swap(0, "r0"),
-		"missing field":     strings.Join(fields[:len(fields)-1], " "),
-		"extra field":       payload + " 7",
-		"found not 0 or 1":  swap(8, "2"),
-		"23 factors":        swap(9, fields[9][strings.IndexByte(fields[9], ',')+1:]),
-		"25 factors":        swap(9, fields[9]+",1"),
-		"signed factor":     swap(9, "+"+fields[9]),
-		"empty integer":     swap(3, ""),
-		"hex integer":       swap(12, "0x10"),
-		"int64 overflow":    swap(4, "9223372036854775808"),
-		"dram out of range": swap(10, "3"),
-		"noc negative":      swap(11, "-1"),
-		"newline in sub":    swap(7, "a\nb"),
-	} {
-		if _, _, err := DecodeRecord(string(checkpoint.FrameLine([]byte(p)))); err == nil {
-			t.Errorf("%s: decode accepted %q", name, p)
-		}
+	return [][2]string{
+		{"unknown tag", swap(0, "r0")},
+		{"missing field", strings.Join(fields[:len(fields)-1], " ")},
+		{"extra field", payload + " 7"},
+		{"found not 0 or 1", swap(8, "2")},
+		{"23 factors", swap(9, fields[9][strings.IndexByte(fields[9], ',')+1:])},
+		{"25 factors", swap(9, fields[9]+",1")},
+		{"signed factor", swap(9, "+"+fields[9])},
+		{"empty integer", swap(3, "")},
+		{"hex integer", swap(12, "0x10")},
+		{"int64 overflow", swap(4, "9223372036854775808")},
+		{"dram out of range", swap(10, "3")},
+		{"noc negative", swap(11, "-1")},
+		{"newline in sub", swap(7, "a\nb")},
+		{"newline in mode", swap(2, "pruned\n")},
+		{"comma for space", strings.Join(fields[:4], " ") + "," + strings.Join(fields[4:], " ")},
+		{"space for comma", swap(9, strings.Replace(fields[9], ",", " ", 1))},
+		{"factor sign only", swap(9, "-"+fields[9][strings.IndexByte(fields[9], ','):])},
 	}
 }
 
@@ -232,9 +240,9 @@ func TestMixedFormatStore(t *testing.T) {
 }
 
 // TestDecodeRecordAllocs bounds the allocations of decoding one
-// fixed-field line: UnframeLine's payload copy and the four strings of the
-// version stamp and key. The JSON decoder it replaced made 36 for the same
-// record.
+// fixed-field line off the wire: the copy of the line to bytes and the four
+// strings of the version stamp and key. The JSON decoder it replaced made 36
+// for the same record.
 func TestDecodeRecordAllocs(t *testing.T) {
 	data, err := EncodeRecord(Record{Key: testKey(2), Entry: testEntry(2)}, "v-test")
 	if err != nil {
@@ -246,15 +254,19 @@ func TestDecodeRecordAllocs(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRecord: DecodeRecord parses bytes another process sent. It must
-// never panic, and any line it accepts must re-encode to a line that decodes
-// to the same record and version.
+// FuzzDecodeRecord: DecodeRecord parses bytes another process sent, and a
+// store's load parses its file with the same decoder. It must never panic,
+// it must accept exactly the lines the split-based reference decoder
+// (refDecode) accepts and read the same key, entry, version and stamp from
+// them, with or without a load's intern table, and any line it accepts must
+// re-encode to a line that decodes to the same record and version.
 func FuzzDecodeRecord(f *testing.F) {
 	data, err := EncodeRecord(Record{Key: testKey(3), Entry: testEntry(3)}, "v-fuzz")
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, line := range append([]string{strings.TrimSuffix(string(data), "\n")}, parentLines(f)...) {
+	valid := strings.TrimSuffix(string(data), "\n")
+	for _, line := range append([]string{valid}, parentLines(f)...) {
 		// The payload alone seeds the framed pass below.
 		for _, s := range []string{line, line[9:]} {
 			for _, n := range []int{len(s), len(s) - 1, len(s) / 2, 12, 0} {
@@ -262,11 +274,44 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 		}
 	}
+	// Payloads one edit from valid, and integers at their bounds, hold the
+	// two decoders to the same answer on every rejection without waiting
+	// for the fuzzer to find it.
+	payload := valid[9:]
+	for _, c := range malformedPayloads(payload) {
+		f.Add(c[1])
+	}
+	fields := strings.Split(payload, " ")
+	for _, salt := range []string{"-9223372036854775808", "-9223372036854775809", "9223372036854775807", "-0", "0000000000000000001", "00000000000000000001"} {
+		fields[4] = salt
+		f.Add(strings.Join(fields, " "))
+	}
+	// One intern table across inputs, as across a load's lines, so both a
+	// fresh string and a shared one are checked; it is cleared before it
+	// grows large.
+	strs := map[string]string{}
 	f.Fuzz(func(t *testing.T, line string) {
+		if len(strs) > 1024 {
+			clear(strs)
+		}
 		// Random bytes rarely get past the CRC, so the same bytes also go
 		// through framed as a payload to reach the field parsers.
 		for _, l := range []string{line, string(checkpoint.FrameLine([]byte(line)))} {
+			text := strings.TrimSuffix(l, "\n")
+			wantKey, wantEnt, wantVersion, wantAt, wantErr := refDecode(text)
+			key, ent, version, at, err := decode([]byte(text), strs)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%q: decode says %v, the reference %v", text, err, wantErr)
+			}
+			if key != wantKey || ent != wantEnt || version != wantVersion || at != wantAt {
+				t.Fatalf("%q: decode read %+v %+v %q at %d, the reference %+v %+v %q at %d",
+					text, key, ent, version, at, wantKey, wantEnt, wantVersion, wantAt)
+			}
 			rec, version, err := DecodeRecord(l)
+			if (err == nil) != (wantErr == nil) || rec != (Record{Key: wantKey, Entry: wantEnt}) || version != wantVersion {
+				t.Fatalf("%q: DecodeRecord read %+v under %q (%v), the reference %+v %+v under %q (%v)",
+					l, rec, version, err, wantKey, wantEnt, wantVersion, wantErr)
+			}
 			if err != nil {
 				continue
 			}

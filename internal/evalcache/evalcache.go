@@ -29,14 +29,22 @@
 // Loading tolerates torn tails and corrupt lines — a record that fails its
 // CRC degrades to a cache miss (counted, then physically compacted away),
 // never to a wrong result.
+//
+// In memory, one index map holds each record's decision with its write
+// stamp, and a FIFO order bounds it; Get, Put, GC, compaction and eviction
+// all read that map. Open fills it in one pass over the file's bytes: the
+// map and the order are sized once to the file's line count, each line's
+// CRC is checked in place, one parser reads its fields left to right, and
+// one intern table per load shares the key strings and the version across
+// lines, so a loaded record costs about one allocation.
 package evalcache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -122,11 +130,17 @@ type Store struct {
 	// GC deterministically.
 	now func() int64
 
-	mu      sync.Mutex
-	idx     map[Key]Entry
-	written map[Key]int64 // write stamp (unix seconds), the GC currency
-	order   []Key
-	head    int
+	mu    sync.Mutex
+	idx   map[Key]stamped
+	order []Key
+	head  int
+}
+
+// stamped is one indexed record: its decision and the write stamp (unix
+// seconds) of the Put that first appended it, the GC currency.
+type stamped struct {
+	ent Entry
+	at  int64
 }
 
 // Open opens (creating if needed) the persistent cache in dir, loading every
@@ -164,9 +178,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		cGCRetired: reg.Counter("evalcache_gc_retired_total"),
 
 		now: func() int64 { return time.Now().Unix() },
-
-		idx:     make(map[Key]Entry),
-		written: make(map[Key]int64),
 	}
 	unlock, err := lockedFile(s.lockPath)
 	if err != nil {
@@ -184,61 +195,60 @@ func Open(dir string, opts Options) (*Store, error) {
 // records (write-temp + fsync + atomic rename). Caller holds the file lock.
 func (s *Store) loadLocked() error {
 	data, err := os.ReadFile(s.dataPath)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	dropped := 0
+	n := min(bytes.Count(data, []byte{'\n'}), s.maxN)
+	s.idx = make(map[Key]stamped, n)
+	s.order = make([]Key, 0, n)
+	// The intern table shares key strings and the version across this
+	// load's lines and dies with it; its strings are copies, so no key
+	// keeps data alive.
+	strs := make(map[string]string)
 	// Damage is reported once per open: a store another build wrote can
 	// hold thousands of lines this one cannot read.
-	var corrupt, torn, firstLine int
+	var loaded, corrupt, torn, stale, firstLine int
 	var firstErr error
-	rest := string(data)
-	lineNo := 0
-	for rest != "" {
-		lineNo++
-		text, tail, complete := strings.Cut(rest, "\n")
-		if !complete {
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		end := bytes.IndexByte(data, '\n')
+		if end < 0 {
 			// Torn tail: the signature of a killed writer. Unlike the
 			// checkpoint journal there is no ordering to preserve, so
 			// only this line is lost.
 			if torn++; firstErr == nil {
 				firstLine, firstErr = lineNo, errors.New("torn write (no newline)")
 			}
-			s.cCorrupt.Inc()
-			dropped++
 			break
 		}
-		rest = tail
-		key, ent, version, at, err := decode(text)
+		line := data[:end]
+		data = data[end+1:]
+		key, ent, version, at, err := decode(line, strs)
 		if err != nil {
 			// Records are independent; a corrupt line costs exactly that
 			// line, and the scan continues at the next newline.
 			if corrupt++; firstErr == nil {
 				firstLine, firstErr = lineNo, err
 			}
-			s.cCorrupt.Inc()
-			dropped++
 			continue
 		}
 		if version != s.version {
-			s.cStale.Inc()
-			dropped++
+			stale++
 			continue
 		}
 		if _, ok := s.idx[key]; ok {
 			continue // duplicate append from a concurrent writer; first wins
 		}
 		s.insert(key, ent, at)
-		s.cLoaded.Inc()
+		loaded++
 	}
+	s.cLoaded.Add(int64(loaded))
+	s.cCorrupt.Add(int64(corrupt + torn))
+	s.cStale.Add(int64(stale))
 	if firstErr != nil {
 		s.warnf("evalcache: %s: dropping %d corrupt and %d torn lines; first at line %d: %v",
 			s.dataPath, corrupt, torn, firstLine, firstErr)
 	}
-	if dropped > 0 {
+	if corrupt+torn+stale > 0 {
 		if err := s.compactLocked(); err != nil {
 			// The damaged file still loads (damage reads as misses), so a
 			// failed compaction is a warning, not an open failure.
@@ -258,7 +268,8 @@ func (s *Store) compactLocked() error {
 	}
 	for i := s.head; i < len(s.order); i++ {
 		key := s.order[i]
-		data, err := encode(key, s.idx[key], s.version, s.written[key])
+		rec := s.idx[key]
+		data, err := encode(key, rec.ent, s.version, rec.at)
 		if err == nil {
 			_, err = tmp.Write(data)
 		}
@@ -302,8 +313,8 @@ func (s *Store) Len() int {
 func (s *Store) Get(key Key) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ent, ok := s.idx[key]
-	return ent, ok
+	rec, ok := s.idx[key]
+	return rec.ent, ok
 }
 
 // GC retires every record written longer than maxAge ago, then compacts the
@@ -331,12 +342,11 @@ func (s *Store) GC(maxAge time.Duration) (int, error) {
 	keep := make([]Key, 0, len(s.order)-s.head)
 	for i := s.head; i < len(s.order); i++ {
 		key := s.order[i]
-		if s.written[key] >= cutoff {
+		if s.idx[key].at >= cutoff {
 			keep = append(keep, key)
 			continue
 		}
 		delete(s.idx, key)
-		delete(s.written, key)
 		retired++
 	}
 	s.order, s.head = keep, 0
@@ -412,14 +422,12 @@ func (s *Store) appendLocked(data []byte) error {
 // insert adds a key to the index and FIFO-evicts beyond the bound. Caller
 // holds s.mu (or has exclusive access during load).
 func (s *Store) insert(key Key, ent Entry, at int64) {
-	s.idx[key] = ent
-	s.written[key] = at
+	s.idx[key] = stamped{ent: ent, at: at}
 	s.order = append(s.order, key)
 	for len(s.idx) > s.maxN {
 		old := s.order[s.head]
 		s.head++
 		delete(s.idx, old)
-		delete(s.written, old)
 		s.cEvicted.Inc()
 	}
 	if s.head > len(s.order)/2 && s.head > 64 {

@@ -333,6 +333,75 @@ func TestIndexBound(t *testing.T) {
 	}
 }
 
+// writeStore writes n current-version records straight into dir's data
+// file, as the Puts of a campaign over subs designs and shapes layer shapes
+// leave it: each design's records are contiguous, and salts keep the keys
+// distinct.
+func writeStore(tb testing.TB, dir string, n, subs, shapes int) {
+	tb.Helper()
+	var file []byte
+	for i := range n {
+		key := Key{
+			Shape:  fmt.Sprintf("0|%d,64,56,56,3,3|1", 16+i%shapes),
+			Sub:    fmt.Sprintf("pe%d,l1:128,l2:524288,noc16,bpc256/125,W:4x64,I:4x64,Ord:4x64,Owr:4x64", 64+i*subs/n),
+			Mode:   "pruned-mappings",
+			Trials: 200,
+			Salt:   int64(i),
+		}
+		line, err := encode(key, testEntry(i), perf.ModelVersion(), 1_700_000_000)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		file = append(file, line...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, dataFile), file, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestOpenAllocsPerRecord pins the load's allocations: the index and the
+// FIFO order are sized once, a line's CRC is checked in place and its key
+// strings come from the load's intern table, so a loaded record costs about
+// one allocation (its indexed decision), where the two-map load that copied
+// each line and its four strings made six.
+func TestOpenAllocsPerRecord(t *testing.T) {
+	const n = 2000
+	dir := t.TempDir()
+	writeStore(t, dir, n, 40, 20)
+	var s *Store
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if s, err = Open(dir, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if s.Len() != n {
+		t.Fatalf("loaded %d records, want %d", s.Len(), n)
+	}
+	if per := allocs / n; per >= 2 {
+		t.Errorf("opening a %d-record store allocates %.2f times per record, want fewer than 2", n, per)
+	}
+}
+
+// BenchmarkOpen opens a store the size of the benchmark campaign's warm
+// store (14,162 records over ~650 designs).
+func BenchmarkOpen(b *testing.B) {
+	const n = 14_000
+	dir := b.TempDir()
+	writeStore(b, dir, n, n/22, 120)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Len() != n {
+			b.Fatalf("loaded %d records, want %d", s.Len(), n)
+		}
+	}
+}
+
 // TestConcurrentStoresShareDirectory drives two Stores over one directory
 // from many goroutines — the cross-process contention shape, in-process so
 // the race detector can see it — then proves the resulting file is fully

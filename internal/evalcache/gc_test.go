@@ -63,8 +63,8 @@ func TestGCRetiresByWriteAge(t *testing.T) {
 		if _, ok := s2.Get(testKey(i)); !ok {
 			t.Fatalf("kept record %d missing after reopen", i)
 		}
-		if s2.written[testKey(i)] != 1000 {
-			t.Errorf("kept record %d reopened with stamp %d, want its write time 1000", i, s2.written[testKey(i)])
+		if at := s2.idx[testKey(i)].at; at != 1000 {
+			t.Errorf("kept record %d reopened with stamp %d, want its write time 1000", i, at)
 		}
 	}
 }

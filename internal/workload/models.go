@@ -503,21 +503,32 @@ func Wav2Vec2() *Model {
 	}
 }
 
+// suite names the benchmark suite's constructors in the paper's order; Suite
+// builds them all and ByName only the one asked for.
+var suite = []struct {
+	name  string
+	build func() *Model
+}{
+	{"ResNet18", ResNet18}, {"MobileNetV2", MobileNetV2}, {"EfficientNetB0", EfficientNetB0},
+	{"VGG16", VGG16}, {"ResNet50", ResNet50}, {"VisionTransformer", VisionTransformer},
+	{"FasterRCNN-MobileNetV3", FasterRCNNMobileNetV3}, {"YOLOv5", YOLOv5},
+	{"Transformer", Transformer}, {"BERT", BERT}, {"Wav2Vec2", Wav2Vec2},
+}
+
 // Suite returns the 11-model benchmark suite in the paper's order.
 func Suite() []*Model {
-	return []*Model{
-		ResNet18(), MobileNetV2(), EfficientNetB0(),
-		VGG16(), ResNet50(), VisionTransformer(),
-		FasterRCNNMobileNetV3(), YOLOv5(),
-		Transformer(), BERT(), Wav2Vec2(),
+	models := make([]*Model, len(suite))
+	for i, m := range suite {
+		models[i] = m.build()
 	}
+	return models
 }
 
 // ByName returns the suite model with the given name, or nil.
 func ByName(name string) *Model {
-	for _, m := range Suite() {
-		if m.Name == name {
-			return m
+	for _, m := range suite {
+		if m.name == name {
+			return m.build()
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestSuiteOperatorCounts pins the per-model operator totals to the counts
 // the paper reports in §5.
@@ -72,12 +75,18 @@ func TestClassConstraints(t *testing.T) {
 	}
 }
 
+// TestByName: ByName builds exactly the model Suite lists under that name,
+// and nothing for a name outside the suite.
 func TestByName(t *testing.T) {
-	if ByName("BERT") == nil {
-		t.Fatal("BERT missing")
+	for _, m := range Suite() {
+		if got := ByName(m.Name); !reflect.DeepEqual(got, m) {
+			t.Errorf("ByName(%q) = %+v, want Suite's %+v", m.Name, got, m)
+		}
 	}
-	if ByName("nope") != nil {
-		t.Fatal("unknown model should be nil")
+	for _, name := range []string{"nope", "", "resnet18", ResNetConv52b().Name} {
+		if m := ByName(name); m != nil {
+			t.Errorf("ByName(%q) = %s, want nil", name, m.Name)
+		}
 	}
 }
 
