@@ -84,15 +84,27 @@ func parseF(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 // cache (internal/evalcache) frames its records with this too, so every
 // journal in the tree shares one torn-write detection story.
 func FrameLine(payload []byte) []byte {
+	line, start := OpenFrame(make([]byte, 0, 9+len(payload)+1))
+	return CloseFrame(append(line, payload...), start)
+}
+
+// OpenFrame appends the head of a FrameLine frame to dst: a CRC field, still
+// blank, and its space. It returns dst and the index the frame starts at;
+// the caller appends the payload after it and seals the frame with
+// CloseFrame, so a payload is framed where it is built instead of copied.
+func OpenFrame(dst []byte) ([]byte, int) {
+	return append(dst, "00000000 "...), len(dst)
+}
+
+// CloseFrame seals the frame OpenFrame began at start: it writes the CRC of
+// everything appended after the frame's head into the CRC field and appends
+// the newline.
+func CloseFrame(dst []byte, start int) []byte {
 	const hexDigits = "0123456789abcdef"
-	line := make([]byte, 9+len(payload)+1)
-	for i, crc := 7, crc32.ChecksumIEEE(payload); i >= 0; i, crc = i-1, crc>>4 {
-		line[i] = hexDigits[crc&0xf]
+	for i, crc := start+7, crc32.ChecksumIEEE(dst[start+9:]); i >= start; i, crc = i-1, crc>>4 {
+		dst[i] = hexDigits[crc&0xf]
 	}
-	line[8] = ' '
-	copy(line[9:], payload)
-	line[len(line)-1] = '\n'
-	return line
+	return append(dst, '\n')
 }
 
 // UnframeLine verifies one framed line (without its trailing newline) and

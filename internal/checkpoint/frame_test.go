@@ -32,6 +32,23 @@ func TestFrameLineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenCloseFrameAppends: frames built in place one after another in one
+// buffer are the FrameLine lines of their payloads, back to back.
+func TestOpenCloseFrameAppends(t *testing.T) {
+	payloads := []string{"first payload", "", "third"}
+	var buf []byte
+	var want string
+	for _, p := range payloads {
+		var start int
+		buf, start = OpenFrame(buf)
+		buf = CloseFrame(append(buf, p...), start)
+		want += string(FrameLine([]byte(p)))
+	}
+	if string(buf) != want {
+		t.Fatalf("frames appended in place:\n got  %q\n want %q", buf, want)
+	}
+}
+
 func TestUnframeLineRejects(t *testing.T) {
 	good := string(FrameLine([]byte(`{"ok":true}`)))
 	good = strings.TrimSuffix(good, "\n")

@@ -257,7 +257,7 @@ type Evaluator struct {
 	// address, bounded at 8x the design-memo cap (a long-running coordinator
 	// streams arbitrary layer shapes through one process; an unbounded map is
 	// a slow leak). A design's own decisions live in its Result.
-	records fifoMap[evalcache.Key, evalcache.Entry]
+	records fifoMap[evalcache.Key, *evalcache.Entry]
 	// walks is the walk memo of the pruned mapping search, bounded at
 	// walkCap: per layer shape, PEs and buffer capacities, the part of the
 	// mapping space earlier searches walked, which later searches replay.
@@ -436,7 +436,7 @@ func New(cfg Config) *Evaluator {
 		hLayer:      reg.Histogram("eval_layer_search_seconds", obs.DurationBuckets()),
 	}
 	e.cache = newFIFOMap[string, *Result](DefaultCacheCap, e.cEvictions)
-	e.records = newFIFOMap[evalcache.Key, evalcache.Entry](8*DefaultCacheCap, e.cLEvictions)
+	e.records = newFIFOMap[evalcache.Key, *evalcache.Entry](8*DefaultCacheCap, e.cLEvictions)
 	e.slots, e.slotOf = newSlots(cfg.Models, cfg.Mode)
 	e.walks = newFIFOMap[walkKey, *perf.Walk](walkCap, nil)
 	return e

@@ -91,16 +91,17 @@ func (e *Evaluator) walk(shape string, d arch.Design, l workload.Layer) *perf.Wa
 // coordinator installed, then from the persistent cross-run store (when
 // attached), and only then runs the search; every path returns the decision a
 // search would. It writes no record map: the design's Result holds the
-// decision, and Records exports it from there. A fresh decision is appended
-// to the store; a search that panics appends nothing, so the next evaluation
-// searches again.
+// decision, and AppendRecords exports it from there. A fresh decision is
+// appended to the store; a search that panics appends nothing, so the next
+// evaluation searches again.
 func (e *Evaluator) layerResult(d arch.Design, sub string, s *slot) (evalcache.Entry, perf.Breakdown) {
 	key := e.persistKey(s.shape, sub, int64(s.index))
 	e.mu.Lock()
-	dec, ok := e.records.get(key)
+	installed, ok := e.records.get(key)
 	e.mu.Unlock()
 	if ok {
 		e.cLHits.Inc()
+		dec := *installed
 		return dec, e.derive(d, s.layer, dec)
 	}
 	// A search completed by a previous run — or by another job or process
@@ -116,7 +117,7 @@ func (e *Evaluator) layerResult(d arch.Design, sub string, s *slot) (evalcache.E
 
 	e.cLMisses.Inc()
 	start := time.Now()
-	dec = e.searchLayer(d, s)
+	dec := e.searchLayer(d, s)
 	b := e.derive(d, s.layer, dec)
 	e.hLayer.ObserveDuration(time.Since(start))
 	if e.store != nil {

@@ -108,7 +108,7 @@ func TestSlotsRandomModeKeepIndex(t *testing.T) {
 		if len(e.slots) != tc.slots || e.Stats().LayerMisses != tc.slots {
 			t.Errorf("%v: %d slots and %d searches, want %d", tc.mode, len(e.slots), e.Stats().LayerMisses, tc.slots)
 		}
-		recs := e.Records(r)
+		recs := recordsOf(t, e, r)
 		if len(recs) != tc.slots {
 			t.Fatalf("%v: %d records exported, want %d", tc.mode, len(recs), tc.slots)
 		}

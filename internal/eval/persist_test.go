@@ -270,7 +270,7 @@ func TestCachesBounded(t *testing.T) {
 			name:  "install map",
 			limit: 8,
 			fill: func(e *Evaluator, i int) {
-				e.records.put(evalcache.Key{Shape: "shape", Sub: fmt.Sprint(i)}, evalcache.Entry{})
+				e.records.put(evalcache.Key{Shape: "shape", Sub: fmt.Sprint(i)}, &evalcache.Entry{})
 			},
 			has: func(e *Evaluator, i int) bool {
 				_, ok := e.records.get(evalcache.Key{Shape: "shape", Sub: fmt.Sprint(i)})

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+
 	"xdse/internal/arch"
 	"xdse/internal/evalcache"
 	"xdse/internal/perf"
@@ -20,40 +22,77 @@ func ParseMapperMode(s string) (MapperMode, bool) {
 	return 0, false
 }
 
-// Memoized reports whether pt's evaluation is currently answerable from the
-// design memo without any computation. The distributed coordinator uses it
-// to skip remote prefetch for points an optimizer is merely revisiting.
-func (e *Evaluator) Memoized(pt arch.Point) bool {
+// Memoized reports whether the evaluation of the point with key key
+// (arch.Point.Key) is currently answerable from the design memo without any
+// computation. The distributed coordinator uses it to skip remote prefetch
+// for points an optimizer is merely revisiting; it takes the key so the
+// caller builds it once.
+func (e *Evaluator) Memoized(key string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, ok := e.cache.get(pt.Key())
+	_, ok := e.cache.get(key)
 	return ok
 }
 
-// Records returns the content-addressed layer records of r, a result of this
-// evaluator: one per slot, keyed exactly as the persistent store keys them,
-// holding the decision r's slot layer carries. This is the worker half of the
-// fleet protocol: after evaluating a point, a worker exports the records of
-// its Result so the coordinator can install them and replay the design
-// evaluation locally, bit-identically, from record-map hits alone. An errored
-// or cancelled result holds no decisions and exports nothing; the coordinator
-// recomputes those layers itself, so a missing export degrades to extra local
-// work, never wrongness.
-func (e *Evaluator) Records(r *Result) []evalcache.Record {
-	if r.Err != "" || r.Cancelled {
-		return nil
-	}
-	sub := perf.MappingSubKey(r.Design)
-	out := make([]evalcache.Record, len(e.slots))
-	for i := range e.slots {
-		s := &e.slots[i]
-		le := &r.Models[s.model].Layers[s.index]
-		out[i] = evalcache.Record{
-			Key:   e.persistKey(s.shape, sub, int64(s.index)),
-			Entry: evalcache.Entry{Found: le.Found, Mapping: le.Mapping, Trials: le.MapTrials},
+// AppendRecords appends the content-addressed layer records of results,
+// results of this evaluator, to dst as record lines (evalcache.AppendRecord)
+// under perf.ModelVersion, and returns the extended buffer and the number of
+// lines appended. A result exports one record per slot, keyed exactly as the
+// persistent store keys it, holding the decision its slot layer carries.
+// This is the worker half of the fleet protocol: after evaluating a shard, a
+// worker exports the records of its Results so the coordinator can install
+// them and replay the design evaluations locally, bit-identically, from
+// record-map hits alone.
+//
+// Two results of one evaluator share records only as twins, designs with
+// one sub-key, so a twin of an earlier result in results exports nothing.
+// An errored or cancelled result holds no decisions and exports nothing
+// either; the coordinator recomputes those layers itself, so a missing
+// export degrades to extra local work, never wrongness. dst is grown once,
+// to a hint of the lines' length, and each line is framed where it lies:
+// beyond that growth, an export allocates the sub-key of each result and
+// nothing per record.
+func (e *Evaluator) AppendRecords(dst []byte, results []*Result) ([]byte, int) {
+	version := perf.ModelVersion()
+	// subs[i] is the sub-key of results[i], or "" when results[i] exports
+	// nothing; a sub-key is never empty.
+	subs := make([]string, len(results))
+	need := 0
+	for i, r := range results {
+		if r.Err != "" || r.Cancelled {
+			continue
+		}
+		sub := perf.MappingSubKey(r.Design)
+		if slices.Contains(subs[:i], sub) {
+			continue
+		}
+		subs[i] = sub
+		for j := range e.slots {
+			need += evalcache.LineSizeHint(e.persistKey(e.slots[j].shape, sub, 0), version)
 		}
 	}
-	return out
+	if cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	n := 0
+	for i, r := range results {
+		if subs[i] == "" {
+			continue
+		}
+		for j := range e.slots {
+			s := &e.slots[j]
+			le := &r.Models[s.model].Layers[s.index]
+			rec := evalcache.Record{
+				Key:   e.persistKey(s.shape, subs[i], int64(s.index)),
+				Entry: evalcache.Entry{Found: le.Found, Mapping: le.Mapping, Trials: le.MapTrials},
+			}
+			var err error
+			if dst, err = evalcache.AppendRecord(dst, rec, version); err == nil {
+				n++
+			}
+		}
+	}
+	return dst, n
 }
 
 // InstallRecords seeds the evaluator's record map (and the attached
@@ -62,14 +101,19 @@ func (e *Evaluator) Records(r *Result) []evalcache.Record {
 // one writer. Each record's key must be one persistKey builds here: a record
 // addressed to a different mode, trial budget, or random-mode seed is skipped,
 // so a mis-addressed or stale-configuration record can never answer a local
-// search. Installed decisions are exactly what a local search would have
-// produced (the content-address contract), and each lookup derives its
-// breakdown, so evaluations answering from them are bit-identical to
-// evaluations that never saw the records. Returns the number of records newly
-// installed.
+// search. A key already in the record map keeps its entry (first wins).
+// Installed decisions are exactly what a local search would have produced
+// (the content-address contract), and each lookup derives its breakdown, so
+// evaluations answering from them are bit-identical to evaluations that never
+// saw the records. Returns the number of records newly installed.
+//
+// InstallRecords keeps recs: the record map holds pointers to the entries of
+// recs, so an install copies no decision, and the caller must not modify
+// recs afterwards.
 func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 	n := 0
-	for _, rec := range recs {
+	for i := range recs {
+		rec := &recs[i]
 		var salt int64
 		if e.cfg.Mode == RandomMappings {
 			// persistKey resolves salt as Seed*1_000_003 + layer index;
@@ -91,7 +135,7 @@ func (e *Evaluator) InstallRecords(recs []evalcache.Record) int {
 			e.mu.Unlock()
 			continue
 		}
-		e.records.put(rec.Key, rec.Entry)
+		e.records.put(rec.Key, &rec.Entry)
 		e.mu.Unlock()
 		if e.store != nil {
 			e.store.Put(rec.Key, rec.Entry)

@@ -1,13 +1,38 @@
 package eval
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
 	"xdse/internal/arch"
 	"xdse/internal/evalcache"
+	"xdse/internal/perf"
+	"xdse/internal/workload"
 )
+
+// recordsOf exports the records of results through AppendRecords and reads
+// each line back with the record decoder, as a coordinator does, failing on
+// a line it refuses or a version stamp other than perf.ModelVersion.
+func recordsOf(tb testing.TB, e *Evaluator, results ...*Result) []evalcache.Record {
+	tb.Helper()
+	data, n := e.AppendRecords(nil, results)
+	lines := bytes.SplitAfter(data, []byte{'\n'})
+	if len(lines) != n+1 || len(lines[n]) != 0 {
+		tb.Fatalf("%d records exported over %d lines", n, len(lines))
+	}
+	var recs []evalcache.Record
+	for _, line := range lines[:n] {
+		rec, version, err := evalcache.DecodeRecord(line, nil)
+		if err != nil || version != perf.ModelVersion() {
+			tb.Fatalf("decode %q: %v (version %q)", line, err, version)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
 
 func TestParseMapperMode(t *testing.T) {
 	for _, mode := range []MapperMode{FixedDataflow, RandomMappings, PrunedMappings} {
@@ -25,11 +50,11 @@ func TestMemoized(t *testing.T) {
 	s := spaceWithDummyParam(3)
 	ev := New(cacheTestConfig(s, PrunedMappings))
 	pt := campaignPoints(s, 1)[0]
-	if ev.Memoized(pt) {
+	if ev.Memoized(pt.Key()) {
 		t.Fatal("fresh evaluator claims a memoized point")
 	}
 	ev.Evaluate(pt)
-	if !ev.Memoized(pt) {
+	if !ev.Memoized(pt.Key()) {
 		t.Fatal("evaluated point not memoized")
 	}
 }
@@ -47,31 +72,15 @@ func TestRecordsRoundTripBitIdentical(t *testing.T) {
 			cfg := cacheTestConfig(s, mode)
 			worker := New(cfg)
 			var want []*Result
-			var wire []string
 			for _, pt := range pts {
-				r := worker.Evaluate(pt)
-				want = append(want, r)
-				for _, rec := range worker.Records(r) {
-					data, err := evalcache.EncodeRecord(rec, "v-test")
-					if err != nil {
-						t.Fatal(err)
-					}
-					wire = append(wire, string(data))
-				}
+				want = append(want, worker.Evaluate(pt))
 			}
-			if len(wire) == 0 {
+			recs := recordsOf(t, worker, want...)
+			if len(recs) == 0 {
 				t.Fatal("worker exported no records")
 			}
 
 			coord := New(cfg)
-			var recs []evalcache.Record
-			for _, line := range wire {
-				rec, ver, err := evalcache.DecodeRecord(line)
-				if err != nil || ver != "v-test" {
-					t.Fatalf("decode %q: %v (version %q)", line, err, ver)
-				}
-				recs = append(recs, rec)
-			}
 			installed := coord.InstallRecords(recs)
 			if installed == 0 {
 				t.Fatal("coordinator installed no records")
@@ -95,8 +104,8 @@ func TestRecordsRoundTripBitIdentical(t *testing.T) {
 
 // TestRecordMapHoldsOnlyInstalls: a local campaign, cold or warm over a
 // store, writes nothing to the record map, because each design's Result holds
-// its decisions; and Records exports nothing for an errored or a cancelled
-// result.
+// its decisions; and AppendRecords exports nothing for an errored or a
+// cancelled result.
 func TestRecordMapHoldsOnlyInstalls(t *testing.T) {
 	s := arch.EdgeSpace()
 	pts := campaignPoints(s, 6)
@@ -109,7 +118,7 @@ func TestRecordMapHoldsOnlyInstalls(t *testing.T) {
 			if r.Err != "" {
 				t.Fatalf("%s: %s", run, r.Err)
 			}
-			if n := len(e.Records(r)); n != len(e.slots) {
+			if n := len(recordsOf(t, e, r)); n != len(e.slots) {
 				t.Fatalf("%s: %d records exported, want one per slot (%d)", run, n, len(e.slots))
 			}
 		}
@@ -127,8 +136,8 @@ func TestRecordMapHoldsOnlyInstalls(t *testing.T) {
 	if bad.Err == "" {
 		t.Fatal("a malformed point evaluated without error")
 	}
-	if recs := e.Records(bad); recs != nil {
-		t.Errorf("an errored result exported %d records", len(recs))
+	if data, n := e.AppendRecords(nil, []*Result{bad}); n != 0 || len(data) != 0 {
+		t.Errorf("an errored result exported %d records", n)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -136,8 +145,8 @@ func TestRecordMapHoldsOnlyInstalls(t *testing.T) {
 	if !gone.Cancelled {
 		t.Fatal("evaluation under a cancelled context not cancelled")
 	}
-	if recs := e.Records(gone); recs != nil {
-		t.Errorf("a cancelled result exported %d records", len(recs))
+	if data, n := e.AppendRecords(nil, []*Result{gone}); n != 0 || len(data) != 0 {
+		t.Errorf("a cancelled result exported %d records", n)
 	}
 }
 
@@ -152,12 +161,10 @@ func TestInstalledRecordsConcurrentFirstUse(t *testing.T) {
 	cfg := cacheTestConfig(s, PrunedMappings)
 	worker := New(cfg)
 	var want []*Result
-	var recs []evalcache.Record
 	for _, pt := range pts {
-		r := worker.Evaluate(pt)
-		want = append(want, r)
-		recs = append(recs, worker.Records(r)...)
+		want = append(want, worker.Evaluate(pt))
 	}
+	recs := recordsOf(t, worker, want...)
 	coord := New(cfg)
 	coord.InstallRecords(recs)
 	var wg sync.WaitGroup
@@ -182,7 +189,7 @@ func TestInstalledRecordsConcurrentFirstUse(t *testing.T) {
 
 // TestHasRecords is the coordinator's local-first contract: a fresh evaluator
 // over a persistent store reports a point answerable only once every layer
-// record Records exports is in the store, and then evaluates it
+// record AppendRecords exports is in the store, and then evaluates it
 // bit-identically without running a single layer search. The query itself
 // copies and counts nothing; the evaluation counts the store hits.
 func TestHasRecords(t *testing.T) {
@@ -193,7 +200,7 @@ func TestHasRecords(t *testing.T) {
 
 	worker := New(cacheTestConfig(s, PrunedMappings))
 	want := worker.Evaluate(pt)
-	recs := worker.Records(want)
+	recs := recordsOf(t, worker, want)
 	if len(recs) < 2 {
 		t.Fatalf("%d records exported, want at least 2", len(recs))
 	}
@@ -251,7 +258,7 @@ func TestInstallRecordsRejectsMismatched(t *testing.T) {
 	pt := campaignPoints(s, 1)[0]
 	cfg := cacheTestConfig(s, PrunedMappings)
 	worker := New(cfg)
-	recs := worker.Records(worker.Evaluate(pt))
+	recs := recordsOf(t, worker, worker.Evaluate(pt))
 	if len(recs) == 0 {
 		t.Fatal("no records exported")
 	}
@@ -275,7 +282,7 @@ func TestInstallRecordsRejectsMismatched(t *testing.T) {
 	t.Run("wrong-seed-random-mode", func(t *testing.T) {
 		rcfg := cacheTestConfig(s, RandomMappings)
 		rworker := New(rcfg)
-		rrecs := rworker.Records(rworker.Evaluate(pt))
+		rrecs := recordsOf(t, rworker, rworker.Evaluate(pt))
 		if len(rrecs) == 0 {
 			t.Fatal("no random-mode records exported")
 		}
@@ -286,4 +293,76 @@ func TestInstallRecordsRejectsMismatched(t *testing.T) {
 			t.Fatalf("installed %d records across a seed change", n)
 		}
 	})
+}
+
+// TestAppendRecordsExportsTwinsOnce: twins, designs that differ only in a
+// parameter no layer search reads, share every layer record, so one export
+// of both carries the records once; designs with different sub-keys share
+// none.
+func TestAppendRecordsExportsTwinsOnce(t *testing.T) {
+	s := spaceWithDummyParam(3)
+	pts := campaignPoints(s, 6) // two designs, each under three dummy values
+	e := New(cacheTestConfig(s, PrunedMappings))
+	var results []*Result
+	for _, pt := range pts {
+		results = append(results, e.Evaluate(pt))
+	}
+	recs := recordsOf(t, e, results...)
+	if want := 2 * len(e.slots); len(recs) != want {
+		t.Fatalf("%d records exported for two designs of three twins each, want %d", len(recs), want)
+	}
+	seen := map[evalcache.Key]bool{}
+	for _, rec := range recs {
+		if seen[rec.Key] {
+			t.Fatalf("record %+v exported twice", rec.Key)
+		}
+		seen[rec.Key] = true
+	}
+	if one := recordsOf(t, e, results[0]); len(one) != len(e.slots) {
+		t.Fatalf("one design exported %d records, want %d", len(one), len(e.slots))
+	}
+}
+
+// TestAppendRecordsAllocs pins the worker's export of one shard: it grows
+// its buffer once and frames each line in place, so an export allocates the
+// buffer, the sub-key list and one sub-key per design, and nothing per
+// record. One design of a 10-shape model (10 records) and one of a
+// 100-shape model (100 records) allocate alike; ten designs of the 10-shape
+// model (100 records) allocate nine sub-keys more.
+func TestAppendRecordsAllocs(t *testing.T) {
+	shapes := func(n int) *workload.Model {
+		m := &workload.Model{Name: fmt.Sprintf("shapes%d", n), MaxLatencyMs: 100}
+		seen := map[string]bool{}
+		for _, suite := range workload.Suite() {
+			for _, l := range suite.Layers {
+				if len(m.Layers) < n && !seen[l.ShapeKey()] {
+					seen[l.ShapeKey()] = true
+					m.Layers = append(m.Layers, l)
+				}
+			}
+		}
+		return m
+	}
+	s := arch.EdgeSpace()
+	pts := campaignPoints(s, 10)
+	for _, mode := range []MapperMode{FixedDataflow, RandomMappings, PrunedMappings} {
+		export := func(e *Evaluator, results []*Result, records int) float64 {
+			if _, n := e.AppendRecords(nil, results); n != records {
+				t.Fatalf("%v: %d designs exported %d records, want %d", mode, len(results), n, records)
+			}
+			return testing.AllocsPerRun(20, func() { e.AppendRecords(nil, results) })
+		}
+		ten, hundred := newEval(mode, shapes(10)), newEval(mode, shapes(100))
+		var tens []*Result
+		for _, pt := range pts {
+			tens = append(tens, ten.Evaluate(pt))
+		}
+		one10 := export(ten, tens[:1], 10)
+		one100 := export(hundred, []*Result{hundred.Evaluate(pts[0])}, 100)
+		ten10 := export(ten, tens, 100)
+		if one10 != 3 || one100 != one10 || ten10 != one10+9 {
+			t.Errorf("%v: an export allocates %.0f times for one design of 10 records, %.0f for one of 100 and %.0f for ten of 10; want 3, 3 and 12",
+				mode, one10, one100, ten10)
+		}
+	}
 }

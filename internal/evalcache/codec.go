@@ -11,8 +11,8 @@ import (
 	"xdse/internal/mapping"
 )
 
-// A record line is a checkpoint.FrameLine frame around one payload of
-// space-separated fields:
+// A record line is a checkpoint frame (see checkpoint.FrameLine) around one
+// payload of space-separated fields:
 //
 //	r1 <version> <mode> <budget> <salt> <at> <shape> <sub> <found> <f0,...,f23> <dram> <noc> <trials>
 //
@@ -34,28 +34,44 @@ const recordFields = 13
 const numFactors = int(mapping.NumDims) * int(mapping.NumLevels)
 
 // Record pairs a content address with its entry — the unit the wire-level
-// APIs (EncodeRecord/DecodeRecord, the fleet protocol) move between
+// APIs (AppendRecord/DecodeRecord, the fleet protocol) move between
 // processes.
 type Record struct {
 	Key   Key
 	Entry Entry
 }
 
-// EncodeRecord renders one record as a CRC-guarded record line (newline
+// AppendRecord appends rec to dst as one CRC-guarded record line (newline
 // included) under the given cost-model version stamp — the exact on-disk
 // format, exposed so records can travel over the network and be re-verified
-// (CRC and version both) at the receiving end. A string field holding a
-// space or a newline cannot be decoded back exactly and is refused.
-func EncodeRecord(rec Record, version string) ([]byte, error) {
-	return encode(rec.Key, rec.Entry, version, 0)
+// (CRC and version both) at the receiving end. The line is built where it
+// lies, its CRC written in place. A string field holding a space or a
+// newline cannot be decoded back exactly and is refused, and dst comes back
+// unchanged.
+func AppendRecord(dst []byte, rec Record, version string) ([]byte, error) {
+	return appendLine(dst, rec.Key, rec.Entry, version, 0)
 }
 
-// DecodeRecord parses one EncodeRecord line (trailing newline optional),
-// verifying the CRC before trusting the payload, and returns the record with
-// the version stamp it was written under. Callers must check the version
-// against their own perf.ModelVersion before installing the entry.
-func DecodeRecord(line string) (Record, string, error) {
-	key, ent, version, _, err := decode([]byte(strings.TrimSuffix(line, "\n")), nil)
+// LineSizeHint is the room to reserve for one record line of key under
+// version: the strings, and space for the numeric fields of the tiling
+// factors of a real layer. A line with unusually long numbers outgrows it,
+// which costs an append its growth, never a wrong line.
+func LineSizeHint(key Key, version string) int {
+	return 9 + 128 + len(version) + len(key.Mode) + len(key.Shape) + len(key.Sub) + 1
+}
+
+// DecodeRecord parses one AppendRecord line (trailing newline optional)
+// where it lies, verifying the CRC before trusting the payload, and returns
+// the record with the version stamp it was written under. strs interns the
+// key's strings and the version across the lines of one batch, as a store's
+// load does; nil copies each. Either way they are copies, so the record does
+// not keep line alive. Callers must check the version against their own
+// perf.ModelVersion before installing the entry.
+func DecodeRecord(line []byte, strs map[string]string) (Record, string, error) {
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+	}
+	key, ent, version, _, err := decode(line, strs)
 	if err != nil {
 		return Record{}, "", err
 	}
@@ -68,15 +84,21 @@ func fieldOK(s string) bool {
 	return !strings.ContainsAny(s, " \n")
 }
 
-// encode renders a record as one CRC'd line (newline included); at is the
-// write stamp carried for GC (0 on pure wire-transport lines).
+// encode renders a record as one CRC'd line (newline included) in a buffer
+// of its own; at is the write stamp carried for GC.
 func encode(key Key, ent Entry, version string, at int64) ([]byte, error) {
+	return appendLine(make([]byte, 0, LineSizeHint(key, version)), key, ent, version, at)
+}
+
+// appendLine appends a record as one CRC'd line (newline included) to dst;
+// at is the write stamp carried for GC (0 on pure wire-transport lines).
+func appendLine(dst []byte, key Key, ent Entry, version string, at int64) ([]byte, error) {
 	for _, s := range [...]string{version, key.Mode, key.Shape, key.Sub} {
 		if !fieldOK(s) {
-			return nil, fmt.Errorf("evalcache: field %q holds a space or newline", s)
+			return dst, fmt.Errorf("evalcache: field %q holds a space or newline", s)
 		}
 	}
-	b := make([]byte, 0, 128+len(version)+len(key.Mode)+len(key.Shape)+len(key.Sub))
+	b, start := checkpoint.OpenFrame(dst)
 	b = append(b, recordTag...)
 	b = append(append(b, ' '), version...)
 	b = append(append(b, ' '), key.Mode...)
@@ -100,7 +122,7 @@ func encode(key Key, ent Entry, version string, at int64) ([]byte, error) {
 	b = strconv.AppendInt(append(b, ' '), int64(ent.Mapping.DRAMStationary), 10)
 	b = strconv.AppendInt(append(b, ' '), int64(ent.Mapping.NoCStationary), 10)
 	b = strconv.AppendInt(append(b, ' '), int64(ent.Trials), 10)
-	return checkpoint.FrameLine(b), nil
+	return checkpoint.CloseFrame(b, start), nil
 }
 
 // decode parses one line (without its newline), verifying the CRC before

@@ -21,11 +21,13 @@ func parentLines(tb testing.TB) []string {
 	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 }
 
-// TestRecordCodecRoundTrip checks that an EncodeRecord line decodes to the
+// TestRecordCodecRoundTrip checks that an AppendRecord line decodes to the
 // same key, entry and version stamp, with or without its trailing newline
-// (the wire transport strips them): one key per mapper mode, extreme salts
-// and a search that found nothing.
+// and with or without an intern table: one key per mapper mode, extreme
+// salts and a search that found nothing. Lines appended one after another
+// into one buffer are the lines appended one per buffer.
 func TestRecordCodecRoundTrip(t *testing.T) {
+	var wire, want []byte
 	const shape, sub = "0|64,64,56,56,3,3|1", "pe256,l1:128,l2:524288,noc16,bpc256/125,W:4x64,I:4x64,Ord:4x64,Owr:4x64"
 	for _, rec := range []Record{
 		{Key: testKey(3), Entry: testEntry(3)},
@@ -34,22 +36,36 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		{Key: Key{Shape: shape, Sub: sub, Mode: "random-mappings", Trials: 200, Salt: math.MinInt64}, Entry: testEntry(2)},
 		{Key: Key{Shape: shape, Sub: sub, Mode: "pruned-mappings", Trials: 200, Salt: math.MaxInt64}, Entry: Entry{Trials: 200}},
 	} {
-		data, err := EncodeRecord(rec, "v-wire")
+		data, err := AppendRecord(nil, rec, "v-wire")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !strings.HasSuffix(string(data), "\n") {
 			t.Fatalf("encoded record missing trailing newline: %q", data)
 		}
-		for _, line := range []string{string(data), strings.TrimSuffix(string(data), "\n")} {
-			got, version, err := DecodeRecord(line)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if version != "v-wire" || got != rec {
-				t.Fatalf("wire round trip: got %+v under %q, want %+v under v-wire", got, version, rec)
+		if len(data) > LineSizeHint(rec.Key, "v-wire") {
+			t.Errorf("%d-byte line outgrew its %d-byte size hint", len(data), LineSizeHint(rec.Key, "v-wire"))
+		}
+		strs := map[string]string{}
+		for _, line := range [][]byte{data, data[:len(data)-1]} {
+			for _, table := range []map[string]string{nil, strs} {
+				got, version, err := DecodeRecord(line, table)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if version != "v-wire" || got != rec {
+					t.Fatalf("wire round trip: got %+v under %q, want %+v under v-wire", got, version, rec)
+				}
 			}
 		}
+		wire = append(wire, data...)
+		if wire, err = AppendRecord(wire, rec, "v-wire"); err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, data...), data...)
+	}
+	if string(wire) != string(want) {
+		t.Fatalf("lines appended into one buffer differ from lines appended alone:\n got  %q\n want %q", wire, want)
 	}
 
 	// Store lines carry a write stamp; EncodeRecord's carry zero.
@@ -69,7 +85,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 
 func TestRecordCodecRejectsCorruption(t *testing.T) {
 	rec := Record{Key: testKey(1), Entry: testEntry(1)}
-	data, err := EncodeRecord(rec, "v-wire")
+	data, err := AppendRecord(nil, rec, "v-wire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +93,14 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 	// Flip one payload byte: the CRC must catch it.
 	mid := len(line) / 2
 	corrupt := line[:mid] + "X" + line[mid+1:]
-	if _, _, err := DecodeRecord(corrupt); err == nil {
+	if _, _, err := DecodeRecord([]byte(corrupt), nil); err == nil {
 		t.Fatal("decode accepted a corrupted record")
 	}
-	if _, _, err := DecodeRecord("not a record at all"); err == nil {
+	if _, _, err := DecodeRecord([]byte("not a record at all"), nil); err == nil {
 		t.Fatal("decode accepted garbage")
 	}
 	for _, c := range malformedPayloads(strings.TrimSuffix(line[9:], "\n")) {
-		if _, _, err := DecodeRecord(string(checkpoint.FrameLine([]byte(c[1])))); err == nil {
+		if _, _, err := DecodeRecord(checkpoint.FrameLine([]byte(c[1])), nil); err == nil {
 			t.Errorf("%s: decode accepted %q", c[0], c[1])
 		}
 	}
@@ -121,9 +137,10 @@ func malformedPayloads(payload string) [][2]string {
 }
 
 // TestEncodeRecordRefusesUnframeableFields: a string field holding the
-// separator or a newline would not decode back exactly, so EncodeRecord
-// refuses it, and Store.Put counts the refusal as a write error and keeps
-// the record out of the index and the file.
+// separator or a newline would not decode back exactly, so AppendRecord
+// refuses it and leaves its buffer as it was, and Store.Put counts the
+// refusal as a write error and keeps the record out of the index and the
+// file.
 func TestEncodeRecordRefusesUnframeableFields(t *testing.T) {
 	good := Record{Key: testKey(0), Entry: testEntry(0)}
 	for name, tc := range map[string]struct {
@@ -137,8 +154,8 @@ func TestEncodeRecordRefusesUnframeableFields(t *testing.T) {
 	} {
 		rec := good
 		tc.mutate(&rec.Key)
-		if data, err := EncodeRecord(rec, tc.version); err == nil {
-			t.Errorf("%s: encoded as %q", name, data)
+		if data, err := AppendRecord([]byte("kept"), rec, tc.version); err == nil || string(data) != "kept" {
+			t.Errorf("%s: encoded as %q (%v)", name, data, err)
 		}
 	}
 
@@ -190,7 +207,7 @@ func TestMixedFormatStore(t *testing.T) {
 	want := map[Key]Entry{}
 	for i := 0; i < 3; i++ {
 		want[testKey(i)] = testEntry(i)
-		rec, _, err := DecodeRecord(old[i])
+		rec, _, err := DecodeRecord([]byte(old[i]), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,17 +257,22 @@ func TestMixedFormatStore(t *testing.T) {
 }
 
 // TestDecodeRecordAllocs bounds the allocations of decoding one
-// fixed-field line off the wire: the copy of the line to bytes and the four
-// strings of the version stamp and key. The JSON decoder it replaced made 36
-// for the same record.
+// fixed-field line off the wire where it lies: the four strings of the
+// version stamp and key without an intern table, and none with a table that
+// already holds them, as a shard's lines share their mode and version and a
+// design's lines their sub-key. The JSON decoder it replaced made 36 for the
+// same record, and the string form before this one 5.
 func TestDecodeRecordAllocs(t *testing.T) {
-	data, err := EncodeRecord(Record{Key: testKey(2), Entry: testEntry(2)}, "v-test")
+	line, err := AppendRecord(nil, Record{Key: testKey(2), Entry: testEntry(2)}, "v-test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	line := string(data)
-	if n := testing.AllocsPerRun(100, func() { DecodeRecord(line) }); n > 5 {
-		t.Errorf("decoding one record line allocates %.0f times, want at most 5", n)
+	if n := testing.AllocsPerRun(100, func() { DecodeRecord(line, nil) }); n > 4 {
+		t.Errorf("decoding one record line allocates %.0f times, want at most 4", n)
+	}
+	strs := map[string]string{}
+	if n := testing.AllocsPerRun(100, func() { DecodeRecord(line, strs) }); n != 0 {
+		t.Errorf("decoding one record line through a warm intern table allocates %.0f times, want 0", n)
 	}
 }
 
@@ -261,7 +283,7 @@ func TestDecodeRecordAllocs(t *testing.T) {
 // them, with or without a load's intern table, and any line it accepts must
 // re-encode to a line that decodes to the same record and version.
 func FuzzDecodeRecord(f *testing.F) {
-	data, err := EncodeRecord(Record{Key: testKey(3), Entry: testEntry(3)}, "v-fuzz")
+	data, err := AppendRecord(nil, Record{Key: testKey(3), Entry: testEntry(3)}, "v-fuzz")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -307,7 +329,7 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("%q: decode read %+v %+v %q at %d, the reference %+v %+v %q at %d",
 					text, key, ent, version, at, wantKey, wantEnt, wantVersion, wantAt)
 			}
-			rec, version, err := DecodeRecord(l)
+			rec, version, err := DecodeRecord([]byte(l), strs)
 			if (err == nil) != (wantErr == nil) || rec != (Record{Key: wantKey, Entry: wantEnt}) || version != wantVersion {
 				t.Fatalf("%q: DecodeRecord read %+v under %q (%v), the reference %+v %+v under %q (%v)",
 					l, rec, version, err, wantKey, wantEnt, wantVersion, wantErr)
@@ -315,11 +337,11 @@ func FuzzDecodeRecord(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			data, err := EncodeRecord(rec, version)
+			data, err := AppendRecord(nil, rec, version)
 			if err != nil {
 				t.Fatalf("accepted %q, which does not re-encode: %v", l, err)
 			}
-			again, againVersion, err := DecodeRecord(string(data))
+			again, againVersion, err := DecodeRecord(data, nil)
 			if err != nil || again != rec || againVersion != version {
 				t.Fatalf("accepted %q as %+v under %q; its re-encoding %q reads %+v under %q (%v)",
 					l, rec, version, data, again, againVersion, err)

@@ -10,12 +10,16 @@ import (
 )
 
 // goldenLines maps each fleet.ProtocolVersion since records became
-// fixed-field lines to EncodeRecord's line for goldenRecord under the
+// fixed-field lines to AppendRecord's line for goldenRecord under the
 // fixture's version stamp. Stores and fleet peers of different builds read
 // each other's lines, so a layout change needs a new tag (the payload's
 // first field) and a protocol bump: add a row for the new version.
+//
+// Protocol 5 changed the /eval body around the lines, not the lines, so its
+// row holds protocol 4's line.
 var goldenLines = map[int]string{
 	4: "00413d1f r1 d87437e997a47f0a pruned-mappings 200 0 0 0|64,64,56,56,3,3|1 pe256,l1:128,l2:524288,noc16,bpc256/125,W:4x64,I:4x64,Ord:4x64,Owr:4x64 1 64,1,1,1,4,1,16,1,1,1,1,56,1,1,56,1,1,3,1,1,1,3,1,1 0 2 200\n",
+	5: "00413d1f r1 d87437e997a47f0a pruned-mappings 200 0 0 0|64,64,56,56,3,3|1 pe256,l1:128,l2:524288,noc16,bpc256/125,W:4x64,I:4x64,Ord:4x64,Owr:4x64 1 64,1,1,1,4,1,16,1,1,1,1,56,1,1,56,1,1,3,1,1,1,3,1,1 0 2 200\n",
 }
 
 // goldenRecord is the pruned-mappings record of testdata/parent-records.jsonl.
@@ -45,7 +49,7 @@ func TestRecordLineGolden(t *testing.T) {
 	if !ok {
 		t.Fatalf("no golden line for fleet.ProtocolVersion %d", fleet.ProtocolVersion)
 	}
-	data, err := evalcache.EncodeRecord(goldenRecord, "d87437e997a47f0a")
+	data, err := evalcache.AppendRecord(nil, goldenRecord, "d87437e997a47f0a")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,12 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,6 +235,74 @@ func TestInstalledRecordsAnswerCoordinator(t *testing.T) {
 					hits, searches, ref.Stats.LayerMisses)
 			}
 		})
+	}
+}
+
+// TestRejectedRecordLinesCounted: a worker whose first /eval body has one
+// byte flipped inside a record line costs the coordinator that layer's
+// search, never the answer: the line fails its CRC and is dropped, the drop
+// is counted in fleet_records_rejected_total, and the campaign's CSV is the
+// single-node reference's byte for byte.
+func TestRejectedRecordLinesCounted(t *testing.T) {
+	tech, _ := exp.TechniqueByName("ExplainableDSE-Codesign")
+	model := workload.ByName("ResNet18")
+	refCfg := testConfig()
+	refCfg.CSVDir = t.TempDir()
+	ref := exp.RunOne(context.Background(), refCfg, tech, model, testBudget)
+	if ref.Err != "" {
+		t.Fatalf("reference run failed: %s", ref.Err)
+	}
+
+	s, err := serve.New(quietOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var flipped atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/eval" || flipped.Load() {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		// The middle byte of the first record line, the line after the
+		// header: a field byte, never a newline.
+		first := bytes.IndexByte(body, '\n') + 1
+		if end := bytes.IndexByte(body[first:], '\n'); rec.Code == http.StatusOK && end > 0 {
+			body[first+end/2] ^= 0x01
+			flipped.Store(true)
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	c, err := fleet.New([]string{ts.Listener.Addr().String()}, calmOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitHealthy(t, c, 1)
+	cfg := testConfig()
+	cfg.Fleet = c
+	cfg.CSVDir = t.TempDir()
+	got := exp.RunOne(context.Background(), cfg, tech, model, testBudget)
+	if got.Err != "" {
+		t.Fatalf("fleet run failed: %s", got.Err)
+	}
+	if !flipped.Load() {
+		t.Fatal("no record line was flipped: the test proved nothing")
+	}
+	if n := c.Metrics().Counter("fleet_records_rejected_total").Value(); n < 1 {
+		t.Fatalf("fleet_records_rejected_total = %d after a flipped record line, want at least 1", n)
+	}
+	if c.Metrics().Counter("fleet_records_installed_total").Value() == 0 {
+		t.Fatal("no records installed: the flipped line was not the only thing refused")
+	}
+	if readCSV(t, cfg.CSVDir, tech.Name) != readCSV(t, refCfg.CSVDir, tech.Name) {
+		t.Fatal("campaign CSV differs from the single-node reference")
 	}
 }
 

@@ -7,6 +7,15 @@
 // coordinator recomputes that layer itself, and the design-level trace
 // (hence Trace.Fingerprint) is untouched by any fleet failure mode.
 //
+// Record path: a worker's /eval body is one JSON header line (EvalHeader)
+// and then the shard's record lines exactly as the store writes them (see
+// DecodeEvalBody). The coordinator reads the body into one buffer of its
+// Content-Length, decodes each line where it lies with one intern table per
+// response, and installs the decoded slice by pointer (eval.InstallRecords
+// keeps it). A torn body is a transient fault; a line that fails its CRC,
+// parse or version check is dropped and counted in
+// fleet_records_rejected_total.
+//
 // Robustness model:
 //   - Prepare is local-first: a point whose every layer record the local
 //     evaluator already holds (record map or persistent store) is never
@@ -131,6 +140,7 @@ type Coordinator struct {
 	cPermanent *obs.Counter // permanent faults recorded
 	cLocal     *obs.Counter // shards that fell back to local evaluation
 	cInstalled *obs.Counter // records installed into the local evaluator
+	cRejected  *obs.Counter // record lines dropped for a bad CRC, parse or version
 	cPoints    *obs.Counter // unmemoized points offered to Prepare
 	cLocalPts  *obs.Counter // offered points answered by local records alone
 	cHedges    *obs.Counter // hedge dispatches launched
@@ -167,6 +177,7 @@ func New(workers []string, opts Options) (*Coordinator, error) {
 		cPermanent: reg.Counter("fleet_permanent_faults_total"),
 		cLocal:     reg.Counter("fleet_shards_local_total"),
 		cInstalled: reg.Counter("fleet_records_installed_total"),
+		cRejected:  reg.Counter("fleet_records_rejected_total"),
 		cPoints:    reg.Counter("fleet_points_offered_total"),
 		cLocalPts:  reg.Counter("fleet_points_local_total"),
 		cHedges:    reg.Counter("fleet_hedges_total"),
@@ -243,11 +254,13 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 		Seed:         cfg.Seed,
 	}
 	return func(ctx context.Context, pts []arch.Point) {
-		var fresh []arch.Point
+		// Each point's key is built once: it dedups the batch, asks the
+		// design memo and goes on the wire.
+		var fresh []string
 		seen := make(map[string]bool, len(pts))
 		for _, pt := range pts {
 			k := pt.Key()
-			if seen[k] || ev.Memoized(pt) {
+			if seen[k] || ev.Memoized(k) {
 				continue
 			}
 			seen[k] = true
@@ -256,7 +269,7 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 				c.cLocalPts.Inc()
 				continue
 			}
-			fresh = append(fresh, pt)
+			fresh = append(fresh, k)
 		}
 		if len(fresh) == 0 {
 			return
@@ -301,21 +314,21 @@ type shard struct {
 	points []string
 }
 
-// shard deals k fresh points round-robin into min(k, max(h, ⌈k/8⌉))
+// shard deals k fresh point keys round-robin into min(k, max(h, ⌈k/8⌉))
 // shards over the h healthy workers, so every healthy worker gets work,
 // shard sizes differ by at most one and none exceeds shardPoints. Each
 // shard is dealt to the next healthy worker under the pool's cursor.
 // Returns nil when no workers are currently healthy.
-func (c *Coordinator) shard(model string, pts []arch.Point) []shard {
+func (c *Coordinator) shard(model string, keys []string) []shard {
 	h := c.pool.healthyCount()
 	if h == 0 {
 		return nil
 	}
-	k := len(pts)
+	k := len(keys)
 	out := make([]shard, min(k, max(h, (k+shardPoints-1)/shardPoints)))
-	for i, pt := range pts {
+	for i, key := range keys {
 		sh := &out[i%len(out)]
-		sh.points = append(sh.points, pt.Key())
+		sh.points = append(sh.points, key)
 	}
 	for i := range out {
 		out[i].key = model + "|" + out[i].points[0]
@@ -590,29 +603,29 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 
 	actx, cancel := context.WithTimeout(ctx, c.maxShardHold)
 	defer cancel()
-	resp, err := c.postEval(actx, w, req, rpc.Context())
+	body, err := c.postEval(actx, w, req, rpc.Context())
 	if err != nil {
 		return nil, err
 	}
-	if resp.ModelVersion != c.version {
-		c.pool.mark(w, workerQuarantined, fmt.Sprintf("response model version %q, want %q", resp.ModelVersion, c.version))
-		return nil, &permanentError{fmt.Errorf("worker %s: response model version %q, want %q", w.id, resp.ModelVersion, c.version)}
+	hdr, recs, rejected, err := DecodeEvalBody(body, c.version)
+	if err != nil {
+		// A torn or unreadable body is transient, like a dropped connection.
+		return nil, fmt.Errorf("worker %s: decode response: %w", w.id, err)
+	}
+	if hdr.ModelVersion != c.version {
+		c.pool.mark(w, workerQuarantined, fmt.Sprintf("response model version %q, want %q", hdr.ModelVersion, c.version))
+		return nil, &permanentError{fmt.Errorf("worker %s: response model version %q, want %q", w.id, hdr.ModelVersion, c.version)}
 	}
 	// The result is accepted: merge the worker-side spans into the local
 	// trace. Spans of discarded (timed-out, errored, skewed) results never
 	// merge, mirroring the record-install rule.
-	for _, sev := range resp.Spans {
+	for _, sev := range hdr.Spans {
 		tr.Forward(sev)
 	}
-	for _, line := range resp.Records {
-		rec, ver, err := evalcache.DecodeRecord(line)
-		if err != nil || ver != c.version {
-			// A corrupt or skewed record is dropped, not fatal: the
-			// coordinator recomputes that layer locally.
-			continue
-		}
-		recs = append(recs, rec)
-	}
+	// A corrupt or skewed record line was dropped, not fatal: the
+	// coordinator recomputes that layer locally. Counting the drops keeps a
+	// decoder that refuses valid lines from passing for a slow campaign.
+	c.cRejected.Add(int64(rejected))
 	return recs, nil
 }
 
@@ -657,15 +670,16 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// postEval performs the HTTP round trip for one shard and classifies the
-// response status: 200 decodes, 412 quarantines (permanent), other 4xx are
-// permanent, 5xx/transport errors are transient, and 429 is a *shedError
-// (both carrying the worker's Retry-After hint when present). A non-zero span context rides the
-// obs.TraceHeader so the worker links its spans under ours. A configured
-// chaos injector intercepts here — the RPC boundary — consuming one ordinal
-// per call: drops, partitions, delays, and injected statuses act before the
-// real round trip; truncation and corruption mutate the real response body.
-func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, sc obs.SpanContext) (*EvalResponse, error) {
+// postEval performs the HTTP round trip for one shard and returns the body of
+// a 200 for DecodeEvalBody. Any other status is an error: 412 quarantines
+// (permanent), other 4xx are permanent, 5xx/transport errors are transient,
+// and 429 is a *shedError (both carrying the worker's Retry-After hint when
+// present). A non-zero span context rides the obs.TraceHeader so the worker
+// links its spans under ours. A configured chaos injector intercepts here —
+// the RPC boundary — consuming one ordinal per call: drops, partitions,
+// delays, and injected statuses act before the real round trip; truncation
+// and corruption mutate the real response body.
+func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, sc obs.SpanContext) ([]byte, error) {
 	ord := -1
 	if c.chaos != nil {
 		ord = c.chaos.next()
@@ -691,7 +705,7 @@ func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, 
 		return nil, fmt.Errorf("worker %s: %w", w.id, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxEvalRespBytes))
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: read response: %w", w.id, err)
 	}
@@ -700,7 +714,7 @@ func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, 
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		// Fall through to decode.
+		return data, nil
 	case resp.StatusCode == http.StatusPreconditionFailed:
 		c.pool.mark(w, workerQuarantined, "eval handshake: "+strings.TrimSpace(string(data)))
 		return nil, &permanentError{fmt.Errorf("worker %s: model version skew: %s", w.id, strings.TrimSpace(string(data)))}
@@ -716,9 +730,20 @@ func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, 
 	default:
 		return nil, &permanentError{fmt.Errorf("worker %s: status %d: %s", w.id, resp.StatusCode, strings.TrimSpace(string(data)))}
 	}
-	var out EvalResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("worker %s: decode response: %w", w.id, err)
+}
+
+// readBody reads a response body, at most maxEvalRespBytes of it, into one
+// buffer sized from its Content-Length; a body without one (a chaos-mutated
+// one, say) is read by growing a buffer. A body that ends short of its
+// Content-Length is an error.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxEvalRespBytes {
+		return io.ReadAll(io.LimitReader(resp.Body, maxEvalRespBytes))
 	}
-	return &out, nil
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }

@@ -31,10 +31,10 @@ func fakeWorker(t *testing.T, eval http.HandlerFunc) *httptest.Server {
 	return ts
 }
 
-// okEval answers one shard with an empty (but valid) record set.
+// okEval answers one shard with an empty (but valid) record set: a header
+// line that counts no record lines.
 func okEval(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"model_version":%q,"records":[],"evaluated":1}`, perf.ModelVersion())
+	fmt.Fprintf(w, "{\"model_version\":%q,\"evaluated\":1,\"records\":0}\n", perf.ModelVersion())
 }
 
 // hedgeTestOptions: fast probes, hedging tuned per test. The attempt

@@ -63,11 +63,11 @@ func TestShardDealsRoundRobin(t *testing.T) {
 	c := &Coordinator{pool: p}
 	prev := -1
 	for _, k := range []int{1, 2, 3, 5, 8, 9, 17, 40} {
-		pts := make([]arch.Point, k)
-		for i := range pts {
-			pts[i] = arch.Point{i}
+		keys := make([]string, k)
+		for i := range keys {
+			keys[i] = arch.Point{i}.Key()
 		}
-		shards := c.shard("m", pts)
+		shards := c.shard("m", keys)
 		if want := min(k, max(2, (k+7)/8)); len(shards) != want {
 			t.Fatalf("k=%d: %d shards, want %d", k, len(shards), want)
 		}
@@ -89,9 +89,9 @@ func TestShardDealsRoundRobin(t *testing.T) {
 		if hi-lo > 1 || hi > shardPoints {
 			t.Fatalf("k=%d: shard sizes span [%d, %d], want within one and at most %d", k, lo, hi, shardPoints)
 		}
-		for _, pt := range pts {
-			if n := seen[pt.Key()]; n != 1 {
-				t.Fatalf("k=%d: point %s dealt %d times, want once", k, pt.Key(), n)
+		for _, key := range keys {
+			if n := seen[key]; n != 1 {
+				t.Fatalf("k=%d: point %s dealt %d times, want once", k, key, n)
 			}
 		}
 		if len(seen) != k {
@@ -100,7 +100,7 @@ func TestShardDealsRoundRobin(t *testing.T) {
 	}
 	p.workers[0].setState(workerUnreachable)
 	p.workers[2].setState(workerQuarantined)
-	if shards := c.shard("m", []arch.Point{{0}}); shards != nil {
+	if shards := c.shard("m", []string{arch.Point{0}.Key()}); shards != nil {
 		t.Fatalf("shard with no healthy worker = %v, want nil", shards)
 	}
 }

@@ -4,12 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
+	"strconv"
 	"time"
 
 	"xdse/internal/arch"
 	"xdse/internal/eval"
-	"xdse/internal/evalcache"
 	"xdse/internal/fleet"
 	"xdse/internal/obs"
 	"xdse/internal/perf"
@@ -190,38 +189,32 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			results = append(results, res)
 		}
 	}
+	// The records go straight from the Results into the one buffer the
+	// body's lines are written from, each line framed in place.
 	csp := tr.StartChild(parent, obs.SpanCache, "export")
-	var lines []string
-	seen := make(map[evalcache.Key]bool)
-	for _, res := range results {
-		for _, rec := range ev.Records(res) {
-			if seen[rec.Key] {
-				continue
-			}
-			seen[rec.Key] = true
-			data, err := evalcache.EncodeRecord(rec, perf.ModelVersion())
-			if err != nil {
-				continue
-			}
-			lines = append(lines, strings.TrimSuffix(string(data), "\n"))
-		}
-	}
-	csp.Points = len(lines)
+	recs, n := ev.AppendRecords(nil, results)
+	csp.Points = n
 	csp.End()
 	s.cEvalPoints.Add(int64(len(results)))
-	s.cEvalRecords.Add(int64(len(lines)))
-	resp := fleet.EvalResponse{
+	s.cEvalRecords.Add(int64(n))
+	hdr := fleet.EvalHeader{
 		ModelVersion: perf.ModelVersion(),
-		Records:      lines,
 		Evaluated:    len(results),
+		Records:      n,
 	}
 	if col != nil {
-		resp.Spans = col.Events()
+		hdr.Spans = col.Events()
 	}
-	// Compact, unlike writeJSON's indented jobs API: the records are most of
-	// the body, and only the coordinator reads it.
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck // coordinator gone; nothing to do
+	head, err := json.Marshal(hdr)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encode eval header: %v", err)
+		return
+	}
+	head = append(head, '\n')
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(recs)))
+	w.Write(head) //nolint:errcheck // coordinator gone; nothing to do
+	w.Write(recs) //nolint:errcheck
 }
 
 // evalEndpointMetrics registers the fleet-worker instruments on the service

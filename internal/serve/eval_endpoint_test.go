@@ -12,6 +12,7 @@ import (
 	"xdse/internal/evalcache"
 	"xdse/internal/fleet"
 	"xdse/internal/perf"
+	"xdse/internal/workload"
 )
 
 // evalReq builds a valid shard request over n distinct edge-space points.
@@ -49,42 +50,95 @@ func postEval(t *testing.T, base string, req fleet.EvalRequest) *http.Response {
 	return resp
 }
 
+// readEvalBody reads a 200 /eval response and decodes it through the
+// coordinator's decoder, failing on a status other than 200, a body that
+// disagrees with its Content-Length, and any record line the decoder drops.
+func readEvalBody(t *testing.T, resp *http.Response) (fleet.EvalHeader, []evalcache.Record) {
+	t.Helper()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("eval status %d: %s", resp.StatusCode, body)
+	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Fatalf("Content-Length %d, body of %d bytes", resp.ContentLength, len(body))
+	}
+	hdr, recs, rejected, err := fleet.DecodeEvalBody(body, perf.ModelVersion())
+	if err != nil {
+		t.Fatalf("decode eval body: %v", err)
+	}
+	if rejected != 0 {
+		t.Fatalf("%d record lines rejected", rejected)
+	}
+	return hdr, recs
+}
+
 func TestEvalEndpointServesRecords(t *testing.T) {
 	_, base := testServer(t, Options{CacheDir: t.TempDir()}, nil)
 	resp := postEval(t, base, evalReq(2))
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("eval status %d: %s", resp.StatusCode, body)
-	}
-	var out fleet.EvalResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+	out, recs := readEvalBody(t, resp)
 	if out.ModelVersion != perf.ModelVersion() {
 		t.Fatalf("response model version %q, want %q", out.ModelVersion, perf.ModelVersion())
 	}
 	if out.Evaluated != 2 {
 		t.Fatalf("evaluated %d points, want 2", out.Evaluated)
 	}
-	if len(out.Records) == 0 {
+	if len(recs) == 0 {
 		t.Fatal("no records returned")
 	}
-	// Every line must decode as an intact record under our version, and keys
-	// must be unique (the worker dedups).
+	// Every line decoded as an intact record under our version; keys must
+	// be unique (the worker dedups).
 	seen := map[evalcache.Key]bool{}
-	for _, line := range out.Records {
-		rec, ver, err := evalcache.DecodeRecord(line)
-		if err != nil {
-			t.Fatalf("bad record line: %v", err)
-		}
-		if ver != perf.ModelVersion() {
-			t.Fatalf("record version %q, want %q", ver, perf.ModelVersion())
-		}
+	for _, rec := range recs {
 		if seen[rec.Key] {
 			t.Fatalf("duplicate record %+v in response", rec.Key)
 		}
 		seen[rec.Key] = true
+	}
+}
+
+// TestEvalEndpointRecordsRoundTrip: in every mapper mode, a worker's /eval
+// body decodes to exactly the records its Results export, in order. The
+// Results are the pooled evaluator's own, answered from its design memo.
+func TestEvalEndpointRecordsRoundTrip(t *testing.T) {
+	for _, mode := range []eval.MapperMode{eval.FixedDataflow, eval.RandomMappings, eval.PrunedMappings} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, base := testServer(t, Options{}, nil)
+			req := evalReq(3)
+			req.Mode = mode.String()
+			resp := postEval(t, base, req)
+			defer resp.Body.Close()
+			hdr, got := readEvalBody(t, resp)
+			if hdr.Evaluated != 3 || hdr.Records != len(got) || len(got) == 0 {
+				t.Fatalf("header %+v over %d records", hdr, len(got))
+			}
+
+			ev := s.evaluatorFor(workload.ByName(req.Model), mode, req.MapTrials, req.Seed)
+			var results []*eval.Result
+			for _, key := range req.Points {
+				pt, err := arch.ParseKey(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = append(results, ev.Evaluate(pt))
+			}
+			lines, n := ev.AppendRecords(nil, results)
+			if n != len(got) {
+				t.Fatalf("the Results export %d records, the body carries %d", n, len(got))
+			}
+			for i, line := range bytes.SplitAfter(lines, []byte{'\n'})[:n] {
+				want, _, err := evalcache.DecodeRecord(line, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want {
+					t.Fatalf("record %d: body carries %+v, the Results export %+v", i, got[i], want)
+				}
+			}
+		})
 	}
 }
 

@@ -43,16 +43,9 @@ func TestEvalEndpointTracedSpans(t *testing.T) {
 	sc := obs.SpanContext{Trace: "Tech_Model", Span: "7"}
 	resp := postEvalTraced(t, base, evalReq(2), sc)
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("traced eval status %d: %s", resp.StatusCode, body)
-	}
-	var out fleet.EvalResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Evaluated != 2 || len(out.Records) == 0 {
-		t.Fatalf("traced eval changed behavior: evaluated=%d records=%d", out.Evaluated, len(out.Records))
+	out, recs := readEvalBody(t, resp)
+	if out.Evaluated != 2 || len(recs) == 0 {
+		t.Fatalf("traced eval changed behavior: evaluated=%d records=%d", out.Evaluated, len(recs))
 	}
 	if len(out.Spans) == 0 {
 		t.Fatal("traced eval returned no spans")
@@ -91,10 +84,7 @@ func TestEvalEndpointTracedSpans(t *testing.T) {
 	// Untraced request: same path, no spans.
 	plain := postEval(t, base, evalReq(2))
 	defer plain.Body.Close()
-	var pout fleet.EvalResponse
-	if err := json.NewDecoder(plain.Body).Decode(&pout); err != nil {
-		t.Fatal(err)
-	}
+	pout, _ := readEvalBody(t, plain)
 	if len(pout.Spans) != 0 {
 		t.Fatalf("untraced eval returned %d spans, want 0", len(pout.Spans))
 	}
