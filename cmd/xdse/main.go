@@ -76,7 +76,6 @@ func main() {
 		fleetWrk = flag.String("fleet-workers", "", "comma-separated `xdse serve` worker addresses (host:port,...): shard evaluation batches across them; results stay bit-identical to a local run under any worker failure")
 		fleetHI  = flag.Duration("fleet-health-interval", 0, "fleet worker health-probe cadence (0 = 1s default)")
 		fleetHA  = flag.Duration("fleet-hedge-after", 0, "hedge a straggling shard dispatch to the next healthy worker after this long (0 = 2.5s, negative disables)")
-		fleetCh  = flag.String("fleet-chaos", "", "coordinator-side deterministic chaos spec (e.g. \"drop@3,storm@0-4=503,partition@2-6=host:port\"); see internal/fleet.ParseChaosSpec")
 	)
 	flag.Parse()
 
@@ -175,15 +174,9 @@ func main() {
 				addrs = append(addrs, a)
 			}
 		}
-		chaos, err := fleet.ParseChaosSpec(*fleetCh)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xdse: -fleet-chaos: %v\n", err)
-			os.Exit(2)
-		}
 		fleetOpts := fleet.Options{
 			HealthInterval: *fleetHI,
 			HedgeAfter:     *fleetHA,
-			Chaos:          chaos,
 			Warnf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "xdse: "+format+"\n", args...)
 			},

@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"xdse/internal/arch"
+	"xdse/internal/eval"
 	"xdse/internal/exp"
 	"xdse/internal/obs"
 	"xdse/internal/workload"
@@ -149,4 +151,27 @@ func testConfig() exp.Config {
 	cfg.Budget = 5
 	cfg.Models = []*workload.Model{workload.ResNet18()}
 	return cfg
+}
+
+// TestServeRetryFlagsCapBackoff: however many attempts -retries allows, no
+// backoff of the policy the serve flags build exceeds eval.DefaultRetry's
+// cap. Uncapped, -retries 20 would wait 10ms·2^18 (about 44 minutes) before
+// its last attempt.
+func TestServeRetryFlagsCapBackoff(t *testing.T) {
+	limit := eval.DefaultRetry().BackoffCap
+	if limit <= 0 {
+		t.Fatalf("eval.DefaultRetry caps nothing (BackoffCap %v)", limit)
+	}
+	p := flagRetry(20, 10*time.Millisecond)
+	if p.MaxAttempts != 20 || p.Backoff != 10*time.Millisecond {
+		t.Fatalf("flagRetry(20, 10ms) = %+v, want the flags' attempts and backoff", p)
+	}
+	for r := 1; r < p.MaxAttempts; r++ {
+		if d := p.DelayBefore(r); d > limit {
+			t.Fatalf("retry %d waits %v, over the %v cap", r, d, limit)
+		}
+	}
+	if d := p.DelayBefore(p.MaxAttempts - 1); d != limit {
+		t.Fatalf("last retry waits %v, want the %v cap", d, limit)
+	}
 }

@@ -32,13 +32,13 @@ func runServe(args []string) int {
 		deadline     = fs.Duration("deadline", 0, "default per-job wall-clock deadline for jobs that set none (0 = unbounded)")
 		evalTimeout  = fs.Duration("eval-timeout", 0, "per-evaluation watchdog; timeouts classify transient and are retried (0 = disabled)")
 		retries      = fs.Int("retries", 3, "max attempts per evaluation for transient faults (1 = no retries)")
-		retryBackoff = fs.Duration("retry-backoff", 10*time.Millisecond, "base delay before a retry, doubling per attempt")
+		retryBackoff = fs.Duration("retry-backoff", 10*time.Millisecond, "base delay before a retry, doubling per attempt up to a 1s cap")
 		retryAfter   = fs.Duration("retry-after", 2*time.Second, "Retry-After hint attached to shed and draining responses")
 		drainTimeout = fs.Duration("drain-timeout", 2*time.Minute, "how long a shutdown signal waits for in-flight jobs to checkpoint")
 		cacheDir     = fs.String("cache-dir", "", "persistent evaluation-cache directory shared by every job (and by later daemon incarnations); empty = uncached")
 		evalConc     = fs.Int("eval-concurrent", 2, "fleet shards served concurrently (POST /eval); excess requests are shed with 429 + Retry-After")
 		traceOut     = fs.String("trace-out", "", "write this worker's span events (traced /eval requests) to this JSONL file")
-		chaosSpec    = fs.String("chaos", "", "worker-side deterministic chaos spec for POST /eval (e.g. \"storm@0-3=503,corrupt@5\"); see internal/fleet.ParseChaosSpec")
+		chaosSpec    = fs.String("chaos", "", "deterministic chaos spec for POST /eval, for testing a fleet (e.g. \"drop@2-4,storm@5-7=503,corrupt@9\"); see internal/fleet.ParseChaosSpec")
 		debug        = fs.Bool("debug", false, "mount the runtime profiling surface (/debug/pprof/*, /debug/vars); off by default as it exposes process internals")
 		runtimeSamp  = fs.Duration("runtime-sample", 0, "runtime sampler cadence for /metrics (goroutines, heap, GC pauses); 0 = 10s default, negative disables")
 	)
@@ -71,11 +71,10 @@ func runServe(args []string) int {
 		DefaultDeadline: *deadline,
 		RetryAfter:      *retryAfter,
 		EvalTimeout:     *evalTimeout,
-		Retry:           eval.RetryPolicy{MaxAttempts: *retries, Backoff: *retryBackoff},
+		Retry:           flagRetry(*retries, *retryBackoff),
 		CacheDir:        *cacheDir,
 		EvalConcurrent:  *evalConc,
 		Chaos:           chaos,
-		ChaosSelf:       *addr,
 		Trace:           sinkOrNil(traceSink),
 		Debug:           *debug,
 		RuntimeSample:   *runtimeSamp,
@@ -121,4 +120,13 @@ func sinkOrNil(s *obs.JSONLSink) obs.Sink {
 		return nil
 	}
 	return s
+}
+
+// flagRetry builds the -retries/-retry-backoff policy under
+// eval.DefaultRetry's cap, so a large -retries cannot stretch one backoff
+// past a second.
+func flagRetry(attempts int, backoff time.Duration) eval.RetryPolicy {
+	p := eval.DefaultRetry()
+	p.MaxAttempts, p.Backoff = attempts, backoff
+	return p
 }

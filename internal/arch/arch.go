@@ -243,47 +243,6 @@ func ParseKey(key string) (Point, error) {
 	return pt, nil
 }
 
-// EdgeSpace constructs the Table 1 design space for edge DNN inference
-// accelerators: 7 PE options, 8 L1 sizes, 7 L2 sizes, 10 bandwidths, 16 NoC
-// widths, 64 physical-unicast fractions and 4 virtual-unicast degrees per
-// operand NoC, at a fixed 500 MHz clock.
-func EdgeSpace() *Space {
-	pow2 := func(lo, hi int) []int {
-		var vs []int
-		for v := lo; v <= hi; v *= 2 {
-			vs = append(vs, v)
-		}
-		return vs
-	}
-	seq := func(lo, hi, step int) []int {
-		var vs []int
-		for v := lo; v <= hi; v += step {
-			vs = append(vs, v)
-		}
-		return vs
-	}
-	s := &Space{FreqMHz: 500}
-	s.Params = make([]Param, NumParams)
-	s.Params[PPEs] = Param{Name: "PEs", Values: pow2(64, 4096)}
-	s.Params[PL1] = Param{Name: "L1_bytes", Values: pow2(8, 1024)}
-	s.Params[PL2] = Param{Name: "L2_KB", Values: pow2(64, 4096)}
-	s.Params[PBW] = Param{Name: "offchip_MBps", Values: []int{1024, 2048, 4096, 6400, 8192, 12800, 19200, 25600, 38400, 51200}}
-	s.Params[PNoCWidth] = Param{Name: "noc_width_bits", Values: seq(16, 256, 16)}
-	for op := 0; op < NumOperands; op++ {
-		s.Params[PPhys0+op] = Param{
-			Name:   fmt.Sprintf("phys_unicast_%v", Operand(op)),
-			Values: seq(1, 64, 1),
-			Kind:   KindPERelative,
-			Base:   64,
-		}
-		s.Params[PVirt0+op] = Param{
-			Name:   fmt.Sprintf("virt_unicast_%v", Operand(op)),
-			Values: []int{1, 8, 64, 512}, // 2^(3i), i in [0,3]
-		}
-	}
-	return s
-}
-
 // Size returns the cardinality of the design space.
 func (s *Space) Size() *big.Int {
 	n := big.NewInt(1)

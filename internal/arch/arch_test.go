@@ -6,26 +6,46 @@ import (
 	"testing/quick"
 )
 
+// TestEdgeSpaceShape pins the Table 1 space EdgeSpaceSpec defines: each
+// canonical index names its parameter, with the paper's cardinality, and
+// every EdgeSpace call is a copy its caller may rewrite.
 func TestEdgeSpaceShape(t *testing.T) {
 	s := EdgeSpace()
 	if got := len(s.Params); got != NumParams {
 		t.Fatalf("params = %d, want %d", got, NumParams)
 	}
-	wantOptions := map[int]int{
-		PPEs: 7, PL1: 8, PL2: 7, PBW: 10, PNoCWidth: 16,
+	if s.FreqMHz != 500 {
+		t.Fatalf("freq = %d MHz, want 500", s.FreqMHz)
 	}
-	for idx, want := range wantOptions {
-		if got := s.Params[idx].Options(); got != want {
-			t.Errorf("%s options = %d, want %d", s.Params[idx].Name, got, want)
+	type want struct {
+		name    string
+		options int
+		kind    ParamKind
+		base    int
+	}
+	wants := map[int]want{
+		PPEs:      {"PEs", 7, KindAbsolute, 0},
+		PL1:       {"L1_bytes", 8, KindAbsolute, 0},
+		PL2:       {"L2_KB", 7, KindAbsolute, 0},
+		PBW:       {"offchip_MBps", 10, KindAbsolute, 0},
+		PNoCWidth: {"noc_width_bits", 16, KindAbsolute, 0},
+	}
+	for op := Operand(0); op < NumOperands; op++ {
+		wants[PPhys0+int(op)] = want{"phys_unicast_" + op.String(), 64, KindPERelative, 64}
+		wants[PVirt0+int(op)] = want{"virt_unicast_" + op.String(), 4, KindAbsolute, 0}
+	}
+	for idx, w := range wants {
+		p := s.Params[idx]
+		if p.Name != w.name || p.Options() != w.options || p.Kind != w.kind || p.Base != w.base {
+			t.Errorf("param %d = %s (%d options, kind %v, base %d), want %s (%d, %v, %d)",
+				idx, p.Name, p.Options(), p.Kind, p.Base, w.name, w.options, w.kind, w.base)
 		}
 	}
-	for op := 0; op < NumOperands; op++ {
-		if got := s.Params[PPhys0+op].Options(); got != 64 {
-			t.Errorf("phys unicast options = %d, want 64", got)
-		}
-		if got := s.Params[PVirt0+op].Options(); got != 4 {
-			t.Errorf("virt unicast options = %d, want 4", got)
-		}
+
+	s.Params[PL1].Values[0] = -1
+	s.Params[PBW].Values = []int{1}
+	if again := EdgeSpace(); again.Params[PL1].Values[0] != 8 || again.Params[PBW].Options() != 10 {
+		t.Fatal("rewriting one EdgeSpace changed the next")
 	}
 }
 

@@ -3,6 +3,7 @@ package arch
 import (
 	"bufio"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -174,7 +175,8 @@ func atois(fields []string) ([]int, error) {
 }
 
 // EdgeSpaceSpec is the Table 1 space expressed in the §4.2 specification
-// language; ParseSpace(EdgeSpaceSpec) is equivalent to EdgeSpace().
+// language, and the one definition of it: EdgeSpace parses it. Its
+// parameters must stay in the order of the canonical indices PPEs … PVirt0.
 const EdgeSpaceSpec = `
 # Table 1: edge DNN inference accelerator design space.
 freq 500
@@ -192,3 +194,26 @@ param virt_unicast_I   list 1 8 64 512
 param virt_unicast_Ord list 1 8 64 512
 param virt_unicast_Owr list 1 8 64 512
 `
+
+// edgeSpace is EdgeSpaceSpec parsed once; EdgeSpace hands out copies.
+var edgeSpace = func() *Space {
+	s, err := ParseSpace(EdgeSpaceSpec)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}()
+
+// EdgeSpace returns the Table 1 design space for edge DNN inference
+// accelerators (EdgeSpaceSpec): 7 PE options, 8 L1 sizes, 7 L2 sizes, 10
+// bandwidths, 16 NoC widths, 64 physical-unicast fractions and 4
+// virtual-unicast degrees per operand NoC, at a fixed 500 MHz clock. Each
+// call returns a fresh copy, so a caller may rewrite its parameters' Values
+// (Fig4Space does).
+func EdgeSpace() *Space {
+	s := &Space{FreqMHz: edgeSpace.FreqMHz, Params: slices.Clone(edgeSpace.Params)}
+	for i := range s.Params {
+		s.Params[i].Values = slices.Clone(s.Params[i].Values)
+	}
+	return s
+}

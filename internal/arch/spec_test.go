@@ -1,34 +1,54 @@
 package arch
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
+// TestParseSpaceMatchesEdgeSpace: a fresh parse of EdgeSpaceSpec equals
+// what EdgeSpace hands out, and both carry Table 1's value lists, written
+// out here independently of the specification language.
 func TestParseSpaceMatchesEdgeSpace(t *testing.T) {
 	parsed, err := ParseSpace(EdgeSpaceSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq := func(lo, hi, step int) []int {
+		var vs []int
+		for v := lo; v <= hi; v += step {
+			vs = append(vs, v)
+		}
+		return vs
+	}
+	table1 := map[int][]int{
+		PPEs:      {64, 128, 256, 512, 1024, 2048, 4096},
+		PL1:       {8, 16, 32, 64, 128, 256, 512, 1024},
+		PL2:       {64, 128, 256, 512, 1024, 2048, 4096},
+		PBW:       {1024, 2048, 4096, 6400, 8192, 12800, 19200, 25600, 38400, 51200},
+		PNoCWidth: seq(16, 256, 16),
+	}
+	for op := 0; op < NumOperands; op++ {
+		table1[PPhys0+op] = seq(1, 64, 1)
+		table1[PVirt0+op] = []int{1, 8, 64, 512} // 2^(3i), i in [0,3]
+	}
 	want := EdgeSpace()
 	if parsed.FreqMHz != want.FreqMHz {
 		t.Fatalf("freq = %d, want %d", parsed.FreqMHz, want.FreqMHz)
 	}
-	if len(parsed.Params) != len(want.Params) {
-		t.Fatalf("params = %d, want %d", len(parsed.Params), len(want.Params))
+	if len(parsed.Params) != len(want.Params) || len(want.Params) != len(table1) {
+		t.Fatalf("params = %d parsed, %d from EdgeSpace, want %d", len(parsed.Params), len(want.Params), len(table1))
 	}
 	for i := range want.Params {
 		pw, pp := want.Params[i], parsed.Params[i]
 		if pw.Name != pp.Name || pw.Kind != pp.Kind || pw.Base != pp.Base {
 			t.Fatalf("param %d header mismatch: %+v vs %+v", i, pp, pw)
 		}
-		if len(pw.Values) != len(pp.Values) {
-			t.Fatalf("param %s values = %d, want %d", pw.Name, len(pp.Values), len(pw.Values))
+		if !slices.Equal(pp.Values, pw.Values) {
+			t.Fatalf("param %s values = %v, EdgeSpace has %v", pw.Name, pp.Values, pw.Values)
 		}
-		for j := range pw.Values {
-			if pw.Values[j] != pp.Values[j] {
-				t.Fatalf("param %s value %d = %d, want %d", pw.Name, j, pp.Values[j], pw.Values[j])
-			}
+		if !slices.Equal(pp.Values, table1[i]) {
+			t.Fatalf("param %s values = %v, Table 1 has %v", pw.Name, pp.Values, table1[i])
 		}
 	}
 	if parsed.Size().Cmp(want.Size()) != 0 {

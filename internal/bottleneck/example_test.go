@@ -27,16 +27,3 @@ func ExampleAnalyze() {
 	// T_dma: 100.0% of cost, scale by 3.86x via [L2_size] (critical: T_dma_A)
 	// T_noc: 25.9% of cost, scale by 1.00x via [noc_width] (critical: T_noc)
 }
-
-// ExampleToJSON shows the interchange format external tools can emit.
-func ExampleToJSON() {
-	tree := bottleneck.Max("cost",
-		bottleneck.NewLeaf("compute", 10).WithParams("units"),
-		bottleneck.NewLeaf("memory", 30),
-	)
-	data, _ := bottleneck.ToJSON(tree)
-	back, _ := bottleneck.FromJSON(data)
-	fmt.Println(back.Eval())
-	// Output:
-	// 30
-}

@@ -1,6 +1,9 @@
 package eval
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // FaultPolicy deterministically injects failures into chosen evaluations so
 // tests can prove the resilience layer — panic containment, errored-design
@@ -56,25 +59,15 @@ type FaultPolicy struct {
 	OnEvaluation func(ord int)
 }
 
-// contains reports whether ord appears in the (typically tiny) list.
-func contains(list []int, ord int) bool {
-	for _, v := range list {
-		if v == ord {
-			return true
-		}
-	}
-	return false
-}
-
 // panicAt reports whether this attempt's evaluation should panic.
 func (p *FaultPolicy) panicAt(ord, attempt int) bool {
-	return p != nil && attempt == 0 && contains(p.PanicAt, ord)
+	return p != nil && attempt == 0 && slices.Contains(p.PanicAt, ord)
 }
 
 // errorAt reports whether this attempt's evaluation should fail with an
 // injected permanent error.
 func (p *FaultPolicy) errorAt(ord, attempt int) bool {
-	return p != nil && attempt == 0 && contains(p.ErrorAt, ord)
+	return p != nil && attempt == 0 && slices.Contains(p.ErrorAt, ord)
 }
 
 // transientAt reports whether this attempt's evaluation should fail with an
@@ -89,7 +82,7 @@ func (p *FaultPolicy) delayFor(ord, attempt int) time.Duration {
 	if p == nil {
 		return 0
 	}
-	if attempt == 0 && contains(p.DelayAt, ord) {
+	if attempt == 0 && slices.Contains(p.DelayAt, ord) {
 		return p.Delay
 	}
 	if attempt < p.SlowFirstN[ord] {

@@ -7,13 +7,15 @@ package fleet_test
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"xdse/internal/eval"
 	"xdse/internal/exp"
@@ -42,24 +44,73 @@ func startWorkerWith(t *testing.T, intercept func(w http.ResponseWriter, r *http
 	return ts
 }
 
-// testChaos is the nontrivial coordinator-side chaos script the e2e tests
-// share: a dropped connection, a 503 storm, a torn body, a corrupted body,
-// and a scripted partition of every worker early in the campaign.
+// testChaos is the nontrivial worker-side chaos script the e2e tests run on
+// every worker: a dropped connection, a torn body, a corrupted body and a 503
+// storm. A campaign this small sends each worker only a few shards, so the
+// script starts at the worker's first /eval request.
 func testChaos() *fleet.ChaosPolicy {
 	return &fleet.ChaosPolicy{
 		Seed:       7,
-		DropAt:     []int{1},
-		StatusAt:   map[int]int{4: 503, 5: 503, 6: 503},
-		TruncateAt: []int{8},
-		CorruptAt:  []int{10},
-		Partitions: []fleet.Partition{{From: 2, To: 3}},
-		Delay:      time.Millisecond,
+		DropAt:     []int{0},
+		TruncateAt: []int{1},
+		CorruptAt:  []int{2},
+		StatusAt:   map[int]int{3: 503, 4: 503, 5: 503},
 	}
 }
 
-// TestChaosCampaignBitIdentical: a campaign with the full chaos script active
-// on the dispatch path completes bit-identical to the single-node reference
-// in every mapper mode — chaos can cost time, never correctness.
+// startChaosWorker starts a serve daemon whose /eval surface runs testChaos.
+func startChaosWorker(t *testing.T) *httptest.Server {
+	t.Helper()
+	opts := quietOpts(t)
+	opts.Chaos = testChaos()
+	s, err := serve.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// requireInjected fails the test unless the workers injected some fault, as
+// their /metrics report it: a disarmed script would pass every other check
+// while proving nothing.
+func requireInjected(t *testing.T, workers ...*httptest.Server) {
+	t.Helper()
+	injected := map[string]int64{}
+	var total int64
+	for _, ts := range workers {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			name, val, ok := strings.Cut(line, " ")
+			kind, isChaos := strings.CutPrefix(name, `fleet_chaos_injected_total{kind="`)
+			if !ok || !isChaos {
+				continue
+			}
+			n, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			injected[strings.TrimSuffix(kind, `"}`)] += int64(n)
+			total += int64(n)
+		}
+	}
+	if total == 0 {
+		t.Fatalf("chaos policy active but nothing injected (%v)", injected)
+	}
+}
+
+// TestChaosCampaignBitIdentical: a campaign over two workers running the full
+// chaos script completes bit-identical to the single-node reference in every
+// mapper mode — chaos can cost time, never correctness.
 func TestChaosCampaignBitIdentical(t *testing.T) {
 	model := workload.ByName("ResNet18")
 	for _, m := range modes {
@@ -74,11 +125,8 @@ func TestChaosCampaignBitIdentical(t *testing.T) {
 				t.Fatalf("reference run failed: %s", ref.Err)
 			}
 
-			ts1, _ := startWorker(t)
-			ts2, _ := startWorker(t)
-			opts := fleetOptions()
-			opts.Chaos = testChaos()
-			c, err := fleet.New([]string{ts1.Listener.Addr().String(), ts2.Listener.Addr().String()}, opts)
+			ts1, ts2 := startChaosWorker(t), startChaosWorker(t)
+			c, err := fleet.New([]string{ts1.Listener.Addr().String(), ts2.Listener.Addr().String()}, fleetOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,13 +140,7 @@ func TestChaosCampaignBitIdentical(t *testing.T) {
 			if got.Trace.Fingerprint() != ref.Trace.Fingerprint() {
 				t.Fatal("chaos campaign fingerprint differs from single-node reference")
 			}
-			var injected int64
-			for _, kind := range []string{"drop", "status", "truncate", "corrupt", "partition"} {
-				injected += c.Metrics().Counter(`fleet_chaos_injected_total{kind="` + kind + `"}`).Value()
-			}
-			if injected == 0 {
-				t.Fatal("chaos policy active but nothing injected — the test proved nothing")
-			}
+			requireInjected(t, ts1, ts2)
 		})
 	}
 }
@@ -209,8 +251,8 @@ func TestRestartedCoordinatorAnswersFromStore(t *testing.T) {
 }
 
 // TestKillCoordinatorMidCampaignBitIdentical is the tentpole acceptance test:
-// in every mapper mode, with the chaos script active, the coordinator process
-// is "killed" mid-campaign (run context cancelled at a fixed evaluation
+// in every mapper mode, with the chaos script active on every worker, the
+// coordinator process is "killed" mid-campaign (run context cancelled at a fixed evaluation
 // ordinal — the in-process stand-in for kill -9, exercising the same torn
 // journal tails) and a fresh coordinator resumes from the campaign checkpoint
 // plus the persistent cache. The final trace fingerprint AND the CSV artifact
@@ -234,12 +276,13 @@ func TestKillCoordinatorMidCampaignBitIdentical(t *testing.T) {
 
 			ckptDir := t.TempDir()
 			cacheDir := t.TempDir()
+			// Each coordinator gets fresh chaos workers, so both meet the
+			// script from its first ordinal.
+			var workers []*httptest.Server
 			newCoord := func() *fleet.Coordinator {
-				ts1, _ := startWorker(t)
-				ts2, _ := startWorker(t)
-				opts := fleetOptions()
-				opts.Chaos = testChaos()
-				c, err := fleet.New([]string{ts1.Listener.Addr().String(), ts2.Listener.Addr().String()}, opts)
+				ts1, ts2 := startChaosWorker(t), startChaosWorker(t)
+				workers = append(workers, ts1, ts2)
+				c, err := fleet.New([]string{ts1.Listener.Addr().String(), ts2.Listener.Addr().String()}, fleetOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -284,6 +327,7 @@ func TestKillCoordinatorMidCampaignBitIdentical(t *testing.T) {
 			if gotCSV := readCSV(t, rcfg.CSVDir, m.tech); gotCSV != refCSV {
 				t.Fatal("resumed campaign CSV differs byte-for-byte from the reference")
 			}
+			requireInjected(t, workers...)
 		})
 	}
 }

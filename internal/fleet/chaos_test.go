@@ -2,10 +2,14 @@ package fleet
 
 import (
 	"bytes"
-	"errors"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,12 +18,12 @@ import (
 )
 
 func TestParseChaosSpecGrammar(t *testing.T) {
-	p, err := ParseChaosSpec("drop@3, delay@1 truncate@4,corrupt@2 status@5=404 storm@6-8=503 partition@0-1=w1 partition@9-9 delay=5ms seed=42")
+	p, err := ParseChaosSpec("drop@3, delay@1 truncate@4,corrupt@2 status@5=404 storm@6-8=503 drop@10-12 delay=5ms seed=42")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.DropAt; len(got) != 1 || got[0] != 3 {
-		t.Fatalf("DropAt = %v", got)
+	if got := p.DropAt; !slices.Equal(got, []int{3, 10, 11, 12}) {
+		t.Fatalf("DropAt = %v, want [3 10 11 12] (drop@N-M expands its range)", got)
 	}
 	if got := p.DelayAt; len(got) != 1 || got[0] != 1 {
 		t.Fatalf("DelayAt = %v", got)
@@ -38,9 +42,6 @@ func TestParseChaosSpecGrammar(t *testing.T) {
 			t.Fatalf("storm did not expand: StatusAt[%d] = %d", o, p.StatusAt[o])
 		}
 	}
-	if len(p.Partitions) != 2 || p.Partitions[0] != (Partition{Worker: "w1", From: 0, To: 1}) || p.Partitions[1] != (Partition{From: 9, To: 9}) {
-		t.Fatalf("Partitions = %+v", p.Partitions)
-	}
 	if p.Delay != 5*time.Millisecond || p.Seed != 42 {
 		t.Fatalf("delay/seed = %v/%d", p.Delay, p.Seed)
 	}
@@ -57,89 +58,35 @@ func TestParseChaosSpecGrammar(t *testing.T) {
 		if p.Enabled() {
 			t.Fatalf("spec %q policy claims enabled", spec)
 		}
-		if p.NewInjector("", nil) != nil {
+		if p.NewInjector(nil) != nil {
 			t.Fatalf("spec %q minted an injector", spec)
 		}
 	}
 }
 
+// TestParseChaosSpecErrors: a malformed directive fails the whole spec, and
+// the error names that directive.
 func TestParseChaosSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"explode@3",        // unknown directive
-		"drop@x",           // bad ordinal
-		"drop@-1",          // negative ordinal
-		"status@3",         // missing =CODE
-		"status@3=99",      // status out of range
-		"storm@5=503",      // missing range
-		"storm@5-2=503",    // inverted range
-		"partition@a-b=w1", // bad range bounds
-		"delay=zzz",        // bad duration
-		"delay=-1ms",       // non-positive duration
-		"seed=abc",         // bad seed
+	for _, bad := range []string{
+		"explode@3",     // unknown directive
+		"partition@2-4", // a worker's partition is drop@N-M
+		"drop@x",        // bad ordinal
+		"drop@-1",       // negative ordinal
+		"drop@a-b",      // bad range bounds
+		"drop@4-2",      // inverted range
+		"status@3",      // missing =CODE
+		"status@3=99",   // status out of range
+		"storm@5=503",   // missing range
+		"storm@5-2=503", // inverted range
+		"delay=zzz",     // bad duration
+		"delay=-1ms",    // non-positive duration
+		"seed=abc",      // bad seed
 	} {
-		if _, err := ParseChaosSpec(spec); err == nil {
-			t.Errorf("spec %q parsed; want error", spec)
-		}
-	}
-}
-
-// TestChaosInjected429IsShed: an injected 429 takes the same backpressure
-// path as a real one.
-func TestChaosInjected429IsShed(t *testing.T) {
-	ci := (&ChaosPolicy{StatusAt: map[int]int{0: 429}}).NewInjector("", obs.NewRegistry())
-	var shed *shedError
-	if err := ci.admit(nil, ci.next(), "w"); !errors.As(err, &shed) {
-		t.Fatalf("injected 429 = %v, want a *shedError", err)
-	}
-}
-
-// TestChaosAdmitDeterministicClassification pins the ordinal addressing and
-// the fault classification: drops/partitions/429/5xx are transient, other
-// injected statuses permanent — and a replay over the same policy injects
-// the identical faults at the identical ordinals.
-func TestChaosAdmitDeterministicClassification(t *testing.T) {
-	p := &ChaosPolicy{
-		DropAt:     []int{1},
-		StatusAt:   map[int]int{2: 503, 3: 404, 4: 429},
-		Partitions: []Partition{{Worker: "w9", From: 5, To: 6}},
-	}
-	for replay := 0; replay < 2; replay++ {
-		reg := obs.NewRegistry()
-		ci := p.NewInjector("", reg)
-		check := func(ord int, worker string, wantClass eval.ErrClass) {
-			t.Helper()
-			if got := ci.next(); got != ord {
-				t.Fatalf("next() = %d, want %d", got, ord)
-			}
-			err := ci.admit(nil, ord, worker)
-			if got := classify(err); got != wantClass {
-				t.Fatalf("ordinal %d: classify(%v) = %v, want %v", ord, err, got, wantClass)
-			}
-		}
-		check(0, "w1", eval.ClassNone)
-		check(1, "w1", eval.ClassTransient) // drop
-		check(2, "w1", eval.ClassTransient) // 503
-		check(3, "w1", eval.ClassPermanent) // 404
-		check(4, "w1", eval.ClassTransient) // 429, retried as backpressure
-		check(5, "w1", eval.ClassNone)      // partition names w9, not w1
-		check(6, "w9", eval.ClassTransient) // partition window hits w9
-		check(7, "w9", eval.ClassNone)      // window over
-		for kind, want := range map[string]int64{"drop": 1, "status": 3, "partition": 1} {
-			if got := reg.Counter(`fleet_chaos_injected_total{kind="` + kind + `"}`).Value(); got != int64(want) {
-				t.Errorf("replay %d: injected{%s} = %d, want %d", replay, kind, got, want)
-			}
-		}
-	}
-}
-
-func TestChaosPartitionWildcard(t *testing.T) {
-	for _, worker := range []string{"", "*"} {
-		p := Partition{Worker: worker, From: 0, To: 2}
-		if !p.matches("anyone", 1) {
-			t.Fatalf("wildcard %q did not match", worker)
-		}
-		if p.matches("anyone", 3) {
-			t.Fatalf("wildcard %q matched outside its window", worker)
+		_, err := ParseChaosSpec("drop@1," + bad + ",seed=7")
+		if err == nil {
+			t.Errorf("spec with %q parsed; want error", bad)
+		} else if !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("error %q does not name the directive %q", err, bad)
 		}
 	}
 }
@@ -151,7 +98,7 @@ func TestChaosMutateDeterministic(t *testing.T) {
 	body := []byte(`{"records":["aaaaaaaaaaaaaaaa","bbbbbbbbbbbbbbbb"]}`)
 	p := &ChaosPolicy{Seed: 7, TruncateAt: []int{0}, CorruptAt: []int{1}}
 
-	ci := p.NewInjector("", nil)
+	ci := p.NewInjector(nil)
 	if got := ci.mutate(0, append([]byte(nil), body...)); len(got) != len(body)/2 || !bytes.Equal(got, body[:len(body)/2]) {
 		t.Fatalf("truncate: got %d bytes, want first %d", len(got), len(body)/2)
 	}
@@ -170,11 +117,11 @@ func TestChaosMutateDeterministic(t *testing.T) {
 	}
 	// Same seed, same ordinal → same corruption; different seed → (for this
 	// body) a different position, proving the seed participates.
-	if again := p.NewInjector("", nil).mutate(1, body); !bytes.Equal(again, first) {
+	if again := p.NewInjector(nil).mutate(1, body); !bytes.Equal(again, first) {
 		t.Fatal("replay corrupted a different byte — chaos run not replayable")
 	}
 	other := &ChaosPolicy{Seed: 8, CorruptAt: []int{1}}
-	if got := other.NewInjector("", nil).mutate(1, body); bytes.Equal(got, first) {
+	if got := other.NewInjector(nil).mutate(1, body); bytes.Equal(got, first) {
 		t.Fatal("seed change corrupted the identical byte — seed not keyed in")
 	}
 	// Untargeted ordinals and empty bodies pass through untouched.
@@ -188,15 +135,11 @@ func TestChaosMutateDeterministic(t *testing.T) {
 
 func TestChaosNilInjectorNoOps(t *testing.T) {
 	var ci *ChaosInjector
-	if err := ci.admit(nil, 0, "w"); err != nil {
-		t.Fatal(err)
-	}
-	if got := ci.mutate(0, []byte("x")); string(got) != "x" {
-		t.Fatalf("mutate = %q", got)
-	}
-	h := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
-	if got := ci.Wrap(h); got == nil {
-		t.Fatal("Wrap(nil injector) returned nil handler")
+	var calls int
+	h := http.HandlerFunc(func(http.ResponseWriter, *http.Request) { calls++ })
+	ci.Wrap(h).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/eval", nil))
+	if calls != 1 {
+		t.Fatalf("Wrap(nil injector) called the handler %d times, want 1", calls)
 	}
 }
 
@@ -210,11 +153,10 @@ func TestChaosWrapMiddleware(t *testing.T) {
 		StatusAt:   map[int]int{0: 503},
 		TruncateAt: []int{1},
 		CorruptAt:  []int{2},
-		DropAt:     []int{4},
-		Partitions: []Partition{{Worker: "me", From: 5, To: 5}},
+		DropAt:     []int{4, 5},
 	}
 	reg := obs.NewRegistry()
-	ci := p.NewInjector("me", reg)
+	ci := p.NewInjector(reg)
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Test", "yes")
 		io.WriteString(w, payload)
@@ -258,35 +200,133 @@ func TestChaosWrapMiddleware(t *testing.T) {
 	if _, body, err := get(); err != nil || body != payload {
 		t.Fatalf("ordinal 3: body %q err %v, want clean passthrough", body, err)
 	}
-	// Ordinal 4: dropped connection — the client sees a transport error.
-	if _, _, err := get(); err == nil {
-		t.Fatal("ordinal 4: drop did not surface as a transport error")
+	// Ordinals 4 and 5: dropped connections — the client sees transport
+	// errors.
+	for ord := 4; ord <= 5; ord++ {
+		if _, _, err := get(); err == nil {
+			t.Fatalf("ordinal %d: drop did not surface as a transport error", ord)
+		}
 	}
-	// Ordinal 5: a partition naming the worker's own identity behaves like a
-	// drop on the worker side.
-	if _, _, err := get(); err == nil {
-		t.Fatal("ordinal 5: self-partition did not abort the connection")
-	}
-	for kind, want := range map[string]int64{"status": 1, "truncate": 1, "corrupt": 1, "drop": 1, "partition": 1} {
+	for kind, want := range map[string]int64{"status": 1, "truncate": 1, "corrupt": 1, "drop": 2} {
 		if got := reg.Counter(`fleet_chaos_injected_total{kind="` + kind + `"}`).Value(); got != want {
 			t.Errorf("injected{%s} = %d, want %d", kind, got, want)
 		}
 	}
 }
 
-// TestChaosAdmitDelayCancellable: an injected delay respects the caller's
-// done channel instead of sleeping through a cancelled dispatch.
-func TestChaosAdmitDelayCancellable(t *testing.T) {
-	p := &ChaosPolicy{DelayAt: []int{0}, Delay: time.Minute}
-	ci := p.NewInjector("", nil)
-	done := make(chan struct{})
-	close(done)
-	start := time.Now()
-	if err := ci.admit(done, 0, "w"); err == nil {
-		t.Fatal("cancelled delay returned nil")
+// TestChaosWrapDelayCancellable: an injected delay ends when the client
+// gives up instead of holding the handler for the full delay, and the
+// delayed request never reaches the wrapped handler.
+func TestChaosWrapDelayCancellable(t *testing.T) {
+	reg := obs.NewRegistry()
+	ci := (&ChaosPolicy{DelayAt: []int{0}, Delay: time.Minute}).NewInjector(reg)
+	var reached atomic.Bool
+	h := ci.Wrap(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { reached.Store(true) }))
+	returned := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(returned)
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		// Cancel once the request is inside the injected delay.
+		for i := 0; i < 10000 && reg.Counter(`fleet_chaos_injected_total{kind="delay"}`).Value() == 0; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("admit slept through cancellation")
+	if resp, err := ts.Client().Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatal("a cancelled request got a response")
+	}
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the injected delay held the handler after the client cancelled")
+	}
+	if reached.Load() {
+		t.Fatal("the cancelled request reached the wrapped handler")
+	}
+}
+
+// TestChaosAdmitDeterministicClassification pins the ordinal addressing and
+// what each failed dispatch is, with the faults injected where a chaos run
+// injects them: as the worker's /eval surface admits each request. A
+// dropped connection, a 503 and a torn body are transient, a 429 is a shed
+// and a 404 is permanent. Replaying the script over fresh injectors injects
+// the identical faults at the identical ordinals.
+func TestChaosAdmitDeterministicClassification(t *testing.T) {
+	p := &ChaosPolicy{
+		DropAt:     []int{1},
+		StatusAt:   map[int]int{2: 503, 3: 404, 4: 429},
+		TruncateAt: []int{5},
+	}
+	type outcome struct {
+		failed bool
+		kind   faultKind
+	}
+	want := []outcome{
+		{false, 0},             // clean
+		{true, faultTransient}, // drop
+		{true, faultTransient}, // 503
+		{true, faultPermanent}, // 404
+		{true, faultShed},      // 429
+		{true, faultTransient}, // torn body
+		{false, 0},             // clean again
+	}
+	for replay := 0; replay < 2; replay++ {
+		h := p.NewInjector(nil).Wrap(http.HandlerFunc(okEval))
+		ts := fakeWorker(t, h.ServeHTTP)
+		c, err := New([]string{ts.Listener.Addr().String()}, hedgeTestOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ord, w := range want {
+			_, derr := c.dispatch(context.Background(), testBase, shard{key: "m|p", points: []string{"p"}}, c.pool.workers[0])
+			var got outcome
+			if derr != nil {
+				got = outcome{true, derr.kind}
+			}
+			if got != w {
+				t.Errorf("replay %d, ordinal %d: got %+v (%v), want %+v", replay, ord, got, derr, w)
+			}
+		}
+		c.Close()
+	}
+}
+
+// TestChaosInjected429IsShed: an injected 429 takes the same backpressure
+// path as a real one — a shed, not a worker fault — and a real 429's
+// Retry-After hint rides along on it.
+func TestChaosInjected429IsShed(t *testing.T) {
+	dispatchOnce := func(h http.HandlerFunc) *dispatchError {
+		t.Helper()
+		ts := fakeWorker(t, h)
+		c, err := New([]string{ts.Listener.Addr().String()}, hedgeTestOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, derr := c.dispatch(context.Background(), testBase, shard{key: "m|p", points: []string{"p"}}, c.pool.workers[0])
+		return derr
+	}
+
+	injected := (&ChaosPolicy{StatusAt: map[int]int{0: 429}}).NewInjector(nil).Wrap(http.HandlerFunc(okEval))
+	if derr := dispatchOnce(injected.ServeHTTP); derr == nil || derr.kind != faultShed {
+		t.Fatalf("injected 429 = %+v, want a shed", derr)
+	}
+	hinted := func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "2")
+		http.Error(w, "saturated", http.StatusTooManyRequests)
+	}
+	if derr := dispatchOnce(hinted); derr == nil || derr.kind != faultShed || derr.hint != 2*time.Second {
+		t.Fatalf("429 with Retry-After 2 = %+v, want a shed with a 2s hint", derr)
 	}
 }
 
@@ -307,26 +347,24 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// TestRetryDelayHonorsRetryAfterCapped: the worker's hint overrides the
-// deterministic schedule but can never exceed the retry policy's BackoffCap.
+// TestRetryDelayHonorsRetryAfterCapped: the worker's hint replaces the
+// deterministic schedule's delay, longer or shorter, but can never exceed
+// the retry policy's BackoffCap.
 func TestRetryDelayHonorsRetryAfterCapped(t *testing.T) {
 	c := &Coordinator{retry: eval.RetryPolicy{Backoff: 4 * time.Millisecond, BackoffCap: 32 * time.Millisecond}}
-	base := errors.New("worker w: status 429")
-	if got := c.retryDelay(1, base); got != 4*time.Millisecond {
+	shed := failed(faultShed, "worker w: status 429")
+	if got := c.retryDelay(1, shed); got != 4*time.Millisecond {
 		t.Fatalf("no hint: delay = %v, want the schedule's 4ms", got)
 	}
-	hinted := &retryAfterError{err: base, hint: 10 * time.Millisecond}
-	if got := c.retryDelay(1, hinted); got != 10*time.Millisecond {
+	shed.hint = 10 * time.Millisecond
+	if got := c.retryDelay(1, shed); got != 10*time.Millisecond {
 		t.Fatalf("hint below cap: delay = %v, want 10ms", got)
 	}
-	huge := &retryAfterError{err: base, hint: time.Hour}
-	if got := c.retryDelay(1, huge); got != 32*time.Millisecond {
-		t.Fatalf("hint above cap: delay = %v, want the 32ms cap", got)
+	if got := c.retryDelay(3, shed); got != 10*time.Millisecond {
+		t.Fatalf("hint below the schedule's 16ms: delay = %v, want 10ms", got)
 	}
-	// The hint must survive fmt-style wrapping, as postEval produces it.
-	wrapped := &retryAfterError{err: base, hint: 8 * time.Millisecond}
-	var ra *retryAfterError
-	if !errors.As(wrapped, &ra) || ra.hint != 8*time.Millisecond {
-		t.Fatal("retryAfterError not recoverable via errors.As")
+	shed.hint = time.Hour
+	if got := c.retryDelay(1, shed); got != 32*time.Millisecond {
+		t.Fatalf("hint above cap: delay = %v, want the 32ms cap", got)
 	}
 }

@@ -31,18 +31,23 @@
 //     past its deadline, or transport failure — re-dispatches the shard to
 //     the next healthy worker (work stealing). Late and duplicate results
 //     need no gate: installing a content-addressed record twice is a no-op.
-//   - Faults are classified with eval.ErrClass semantics: connection
-//     refused/timeouts/5xx are transient (retried at once on an untried
-//     worker, after a capped deterministic backoff on one already tried);
-//     4xx and model-version skew are permanent (surfaced in the campaign
-//     report, never retried). Version skew additionally quarantines the
-//     worker, and dispatchFaultLimit transient faults in a row mark it
-//     unreachable until its next good readyz probe. A 429 is backpressure,
-//     not a fault: it is retried like a transient but never charged to the
-//     worker.
+//   - A failed dispatch attempt is a dispatchError, whose kind says what
+//     happened: transport errors, timeouts, 5xx and torn bodies are
+//     transient (retried at once on an untried worker, after a capped
+//     deterministic backoff on one already tried); other 4xx and
+//     model-version skew are permanent (surfaced in the campaign report,
+//     never retried). Version skew additionally quarantines the worker, and
+//     dispatchFaultLimit transient faults in a row mark it unreachable until
+//     its next good readyz probe. A 429 is a shed: backpressure, not a
+//     fault, retried like a transient but never charged to the worker.
 //   - With zero healthy workers every shard falls back to pure local
 //     execution while the monitor keeps probing; workers rejoin
 //     transparently.
+//
+// Faults are injected for testing only at the worker (ChaosPolicy, wrapped
+// around its /eval handler by `xdse serve -chaos`), so the coordinator's
+// dispatch path holds production logic alone and meets every injected fault
+// as a genuine HTTP outcome.
 package fleet
 
 import (
@@ -75,9 +80,6 @@ type Options struct {
 	// and the first result wins (the loser is cancelled and ignored). 0
 	// selects the 2.5s default; negative disables hedging.
 	HedgeAfter time.Duration
-	// Chaos, when non-nil (and non-empty), deterministically injects faults
-	// into the coordinator's dispatch path — see ChaosPolicy.
-	Chaos *ChaosPolicy
 	// Warnf, when non-nil, receives human-readable fleet events
 	// (membership transitions, steals, hedges, permanent faults).
 	Warnf func(format string, args ...any)
@@ -120,7 +122,6 @@ type Coordinator struct {
 	reg    *obs.Registry
 	pool   *pool
 	client *http.Client
-	chaos  *ChaosInjector
 
 	// version is the cost-model version workers and their records must
 	// match: perf.ModelVersion().
@@ -170,7 +171,6 @@ func New(workers []string, opts Options) (*Coordinator, error) {
 		opts:       opts,
 		reg:        reg,
 		client:     client,
-		chaos:      opts.Chaos.NewInjector("", reg),
 		cShards:    reg.Counter("fleet_shards_dispatched_total"),
 		cStolen:    reg.Counter("fleet_leases_stolen_total"),
 		cRetries:   reg.Counter("fleet_retries_total"),
@@ -337,39 +337,54 @@ func (c *Coordinator) shard(model string, keys []string) []shard {
 	return out
 }
 
-// permanentError marks a fault retrying cannot heal (eval.ClassPermanent
-// semantics): bad request, unknown model/mode, or model-version skew.
-type permanentError struct{ err error }
+// faultKind says what happened to a failed dispatch attempt.
+type faultKind uint8
+
+const (
+	// faultTransient is a transport error, a timeout, a 5xx or a torn body:
+	// the shard is retried and the worker charged a fault.
+	faultTransient faultKind = iota
+	// faultShed is a 429, a worker shedding load: backpressure, not a
+	// fault. The shard is retried like a transient one, but the worker is
+	// charged nothing.
+	faultShed
+	// faultPermanent is another 4xx or model-version skew: retrying cannot
+	// heal it, so it is reported and the shard evaluates locally.
+	faultPermanent
+)
+
+// dispatchError is one failed dispatch attempt: its kind, the worker's
+// Retry-After hint when the worker sent one, and the underlying error. A
+// hint replaces the retry schedule's delay before the next pass over the
+// workers, capped at BackoffCap (see retryDelay). Hints are whole seconds,
+// so a hint lengthens the schedule's 50ms first delay to 1-2s.
+type dispatchError struct {
+	kind faultKind
+	hint time.Duration
+	err  error
+}
+
+// failed builds a dispatchError of the given kind around a formatted error.
+func failed(kind faultKind, format string, args ...any) *dispatchError {
+	return &dispatchError{kind: kind, err: fmt.Errorf(format, args...)}
+}
 
 // Error implements error.
-func (e *permanentError) Error() string { return e.err.Error() }
+func (e *dispatchError) Error() string { return e.err.Error() }
 
-// Unwrap exposes the underlying fault.
-func (e *permanentError) Unwrap() error { return e.err }
-
-// classify maps a dispatch error to eval.ErrClass semantics.
-func classify(err error) eval.ErrClass {
-	if err == nil {
-		return eval.ClassNone
-	}
-	var pe *permanentError
-	if errors.As(err, &pe) {
-		return eval.ClassPermanent
-	}
-	return eval.ClassTransient
-}
+// Unwrap exposes the underlying error.
+func (e *dispatchError) Unwrap() error { return e.err }
 
 // runShard drives one shard to completion: dispatch (hedged when the attempt
 // straggles), steal at once to an untried healthy worker on a transient fault
-// or shed, back off (capped, shortened by a worker's Retry-After hint) only
-// before a second pass over workers already tried, record permanent faults,
-// and fall back to local evaluation when attempts run out or no worker
-// remains. Returns the records to install (nil means the coordinator computes
-// the shard's layers itself).
+// or shed, back off (see retryDelay) only before a second pass over workers
+// already tried, record permanent faults, and fall back to local evaluation
+// when attempts run out or no worker remains. Returns the records to install
+// (nil means the coordinator computes the shard's layers itself).
 func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) []evalcache.Record {
 	c.cShards.Inc()
 	tried := make(map[int]bool)
-	var lastErr error
+	var lastErr *dispatchError
 	for attempt := 1; ; attempt++ {
 		if ctx.Err() != nil {
 			return nil
@@ -394,10 +409,10 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 			}
 		}
 		recs, faultW, err := c.dispatchHedged(ctx, base, sh, w, idx, tried)
-		switch classify(err) {
-		case eval.ClassNone:
+		if err == nil {
 			return recs
-		case eval.ClassPermanent:
+		}
+		if err.kind == faultPermanent {
 			c.recordFault(fmt.Sprintf("shard %s on worker %s: %v", sh.key, faultW.id, err))
 			c.cLocal.Inc()
 			return nil
@@ -412,24 +427,22 @@ func (c *Coordinator) runShard(ctx context.Context, base EvalRequest, sh shard) 
 	}
 }
 
-// retryDelay resolves the pre-retry sleep: the deterministic exponential
-// schedule, shortened by the worker's own Retry-After hint when one
-// accompanied the fault. The hint is trusted only downward-ish — it is
-// capped at the schedule's ceiling so a worker advertising a huge hold-off
-// cannot stall a shard past the campaign's own bound.
-func (c *Coordinator) retryDelay(attempt int, err error) time.Duration {
-	d := c.retry.DelayBefore(attempt)
-	var ra *retryAfterError
-	if errors.As(err, &ra) && ra.hint > 0 {
-		d = min(ra.hint, c.retry.BackoffCap)
+// retryDelay resolves the sleep before a second pass over the workers: the
+// deterministic exponential schedule, or, when the last fault carried the
+// worker's Retry-After hint, that hint in its place. The hint is capped at
+// BackoffCap, so a worker advertising a huge hold-off cannot stall a shard
+// past the schedule's own bound.
+func (c *Coordinator) retryDelay(attempt int, err *dispatchError) time.Duration {
+	if err != nil && err.hint > 0 {
+		return min(err.hint, c.retry.BackoffCap)
 	}
-	return d
+	return c.retry.DelayBefore(attempt)
 }
 
 // attemptResult is one dispatch attempt's outcome inside dispatchHedged.
 type attemptResult struct {
 	recs  []evalcache.Record
-	err   error
+	err   *dispatchError
 	w     *worker
 	idx   int
 	hedge bool
@@ -450,7 +463,7 @@ type attemptResult struct {
 // because only this function knows which workers actually dispatched. A 429
 // shed is backpressure: the worker is marked tried and counted in
 // fleet_worker_shed_total, but is charged no fault.
-func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh shard, w *worker, idx int, tried map[int]bool) ([]evalcache.Record, *worker, error) {
+func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh shard, w *worker, idx int, tried map[int]bool) ([]evalcache.Record, *worker, *dispatchError) {
 	tr, dispatchSC, _ := obs.SpanFromContext(ctx)
 
 	results := make(chan attemptResult, 2)
@@ -477,7 +490,7 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 	var hsp obs.Span // the hedge attempt's covering span
 	var winner attemptResult
 	haveWinner := false
-	var transientErr, permanentErr error
+	var transientErr, permanentErr *dispatchError
 	var transientW, permanentW *worker
 
 	for inflight > 0 {
@@ -517,7 +530,6 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 				continue
 			}
 			c.pool.dispatched(res.w, res.err)
-			var shed *shedError
 			switch {
 			case res.err == nil:
 				winner, haveWinner = res, true
@@ -527,7 +539,7 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 				} else {
 					hcancel()
 				}
-			case errors.As(res.err, &shed):
+			case res.err.kind == faultShed:
 				c.workerCounter("fleet_worker_shed_total", res.w.id).Inc()
 				tried[res.idx] = true
 				if transientErr == nil {
@@ -536,7 +548,7 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, base EvalRequest, sh s
 			default:
 				c.workerCounter("fleet_worker_faults_total", res.w.id).Inc()
 				tried[res.idx] = true
-				if classify(res.err) == eval.ClassPermanent {
+				if res.err.kind == faultPermanent {
 					permanentErr, permanentW = res.err, res.w
 				} else if transientErr == nil {
 					transientErr, transientW = res.err, res.w
@@ -581,8 +593,8 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // dispatch performs one attempt of sh on w under the maxShardHold deadline:
 // a worker that has not answered by then has its request cancelled, and the
-// attempt fails as a transient fault. Errors are classified by classify.
-func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, w *worker) (recs []evalcache.Record, err error) {
+// attempt fails as a transient fault.
+func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, w *worker) (recs []evalcache.Record, err *dispatchError) {
 	req := base
 	req.Points = sh.points
 
@@ -607,14 +619,14 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 	if err != nil {
 		return nil, err
 	}
-	hdr, recs, rejected, err := DecodeEvalBody(body, c.version)
-	if err != nil {
+	hdr, recs, rejected, derr := DecodeEvalBody(body, c.version)
+	if derr != nil {
 		// A torn or unreadable body is transient, like a dropped connection.
-		return nil, fmt.Errorf("worker %s: decode response: %w", w.id, err)
+		return nil, failed(faultTransient, "worker %s: decode response: %w", w.id, derr)
 	}
 	if hdr.ModelVersion != c.version {
 		c.pool.mark(w, workerQuarantined, fmt.Sprintf("response model version %q, want %q", hdr.ModelVersion, c.version))
-		return nil, &permanentError{fmt.Errorf("worker %s: response model version %q, want %q", w.id, hdr.ModelVersion, c.version)}
+		return nil, failed(faultPermanent, "worker %s: response model version %q, want %q", w.id, hdr.ModelVersion, c.version)
 	}
 	// The result is accepted: merge the worker-side spans into the local
 	// trace. Spans of discarded (timed-out, errored, skewed) results never
@@ -628,32 +640,6 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 	c.cRejected.Add(int64(rejected))
 	return recs, nil
 }
-
-// retryAfterError decorates a transient status fault with the worker's own
-// Retry-After hint, which runShard folds into its backoff (capped at the
-// retry policy's BackoffCap).
-type retryAfterError struct {
-	err  error
-	hint time.Duration
-}
-
-// Error implements error.
-func (e *retryAfterError) Error() string { return e.err.Error() }
-
-// Unwrap exposes the underlying fault.
-func (e *retryAfterError) Unwrap() error { return e.err }
-
-// shedError is a worker's 429: it is shedding load. That is backpressure,
-// not a fault — the shard is retried like a transient fault (the worker's
-// Retry-After hint, when one is wrapped, shortens the backoff), but
-// dispatchHedged charges the worker no fault.
-type shedError struct{ err error }
-
-// Error implements error.
-func (e *shedError) Error() string { return e.err.Error() }
-
-// Unwrap exposes the underlying fault (possibly a *retryAfterError).
-func (e *shedError) Unwrap() error { return e.err }
 
 // parseRetryAfter reads a Retry-After header as delay seconds. HTTP-date
 // values (the other legal form) are ignored — honoring them would couple the
@@ -671,30 +657,19 @@ func parseRetryAfter(h string) time.Duration {
 }
 
 // postEval performs the HTTP round trip for one shard and returns the body of
-// a 200 for DecodeEvalBody. Any other status is an error: 412 quarantines
-// (permanent), other 4xx are permanent, 5xx/transport errors are transient,
-// and 429 is a *shedError (both carrying the worker's Retry-After hint when
-// present). A non-zero span context rides the obs.TraceHeader so the worker
-// links its spans under ours. A configured chaos injector intercepts here —
-// the RPC boundary — consuming one ordinal per call: drops, partitions,
-// delays, and injected statuses act before the real round trip; truncation
-// and corruption mutate the real response body.
-func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, sc obs.SpanContext) ([]byte, error) {
-	ord := -1
-	if c.chaos != nil {
-		ord = c.chaos.next()
-		if err := c.chaos.admit(ctx.Done(), ord, w.id); err != nil {
-			// Wrapping keeps the injected fault's class visible to errors.As.
-			return nil, fmt.Errorf("worker %s: %w", w.id, err)
-		}
-	}
+// a 200 for DecodeEvalBody. Any other outcome is a dispatchError: a transport
+// error or 5xx is transient, a 429 a shed (both carrying the worker's
+// Retry-After hint when present), a 412 quarantines the worker (permanent),
+// and any other status is permanent. A non-zero span context rides the
+// obs.TraceHeader so the worker links its spans under ours.
+func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, sc obs.SpanContext) ([]byte, *dispatchError) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, &permanentError{fmt.Errorf("encode request: %w", err)}
+		return nil, failed(faultPermanent, "encode request: %w", err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/eval", bytes.NewReader(body))
 	if err != nil {
-		return nil, &permanentError{fmt.Errorf("build request: %w", err)}
+		return nil, failed(faultPermanent, "build request: %w", err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	if sc.Span != "" {
@@ -702,33 +677,28 @@ func (c *Coordinator) postEval(ctx context.Context, w *worker, req EvalRequest, 
 	}
 	resp, err := c.client.Do(hreq)
 	if err != nil {
-		return nil, fmt.Errorf("worker %s: %w", w.id, err)
+		return nil, failed(faultTransient, "worker %s: %w", w.id, err)
 	}
 	defer resp.Body.Close()
 	data, err := readBody(resp)
 	if err != nil {
-		return nil, fmt.Errorf("worker %s: read response: %w", w.id, err)
-	}
-	if ord >= 0 {
-		data = c.chaos.mutate(ord, data)
+		return nil, failed(faultTransient, "worker %s: read response: %w", w.id, err)
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		return data, nil
 	case resp.StatusCode == http.StatusPreconditionFailed:
 		c.pool.mark(w, workerQuarantined, "eval handshake: "+strings.TrimSpace(string(data)))
-		return nil, &permanentError{fmt.Errorf("worker %s: model version skew: %s", w.id, strings.TrimSpace(string(data)))}
+		return nil, failed(faultPermanent, "worker %s: model version skew: %s", w.id, strings.TrimSpace(string(data)))
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-		err := fmt.Errorf("worker %s: status %d", w.id, resp.StatusCode)
-		if hint := parseRetryAfter(resp.Header.Get("Retry-After")); hint > 0 {
-			err = &retryAfterError{err: err, hint: hint}
-		}
+		e := failed(faultTransient, "worker %s: status %d", w.id, resp.StatusCode)
 		if resp.StatusCode == http.StatusTooManyRequests {
-			err = &shedError{err}
+			e.kind = faultShed
 		}
-		return nil, err
+		e.hint = parseRetryAfter(resp.Header.Get("Retry-After"))
+		return nil, e
 	default:
-		return nil, &permanentError{fmt.Errorf("worker %s: status %d: %s", w.id, resp.StatusCode, strings.TrimSpace(string(data)))}
+		return nil, failed(faultPermanent, "worker %s: status %d: %s", w.id, resp.StatusCode, strings.TrimSpace(string(data)))
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"xdse/internal/eval"
 	"xdse/internal/perf"
 )
 
@@ -143,10 +142,10 @@ func TestDispatchLateResultDiscarded(t *testing.T) {
 	defer c.Close()
 	c.maxShardHold = 50 * time.Millisecond
 
-	recs, err := c.dispatch(context.Background(), testBase, shard{key: "m|p1", points: []string{"p1"}}, c.pool.workers[0])
+	recs, derr := c.dispatch(context.Background(), testBase, shard{key: "m|p1", points: []string{"p1"}}, c.pool.workers[0])
 	close(release) // the worker answers now, after the deadline
-	if !errors.Is(err, context.DeadlineExceeded) || classify(err) != eval.ClassTransient {
-		t.Fatalf("dispatch err = %v, want a transient deadline fault", err)
+	if derr == nil || derr.kind != faultTransient || !errors.Is(derr, context.DeadlineExceeded) {
+		t.Fatalf("dispatch err = %v, want a transient deadline fault", derr)
 	}
 	if recs != nil {
 		t.Fatal("timed-out attempt still returned records")

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xdse/internal/eval"
 	"xdse/internal/obs"
 )
 
@@ -235,11 +233,10 @@ func (p *pool) mark(w *worker, to workerState, why string) {
 // straight back to unreachable. A 429 shed is backpressure and a permanent
 // fault quarantines or is reported; neither says anything about w's
 // dispatch path, so neither touches the count.
-func (p *pool) dispatched(w *worker, err error) {
-	var shed *shedError
+func (p *pool) dispatched(w *worker, err *dispatchError) {
 	if err == nil {
 		w.faults.Store(0)
-	} else if !errors.As(err, &shed) && classify(err) == eval.ClassTransient {
+	} else if err.kind == faultTransient {
 		if n := w.faults.Add(1); n >= dispatchFaultLimit && w.healthy() {
 			p.mark(w, workerUnreachable, fmt.Sprintf("%d consecutive dispatch faults, last: %v", n, err))
 		}

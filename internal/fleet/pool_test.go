@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -126,11 +125,9 @@ func faultTestPool(t *testing.T) (*pool, *obs.Registry) {
 	return p, reg
 }
 
-var errTransient = errors.New("status 503")
-
 func faultN(p *pool, w *worker, n int) {
 	for i := 0; i < n; i++ {
-		p.dispatched(w, errTransient)
+		p.dispatched(w, failed(faultTransient, "status 503"))
 	}
 }
 
@@ -156,8 +153,9 @@ func TestBreakerOpensAfterConsecutiveTransients(t *testing.T) {
 	}
 
 	q := p.workers[1]
-	shed := &shedError{&retryAfterError{err: errTransient, hint: time.Second}}
-	permanent := &permanentError{errors.New("status 400")}
+	shed := failed(faultShed, "status 429")
+	shed.hint = time.Second
+	permanent := failed(faultPermanent, "status 400")
 	for i := 0; i < dispatchFaultLimit; i++ {
 		p.dispatched(q, shed)
 		p.dispatched(q, permanent)

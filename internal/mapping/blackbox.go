@@ -58,7 +58,7 @@ func AnnealSearch(l workload.Layer, trials int, rng *rand.Rand, cost Cost) Resul
 	}
 
 	temp := 0.5 * curScore
-	alpha := math.Pow(1e-3, 1.0/float64(maxInt(trials, 2)))
+	alpha := math.Pow(1e-3, 1.0/float64(max(trials, 2)))
 	for res.Evaluated < trials {
 		next := mutate(cur, dims, rng)
 		nextScore := mappingScore(cost, next)
@@ -85,7 +85,7 @@ func GeneticSearch(l workload.Layer, trials int, rng *rand.Rand, cost Cost) Resu
 	res := Result{Cycles: math.Inf(1)}
 	pop := 16
 	if pop > trials {
-		pop = maxInt(trials, 2)
+		pop = max(trials, 2)
 	}
 
 	type indiv struct {
@@ -212,11 +212,4 @@ func BayesSearch(l workload.Layer, trials int, rng *rand.Rand, cost Cost) Result
 	}
 	res.CostCalls = res.Evaluated
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -112,10 +112,3 @@ func (g Genetic) Run(p *search.Problem, rng *rand.Rand) *search.Trace {
 		cur = next
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -110,10 +110,3 @@ func (Random) Run(p *search.Problem, rng *rand.Rand) *search.Trace {
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

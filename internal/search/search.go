@@ -346,28 +346,6 @@ func (t *Trace) AreaPowerFraction() float64 {
 	return float64(n) / float64(len(t.Steps))
 }
 
-// MeanStepReduction returns the geometric-mean factor by which the running
-// best feasible objective shrinks per acquisition that updates it — the
-// Table 3 "objective reduced at every attempt" metric.
-func (t *Trace) MeanStepReduction() float64 {
-	prev := math.Inf(1)
-	logSum, n := 0.0, 0
-	for _, s := range t.Steps {
-		if math.IsInf(s.BestSoFar, 1) {
-			continue
-		}
-		if !math.IsInf(prev, 1) && s.BestSoFar < prev {
-			logSum += math.Log(prev / s.BestSoFar)
-			n++
-		}
-		prev = s.BestSoFar
-	}
-	if n == 0 {
-		return 1
-	}
-	return math.Exp(logSum / float64(n))
-}
-
 // ReductionPerAttempt returns the average percentage by which the running
 // best feasible objective shrinks per acquisition, geometric-mean over all
 // acquisitions after the first feasible one (non-improving acquisitions

@@ -157,22 +157,6 @@ func TestFeasibleFractions(t *testing.T) {
 	}
 }
 
-func TestMeanStepReduction(t *testing.T) {
-	p := toyProblem(10)
-	tr := &Trace{}
-	pt := p.Space.Initial()
-	// 100 -> 50 -> 25: two improving steps of 2x each.
-	tr.Record(p, pt, Costs{Objective: 100, Feasible: true})
-	tr.Record(p, pt, Costs{Objective: 50, Feasible: true})
-	tr.Record(p, pt, Costs{Objective: 25, Feasible: true})
-	if got := tr.MeanStepReduction(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("mean step reduction = %v, want 2", got)
-	}
-	if (&Trace{}).MeanStepReduction() != 1 {
-		t.Fatal("empty trace reduction should be 1")
-	}
-}
-
 func TestReductionPerAttempt(t *testing.T) {
 	p := toyProblem(10)
 	tr := &Trace{}

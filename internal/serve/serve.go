@@ -85,13 +85,10 @@ type Options struct {
 	// Chaos, when non-nil (and non-empty), deterministically injects
 	// faults into this worker's POST /eval surface — dropped connections,
 	// delays, injected statuses, truncated/corrupted response bodies — by
-	// request ordinal: the worker half of fleet.ChaosPolicy, driven by the
-	// chaos-smoke CI job and resilience tests. Production deployments
-	// leave it nil.
+	// request ordinal (see fleet.ChaosPolicy). It is the fleet's only
+	// fault-injection point, driven by the chaos-smoke CI job and
+	// resilience tests. Production deployments leave it nil.
 	Chaos *fleet.ChaosPolicy
-	// ChaosSelf names this worker for Chaos partition matching (Partition
-	// entries whose Worker equals it, "", or "*" apply).
-	ChaosSelf string
 	// CacheDir, when non-empty, opens the cross-run persistent evaluation
 	// store (internal/evalcache) there and shares it across every job: a
 	// resubmitted or related job answers repeated layer searches from disk
@@ -239,7 +236,7 @@ func New(opts Options) (*Server, error) {
 		evalSem:  make(chan struct{}, opts.EvalConcurrent),
 		evalPool: make(map[evalPoolKey]*eval.Evaluator),
 	}
-	s.chaos = opts.Chaos.NewInjector(opts.ChaosSelf, reg)
+	s.chaos = opts.Chaos.NewInjector(reg)
 	s.evalEndpointMetrics(reg)
 	s.sampler = obs.NewRuntimeSampler(reg, opts.RuntimeSample)
 	s.drainCtx, s.drainCancel = context.WithCancelCause(context.Background())
