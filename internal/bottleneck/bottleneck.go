@@ -16,7 +16,7 @@ package bottleneck
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -190,26 +190,32 @@ func Contributions(root *Node) map[*Node]float64 {
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		cn := contrib[n]
-		switch n.Op {
-		case AddOp, MaxOp, MinOp:
-			total := n.Value
-			for _, c := range n.Children {
-				if total != 0 {
-					contrib[c] = cn * c.Value / total
-				} else {
-					contrib[c] = 0
-				}
-				rec(c)
-			}
-		case MulOp, DivOp:
-			for _, c := range n.Children {
-				contrib[c] = cn
+		for _, c := range n.Children {
+			if cc, ok := share(n, c, cn); ok {
+				contrib[c] = cc
 				rec(c)
 			}
 		}
 	}
 	rec(root)
 	return contrib
+}
+
+// share returns child c's contribution to the root cost, given its
+// evaluated parent n's contribution cn: proportional to its value at add,
+// max and min nodes (0 when n's value is 0), all of cn at mul and div
+// nodes. ok is false below a leaf, whose children contribute nothing.
+func share(n, c *Node, cn float64) (cc float64, ok bool) {
+	switch n.Op {
+	case AddOp, MaxOp, MinOp:
+		if total := n.Value; total != 0 {
+			return cn * c.Value / total, true
+		}
+		return 0, true
+	case MulOp, DivOp:
+		return cn, true
+	}
+	return 0, false
 }
 
 // maxScaling caps predicted one-shot scalings so a single acquisition never
@@ -237,39 +243,49 @@ type Bottleneck struct {
 // Analyze evaluates the tree and returns up to n bottlenecks in decreasing
 // contribution order. For a max root, the scaling of the dominant factor is
 // root/second-highest (the Fig. 8 balance rule); for an add root it is the
-// Amdahl balance 1/(1-contribution). Factors are the root's children; a
-// root with no children yields no bottlenecks.
+// Amdahl balance 1/(1-contribution). Factors are the root's children, each
+// contributing its Contributions share, which only the root decides; a root
+// with no children yields no bottlenecks.
 func Analyze(root *Node, n int) []Bottleneck {
 	root.Eval()
-	contrib := Contributions(root)
 	if len(root.Children) == 0 || n <= 0 {
 		return nil
 	}
 
-	factors := append([]*Node(nil), root.Children...)
-	sort.SliceStable(factors, func(i, j int) bool {
-		return contrib[factors[i]] > contrib[factors[j]]
-	})
-	if n > len(factors) {
-		n = len(factors)
+	type factor struct {
+		node    *Node
+		contrib float64
 	}
-
-	var out []Bottleneck
-	for i := 0; i < n; i++ {
-		f := factors[i]
-		b := Bottleneck{
-			Factor:       f,
-			Contribution: contrib[f],
-			Scaling:      scalingFor(root, f, contrib[f]),
+	// Roots seldom have more than a few children, so the factors usually
+	// stay on the stack.
+	var buf [8]factor
+	factors := buf[:0]
+	for _, c := range root.Children {
+		cc, _ := share(root, c, 1)
+		factors = append(factors, factor{c, cc})
+	}
+	// A stable sort by the strict >: ties, and NaN shares, which compare
+	// with nothing, keep the order the sort leaves them in.
+	slices.SortStableFunc(factors, func(a, b factor) int {
+		switch {
+		case a.contrib > b.contrib:
+			return -1
+		case b.contrib > a.contrib:
+			return 1
 		}
+		return 0
+	})
+
+	out := make([]Bottleneck, min(n, len(factors)))
+	for i := range out {
+		f, b := factors[i], &out[i]
+		b.Factor, b.Contribution = f.node, f.contrib
+		b.Scaling = scalingFor(root, f.node, f.contrib)
 		// Descend the critical path, collecting parameter associations.
-		node := f
-		for node != nil {
+		for node := f.node; node != nil; node = criticalChild(node) {
 			b.Critical = append(b.Critical, node)
 			b.Params = append(b.Params, node.Params...)
-			node = criticalChild(node)
 		}
-		out = append(out, b)
 	}
 	return out
 }
@@ -380,20 +396,12 @@ func Render(root *Node) string {
 			b.WriteByte(']')
 		}
 		b.WriteByte('\n')
-		// Children's shares follow Contributions exactly: proportional at
-		// add/max/min nodes, inherited at mul/div nodes, none below a leaf.
+		// Children's shares follow Contributions exactly: none below a
+		// leaf, or below a node without one.
 		for _, c := range n.Children {
 			cc, has := 0.0, false
 			if hasContrib {
-				switch n.Op {
-				case AddOp, MaxOp, MinOp:
-					if total := n.Value; total != 0 {
-						cc = contrib * c.Value / total
-					}
-					has = true
-				case MulOp, DivOp:
-					cc, has = contrib, true
-				}
+				cc, has = share(n, c, contrib)
 			}
 			rec(c, depth+1, cc, has)
 		}

@@ -10,10 +10,12 @@ import (
 )
 
 // renderFmt is the fmt-based renderer Render replaced, kept as its
-// reference: Render must print the same bytes for every tree.
+// reference: Render must print the same bytes for every tree. Its shares
+// come from contributionsRef, since Render shares its per-child rule with
+// Contributions.
 func renderFmt(root *Node) string {
 	root.Eval()
-	contrib := Contributions(root)
+	contrib := contributionsRef(root)
 	var b strings.Builder
 	var rec func(n *Node, depth int)
 	rec = func(n *Node, depth int) {

@@ -34,6 +34,21 @@ func (e *Evaluator) Memoized(key string) bool {
 	return ok
 }
 
+// RecordStrings returns a new table of the strings the records of this
+// evaluator share, each keyed by itself: its slots' shape keys, its mapper
+// mode's name and perf.ModelVersion. A fleet coordinator decodes its
+// workers' records against it (evalcache.DecodeRecord's known table), so
+// the records it installs hold these strings instead of copies.
+func (e *Evaluator) RecordStrings() map[string]string {
+	version, mode := perf.ModelVersion(), e.cfg.Mode.String()
+	known := make(map[string]string, len(e.slots)+2)
+	known[version], known[mode] = version, mode
+	for i := range e.slots {
+		known[e.slots[i].shape] = e.slots[i].shape
+	}
+	return known
+}
+
 // AppendRecords appends the content-addressed layer records of results,
 // results of this evaluator, to dst as record lines (evalcache.AppendRecord)
 // under perf.ModelVersion, and returns the extended buffer and the number of

@@ -25,7 +25,7 @@ func recordsOf(tb testing.TB, e *Evaluator, results ...*Result) []evalcache.Reco
 	}
 	var recs []evalcache.Record
 	for _, line := range lines[:n] {
-		rec, version, err := evalcache.DecodeRecord(line, nil)
+		rec, version, err := evalcache.DecodeRecord(line, nil, nil)
 		if err != nil || version != perf.ModelVersion() {
 			tb.Fatalf("decode %q: %v (version %q)", line, err, version)
 		}

@@ -64,14 +64,17 @@ func LineSizeHint(key Key, version string) int {
 // where it lies, verifying the CRC before trusting the payload, and returns
 // the record with the version stamp it was written under. strs interns the
 // key's strings and the version across the lines of one batch, as a store's
-// load does; nil copies each. Either way they are copies, so the record does
-// not keep line alive. Callers must check the version against their own
-// perf.ModelVersion before installing the entry.
-func DecodeRecord(line []byte, strs map[string]string) (Record, string, error) {
+// load does; nil copies each. known, when set, is looked up first and never
+// written, so concurrent decoders may share it: a fleet coordinator keeps
+// there the strings every record of a run shares. Either way the strings
+// are not line's bytes, so the record does not keep line alive. Callers
+// must check the version against their own perf.ModelVersion before
+// installing the entry.
+func DecodeRecord(line []byte, known, strs map[string]string) (Record, string, error) {
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]
 	}
-	key, ent, version, _, err := decode(line, strs)
+	key, ent, version, _, err := decode(line, known, strs)
 	if err != nil {
 		return Record{}, "", err
 	}
@@ -127,10 +130,9 @@ func appendLine(dst []byte, key Key, ent Entry, version string, at int64) ([]byt
 
 // decode parses one line (without its newline), verifying the CRC before
 // trusting anything in the payload; the fourth return is the record's
-// write stamp. strs interns the strings of the key and the version across
-// the lines of one load (nil copies each); either way they are copies, so
-// the key does not keep the line alive.
-func decode(line []byte, strs map[string]string) (Key, Entry, string, int64, error) {
+// write stamp. The key's strings and the version come from known or are
+// interned in strs (see intern), so the key does not keep the line alive.
+func decode(line []byte, known, strs map[string]string) (Key, Entry, string, int64, error) {
 	payload, err := checkpoint.UnframeLine(line)
 	if err != nil {
 		return Key{}, Entry{}, "", 0, err
@@ -138,14 +140,14 @@ func decode(line []byte, strs map[string]string) (Key, Entry, string, int64, err
 	if len(payload) > 0 && payload[0] == '{' {
 		return decodeJSON(payload)
 	}
-	return decodeFields(payload, strs)
+	return decodeFields(payload, known, strs)
 }
 
 // decodeFields parses a fixed-field payload in one left-to-right pass. It
 // refuses a wrong field or factor count, an unknown tag, found other than
 // 0 or 1, an integer that is not an optional '-' and 1 to 19 digits within
 // its bit size, a stationary tensor out of range and a newline anywhere.
-func decodeFields(payload []byte, strs map[string]string) (Key, Entry, string, int64, error) {
+func decodeFields(payload []byte, known, strs map[string]string) (Key, Entry, string, int64, error) {
 	r := fieldReader{rest: payload}
 	if tag := r.str(); r.err == nil && string(tag) != recordTag {
 		r.fail("unknown tag %q", tag)
@@ -178,8 +180,8 @@ func decodeFields(payload []byte, strs map[string]string) (Key, Entry, string, i
 	}
 	ent.Mapping.DRAMStationary = mapping.Tensor(dram)
 	ent.Mapping.NoCStationary = mapping.Tensor(noc)
-	key := Key{Shape: intern(strs, shape), Sub: intern(strs, sub), Mode: intern(strs, mode), Trials: int(budget), Salt: salt}
-	return key, ent, intern(strs, version), at, nil
+	key := Key{Shape: intern(known, strs, shape), Sub: intern(known, strs, sub), Mode: intern(known, strs, mode), Trials: int(budget), Salt: salt}
+	return key, ent, intern(known, strs, version), at, nil
 }
 
 // fieldReader walks a fixed-field payload. Each read consumes one field and
@@ -265,8 +267,12 @@ func (r *fieldReader) num(sep byte, bitSize int) int64 {
 
 // intern returns b as a string shared through strs, which one load keeps
 // across its lines: a design's layer records share one Sub, and shapes
-// repeat across designs. A nil strs copies b.
-func intern(strs map[string]string, b []byte) string {
+// repeat across designs. A string known holds is returned from it, and
+// known is never written. A nil strs copies b.
+func intern(known, strs map[string]string, b []byte) string {
+	if s, ok := known[string(b)]; ok {
+		return s
+	}
 	if s, ok := strs[string(b)]; ok {
 		return s
 	}

@@ -47,9 +47,10 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			t.Errorf("%d-byte line outgrew its %d-byte size hint", len(data), LineSizeHint(rec.Key, "v-wire"))
 		}
 		strs := map[string]string{}
+		known := map[string]string{rec.Key.Shape: rec.Key.Shape, rec.Key.Mode: rec.Key.Mode, "v-wire": "v-wire"}
 		for _, line := range [][]byte{data, data[:len(data)-1]} {
-			for _, table := range []map[string]string{nil, strs} {
-				got, version, err := DecodeRecord(line, table)
+			for _, tables := range [][2]map[string]string{{nil, nil}, {nil, strs}, {known, strs}, {known, nil}} {
+				got, version, err := DecodeRecord(line, tables[0], tables[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +75,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, ent, version, at, err := decode(data[:len(data)-1], nil)
+	key, ent, version, at, err := decode(data[:len(data)-1], nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +94,14 @@ func TestRecordCodecRejectsCorruption(t *testing.T) {
 	// Flip one payload byte: the CRC must catch it.
 	mid := len(line) / 2
 	corrupt := line[:mid] + "X" + line[mid+1:]
-	if _, _, err := DecodeRecord([]byte(corrupt), nil); err == nil {
+	if _, _, err := DecodeRecord([]byte(corrupt), nil, nil); err == nil {
 		t.Fatal("decode accepted a corrupted record")
 	}
-	if _, _, err := DecodeRecord([]byte("not a record at all"), nil); err == nil {
+	if _, _, err := DecodeRecord([]byte("not a record at all"), nil, nil); err == nil {
 		t.Fatal("decode accepted garbage")
 	}
 	for _, c := range malformedPayloads(strings.TrimSuffix(line[9:], "\n")) {
-		if _, _, err := DecodeRecord(checkpoint.FrameLine([]byte(c[1])), nil); err == nil {
+		if _, _, err := DecodeRecord(checkpoint.FrameLine([]byte(c[1])), nil, nil); err == nil {
 			t.Errorf("%s: decode accepted %q", c[0], c[1])
 		}
 	}
@@ -207,7 +208,7 @@ func TestMixedFormatStore(t *testing.T) {
 	want := map[Key]Entry{}
 	for i := 0; i < 3; i++ {
 		want[testKey(i)] = testEntry(i)
-		rec, _, err := DecodeRecord([]byte(old[i]), nil)
+		rec, _, err := DecodeRecord([]byte(old[i]), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,19 +261,28 @@ func TestMixedFormatStore(t *testing.T) {
 // fixed-field line off the wire where it lies: the four strings of the
 // version stamp and key without an intern table, and none with a table that
 // already holds them, as a shard's lines share their mode and version and a
-// design's lines their sub-key. The JSON decoder it replaced made 36 for the
-// same record, and the string form before this one 5.
+// design's lines their sub-key, or with a read-only known table that holds
+// them. The JSON decoder it replaced made 36 for the same record, and the
+// string form before this one 5.
 func TestDecodeRecordAllocs(t *testing.T) {
 	line, err := AppendRecord(nil, Record{Key: testKey(2), Entry: testEntry(2)}, "v-test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { DecodeRecord(line, nil) }); n > 4 {
+	if n := testing.AllocsPerRun(100, func() { DecodeRecord(line, nil, nil) }); n > 4 {
 		t.Errorf("decoding one record line allocates %.0f times, want at most 4", n)
 	}
 	strs := map[string]string{}
-	if n := testing.AllocsPerRun(100, func() { DecodeRecord(line, strs) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { DecodeRecord(line, nil, strs) }); n != 0 {
 		t.Errorf("decoding one record line through a warm intern table allocates %.0f times, want 0", n)
+	}
+	key := testKey(2)
+	known := map[string]string{key.Shape: key.Shape, key.Sub: key.Sub, key.Mode: key.Mode, "v-test": "v-test"}
+	if n := testing.AllocsPerRun(100, func() { DecodeRecord(line, known, nil) }); n != 0 {
+		t.Errorf("decoding one record line through a known table allocates %.0f times, want 0", n)
+	}
+	if len(known) != 4 {
+		t.Errorf("decoding wrote the known table: %d entries, want 4", len(known))
 	}
 }
 
@@ -280,8 +290,9 @@ func TestDecodeRecordAllocs(t *testing.T) {
 // store's load parses its file with the same decoder. It must never panic,
 // it must accept exactly the lines the split-based reference decoder
 // (refDecode) accepts and read the same key, entry, version and stamp from
-// them, with or without a load's intern table, and any line it accepts must
-// re-encode to a line that decodes to the same record and version.
+// them, with or without a load's intern table and a known table, and any
+// line it accepts must re-encode to a line that decodes to the same record
+// and version.
 func FuzzDecodeRecord(f *testing.F) {
 	data, err := AppendRecord(nil, Record{Key: testKey(3), Entry: testEntry(3)}, "v-fuzz")
 	if err != nil {
@@ -312,6 +323,10 @@ func FuzzDecodeRecord(f *testing.F) {
 	// fresh string and a shared one are checked; it is cleared before it
 	// grows large.
 	strs := map[string]string{}
+	// The valid seed's key strings and version are known, as a fleet
+	// coordinator knows its evaluator's, so its lines read them from there.
+	k := testKey(3)
+	known := map[string]string{k.Shape: k.Shape, k.Sub: k.Sub, k.Mode: k.Mode, "v-fuzz": "v-fuzz"}
 	f.Fuzz(func(t *testing.T, line string) {
 		if len(strs) > 1024 {
 			clear(strs)
@@ -321,7 +336,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		for _, l := range []string{line, string(checkpoint.FrameLine([]byte(line)))} {
 			text := strings.TrimSuffix(l, "\n")
 			wantKey, wantEnt, wantVersion, wantAt, wantErr := refDecode(text)
-			key, ent, version, at, err := decode([]byte(text), strs)
+			key, ent, version, at, err := decode([]byte(text), nil, strs)
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("%q: decode says %v, the reference %v", text, err, wantErr)
 			}
@@ -329,7 +344,7 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("%q: decode read %+v %+v %q at %d, the reference %+v %+v %q at %d",
 					text, key, ent, version, at, wantKey, wantEnt, wantVersion, wantAt)
 			}
-			rec, version, err := DecodeRecord([]byte(l), strs)
+			rec, version, err := DecodeRecord([]byte(l), known, strs)
 			if (err == nil) != (wantErr == nil) || rec != (Record{Key: wantKey, Entry: wantEnt}) || version != wantVersion {
 				t.Fatalf("%q: DecodeRecord read %+v under %q (%v), the reference %+v %+v under %q (%v)",
 					l, rec, version, err, wantKey, wantEnt, wantVersion, wantErr)
@@ -341,7 +356,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted %q, which does not re-encode: %v", l, err)
 			}
-			again, againVersion, err := DecodeRecord(data, nil)
+			again, againVersion, err := DecodeRecord(data, nil, nil)
 			if err != nil || again != rec || againVersion != version {
 				t.Fatalf("accepted %q as %+v under %q; its re-encoding %q reads %+v under %q (%v)",
 					l, rec, version, data, again, againVersion, err)

@@ -33,10 +33,11 @@
 // In memory, one index map holds each record's decision with its write
 // stamp, and a FIFO order bounds it; Get, Put, GC, compaction and eviction
 // all read that map. Open fills it in one pass over the file's bytes: the
-// map and the order are sized once to the file's line count, each line's
-// CRC is checked in place, one parser reads its fields left to right, and
-// one intern table per load shares the key strings and the version across
-// lines, so a loaded record costs about one allocation.
+// map, the order and the slab of index values are sized once to the file's
+// line count, each line's CRC is checked in place, one parser reads its
+// fields left to right, and one intern table per load shares the key
+// strings and the version across lines, so a loaded record costs a small
+// fraction of an allocation.
 package evalcache
 
 import (
@@ -131,9 +132,10 @@ type Store struct {
 	now func() int64
 
 	mu    sync.Mutex
-	idx   map[Key]stamped
+	idx   map[Key]*stamped
 	order []Key
 	head  int
+	vals  []stamped // unused index values of the current slab (see insert)
 }
 
 // stamped is one indexed record: its decision and the write stamp (unix
@@ -142,6 +144,10 @@ type stamped struct {
 	ent Entry
 	at  int64
 }
+
+// putSlab is the number of index values a Put carves at once when the
+// load's slab is used up.
+const putSlab = 32
 
 // Open opens (creating if needed) the persistent cache in dir, loading every
 // intact, version-current record into the in-memory index. Corrupt lines and
@@ -199,8 +205,9 @@ func (s *Store) loadLocked() error {
 		return err
 	}
 	n := min(bytes.Count(data, []byte{'\n'}), s.maxN)
-	s.idx = make(map[Key]stamped, n)
+	s.idx = make(map[Key]*stamped, n)
 	s.order = make([]Key, 0, n)
+	s.vals = make([]stamped, n)
 	// The intern table shares key strings and the version across this
 	// load's lines and dies with it; its strings are copies, so no key
 	// keeps data alive.
@@ -222,7 +229,7 @@ func (s *Store) loadLocked() error {
 		}
 		line := data[:end]
 		data = data[end+1:]
-		key, ent, version, at, err := decode(line, strs)
+		key, ent, version, at, err := decode(line, nil, strs)
 		if err != nil {
 			// Records are independent; a corrupt line costs exactly that
 			// line, and the scan continues at the next newline.
@@ -314,7 +321,10 @@ func (s *Store) Get(key Key) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.idx[key]
-	return rec.ent, ok
+	if !ok {
+		return Entry{}, false
+	}
+	return rec.ent, true
 }
 
 // GC retires every record written longer than maxAge ago, then compacts the
@@ -421,8 +431,19 @@ func (s *Store) appendLocked(data []byte) error {
 
 // insert adds a key to the index and FIFO-evicts beyond the bound. Caller
 // holds s.mu (or has exclusive access during load).
+//
+// An index value is over the map's 128-byte limit for values kept in
+// place, so the map holds pointers, and the values are carved from slabs:
+// one sized to the file at load, then putSlab at a time. A value that GC or
+// eviction drops is freed with the last value of its slab.
 func (s *Store) insert(key Key, ent Entry, at int64) {
-	s.idx[key] = stamped{ent: ent, at: at}
+	if len(s.vals) == 0 {
+		s.vals = make([]stamped, putSlab)
+	}
+	rec := &s.vals[0]
+	s.vals = s.vals[1:]
+	rec.ent, rec.at = ent, at
+	s.idx[key] = rec
 	s.order = append(s.order, key)
 	for len(s.idx) > s.maxN {
 		old := s.order[s.head]

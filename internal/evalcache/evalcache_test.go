@@ -359,11 +359,13 @@ func writeStore(tb testing.TB, dir string, n, subs, shapes int) {
 	}
 }
 
-// TestOpenAllocsPerRecord pins the load's allocations: the index and the
-// FIFO order are sized once, a line's CRC is checked in place and its key
-// strings come from the load's intern table, so a loaded record costs about
-// one allocation (its indexed decision), where the two-map load that copied
-// each line and its four strings made six.
+// TestOpenAllocsPerRecord pins the load's allocations: the index, the FIFO
+// order and the slab of indexed decisions are sized once, a line's CRC is
+// checked in place and its key strings come from the load's intern table,
+// so what a load allocates grows with its distinct strings, not its
+// records: 0.05 allocations a record here (40 designs' sub-keys over 2,000
+// records), where a decision allocated apiece made 1.05 and the two-map
+// load that copied each line and its four strings six.
 func TestOpenAllocsPerRecord(t *testing.T) {
 	const n = 2000
 	dir := t.TempDir()
@@ -378,8 +380,8 @@ func TestOpenAllocsPerRecord(t *testing.T) {
 	if s.Len() != n {
 		t.Fatalf("loaded %d records, want %d", s.Len(), n)
 	}
-	if per := allocs / n; per >= 2 {
-		t.Errorf("opening a %d-record store allocates %.2f times per record, want fewer than 2", n, per)
+	if per := allocs / n; per >= 0.1 {
+		t.Errorf("opening a %d-record store allocates %.2f times per record, want fewer than 0.1", n, per)
 	}
 }
 

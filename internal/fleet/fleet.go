@@ -10,11 +10,12 @@
 // Record path: a worker's /eval body is one JSON header line (EvalHeader)
 // and then the shard's record lines exactly as the store writes them (see
 // DecodeEvalBody). The coordinator reads the body into one buffer of its
-// Content-Length, decodes each line where it lies with one intern table per
-// response, and installs the decoded slice by pointer (eval.InstallRecords
-// keeps it). A torn body is a transient fault; a line that fails its CRC,
-// parse or version check is dropped and counted in
-// fleet_records_rejected_total.
+// Content-Length, decodes each line where it lies, and installs the decoded
+// slice by pointer (eval.InstallRecords keeps it). The records take their
+// shapes, mode and version from a table built once per Prepare and their
+// sub-keys from one intern table per response. A torn body is a transient
+// fault; a line that fails its CRC, parse or version check is dropped and
+// counted in fleet_records_rejected_total.
 //
 // Robustness model:
 //   - Prepare is local-first: a point whose every layer record the local
@@ -253,6 +254,7 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 		MapTrials:    cfg.MapTrials,
 		Seed:         cfg.Seed,
 	}
+	known := ev.RecordStrings()
 	return func(ctx context.Context, pts []arch.Point) {
 		// Each point's key is built once: it dedups the batch, asks the
 		// design memo and goes on the wire.
@@ -286,6 +288,7 @@ func (c *Coordinator) Prepare(ev *eval.Evaluator, model string) func(context.Con
 		tr, batchSC, _ := obs.SpanFromContext(ctx)
 		var wg sync.WaitGroup
 		for _, sh := range shards {
+			sh.known = known
 			wg.Add(1)
 			go func(sh shard) {
 				defer wg.Done()
@@ -312,6 +315,7 @@ type shard struct {
 	key    string // names the shard in spans and logs: model|first point key
 	first  int    // index of the worker dealt the shard; see pool.pick
 	points []string
+	known  map[string]string // read-only strings its records share; see DecodeEvalBody
 }
 
 // shard deals k fresh point keys round-robin into min(k, max(h, ⌈k/8⌉))
@@ -619,7 +623,7 @@ func (c *Coordinator) dispatch(ctx context.Context, base EvalRequest, sh shard, 
 	if err != nil {
 		return nil, err
 	}
-	hdr, recs, rejected, derr := DecodeEvalBody(body, c.version)
+	hdr, recs, rejected, derr := DecodeEvalBody(body, c.version, sh.known)
 	if derr != nil {
 		// A torn or unreadable body is transient, like a dropped connection.
 		return nil, failed(faultTransient, "worker %s: decode response: %w", w.id, derr)

@@ -83,14 +83,17 @@ type EvalHeader struct {
 
 // DecodeEvalBody parses one /eval response body: the EvalHeader line, then
 // exactly the header's count of newline-terminated record lines. Each line
-// is decoded where it lies in body, through the store's parser, with one
-// intern table for the whole body, so the records share their key strings
-// and keep nothing of body alive. A line that fails its CRC, its parse, or
-// the version check against version is dropped and counted in rejected —
-// the coordinator recomputes that layer itself. An unreadable header, or a
-// count of lines other than the header's (a body torn short, or one with no
-// final newline), is an error: the whole response is unusable.
-func DecodeEvalBody(body []byte, version string) (hdr EvalHeader, recs []evalcache.Record, rejected int, err error) {
+// is decoded where it lies in body, through the store's parser, so the
+// records keep nothing of body alive. Their strings come from known, a
+// read-only table every shard of a run shares (eval.Evaluator.RecordStrings:
+// the coordinator's shapes, mode and version), or from one intern table for
+// the whole body, which holds the sub-keys. A line that fails its CRC, its
+// parse, or the version check against version is dropped and counted in
+// rejected — the coordinator recomputes that layer itself. An unreadable
+// header, or a count of lines other than the header's (a body torn short,
+// or one with no final newline), is an error: the whole response is
+// unusable.
+func DecodeEvalBody(body []byte, version string, known map[string]string) (hdr EvalHeader, recs []evalcache.Record, rejected int, err error) {
 	end := bytes.IndexByte(body, '\n')
 	if end < 0 {
 		return EvalHeader{}, nil, 0, errors.New("no header line")
@@ -109,7 +112,7 @@ func DecodeEvalBody(body []byte, version string) (hdr EvalHeader, recs []evalcac
 	strs := make(map[string]string)
 	for len(lines) > 0 {
 		end := bytes.IndexByte(lines, '\n')
-		rec, v, err := evalcache.DecodeRecord(lines[:end], strs)
+		rec, v, err := evalcache.DecodeRecord(lines[:end], known, strs)
 		lines = lines[end+1:]
 		if err != nil || v != version {
 			rejected++

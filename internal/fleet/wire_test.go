@@ -29,14 +29,15 @@ func evalBody(tb testing.TB, hdr EvalHeader, lines []byte) []byte {
 }
 
 // randomRecords appends n random-mode record lines for the evaluator
-// configuration randomConfig builds, all of one shape and sub-key under the
-// distinct salts of layer indices first, first+1, ...: every body of them
-// interns the same four strings, so an allocation per record shows.
+// configuration randomConfig builds, all of one shape of its model and one
+// sub-key under the distinct salts of layer indices first, first+1, ...:
+// every body of them holds the same four strings, so an allocation per
+// record shows.
 func randomRecords(tb testing.TB, dst []byte, first, n int) []byte {
 	tb.Helper()
 	for i := first; i < first+n; i++ {
 		rec := evalcache.Record{
-			Key:   evalcache.Key{Shape: "1|64,64,56,56,3,3|1", Sub: "pe256,l1:128", Mode: eval.RandomMappings.String(), Trials: 60, Salt: 1_000_003 + int64(i)},
+			Key:   evalcache.Key{Shape: "0|64,64,56,56,3,3|1", Sub: "pe256,l1:128", Mode: eval.RandomMappings.String(), Trials: 60, Salt: 1_000_003 + int64(i)},
 			Entry: evalcache.Entry{Found: true, Trials: 60},
 		}
 		var err error
@@ -68,7 +69,7 @@ func TestDecodeEvalBody(t *testing.T) {
 	v := perf.ModelVersion()
 	lines := randomRecords(t, nil, 0, 3)
 	body := evalBody(t, EvalHeader{ModelVersion: v, Evaluated: 2}, lines)
-	hdr, recs, rejected, err := DecodeEvalBody(body, v)
+	hdr, recs, rejected, err := DecodeEvalBody(body, v, nil)
 	if err != nil || rejected != 0 {
 		t.Fatalf("valid body: %v, %d rejected", err, rejected)
 	}
@@ -76,7 +77,7 @@ func TestDecodeEvalBody(t *testing.T) {
 		t.Fatalf("valid body read as %+v with %d records", hdr, len(recs))
 	}
 	for i, line := range bytes.SplitAfter(lines, []byte{'\n'})[:3] {
-		want, _, err := evalcache.DecodeRecord(line, nil)
+		want, _, err := evalcache.DecodeRecord(line, nil, nil)
 		if err != nil || recs[i] != want {
 			t.Fatalf("record %d read as %+v, want %+v (%v)", i, recs[i], want, err)
 		}
@@ -85,17 +86,37 @@ func TestDecodeEvalBody(t *testing.T) {
 	if unsafe.StringData(recs[0].Key.Sub) != unsafe.StringData(recs[2].Key.Sub) {
 		t.Fatal("two records of one body hold copies of one sub-key")
 	}
+	// Under the coordinator's known table they hold its shape, mode and
+	// version, which decoding leaves as it was.
+	known := eval.New(randomConfig()).RecordStrings()
+	size := len(known)
+	_, kn, rejected, err := DecodeEvalBody(body, v, known)
+	if err != nil || rejected != 0 || len(kn) != 3 || len(known) != size {
+		t.Fatalf("valid body under a known table: %v, %d rejected, %d records, table of %d entries, was %d", err, rejected, len(kn), len(known), size)
+	}
+	for i, rec := range kn {
+		k := rec.Key
+		if rec != recs[i] {
+			t.Fatalf("record %d reads %+v under a known table, %+v without", i, rec, recs[i])
+		}
+		if unsafe.StringData(k.Shape) != unsafe.StringData(known[k.Shape]) || unsafe.StringData(k.Mode) != unsafe.StringData(known[k.Mode]) {
+			t.Fatalf("record %d holds copies of the known shape and mode", i)
+		}
+		if unsafe.StringData(k.Sub) != unsafe.StringData(kn[0].Key.Sub) {
+			t.Fatal("two records of one body hold copies of one sub-key under a known table")
+		}
+	}
 
 	flipped := bytes.Clone(body)
 	flipped[bytes.IndexByte(flipped, '\n')+20] ^= 1 // inside the first record line
-	if _, recs, rejected, err := DecodeEvalBody(flipped, v); err != nil || rejected != 1 || len(recs) != 2 {
+	if _, recs, rejected, err := DecodeEvalBody(flipped, v, nil); err != nil || rejected != 1 || len(recs) != 2 {
 		t.Fatalf("one flipped line: %v, %d rejected, %d records; want nil, 1, 2", err, rejected, len(recs))
 	}
-	if _, recs, rejected, err := DecodeEvalBody(body, "another-version"); err != nil || rejected != 3 || len(recs) != 0 {
+	if _, recs, rejected, err := DecodeEvalBody(body, "another-version", nil); err != nil || rejected != 3 || len(recs) != 0 {
 		t.Fatalf("skewed records: %v, %d rejected, %d records; want nil, 3, 0", err, rejected, len(recs))
 	}
 	empty := evalBody(t, EvalHeader{ModelVersion: v, Evaluated: 1}, nil)
-	if _, recs, _, err := DecodeEvalBody(empty, v); err != nil || len(recs) != 0 {
+	if _, recs, _, err := DecodeEvalBody(empty, v, nil); err != nil || len(recs) != 0 {
 		t.Fatalf("body of no records: %v, %d records", err, len(recs))
 	}
 
@@ -111,7 +132,7 @@ func TestDecodeEvalBody(t *testing.T) {
 		"negative count":   append([]byte("{\"records\":-1}\n"), lines...),
 		"empty":            nil,
 	} {
-		if _, _, _, err := DecodeEvalBody(bad, v); err == nil {
+		if _, _, _, err := DecodeEvalBody(bad, v, nil); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -167,30 +188,33 @@ func TestTornBodyIsRetried(t *testing.T) {
 // TestShardRecordsAllocs pins the coordinator's decode and install of one
 // shard's body to a number of allocations that does not grow with its
 // records: at 10 and at 100 records, the body's lines are decoded where
-// they lie through one intern table, and the record map takes a pointer to
-// each decoded entry. Each run installs records no earlier run installed,
-// into one evaluator, so the record map's growth is spread over the runs.
+// they lie, their shape, mode and version read from the coordinator's
+// known table and their sub-key interned once, and the record map takes a
+// pointer to each decoded entry. Each run installs records no earlier run
+// installed, into one evaluator, so the record map's growth is spread over
+// the runs.
 func TestShardRecordsAllocs(t *testing.T) {
 	const runs = 50
 	v := perf.ModelVersion()
 	counts := map[int]float64{}
 	for _, n := range []int{10, 100} {
 		ev := eval.New(randomConfig())
+		known := ev.RecordStrings()
 		bodies := make([][]byte, runs+1) // AllocsPerRun runs once more to warm up
 		for i := range bodies {
 			bodies[i] = evalBody(t, EvalHeader{ModelVersion: v, Evaluated: 1}, randomRecords(t, nil, i*n, n))
 		}
 		next := 0
 		counts[n] = testing.AllocsPerRun(runs, func() {
-			_, recs, rejected, err := DecodeEvalBody(bodies[next], v)
+			_, recs, rejected, err := DecodeEvalBody(bodies[next], v, known)
 			next++
 			if err != nil || rejected != 0 || ev.InstallRecords(recs) != n {
 				t.Fatalf("body of %d records: %v, %d rejected", n, err, rejected)
 			}
 		})
 	}
-	if counts[100] > counts[10] || counts[10] > 12 {
-		t.Errorf("decoding and installing a shard allocates %.0f times at 10 records and %.0f at 100; want the same, at most 12",
+	if counts[100] > counts[10] || counts[10] > 8 {
+		t.Errorf("decoding and installing a shard allocates %.0f times at 10 records and %.0f at 100; want the same, at most 8",
 			counts[10], counts[100])
 	}
 }
@@ -199,9 +223,11 @@ func TestShardRecordsAllocs(t *testing.T) {
 // must never panic; on success it must account for exactly the header's
 // count of lines, each either returned or rejected, and return a record
 // only where the record decoder accepts that line under the version asked
-// for, as the record that decoder reads.
+// for, as the record that decoder reads. It decodes under the known table a
+// coordinator of the records' configuration builds.
 func FuzzDecodeEvalBody(f *testing.F) {
 	v := perf.ModelVersion()
+	known := eval.New(randomConfig()).RecordStrings()
 	body := evalBody(f, EvalHeader{ModelVersion: v, Evaluated: 2}, randomRecords(f, nil, 0, 3))
 	for _, n := range []int{len(body), len(body) - 1, len(body) / 2, bytes.IndexByte(body, '\n') + 1, 0} {
 		f.Add(body[:n])
@@ -212,7 +238,7 @@ func FuzzDecodeEvalBody(f *testing.F) {
 	f.Add([]byte("{\"records\":1,\"spans\":[]}\n\n"))
 	f.Add([]byte("{\"records\":99999999999}\nx\n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		hdr, recs, rejected, err := DecodeEvalBody(body, v)
+		hdr, recs, rejected, err := DecodeEvalBody(body, v, known)
 		if err != nil {
 			return
 		}
@@ -225,7 +251,7 @@ func FuzzDecodeEvalBody(f *testing.F) {
 		}
 		i := 0
 		for _, line := range lines[:hdr.Records] {
-			rec, version, err := evalcache.DecodeRecord(line, nil)
+			rec, version, err := evalcache.DecodeRecord(line, nil, nil)
 			if err != nil || version != v {
 				continue
 			}
@@ -266,10 +292,11 @@ func BenchmarkShardRecords(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		coord := eval.New(cfg)
+		known := coord.RecordStrings() // built once per Prepare, not per shard
 		b.StartTimer()
 		lines, n := worker.AppendRecords(nil, results)
 		body := evalBody(b, EvalHeader{ModelVersion: v, Evaluated: len(results)}, lines)
-		_, recs, rejected, err := DecodeEvalBody(body, v)
+		_, recs, rejected, err := DecodeEvalBody(body, v, known)
 		if err != nil || rejected != 0 {
 			b.Fatalf("decode: %v, %d rejected", err, rejected)
 		}

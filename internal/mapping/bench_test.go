@@ -106,8 +106,8 @@ func BenchmarkEnumeratePruned(b *testing.B) {
 
 // TestEnumerateAllocsRegression pins the allocation count of one pruned
 // enumeration after the memo caches are warm: a search replaying a walk
-// allocates nothing per candidate, and a cold one allocates per base and
-// per chunk of fills, never per candidate. The pre-optimization hot loop
+// allocates nothing per candidate, and a cold one allocates per slab of
+// bases and per fill region, never per candidate. The pre-optimization hot loop
 // allocated per candidate (divisor slices, pickSpread maps, option maps).
 func TestEnumerateAllocsRegression(t *testing.T) {
 	l := benchLayer()
@@ -152,7 +152,7 @@ func TestWarmResultMatchesColdSynthetic(t *testing.T) {
 }
 
 // coldAllocs bounds the allocations of TestEnumerateAllocsRegression's cold
-// search: the walk, one record per base it visits and its fill chunks.
-// Walks were introduced at 7, and 8 under -race, where sync.Pool drops
-// some of what it is given.
-const coldAllocs = 10
+// search: the walk, which holds the first slab of base records, and one
+// fill region sized for the search. That is 2, and 3 under -race, where
+// sync.Pool drops some of what it is given; a record per base made it 7.
+const coldAllocs = 3

@@ -113,8 +113,9 @@ type Walk[F any] struct {
 
 	mu      sync.Mutex
 	bands   [len(utilBands)]bandWalk[F]
-	edges   []*walkBase[F] // the bases on a band edge
-	fillBuf []walkFill[F]  // spare capacity of the last fill chunk
+	baseBuf []walkBase[F]         // unused records of the current base slab
+	fillBuf []walkFill[F]         // spare capacity of the last fill chunk
+	slab0   [baseSlab]walkBase[F] // the first base slab
 }
 
 // bandWalk is one utilization band of a walk: a linked list of its bases in
@@ -123,7 +124,10 @@ type bandWalk[F any] struct {
 	first atomic.Pointer[walkBase[F]]
 	// Guarded by Walk.mu.
 	last *walkBase[F]
-	scan [4]int // the next K, C, Y and X spatial options to consider
+	// scan holds the next K, C, Y and X spatial options to consider. A
+	// dimension has at most 6, and bytes keep a Walk with its first base
+	// slab within 1 KiB.
+	scan [4]uint8
 }
 
 // walkBase is a base of a walk with the recorded prefix of its fills.
@@ -146,6 +150,12 @@ type walkFill[F any] struct {
 	code uint16
 }
 
+// baseSlab is the number of base records a walk allocates at once, the
+// first slab inline in the Walk. A walkBase is 128 bytes, so a slab is one
+// 512-byte size class: most walks visit a handful of bases, and a larger
+// slab adds more unused bytes than it saves allocations.
+const baseSlab = 4
+
 // fillChunk is the fewest fill records a walk allocates at once.
 const fillChunk = 32
 
@@ -155,6 +165,7 @@ const fillChunk = 32
 // buffer utilization pruning); a zero capacity disables that filter.
 func NewWalk[F any](l workload.Layer, pes, l1Bytes, l2Bytes int) *Walk[F] {
 	w := &Walk[F]{l: l, dims: Dims(l), pes: pes, l1: l1Bytes, l2: l2Bytes}
+	w.baseBuf = w.slab0[:]
 	const perDim = 6
 	for i, d := range spatialDims {
 		w.spatial[i] = spreadDivisors(w.dims[d], perDim)
@@ -329,10 +340,10 @@ func (w *Walk[F]) scan(i int) *walkBase[F] {
 	bw := &w.bands[i]
 	lo, hi := utilBands[i][0], utilBands[i][1]
 	o, p := &w.spatial, &bw.scan
-	for ; p[0] < len(o[0]); p[0], p[1] = p[0]+1, 0 {
-		for ; p[1] < len(o[1]); p[1], p[2] = p[1]+1, 0 {
-			for ; p[2] < len(o[2]); p[2], p[3] = p[2]+1, 0 {
-				for ; p[3] < len(o[3]); p[3]++ {
+	for ; int(p[0]) < len(o[0]); p[0], p[1] = p[0]+1, 0 {
+		for ; int(p[1]) < len(o[1]); p[1], p[2] = p[1]+1, 0 {
+			for ; int(p[2]) < len(o[2]); p[2], p[3] = p[2]+1, 0 {
+				for ; int(p[3]) < len(o[3]); p[3]++ {
 					sp := [4]int{o[0][p[0]], o[1][p[1]], o[2][p[2]], o[3][p[3]]}
 					pes := sp[0] * sp[1] * sp[2] * sp[3]
 					util := float64(pes) / float64(w.pes)
@@ -363,16 +374,26 @@ func (w *Walk[F]) base(i int, sp [4]int, pes int, util float64) *walkBase[F] {
 	if i > 0 && util == utilBands[i][1] {
 		home = i - 1
 	}
-	edge := home < len(utilBands)-1 && util == utilBands[home][0]
-	if edge {
-		for _, b := range w.edges {
+	if home < len(utilBands)-1 && util == utilBands[home][0] {
+		// An edge base is in bands home and home+1. If the other band's
+		// scan reached it first, it is on that band's list; edge bases are
+		// few and lists short, so the list is searched.
+		j := home
+		if i == home {
+			j = home + 1
+		}
+		for b := w.bands[j].first.Load(); b != nil; b = b.next[j-b.home].Load() {
 			if b.Spatial == sp {
 				return b
 			}
 		}
 	}
-	b := &walkBase[F]{home: home}
-	b.Spatial, b.PEs = sp, pes
+	if len(w.baseBuf) == 0 {
+		w.baseBuf = make([]walkBase[F], baseSlab)
+	}
+	b := &w.baseBuf[0]
+	w.baseBuf = w.baseBuf[1:]
+	b.home, b.Spatial, b.PEs = home, sp, pes
 	var m Mapping
 	loadBase(&m, w.dims, sp)
 	b.RFBytes, b.L2Bytes = RFTileBytes(&w.l, &m), L2TileBytes(&w.l, &m)
@@ -387,9 +408,6 @@ func (w *Walk[F]) base(i int, sp [4]int, pes int, util float64) *walkBase[F] {
 	placeTaps(&m, w.dims)
 	b.taps = w.fitsRF(&m)
 	b.total.Store(-1)
-	if edge {
-		w.edges = append(w.edges, b)
-	}
 	return b
 }
 
@@ -433,11 +451,16 @@ func (w *Walk[F]) extend(b *walkBase[F], target int, p Pricer[F]) []walkFill[F] 
 	}
 	// Fills are carved from chunks the walk's records share: a walk appends
 	// to the spare capacity of the last chunk, and what it leaves serves the
-	// next one. A walk that outgrows the chunk moves to a larger one, so a
-	// base's fills stay contiguous.
+	// next one. The spare serves an extension when it holds the recorded
+	// fills and one more, and the whole target or at least fillChunk fills.
+	// Otherwise the extension moves to a new region sized once for its
+	// target, up to 4*fillChunk fills; past what a region holds, append
+	// doubles it. A base's fill count is unknown until a walk reaches its
+	// end, so sizing regions to larger targets would strand the rest of the
+	// spare. A base's fills stay contiguous.
 	buf := w.fillBuf
-	if cap(buf) <= len(old) {
-		buf = make([]walkFill[F], 0, max(2*len(old), fillChunk))
+	if cap(buf) < max(len(old)+1, min(target, fillChunk)) {
+		buf = make([]walkFill[F], 0, max(2*len(old), fillChunk, min(target, 4*fillChunk)))
 	}
 	m := walkers.Get().(*Mapping)
 	recs, n, end := walkFills(w, m, &b.Base, b.taps, len(old), append(buf, old...), target, p)

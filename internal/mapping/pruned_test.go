@@ -4,9 +4,10 @@ import "testing"
 
 // TestWalkSharesBandEdgeBases: the utilization bands are closed at both
 // ends, so at 256 PEs a base occupying exactly 64, 128 or 192 PEs is visited
-// in two bands. The walk keeps one record of it, linked into both bands.
-// Walking every band to the end, the bench layer visits 241 bases, 39 of
-// them twice.
+// in two bands. The walk keeps one record of it, linked into both bands:
+// visits are counted per record, so a second record of an edge base would
+// show as two records visited once. Walking every band to the end, the
+// bench layer visits 241 bases, 39 of them twice.
 func TestWalkSharesBandEdgeBases(t *testing.T) {
 	l := benchLayer()
 	f, _ := benchCost(l)
@@ -30,8 +31,8 @@ func TestWalkSharesBandEdgeBases(t *testing.T) {
 			shared++
 		}
 	}
-	if n != 241 || shared != 39 || len(w.edges) != shared {
-		t.Errorf("%d base visits, %d records visited twice, %d edge records; want 241, 39 and 39", n, shared, len(w.edges))
+	if n != 241 || shared != 39 {
+		t.Errorf("%d base visits, %d records visited twice; want 241 and 39", n, shared)
 	}
 }
 

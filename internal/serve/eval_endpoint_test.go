@@ -65,7 +65,7 @@ func readEvalBody(t *testing.T, resp *http.Response) (fleet.EvalHeader, []evalca
 	if resp.ContentLength != int64(len(body)) {
 		t.Fatalf("Content-Length %d, body of %d bytes", resp.ContentLength, len(body))
 	}
-	hdr, recs, rejected, err := fleet.DecodeEvalBody(body, perf.ModelVersion())
+	hdr, recs, rejected, err := fleet.DecodeEvalBody(body, perf.ModelVersion(), nil)
 	if err != nil {
 		t.Fatalf("decode eval body: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestEvalEndpointRecordsRoundTrip(t *testing.T) {
 				t.Fatalf("the Results export %d records, the body carries %d", n, len(got))
 			}
 			for i, line := range bytes.SplitAfter(lines, []byte{'\n'})[:n] {
-				want, _, err := evalcache.DecodeRecord(line, nil)
+				want, _, err := evalcache.DecodeRecord(line, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
